@@ -24,7 +24,7 @@ from .mfcat import (
 )
 from .quotient import GammaTensor
 from .sdrcore import Arena
-from .superspace import add_into
+from .superspace import add_into, state_parity
 from .treealg import denote, enumerate_binary, leaves
 
 ZERO = Fraction(0)
@@ -55,35 +55,17 @@ def _merge_sign(m1, m2):
     return -1 if inv & 1 else 1
 
 
-def state_mask_parity(state):
-    ps = {_popcount(k[0]) & 1 for k in state}
-    if len(ps) > 1:
-        raise ValueError("state is not parity homogeneous")
-    return ps.pop() if ps else 0
-
-
-class _NuPresenter:
-    """Exterior elements (S, T) <-> Hom matrices (row mask, col mask)."""
-
-    def __init__(self, X, Y):
-        self._sign = NuPresentation(X, Y)
-
-    def to_matrix(self, ext):
-        return self._sign.from_ext(ext)
-
-    def from_matrix(self, entries):
-        return self._sign.to_ext(entries)
-
-
-class _RhoPresenter:
-    def __init__(self, pres):
-        self._pres = pres
-
-    def to_matrix(self, ext):
-        return self._pres.to_matrix(ext)
-
-    def from_matrix(self, entries):
-        return self._pres.from_matrix(entries)
+def _conversion_parity(tildes):
+    """Parity of the sign converting the suspended product into the
+    unsuspended one, on arguments with the given tildes (earliest
+    first)."""
+    n = len(tildes)
+    exp = comb(n, 2)
+    seen = 0
+    for pos, t in enumerate(tildes):
+        exp += (seen + pos) * t
+        seen += t
+    return exp & 1
 
 
 class PairData:
@@ -114,10 +96,13 @@ class PairData:
         self.c1 = fam1[1]
         self.c2 = fam2[1]
         self.theta_all = (1 << self.n) - 1
+        # exterior elements (S, T) <-> Hom matrices (row mask, col mask)
         if pres == "nu":
-            self.presenter = _NuPresenter(X, Y)
+            nu = NuPresentation(X, Y)
+            self.to_matrix, self.from_matrix = nu.from_ext, nu.to_ext
         else:
-            self.presenter = _RhoPresenter(model.rho_presentation(src))
+            rho = model.rho_presentation(src)
+            self.to_matrix, self.from_matrix = rho.to_matrix, rho.from_matrix
 
     def split(self, mask):
         """mask -> (theta part, ext key (S, T))."""
@@ -188,7 +173,7 @@ class Model:
         pd = self.pair(idx, idx)
         dim = 1 << self.objects[idx].r
         ident = {(m, m): Fraction(1) for m in range(dim)}
-        ext = pd.presenter.from_matrix(ident)
+        ext = pd.from_matrix(ident)
         zero = (0,) * self.qb.n
         return {(pd.ext_mask(e), 0, zero): c for e, c in ext.items()}
 
@@ -203,9 +188,9 @@ class Model:
         pc = self.pair(pb.src, pa.tgt)
         table = {}
         for ea in pa.ext_basis():
-            mata = pa.presenter.to_matrix({ea: Fraction(1)})
+            mata = pa.to_matrix({ea: Fraction(1)})
             for eb in pb.ext_basis():
-                matb = pb.presenter.to_matrix({eb: Fraction(1)})
+                matb = pb.to_matrix({eb: Fraction(1)})
                 prod = {}
                 for (r1, c1), v1 in mata.items():
                     for (r2, c2), v2 in matb.items():
@@ -213,7 +198,7 @@ class Model:
                             continue
                         add_into(prod, (r1, c2), v1 * v2)
                 if prod:
-                    ext = pc.presenter.from_matrix(prod)
+                    ext = pc.from_matrix(prod)
                     if ext:
                         table[(ea, eb)] = ext
         self._comp_tables[key] = table
@@ -272,8 +257,8 @@ class Model:
         (src, mid)), s2 later (pair_2 = (mid, tgt))."""
         if not s1 or not s2:
             return {}
-        t1 = state_mask_parity(s1) ^ 1
-        t2 = state_mask_parity(s2) ^ 1
+        t1 = state_parity(s1) ^ 1
+        t2 = state_parity(s2) ^ 1
         sign = -1 if ((t1 & t2) ^ t2 ^ 1) else 1
         out = self.mu2_transported(s2, pair_2, s1, pair_1)
         if sign == -1:
@@ -402,10 +387,19 @@ class Model:
         return (_popcount(key[0]) & 1) ^ 1
 
     def verify_ainf(self, level, object_paths=None, forms=("r", "mu")):
-        """Check the defining constraints at every level up to the given
-        one, on every basis tuple along every object path, in the
-        requested sign conventions.  Returns a report; failures carry a
-        witness tuple."""
+        """Check the A-infinity relations at every level n = 1 .. level
+        (level an integer >= 1) on every tuple of core basis keys along
+        every object path of length n + 1 (all paths, or those listed in
+        object_paths), in each sign convention named in forms: "r" for
+        the suspended products, "mu" for the unsuspended ones.
+
+        Each (level, path) is one sparse contraction: for every term
+        (i, j) of the relation, the non-zero entries of the rho_j table
+        on path[i:i+j+1] are contracted into slot i of the rho_{n-j+1}
+        table on the remaining path, and the products are summed into
+        per-tuple defects for the requested forms together.  Returns a
+        report; each failure carries its witness tuple and non-zero
+        defect state, in basis-tuple order, r before mu."""
         report = {"level": level, "forms": list(forms), "checked": 0, "failures": []}
         for n in range(1, level + 1):
             if object_paths is None:
@@ -413,100 +407,67 @@ class Model:
             else:
                 paths = [p for p in object_paths if len(p) == n + 1]
             for path in paths:
+                defects = self._relation_defects(n, path, forms)
                 cores = [
                     self.pair(path[i], path[i + 1]).core_basis()
                     for i in range(n)
                 ]
                 for combo in product(*cores):
                     report["checked"] += 1
-                    if "r" in forms:
-                        defect = self._r_defect(n, path, combo)
+                    for form, found in defects.items():
+                        defect = found.get(combo)
                         if defect:
                             report["failures"].append(
-                                {"form": "r", "level": n, "path": path,
-                                 "inputs": combo, "defect": defect}
-                            )
-                    if "mu" in forms:
-                        defect = self._mu_defect(n, path, combo)
-                        if defect:
-                            report["failures"].append(
-                                {"form": "mu", "level": n, "path": path,
+                                {"form": form, "level": n, "path": path,
                                  "inputs": combo, "defect": defect}
                             )
         report["ok"] = not report["failures"]
         return report
 
-    def _r_defect(self, n, path, combo):
-        total = {}
-        tildes = [self.tilde(k) for k in combo]
+    def _relation_defects(self, n, path, forms):
+        """{form: {basis tuple: defect state}} of the level-n relations
+        along one object path; tuples whose defect cancels map to {}."""
+        defects = {form: {} for form in ("r", "mu") if form in forms}
         for j in range(1, n + 1):
-            for i in range(0, n - j + 1):
-                inner = self.rho_apply(
-                    j,
-                    path[i : i + j + 1],
-                    [{combo[l]: Fraction(1)} for l in range(i, i + j)],
-                )
+            for i in range(n - j + 1):
+                inner = self.rho_table(j, path[i : i + j + 1])
                 if not inner:
                     continue
-                sign = -1 if sum(tildes[:i]) & 1 else 1
-                outer_path = path[: i + 1] + path[i + j :]
-                outer_inputs = (
-                    [{combo[l]: Fraction(1)} for l in range(i)]
-                    + [inner]
-                    + [{combo[l]: Fraction(1)} for l in range(i + j, n)]
-                )
-                out = self.rho_apply(n - j + 1, outer_path, outer_inputs)
-                for kk, v in out.items():
-                    add_into(total, kk, v * sign)
-        return total
-
-    def mu_eval(self, args_desc, path):
-        """The unsuspended product on a descending argument list (first
-        argument is the latest morphism), derived from the suspended
-        table by the standard conversion sign."""
-        n = len(args_desc)
-        forward = list(reversed(args_desc))
-        tildes = []
-        for s in forward:
-            if not s:
-                return {}
-            tildes.append(state_mask_parity(s) ^ 1)
-        exp = comb(n, 2)
-        for i in range(n):
-            for j in range(i + 1, n):
-                exp += tildes[n - 1 - i] * tildes[n - 1 - j]
-            exp += (n - 1 - i) * tildes[n - 1 - i]
-        out = self.rho_apply(n, path, forward)
-        if exp & 1:
-            out = {k: -v for k, v in out.items()}
-        return out
-
-    def _mu_defect(self, n, path, combo):
-        # arguments x_1 .. x_n with x_l a morphism from path[l-1] to
-        # path[l]; the unsuspended product takes them in descending order
-        total = {}
-        states = [{k: Fraction(1)} for k in combo]
-        parities = [_popcount(k[0]) & 1 for k in combo]
-        for j in range(1, n + 1):
-            for i in range(0, n - j + 1):
-                inner_desc = [states[l - 1] for l in range(i + j, i, -1)]
-                inner = self.mu_eval(inner_desc, path[i : i + j + 1])
-                if not inner:
-                    continue
-                outer_desc = (
-                    [states[l - 1] for l in range(n, i + j, -1)]
-                    + [inner]
-                    + [states[l - 1] for l in range(i, 0, -1)]
-                )
-                outer_path = path[: i + 1] + path[i + j :]
-                out = self.mu_eval(outer_desc, outer_path)
-                # Koszul sign: the degree-j operator crosses the
-                # arguments standing to its left
-                crossed = j * sum(parities[i + j :])
-                sign = -1 if (i * j + i + j + n + crossed) & 1 else 1
-                for kk, v in out.items():
-                    add_into(total, kk, v * sign)
-        return total
+                outer = self.rho_table(n - j + 1, path[: i + 1] + path[i + j :])
+                # outer tuples by their slot-i key, with the sign parities
+                # fixed by the outer tuple.  In the unsuspended form these
+                # are the conversion sign of the outer product (slot i
+                # carries the inner output, whose tilde is that of each of
+                # its keys), the Koszul sign of the degree-j operator
+                # crossing the later arguments, and the sign of the term.
+                by_slot = {}
+                for otup, out in outer.items():
+                    tl = [self.tilde(k) for k in otup]
+                    odd = {
+                        "r": sum(tl[:i]),
+                        "mu": _conversion_parity(tl)
+                        + j * sum(t ^ 1 for t in tl[i + 1 :])
+                        + i * j + i + j + n,
+                    }
+                    by_slot.setdefault(otup[i], []).append(
+                        (otup[:i], otup[i + 1 :], odd, out)
+                    )
+                for itup, st in inner.items():
+                    inner_odd = {"r": 0}
+                    if "mu" in defects:
+                        state_parity(st)  # raises on mixed parity
+                        inner_odd["mu"] = _conversion_parity(
+                            [self.tilde(k) for k in itup]
+                        )
+                    for kk, v in st.items():
+                        for pre, post, odd, out in by_slot.get(kk, ()):
+                            combo = pre + itup + post
+                            for form, found in defects.items():
+                                acc = found.setdefault(combo, {})
+                                sv = -v if (odd[form] + inner_odd[form]) & 1 else v
+                                for ok, w in out.items():
+                                    add_into(acc, ok, sv * w)
+        return defects
 
     # ------------------------------------------------------------------
     # the splitting idempotent and its Clifford structure
@@ -577,7 +538,7 @@ class _ModelDecoration:
         self.model = model
         self.path = path
         self.tildes = {
-            i + 1: state_mask_parity(inputs[i]) ^ 1 for i in range(len(inputs))
+            i + 1: state_parity(inputs[i]) ^ 1 for i in range(len(inputs))
         }
 
     def leaf(self, i, state):

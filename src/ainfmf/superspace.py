@@ -115,20 +115,6 @@ def add_into(acc, key, c):
         del acc[key]
 
 
-def state_add(a, b, scale=Fraction(1)):
-    out = dict(a)
-    for k, c in b.items():
-        add_into(out, k, c * scale)
-    return out
-
-
-def state_scale(a, scale):
-    scale = Fraction(scale)
-    if not scale:
-        return {}
-    return {k: c * scale for k, c in a.items()}
-
-
 def format_state(space, state):
     if not state:
         return "0"

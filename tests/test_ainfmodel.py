@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb
 
 import pytest
 
@@ -7,7 +9,7 @@ from ainfmf.ainfmodel import Model, cohomology, compose_colmaps, induced_map, ks
 from ainfmf.mfcat import HomotopySet, koszul_mf
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
-from ainfmf.superspace import add_into
+from ainfmf.superspace import add_into, state_parity
 
 
 def worked_model(cap=3):
@@ -170,6 +172,119 @@ def test_verify_ainf_level_two():
     m = worked_model(cap=2)
     report = m.verify_ainf(2)
     assert report["ok"], report["failures"][:1]
+
+
+# A per-tuple reference for the relation checker: each term of a relation
+# is evaluated by pushing singleton states through rho_apply.
+
+
+def _ref_r_defect(m, n, path, combo):
+    total = {}
+    tildes = [m.tilde(k) for k in combo]
+    for j in range(1, n + 1):
+        for i in range(0, n - j + 1):
+            inner = m.rho_apply(
+                j, path[i : i + j + 1],
+                [{combo[l]: Fraction(1)} for l in range(i, i + j)])
+            if not inner:
+                continue
+            sign = -1 if sum(tildes[:i]) & 1 else 1
+            outer_inputs = (
+                [{combo[l]: Fraction(1)} for l in range(i)]
+                + [inner]
+                + [{combo[l]: Fraction(1)} for l in range(i + j, n)]
+            )
+            out = m.rho_apply(n - j + 1, path[: i + 1] + path[i + j :],
+                              outer_inputs)
+            for kk, v in out.items():
+                add_into(total, kk, v * sign)
+    return total
+
+
+def _ref_mu_eval(m, args_desc, path):
+    # the unsuspended product on a descending argument list, by the
+    # standard conversion sign from the suspended one
+    n = len(args_desc)
+    forward = list(reversed(args_desc))
+    tildes = [state_parity(s) ^ 1 for s in forward]
+    exp = comb(n, 2)
+    for i in range(n):
+        for j in range(i + 1, n):
+            exp += tildes[n - 1 - i] * tildes[n - 1 - j]
+        exp += (n - 1 - i) * tildes[n - 1 - i]
+    out = m.rho_apply(n, path, forward)
+    if exp & 1:
+        out = {k: -v for k, v in out.items()}
+    return out
+
+
+def _ref_mu_defect(m, n, path, combo):
+    total = {}
+    states = [{k: Fraction(1)} for k in combo]
+    parities = [bin(k[0]).count("1") & 1 for k in combo]
+    for j in range(1, n + 1):
+        for i in range(0, n - j + 1):
+            inner_desc = [states[l - 1] for l in range(i + j, i, -1)]
+            inner = _ref_mu_eval(m, inner_desc, path[i : i + j + 1])
+            if not inner:
+                continue
+            outer_desc = (
+                [states[l - 1] for l in range(n, i + j, -1)]
+                + [inner]
+                + [states[l - 1] for l in range(i, 0, -1)]
+            )
+            out = _ref_mu_eval(m, outer_desc, path[: i + 1] + path[i + j :])
+            crossed = j * sum(parities[i + j :])
+            sign = -1 if (i * j + i + j + n + crossed) & 1 else 1
+            for kk, v in out.items():
+                add_into(total, kk, v * sign)
+    return total
+
+
+def _ref_failures(m, paths):
+    failures = []
+    for path in sorted(paths, key=len):
+        n = len(path) - 1
+        cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(n)]
+        for combo in product(*cores):
+            for form, defect in (("r", _ref_r_defect), ("mu", _ref_mu_defect)):
+                d = defect(m, n, path, combo)
+                if d:
+                    failures.append({"form": form, "level": n, "path": path,
+                                     "inputs": combo, "defect": d})
+    return failures
+
+
+def test_verify_ainf_catches_injected_faults():
+    m = worked_model(cap=2)
+    # negate one rho_3 entry and shift one rho_2 entry by 1/7
+    t3 = m.rho_table(3, (0, 1, 0, 1))
+    combo3 = sorted(t3, key=str)[0]
+    key3 = sorted(t3[combo3], key=str)[0]
+    t3[combo3][key3] = -t3[combo3][key3]
+    t2 = m.rho_table(2, (0, 1, 0))
+    combo2 = sorted(t2, key=str)[0]
+    key2 = sorted(t2[combo2], key=str)[0]
+    t2[combo2][key2] += Fraction(1, 7)
+    # every path on which a faulted table enters a relation of level <= 3
+    # as the outer or the inner product, with the inner one at slot 0 and 1
+    paths = [(0, 1), (0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)]
+    report = m.verify_ainf(3, object_paths=paths)
+    expect = _ref_failures(m, paths)
+    assert {f["form"] for f in expect} == {"r", "mu"}
+    assert not report["ok"]
+    assert report["failures"] == expect
+
+
+def test_verify_ainf_rejects_mixed_parity():
+    # the unsuspended signs need a parity for each inner product
+    m = worked_model(cap=2)
+    t2 = m.rho_table(2, (0, 1, 0))
+    combo = sorted(t2, key=str)[0]
+    mask, h, delta = sorted(t2[combo], key=str)[0]
+    t2[combo][(mask ^ 1, h, delta)] = Fraction(1)
+    with pytest.raises(ValueError, match="parity"):
+        m.verify_ainf(2, object_paths=[(0, 1, 0)], forms=["mu"])
 
 
 def test_kstab_rho1_and_gamma():

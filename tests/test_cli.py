@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from ainfmf import cli
 
 
@@ -101,6 +103,32 @@ def test_input_errors():
     assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("args", [
+    {"forms": ["R"]},
+    {"forms": "mu"},
+    {"forms": []},
+    {"level": 0},
+    {"level": "two"},
+])
+def test_verify_ainf_rejects_bad_arguments(args):
+    report, code = cli.run(
+        WORKED, commands=[dict({"command": "verify-ainf", "level": 1}, **args)])
+    assert code == cli.EXIT_INPUT
+    assert "error" in report["results"][-1]
+
+
+def test_timing_per_command():
+    # a repeated command keeps its own timing entry
+    cmd = {"command": "verify-ainf", "level": 1}
+    report, code = cli.run(WORKED, commands=[cmd, "basis", cmd])
+    assert code == cli.EXIT_OK
+    assert "timing" not in report
+    assert [r["command"] for r in report["results"]] == [
+        "verify-ainf", "basis", "verify-ainf"]
+    assert all(type(r["timing"]) is int and r["timing"] >= 0
+               for r in report["results"])
+
+
 def test_cap_insufficiency_exit():
     spec = {
         "variables": ["x"], "potential": "1/5*x^5", "cap": 1,
@@ -135,7 +163,7 @@ def test_pin_roundtrip(tmp_path):
     assert diffs and any("level" in d for d in diffs)
     # timing differences never matter
     with_timing = json.loads(cli.canonical(report).decode())
-    with_timing["timing"] = {"kstab": 123456}
+    with_timing["results"][0]["timing"] = 123456
     assert cli.pin(with_timing, str(golden)) == []
 
 

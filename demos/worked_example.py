@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from ainfmf.ainfmodel import Model
 from ainfmf.mfcat import koszul_mf
-from ainfmf.normalorder import FeynmanBackend, vertex_catalog
+from ainfmf.normalorder import FeynmanBackend, VertexCatalog
 from ainfmf.poly import parse_poly
 from ainfmf.quotient import QuotientBasis, t_adic_expand
 
@@ -29,7 +29,7 @@ print("t-adic expansion of x^2 + x^5:", dict(exp.coefficients))
 
 print()
 print("interaction vertices for Hom(X, Y):")
-cat = vertex_catalog(model.pair(0, 1).arena)
+cat = VertexCatalog(model.pair(0, 1).arena)
 for row in cat.rows():
     if row["coefficient"] is None:
         continue

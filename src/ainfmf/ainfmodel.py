@@ -38,10 +38,6 @@ class DecompositionInvalid(Exception):
     pass
 
 
-def _popcount(m):
-    return bin(m).count("1")
-
-
 def _merge_sign(m1, m2):
     """Sign of reordering the concatenation of two ascending generator
     lists (masks m1 then m2) into one ascending list."""
@@ -50,9 +46,50 @@ def _merge_sign(m1, m2):
     while q:
         low = q & -q
         pos = low.bit_length() - 1
-        inv += _popcount(m1 >> (pos + 1))
+        inv += (m1 >> (pos + 1)).bit_count()
         q ^= low
     return -1 if inv & 1 else 1
+
+
+def compose_keys(model, pa, pb, ka, kb, ext_table, cache):
+    """mu2 on a pair of basis keys: ka in space(pa) composed after kb in
+    space(pb), through the Gamma tensor of the model.  ext_table(pa, pb)
+    gives the composition table of the exterior parts; results are kept
+    in the cache dict.  Outputs beyond the t-cap are dropped."""
+    cache_key = ((pa.src, pa.tgt), (pb.src, pb.tgt), ka, kb)
+    hit = cache.get(cache_key)
+    if hit is not None:
+        return hit
+    if pa.src != pb.tgt:
+        raise SectorMismatch("composition needs a shared middle object")
+    table = ext_table(pa, pb)
+    pc = model.pair(pb.src, pa.tgt)
+    m1, h1, d1 = ka
+    m2, h2, d2 = kb
+    th1, ea = pa.split(m1)
+    th2, eb = pb.split(m2)
+    out = {}
+    if not th1 & th2:
+        alpha_par = (m1 >> pa.n).bit_count() & 1
+        omega2_par = th2.bit_count() & 1
+        sign = -1 if alpha_par & omega2_par else 1
+        sign *= _merge_sign(th1, th2)
+        ext = table.get((ea, eb))
+        if ext:
+            th = th1 | th2
+            base = tuple(a + b for a, b in zip(d1, d2))
+            for k, delta, g in model.gamma.products_of(h1, h2):
+                nd = tuple(a + b for a, b in zip(base, delta))
+                if sum(nd) > model.cap:
+                    continue
+                for ec, c3 in ext.items():
+                    add_into(
+                        out,
+                        (th | pc.ext_mask(ec), k, nd),
+                        Fraction(sign) * g * c3,
+                    )
+    cache[cache_key] = out
+    return out
 
 
 def _conversion_parity(tildes):
@@ -140,9 +177,6 @@ class Model:
         self.homotopies = dict(homotopies or {})
         self.presentations = dict(presentations or {})
         self.gamma = GammaTensor(qb, cap)
-        self._gamma_products = {}
-        for (i, j, k, delta), c in self.gamma.entries.items():
-            self._gamma_products.setdefault((i, j), []).append((k, delta, c))
         self._pairs = {}
         self._rho_pres = {}
         self._comp_tables = {}
@@ -205,40 +239,8 @@ class Model:
         return table
 
     def _compose_keys(self, pa, pb, ka, kb):
-        """mu2 on a pair of basis keys: ka in space(pa) composed after kb
-        in space(pb).  Cached; outputs beyond the t-cap are dropped."""
-        cache_key = ((pa.src, pa.tgt), (pb.src, pb.tgt), ka, kb)
-        hit = self._term_comp.get(cache_key)
-        if hit is not None:
-            return hit
-        ext_table = self._ext_composition(pa, pb)
-        pc = self.pair(pb.src, pa.tgt)
-        m1, h1, d1 = ka
-        m2, h2, d2 = kb
-        th1, ea = pa.split(m1)
-        th2, eb = pb.split(m2)
-        out = {}
-        if not th1 & th2:
-            alpha_par = _popcount(m1 >> pa.n) & 1
-            omega2_par = _popcount(th2) & 1
-            sign = -1 if alpha_par & omega2_par else 1
-            sign *= _merge_sign(th1, th2)
-            ext = ext_table.get((ea, eb))
-            if ext:
-                th = th1 | th2
-                base = tuple(a + b for a, b in zip(d1, d2))
-                for k, delta, g in self._gamma_products.get((h1, h2), ()):
-                    nd = tuple(a + b for a, b in zip(base, delta))
-                    if sum(nd) > self.cap:
-                        continue
-                    for ec, c3 in ext.items():
-                        add_into(
-                            out,
-                            (th | pc.ext_mask(ec), k, nd),
-                            Fraction(sign) * g * c3,
-                        )
-        self._term_comp[cache_key] = out
-        return out
+        return compose_keys(self, pa, pb, ka, kb, self._ext_composition,
+                            self._term_comp)
 
     def mu2_transported(self, sa, pair_a, sb, pair_b):
         """Binary composition: sa in the space of pair_a = (mid, tgt)
@@ -384,7 +386,7 @@ class Model:
     # relation checking
 
     def tilde(self, key):
-        return (_popcount(key[0]) & 1) ^ 1
+        return (key[0].bit_count() & 1) ^ 1
 
     def verify_ainf(self, level, object_paths=None, forms=("r", "mu")):
         """Check the A-infinity relations at every level n = 1 .. level
@@ -399,7 +401,13 @@ class Model:
         table on the remaining path, and the products are summed into
         per-tuple defects for the requested forms together.  Returns a
         report; each failure carries its witness tuple and non-zero
-        defect state, in basis-tuple order, r before mu."""
+        defect state, in basis-tuple order, r before mu.  Raises
+        ValueError on a level below 1 or on forms that are empty or name
+        anything but "r" and "mu"."""
+        if isinstance(level, bool) or not isinstance(level, int) or level < 1:
+            raise ValueError("level must be an integer >= 1")
+        if not forms or any(f not in ("r", "mu") for f in forms):
+            raise ValueError('forms must be a non-empty choice of "r", "mu"')
         report = {"level": level, "forms": list(forms), "checked": 0, "failures": []}
         for n in range(1, level + 1):
             if object_paths is None:

@@ -29,7 +29,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -43,10 +42,10 @@ from .ainfmodel import (
 )
 from .linalg import mat_mul
 from .mfcat import HomotopySet, koszul_mf
-from .normalorder import FeynmanBackend, vertex_catalog
+from .normalorder import FeynmanBackend, VertexCatalog
 from .normalorder import CapExceeded as TreeCapExceeded
 from .poly import parse_poly
-from .quotient import CapExceeded, QuotientBasis, gamma_tensor, t_adic_expand
+from .quotient import CapExceeded, GammaTensor, QuotientBasis, t_adic_expand
 from .sdrcore import IdentityViolation
 from .treealg import enumerate_binary, mirror_eval
 
@@ -161,6 +160,18 @@ class Problem:
 # command implementations; each returns (result_dict, ok, cap_ok)
 
 
+def _int_arg(args, name, default, minimum):
+    """The integer argument args[name] (default when absent), checked to
+    be an int, not a bool, and >= minimum.  A default of None stays
+    None when the argument is absent or null."""
+    value = args.get(name, default)
+    if value is None and default is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise InputError("%s must be an integer >= %d" % (name, minimum))
+    return value
+
+
 def cmd_groebner(prob, args):
     gb = prob.qb.gb
     check = True
@@ -190,8 +201,8 @@ def cmd_basis(prob, args):
 
 
 def cmd_gamma(prob, args):
-    cap = int(args.get("cap", prob.cap))
-    g = gamma_tensor(prob.qb, cap)
+    cap = _int_arg(args, "cap", prob.cap, 0)
+    g = GammaTensor(prob.qb, cap)
     entries = sorted(
         ([i, j, k, list(d), frac(c)] for (i, j, k, d), c in g.entries.items() if c),
         key=str,
@@ -203,7 +214,7 @@ def cmd_expand(prob, args):
     if "polynomial" not in args:
         raise InputError("expand needs a \"polynomial\" argument")
     r = prob._poly(args["polynomial"])
-    cap = int(args.get("cap", prob.cap))
+    cap = _int_arg(args, "cap", prob.cap, 0)
     exp = t_adic_expand(r, prob.qb, cap)
     coeffs = sorted(
         ([i, list(d), frac(c)] for (i, d), c in exp.coefficients.items() if c),
@@ -232,7 +243,7 @@ def cmd_vertices(prob, args):
     out = []
     ok = True
     for s, t in _pair_list(prob, args):
-        cat = vertex_catalog(m.pair(s, t).arena)
+        cat = VertexCatalog(m.pair(s, t).arena)
         rows = []
         for row in cat.rows():
             rows.append({
@@ -259,7 +270,7 @@ def cmd_vertices(prob, args):
 
 def cmd_rho(prob, args):
     m = prob.need_model()
-    k = int(args.get("k", 2))
+    k = _int_arg(args, "k", 2, 1)
     path = prob.path_indices(args.get("path", prob.labels[:1] * (k + 1)))
     if len(path) != k + 1:
         raise InputError("rho needs a path of k + 1 object labels")
@@ -282,9 +293,7 @@ def cmd_rho(prob, args):
 
 def cmd_verify_ainf(prob, args):
     m = prob.need_model()
-    level = args.get("level", 2)
-    if isinstance(level, bool) or not isinstance(level, int) or level < 1:
-        raise InputError("verify-ainf level must be an integer >= 1")
+    level = _int_arg(args, "level", 2, 1)
     forms = args.get("forms", ["r", "mu"])
     if (not isinstance(forms, list) or not forms
             or any(f not in ("r", "mu") for f in forms)):
@@ -308,16 +317,13 @@ def cmd_verify_ainf(prob, args):
 
 def cmd_sdr_verify(prob, args):
     m = prob.need_model()
-    margin = args.get("margin")
+    margin = _int_arg(args, "margin", None, 0)
     out = []
     ok = True
     for s, t in _pair_list(prob, args):
         arena = m.pair(s, t).arena
         try:
-            rep = arena.sdr_verify(
-                margin=int(margin) if margin is not None else None,
-                raise_on_failure=False,
-            )
+            rep = arena.sdr_verify(margin=margin, raise_on_failure=False)
         except ZeroDivisionError as exc:
             raise InputError(str(exc)) from exc
         pair_ok = all(v.get("ok") for v in rep["identities"].values())
@@ -393,7 +399,7 @@ def cmd_kstab(prob, args):
     m = prob.need_model()
     idx = prob.obj_index(args.get("object", prob.labels[0]))
     decomposition = [prob._poly(p) for p in args.get("decomposition", [])]
-    level = int(args.get("level", 3))
+    level = _int_arg(args, "level", 3, 1)
     try:
         result = kstab_minimal(m, idx, decomposition, level=level)
     except DecompositionInvalid as exc:
@@ -413,9 +419,9 @@ def cmd_kstab(prob, args):
     }, ok, True
 
 
-def cmd_feynman(prob, args, threads=1):
+def cmd_feynman(prob, args):
     m = prob.need_model()
-    k = int(args.get("k", 2))
+    k = _int_arg(args, "k", 2, 2)
     path = prob.path_indices(args.get("path", [prob.labels[0]] * (k + 1)))
     if len(path) != k + 1:
         raise InputError("feynman needs a path of k + 1 object labels")
@@ -423,16 +429,15 @@ def cmd_feynman(prob, args, threads=1):
         raise TreeCapExceeded(
             "cap %d cannot host the %d internal edges of a %d-leaf tree"
             % (prob.cap, k - 2, k))
-    limit = args.get("limit")
+    limit = _int_arg(args, "limit", None, 0)
     backend = FeynmanBackend(m)
     cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(k)]
     combos = list(product(*cores))
     if limit is not None:
-        combos = combos[: int(limit)]
+        combos = combos[:limit]
     trees = enumerate_binary(k)
-
-    def one_tree(T):
-        mismatches = 0
+    bad = 0
+    for T in trees:
         for combo in combos:
             inputs = [{key: Fraction(1)} for key in combo]
             dec = _ModelDecoration(m, path, inputs)
@@ -441,15 +446,7 @@ def cmd_feynman(prob, args, threads=1):
             want = {kk: v for kk, v in want.items() if v}
             got = {kk: v for kk, v in got.items() if v}
             if got != want:
-                mismatches += 1
-        return mismatches
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(one_tree, trees))
-    else:
-        counts = [one_tree(T) for T in trees]
-    bad = sum(counts)
+                bad += 1
     return {
         "k": k,
         "path": [prob.labels[p] for p in path],
@@ -471,10 +468,11 @@ DISPATCH = {
     "e1": cmd_e1,
     "clifford": cmd_clifford,
     "kstab": cmd_kstab,
+    "feynman": cmd_feynman,
 }
 
 
-def run(raw_spec, commands=None, cap=None, presentation=None, threads=1):
+def run(raw_spec, commands=None, cap=None, presentation=None):
     """Execute a spec.  Returns (report, exit_code)."""
     report = {"results": [], "ok": True, "cap_ok": True}
     try:
@@ -500,12 +498,9 @@ def run(raw_spec, commands=None, cap=None, presentation=None, threads=1):
             name = args.pop("command")
         t0 = time.perf_counter_ns()
         try:
-            if name == "feynman":
-                result, ok, cap_ok = cmd_feynman(prob, args, threads=threads)
-            elif name in DISPATCH:
-                result, ok, cap_ok = DISPATCH[name](prob, args)
-            else:
+            if name not in DISPATCH:
                 raise InputError("unknown command %r" % name)
+            result, ok, cap_ok = DISPATCH[name](prob, args)
         except InputError as exc:
             report["results"].append(
                 {"command": name, "error": str(exc), "ok": False})
@@ -651,7 +646,6 @@ def main(argv=None):
         p.add_argument("--cap", type=int, help="override the t-degree cap")
         p.add_argument("--presentation", choices=["nu", "rho", "auto"],
                        default="auto")
-        p.add_argument("--threads", type=int, default=1)
 
     add_common(sub.add_parser("run", help="execute the spec's command list"))
     for name in COMMANDS:
@@ -689,7 +683,7 @@ def main(argv=None):
         if not commands:
             commands = [ns.mode]
     report, code = run(raw, commands=commands, cap=ns.cap,
-                       presentation=presentation, threads=ns.threads)
+                       presentation=presentation)
     if "error" in report:
         print("error: %s" % report["error"], file=sys.stderr)
         return code

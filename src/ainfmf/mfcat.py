@@ -17,6 +17,7 @@ from math import comb
 
 from .linalg import inverse
 from .poly import Polynomial
+from .superspace import add_into, contract_mask, wedge_mask
 
 
 class NotAFactorisation(Exception):
@@ -25,25 +26,6 @@ class NotAFactorisation(Exception):
 
 class HomotopyIdentityFailed(Exception):
     pass
-
-
-def _popcount(m):
-    return bin(m).count("1")
-
-
-def wedge_mask(mask, i):
-    """(sign, new mask) for generator i wedged on the left, or None."""
-    if mask >> i & 1:
-        return None
-    sign = -1 if _popcount(mask & ((1 << i) - 1)) & 1 else 1
-    return sign, mask | 1 << i
-
-
-def contract_mask(mask, i):
-    if not mask >> i & 1:
-        return None
-    sign = -1 if _popcount(mask & ((1 << i) - 1)) & 1 else 1
-    return sign, mask & ~(1 << i)
 
 
 def _matmul_poly(a, b, nvars):
@@ -124,11 +106,8 @@ class KoszulFactorisation:
         else:
             self.d[key] = acc
 
-    def parity(self, mask):
-        return _popcount(mask) & 1
-
     def as_matrix_mf(self):
-        parities = [_popcount(m) & 1 for m in range(self.dim)]
+        parities = [m.bit_count() & 1 for m in range(self.dim)]
         return MatrixFactorisation(self.nvars, self.W, parities, self.d, self.label)
 
 
@@ -136,12 +115,6 @@ def koszul_mf(pairs, W, label="X"):
     K = KoszulFactorisation(pairs, W, label)
     K.as_matrix_mf()  # verifies d^2 = W exactly
     return K
-
-
-def _parity_of(obj, index):
-    if isinstance(obj, KoszulFactorisation):
-        return _popcount(index) & 1
-    return obj.parities[index]
 
 
 def d_hom(X, Y):
@@ -229,11 +202,8 @@ class NuPresentation:
     def to_ext(self, entries):
         out = {}
         for (S, T), c in entries.items():
-            sign = -1 if comb(_popcount(T), 2) & 1 else 1
-            key = (S, T)
-            out[key] = out.get(key, Fraction(0)) + c * sign
-            if not out[key]:
-                del out[key]
+            sign = -1 if comb(T.bit_count(), 2) & 1 else 1
+            add_into(out, (S, T), c * sign)
         return out
 
     def from_ext(self, ext):
@@ -276,8 +246,8 @@ class RhoPresentation:
                     hit = contract_mask(m, i)
                     if hit:
                         s, m2 = hit
-                        nxt[m2] = nxt.get(m2, Fraction(0)) + c * s
-                cur = {k: v for k, v in nxt.items() if v}
+                        add_into(nxt, m2, c * s)
+                cur = nxt
             for i in reversed(range(self.r)):
                 if not A >> i & 1:
                     continue
@@ -286,20 +256,17 @@ class RhoPresentation:
                     hit = wedge_mask(m, i)
                     if hit:
                         s, m2 = hit
-                        nxt[m2] = nxt.get(m2, Fraction(0)) + c * s
-                cur = {k: v for k, v in nxt.items() if v}
+                        add_into(nxt, m2, c * s)
+                cur = nxt
             for row, c in cur.items():
-                if c:
-                    out[(row, col)] = c
+                out[(row, col)] = c
         return out
 
     def to_matrix(self, ext):
         out = {}
         for (A, B), c in ext.items():
             for key, c2 in self._cols[(A, B)].items():
-                out[key] = out.get(key, Fraction(0)) + c * c2
-                if not out[key]:
-                    del out[key]
+                add_into(out, key, c * c2)
         return out
 
     def from_matrix(self, entries):
@@ -318,14 +285,6 @@ class RhoPresentation:
         return out
 
 
-def nu_present(X, Y):
-    return NuPresentation(X, Y)
-
-
-def rho_present(X):
-    return RhoPresentation(X)
-
-
 def clifford_left_xi(i, elem):
     """Left Clifford multiplication by xi_i on dicts (A, B) -> coeff."""
     out = {}
@@ -333,10 +292,7 @@ def clifford_left_xi(i, elem):
         hit = wedge_mask(A, i)
         if hit:
             s, A2 = hit
-            key = (A2, B)
-            out[key] = out.get(key, Fraction(0)) + c * s
-            if not out[key]:
-                del out[key]
+            add_into(out, (A2, B), c * s)
     return out
 
 
@@ -347,18 +303,12 @@ def clifford_left_xibar(i, elem):
         hit = contract_mask(A, i)
         if hit:
             s, A2 = hit
-            key = (A2, B)
-            out[key] = out.get(key, Fraction(0)) + c * s
-            if not out[key]:
-                del out[key]
+            add_into(out, (A2, B), c * s)
         hit = wedge_mask(B, i)
         if hit:
             s, B2 = hit
-            sign = s * (-1 if _popcount(A) & 1 else 1)
-            key = (A, B2)
-            out[key] = out.get(key, Fraction(0)) + c * sign
-            if not out[key]:
-                del out[key]
+            sign = s * (-1 if A.bit_count() & 1 else 1)
+            add_into(out, (A, B2), c * sign)
     return out
 
 
@@ -374,7 +324,5 @@ def clifford_mult(e1, e2):
             if A >> i & 1:
                 cur = clifford_left_xi(i, cur)
         for k, v in cur.items():
-            out[k] = out.get(k, Fraction(0)) + v
-            if not out[k]:
-                del out[k]
+            add_into(out, k, v)
     return out

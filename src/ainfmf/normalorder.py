@@ -13,8 +13,8 @@ algebra in sdrcore/ainfmodel.  The ingredients are
     scalar factors contributed by the 1/(virtual degree) insertions;
   * an edge engine that sums the vertex words into the leaf, internal
     edge and root operators of a tree evaluation, and a tree walker
-    (FeynmanBackend / c_tau) producing the same coefficients as the
-    matrix backend;
+    (FeynmanBackend) producing the same coefficients as the matrix
+    backend;
   * evaluate_summand, which evaluates a single hand-written operator
     word (one summand of the expansion) on explicit inputs;
   * a small rewriting engine (TupleStore / normalize) that pushes
@@ -31,6 +31,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
+from .ainfmodel import compose_keys
 from .sdrcore import ZeroVirtualDegree, full_expansion
 from .superspace import add_into, contract_key, wedge_key
 from .treealg import leaves
@@ -44,10 +45,6 @@ class DegreeMismatch(Exception):
     pass
 
 
-def _popcount(m):
-    return bin(m).count("1")
-
-
 def _bits(mask):
     out = []
     while mask:
@@ -59,6 +56,17 @@ def _bits(mask):
 
 # ----------------------------------------------------------------------
 # propagator scalars
+
+
+def zeta(state, virtual_degree):
+    """The propagator: each basis key scaled by 1/(its virtual degree)."""
+    out = {}
+    for key, c in state.items():
+        v = virtual_degree(key)
+        if v == 0:
+            raise ZeroVirtualDegree(key)
+        out[key] = c * Fraction(1, v)
+    return out
 
 
 def z_factor_forward(a, degrees):
@@ -268,10 +276,6 @@ class VertexCatalog:
         return out
 
 
-def vertex_catalog(arena):
-    return VertexCatalog(arena)
-
-
 def catalog_diff(catalog, reference):
     """Compare a catalog against a reference table of rows
     {"vertex": name, "coefficient": Fraction, "shifts": {h: (l, emit)}}.
@@ -430,16 +434,7 @@ class EdgeEngine:
     # -- scalar insertions ----------------------------------------------
 
     def virtual_degree(self, key):
-        return _popcount(key[0] & self._theta_mask) + sum(key[2])
-
-    def zeta(self, state):
-        out = {}
-        for key, c in state.items():
-            v = self.virtual_degree(key)
-            if v == 0:
-                raise ZeroVirtualDegree(key)
-            out[key] = c * Fraction(1, v)
-        return out
+        return (key[0] & self._theta_mask).bit_count() + sum(key[2])
 
     # -- series ----------------------------------------------------------
 
@@ -453,7 +448,7 @@ class EdgeEngine:
             cur = self.at_state(cur)
             if not cur:
                 return total
-            cur = self.zeta(cur)
+            cur = zeta(cur, self.virtual_degree)
             sign = -sign
             for key, c in cur.items():
                 add_into(total, key, c * sign)
@@ -487,7 +482,7 @@ class EdgeEngine:
         if key not in self._edge:
             st = self.exp_delta({key: Fraction(1)}, -1)
             st = self.nabla_state(st)
-            st = self.zeta(st) if st else st
+            st = zeta(st, self.virtual_degree) if st else st
             st = self.sigma_tail(st) if st else st
             self._edge[key] = self.exp_delta(st, 1) if st else {}
         return self._edge[key]
@@ -570,7 +565,7 @@ def _ext_pair_compose(pa, pb, merge_u, merge_b, out_words=False):
                         sign = 1
                         for i in _bits(U):
                             for pos in (off2 + i, off3 + i):
-                                if _popcount(mask & ((1 << pos) - 1)) & 1:
+                                if (mask & ((1 << pos) - 1)).bit_count() & 1:
                                     sign = -sign
                                 mask &= ~(1 << pos)
                         S1p = mask & ((1 << c1L) - 1)
@@ -612,17 +607,6 @@ def _subsets(mask):
         sub = (sub - 1) & mask
 
 
-def _merge_sign(m1, m2):
-    inv = 0
-    q = m2
-    while q:
-        low = q & -q
-        pos = low.bit_length() - 1
-        inv += _popcount(m1 >> (pos + 1))
-        q ^= low
-    return -1 if inv & 1 else 1
-
-
 class FeynmanBackend:
     """Tree evaluation by vertex words and middle-object pairing.
 
@@ -659,41 +643,10 @@ class FeynmanBackend:
 
     def compose_keys(self, pa, pb, ka, kb):
         """Binary composition of basis keys: ka (later, in pair pa =
-        (mid, tgt)) after kb (earlier, in pair pb = (src, mid))."""
-        cache_key = ((pa.src, pa.tgt), (pb.src, pb.tgt), ka, kb)
-        hit = self._junction.get(cache_key)
-        if hit is not None:
-            return hit
-        if pa.src != pb.tgt:
-            raise ValueError("composition needs a shared middle object")
-        pc = self.model.pair(pb.src, pa.tgt)
-        table = self._ext_table(pa, pb)
-        m1, h1, d1 = ka
-        m2, h2, d2 = kb
-        th1, ea = pa.split(m1)
-        th2, eb = pb.split(m2)
-        out = {}
-        if not th1 & th2:
-            sign = 1
-            if (_popcount(m1 >> pa.n) & 1) and (_popcount(th2) & 1):
-                sign = -sign
-            sign *= _merge_sign(th1, th2)
-            ext = table.get((ea, eb))
-            if ext:
-                th = th1 | th2
-                base = tuple(a + b for a, b in zip(d1, d2))
-                for k, delta, g in self.model._gamma_products.get((h1, h2), ()):
-                    nd = tuple(a + b for a, b in zip(base, delta))
-                    if sum(nd) > self.model.cap:
-                        continue
-                    for ec, c3 in ext.items():
-                        add_into(
-                            out,
-                            (th | pc.ext_mask(ec), k, nd),
-                            Fraction(sign) * g * c3,
-                        )
-        self._junction[cache_key] = out
-        return out
+        (mid, tgt)) after kb (earlier, in pair pb = (src, mid)), with the
+        exterior parts composed by _ext_pair_compose."""
+        return compose_keys(self.model, pa, pb, ka, kb, self._ext_table,
+                            self._junction)
 
     def mu2(self, sa, pair_a, sb, pair_b):
         pa = self.model.pair(*pair_a)
@@ -753,13 +706,6 @@ class FeynmanBackend:
         return self.tree_state(tree, path, keys).get(tau, Fraction(0))
 
 
-def c_tau(model_or_backend, tree, path, keys, tau):
-    backend = model_or_backend
-    if not isinstance(backend, FeynmanBackend):
-        backend = FeynmanBackend(backend)
-    return backend.c_tau(tree, path, keys, tau)
-
-
 # ----------------------------------------------------------------------
 # literal evaluation of a single operator word
 
@@ -802,12 +748,7 @@ def _apply_atom(arena, parsed, state):
                 out[key] = c
         return out
     if kind == "zeta":
-        for key, c in state.items():
-            v = space.virtual_degree(key)
-            if v == 0:
-                raise ZeroVirtualDegree(key)
-            out[key] = c * Fraction(1, v)
-        return out
+        return zeta(state, space.virtual_degree)
     if kind in ("wedge", "contract"):
         pos = space.gen_pos(parsed[1], parsed[2])
         fn = wedge_key if kind == "wedge" else contract_key

@@ -157,15 +157,6 @@ class Polynomial:
                 out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c * m[i]
         return Polynomial(self.nvars, out)
 
-    def eval_at(self, point):
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for e, x in zip(m, point):
-                v *= Fraction(x) ** e
-            total += v
-        return total
-
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Fraction(0))
 

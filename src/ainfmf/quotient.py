@@ -12,7 +12,8 @@ idempotent.
 
 from fractions import Fraction
 
-from .poly import GroebnerBasis, Polynomial, ORDERS
+from .poly import GroebnerBasis, Polynomial
+from .superspace import add_into
 
 
 class InfiniteQuotient(Exception):
@@ -55,26 +56,8 @@ class QuotientBasis:
         standard monomials."""
         return self.gb.reduce(r)
 
-    def sigma_vector(self, r):
-        """Coefficients of sigma(r) in the standard basis."""
-        rem = self.gb.reduce(r)
-        vec = {}
-        for m, c in rem.terms.items():
-            vec[self.index[m]] = c
-        return vec
-
     def basis_poly(self, i):
         return Polynomial.monomial(self.nvars, self.monomials[i])
-
-
-def standard_basis(gb_or_tseq, order="grevlex"):
-    if isinstance(gb_or_tseq, QuotientBasis):
-        return gb_or_tseq
-    return QuotientBasis(gb_or_tseq, order)
-
-
-def section_sigma(r, qb):
-    return qb.sigma(r)
 
 
 class TAdicExpansion:
@@ -113,10 +96,7 @@ def t_adic_expand(r, qb, cap):
         delta, p = work.pop()
         quots, rem = qb.gb.reduce_with_quotients(p)
         for m, c in rem.terms.items():
-            key = (qb.index[m], delta)
-            coeffs[key] = coeffs.get(key, Fraction(0)) + c
-            if not coeffs[key]:
-                del coeffs[key]
+            add_into(coeffs, (qb.index[m], delta), c)
         for j in range(qb.n):
             aj = Polynomial.zero(qb.nvars)
             for q, cof in zip(quots, qb.gb.cofactors):
@@ -151,21 +131,17 @@ class GammaTensor:
                     self.entries[(i, j, k, delta)] = c
                     if i != j:
                         self.entries[(j, i, k, delta)] = c
+        # (i, j) -> [(k, delta, coeff)], in entries order
+        self._products = {}
+        for (i, j, k, delta), c in self.entries.items():
+            self._products.setdefault((i, j), []).append((k, delta, c))
 
     def get(self, i, j, k, delta):
         return self.entries.get((i, j, k, delta), Fraction(0))
 
     def products_of(self, i, j):
         """All (k, delta, coeff) with Gamma^{ij}_{k delta} nonzero."""
-        out = []
-        for (a, b, k, delta), c in self.entries.items():
-            if a == i and b == j:
-                out.append((k, delta, c))
-        return out
-
-
-def gamma_tensor(qb, cap):
-    return GammaTensor(qb, cap)
+        return self._products.get((i, j), ())
 
 
 class TLinearOp:
@@ -195,10 +171,7 @@ class TLinearOp:
                             "result exceeds t-degree cap %d" % self.cap
                         )
                     raise CapExceeded("operator truncated at the cap")
-                key = (l, nd)
-                out[key] = out.get(key, Fraction(0)) + c * c2
-                if not out[key]:
-                    del out[key]
+                add_into(out, (l, nd), c * c2)
         return out
 
     def compose(self, other):
@@ -213,10 +186,7 @@ class TLinearOp:
                     if sum(nd) > self.cap:
                         exact = False
                         continue
-                    key = (m, nd)
-                    acc[key] = acc.get(key, Fraction(0)) + c * c2
-                    if not acc[key]:
-                        del acc[key]
+                    add_into(acc, (m, nd), c * c2)
             if acc:
                 columns[i] = acc
         return TLinearOp(self.qb, self.cap, columns, exact)
@@ -251,10 +221,7 @@ def r_sharp(r, qb, cap, gamma=None):
                     if sum(delta) > cap:
                         exact = False
                         continue
-                    key = (l, delta)
-                    col[key] = col.get(key, Fraction(0)) + c * g
-                    if not col[key]:
-                        del col[key]
+                    add_into(col, (l, delta), c * g)
             if col:
                 columns[i] = col
     return TLinearOp(qb, cap, columns, exact)
@@ -270,10 +237,7 @@ def dt_operator(i, n):
             if delta[i] == 0:
                 continue
             nd = tuple(e - 1 if k == i else e for k, e in enumerate(delta))
-            key = (h, nd)
-            out[key] = out.get(key, Fraction(0)) + c * delta[i]
-            if not out[key]:
-                del out[key]
+            add_into(out, (h, nd), c * delta[i])
         return out
 
     return op
@@ -311,10 +275,7 @@ def koszul_d(qb, form_state):
     for key, c in form_state.items():
         h, delta, j = key
         nd = tuple(e + 1 if k == j else e for k, e in enumerate(delta))
-        nk = (h, nd)
-        out[nk] = out.get(nk, Fraction(0)) + c
-        if not out[nk]:
-            del out[nk]
+        add_into(out, (h, nd), c)
     return out
 
 
@@ -325,10 +286,7 @@ def nabla0(qb, state):
             if e == 0:
                 continue
             nd = tuple(x - 1 if k == j else x for k, x in enumerate(delta))
-            key = (h, nd, j)
-            out[key] = out.get(key, Fraction(0)) + c * e
-            if not out[key]:
-                del out[key]
+            add_into(out, (h, nd, j), c * e)
     return out
 
 
@@ -345,9 +303,7 @@ def nabla1(qb, one_form):
                 key, sign = (h, nd, k, j), 1
             else:
                 key, sign = (h, nd, j, k), -1
-            out[key] = out.get(key, Fraction(0)) + sign * c * e
-            if not out[key]:
-                del out[key]
+            add_into(out, key, sign * c * e)
     return out
 
 
@@ -361,10 +317,7 @@ def koszul_d2(qb, two_form):
             nd = tuple(
                 x + 1 if m == idx else x for m, x in enumerate(delta)
             )
-            key = (h, nd, other)
-            out[key] = out.get(key, Fraction(0)) + sign * c
-            if not out[key]:
-                del out[key]
+            add_into(out, (h, nd, other), sign * c)
     return out
 
 
@@ -375,9 +328,7 @@ def middle_operator(qb, one_form):
     b = nabla0(qb, koszul_d(qb, one_form))
     out = dict(a)
     for key, c in b.items():
-        out[key] = out.get(key, Fraction(0)) + c
-        if not out[key]:
-            del out[key]
+        add_into(out, key, c)
     return out
 
 

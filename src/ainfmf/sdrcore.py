@@ -20,9 +20,11 @@ from .superspace import (
     Space,
     add_into,
     contract_key,
+    contract_op,
     exp_nilpotent,
     graded_commutator,
     wedge_key,
+    wedge_op,
 )
 
 
@@ -128,61 +130,14 @@ class Arena:
 
         return LinearOp.from_rule(self.space, 0, rule)
 
-    def dt_mult_op(self, r, k):
-        """The even operator z_l d/dt_k(t^delta) z_h* built from the
-        expansion of r: the monomial t^delta is differentiated before it
-        multiplies."""
-        cols = self._columns(r)
-        cap = self.cap
-        mu_q = self.space.mu_q
-
-        def rule(key):
-            mask, h, delta = key
-            sector, hz = divmod(h, mu_q)
-            col = cols.get(hz)
-            if not col:
-                return None
-            out = {}
-            for (l, d2), c in col.items():
-                if d2[k] == 0:
-                    continue
-                shifted = tuple(
-                    e - 1 if j == k else e for j, e in enumerate(d2)
-                )
-                nd = tuple(a + b for a, b in zip(delta, shifted))
-                if sum(nd) > cap:
-                    continue
-                add_into(out, (mask, sector * mu_q + l, nd), c * d2[k])
-            return out
-
-        return LinearOp.from_rule(self.space, 0, rule)
-
     # ------------------------------------------------------------------
     # fermion operators
 
     def wedge(self, family, i=0):
-        pos = self.space.gen_pos(family, i)
-
-        def rule(key):
-            hit = wedge_key(self.space, pos, key)
-            if hit is None:
-                return None
-            s, k2 = hit
-            return {k2: Fraction(s)}
-
-        return LinearOp.from_rule(self.space, 1, rule)
+        return wedge_op(self.space, self.space.gen_pos(family, i))
 
     def contract(self, family, i=0):
-        pos = self.space.gen_pos(family, i)
-
-        def rule(key):
-            hit = contract_key(self.space, pos, key)
-            if hit is None:
-                return None
-            s, k2 = hit
-            return {k2: Fraction(s)}
-
-        return LinearOp.from_rule(self.space, 1, rule)
+        return contract_op(self.space, self.space.gen_pos(family, i))
 
     # ------------------------------------------------------------------
     # the main operators
@@ -233,7 +188,7 @@ class Arena:
         self.nabla = self._build_nabla()
         self.At = graded_commutator(self.d_A, self.nabla)
         self.sigma = self._build_sigma()
-        self.pi = self._build_pi()
+        self.pi = self.sigma
         self.e_delta = exp_nilpotent(self.delta, max_power=self.n + 1)
         self.e_minus_delta = exp_nilpotent(self.delta.scaled(-1), max_power=self.n + 1)
         self.sigma_infty = self._perturbation_series(self.sigma)
@@ -254,7 +209,7 @@ class Arena:
             mask, h, delta = key
             sector, hz = divmod(h, mu_q)
             i, j = divmod(sector, dimX)
-            theta_sign = -1 if bin(mask).count("1") & 1 else 1
+            theta_sign = -1 if mask.bit_count() & 1 else 1
             alpha_sign = -1 if sp.sector_parities[sector] == 0 else 1
             col = {}
             for (i2, ii), p in self.Y.d.items():
@@ -299,7 +254,7 @@ class Arena:
                     continue
                 s, key2 = hit
                 mask2 = key2[0]
-                lam_sign = -1 if bin(mask2).count("1") & 1 else 1
+                lam_sign = -1 if mask2.bit_count() & 1 else 1
                 for (i2, ii), p in self.homY.lam[k].items():
                     if ii != i:
                         continue
@@ -355,9 +310,6 @@ class Arena:
             cols[key] = {key: Fraction(1)}
         return LinearOp(self.space, 0, cols)
 
-    def _build_pi(self):
-        return self._build_sigma()
-
     def zeta_state(self, state):
         out = {}
         for key, c in state.items():
@@ -370,15 +322,7 @@ class Arena:
     def zeta_after(self, op):
         """zeta composed after an operator whose image avoids virtual
         degree zero."""
-        cols = {}
-        for key, col in op.cols.items():
-            out = {}
-            for k2, c in col.items():
-                v = self.space.virtual_degree(k2)
-                if v == 0:
-                    raise ZeroVirtualDegree(k2)
-                out[k2] = c * Fraction(1, v)
-            cols[key] = out
+        cols = {key: self.zeta_state(col) for key, col in op.cols.items()}
         return LinearOp(self.space, op.degree, cols)
 
     def _perturbation_series(self, tail):
@@ -400,9 +344,6 @@ class Arena:
 
     # ------------------------------------------------------------------
 
-    def margin_needed(self):
-        return self.table_max_tdeg
-
     def test_keys(self, margin):
         limit = self.cap - margin
         return [k for k in self.space.basis() if sum(k[2]) <= limit]
@@ -411,7 +352,7 @@ class Arena:
         """Check the homotopy-equivalence identities exactly on all basis
         states of t-degree <= cap - margin.  Returns a report dict."""
         if margin is None:
-            margin = 2 * self.margin_needed()
+            margin = 2 * self.table_max_tdeg
         keys = self.test_keys(margin)
         core = [k for k in keys if self.is_core_key(k)]
         report = {"margin": margin, "checked": len(keys), "identities": {}}
@@ -434,35 +375,23 @@ class Arena:
         Phi, Phi_inv, H = self.Phi, self.Phi_inv, self.H_hat
         d = self.d_A
 
-        check(
-            "Phi Phi_inv = 1",
-            lambda key: _sub(Phi.apply(Phi_inv.apply_key(key)), {key: Fraction(1)}),
-            core,
-        )
+        def section_defect(key):
+            out = Phi.apply(Phi_inv.apply_key(key))
+            add_into(out, key, Fraction(-1))
+            return out
+
+        check("Phi Phi_inv = 1", section_defect, core)
 
         def retract_defect(key):
-            lhs = Phi_inv.apply(Phi.apply_key(key))
-            comm = _add(
-                d.apply(H.apply_key(key)), H.apply(d.apply_key(key))
-            )
-            return _sub(_add(lhs, comm), {key: Fraction(1)})
+            out = Phi_inv.apply(Phi.apply_key(key))
+            for part in (d.apply(H.apply_key(key)), H.apply(d.apply_key(key))):
+                for k, v in part.items():
+                    add_into(out, k, v)
+            add_into(out, key, Fraction(-1))
+            return out
 
         check("Phi_inv Phi = 1 - [d, H]", retract_defect, keys)
         check("H H = 0", lambda key: H.apply(H.apply_key(key)), keys)
         check("H Phi_inv = 0", lambda key: H.apply(Phi_inv.apply_key(key)), core)
         check("Phi H = 0", lambda key: Phi.apply(H.apply_key(key)), keys)
         return report
-
-
-def _add(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        add_into(out, k, v)
-    return out
-
-
-def _sub(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        add_into(out, k, -v)
-    return out

@@ -12,10 +12,6 @@ from fractions import Fraction
 from itertools import product
 
 
-def _popcount_below(mask, p):
-    return bin(mask & ((1 << p) - 1)).count("1")
-
-
 def _deltas(n, cap):
     if n == 0:
         yield ()
@@ -70,12 +66,6 @@ class Space:
                 for mask in range(1 << self.ngen):
                     yield (mask, h, delta)
 
-    def parity(self, key):
-        p = bin(key[0]).count("1") & 1
-        if self.sector_parities:
-            p ^= self.sector_parities[key[1] // self.mu_q]
-        return p
-
     def virtual_degree(self, key, theta_family="theta"):
         """Number of theta generators present plus the boson degree."""
         mask = key[0]
@@ -101,7 +91,7 @@ class Space:
 
 def state_parity(state):
     """Parity of a homogeneous state; raises on mixed parity."""
-    ps = {bin(k[0]).count("1") & 1 for k in state}
+    ps = {k[0].bit_count() & 1 for k in state}
     if len(ps) > 1:
         raise ValueError("state is not parity homogeneous")
     return ps.pop() if ps else 0
@@ -237,29 +227,10 @@ class LinearOp:
                 cols[key] = acc
         return LinearOp(self.space, self.degree ^ other.degree, cols)
 
-    def materialized_identity_sub(self):
-        """identity minus self, materialized over the space basis."""
-        cols = {}
-        for key in self.space.basis():
-            col = {key: Fraction(1)}
-            for k2, c in self.cols.get(key, {}).items():
-                add_into(col, k2, -c)
-            if col:
-                cols[key] = col
-        return LinearOp(self.space, 0, cols)
-
     def is_zero(self):
         if self.is_identity():
             return False
         return all(not col for col in self.cols.values())
-
-    def nonzero_entries(self):
-        out = []
-        for k, col in self.cols.items():
-            for k2, c in col.items():
-                if c:
-                    out.append((k, k2, c))
-        return out
 
     def equals(self, other):
         return (self - other).is_zero()
@@ -270,43 +241,56 @@ def graded_commutator(a, b):
     return a.compose(b) - b.compose(a).scaled(sign)
 
 
-def wedge_op(space, pos):
-    def rule(key):
-        mask, h, delta = key
-        if mask >> pos & 1:
-            return None
-        sign = -1 if _popcount_below(mask, pos) & 1 else 1
-        return {(mask | 1 << pos, h, delta): Fraction(sign)}
-
-    return LinearOp.from_rule(space, 1, rule)
+def wedge_mask(mask, i):
+    """(sign, new mask) for generator i wedged on the left, or None.  The
+    sign (-1)^(generators below i) is the one fermion sign rule."""
+    if mask >> i & 1:
+        return None
+    sign = -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+    return sign, mask | 1 << i
 
 
-def contract_op(space, pos):
-    def rule(key):
-        mask, h, delta = key
-        if not mask >> pos & 1:
-            return None
-        sign = -1 if _popcount_below(mask, pos) & 1 else 1
-        return {(mask & ~(1 << pos), h, delta): Fraction(sign)}
-
-    return LinearOp.from_rule(space, 1, rule)
+def contract_mask(mask, i):
+    """(sign, new mask) for generator i contracted from the left, or None."""
+    if not mask >> i & 1:
+        return None
+    sign = -1 if (mask & ((1 << i) - 1)).bit_count() & 1 else 1
+    return sign, mask & ~(1 << i)
 
 
 def wedge_key(space, pos, key):
     """(sign, new_key) or None for wedging generator pos onto a basis key."""
     mask, h, delta = key
-    if mask >> pos & 1:
+    hit = wedge_mask(mask, pos)
+    if hit is None:
         return None
-    sign = -1 if _popcount_below(mask, pos) & 1 else 1
-    return sign, (mask | 1 << pos, h, delta)
+    return hit[0], (hit[1], h, delta)
 
 
 def contract_key(space, pos, key):
     mask, h, delta = key
-    if not mask >> pos & 1:
+    hit = contract_mask(mask, pos)
+    if hit is None:
         return None
-    sign = -1 if _popcount_below(mask, pos) & 1 else 1
-    return sign, (mask & ~(1 << pos), h, delta)
+    return hit[0], (hit[1], h, delta)
+
+
+def _fermion_op(space, pos, move):
+    def rule(key):
+        hit = move(space, pos, key)
+        if hit is None:
+            return None
+        return {hit[1]: Fraction(hit[0])}
+
+    return LinearOp.from_rule(space, 1, rule)
+
+
+def wedge_op(space, pos):
+    return _fermion_op(space, pos, wedge_key)
+
+
+def contract_op(space, pos):
+    return _fermion_op(space, pos, contract_key)
 
 
 def exp_nilpotent(op, max_power=None):
@@ -322,14 +306,8 @@ def exp_nilpotent(op, max_power=None):
             fact *= m
             if power.is_zero():
                 break
-        term = power.scaled(Fraction(1, fact)) if not power.is_identity() else None
-        if term is None:
-            # identity term: fold it in at the end via materialization
-            total = LinearOp(op.space, 0)
-            for key in op.space.basis():
-                total.cols[key] = {key: Fraction(1)}
-        else:
-            total = total + term
+        term = power.scaled(Fraction(1, fact))
+        total = term if total is None else total + term
     else:
         if not power.is_zero():
             raise ValueError("operator is not nilpotent within the bound")
@@ -357,7 +335,7 @@ def koszul_tensor_apply(ops, tensor_state, grading="plain"):
             if op.degree and crossed & 1:
                 sign = -sign
             slot_results.append(op.apply_key(key))
-            crossed += (bin(key[0]).count("1") + shift) & 1
+            crossed += (key[0].bit_count() + shift) & 1
         # expand the tensor product of the per-slot results
         partial = [((), Fraction(sign) * c)]
         for res in slot_results:

@@ -15,11 +15,11 @@ from ainfmf.ainfmodel import Model, _ModelDecoration, cohomology, \
     induced_map, kstab_minimal
 from ainfmf.linalg import mat_mul
 from ainfmf.mfcat import HomotopySet, koszul_mf
-from ainfmf.normalorder import FeynmanBackend, catalog_diff, \
-    evaluate_summand, vertex_catalog, z_factor_sym
+from ainfmf.normalorder import FeynmanBackend, VertexCatalog, \
+    catalog_diff, evaluate_summand, z_factor_sym
 from ainfmf.poly import Polynomial, parse_poly
-from ainfmf.quotient import QuotientBasis, dt_of_polynomial, \
-    euler_idempotent, gamma_tensor
+from ainfmf.quotient import GammaTensor, QuotientBasis, \
+    dt_of_polynomial, euler_idempotent
 from ainfmf.treealg import denote, enumerate_binary, mirror_eval, \
     mirror_sign, tree_to_str
 
@@ -79,7 +79,7 @@ def test_criterion_02_gamma_closed_form():
     # multiplication tensor of Q[x]/(x^4) against its closed form,
     # all 4 x 4 x (4 x 2) entries
     qb = QuotientBasis([parse_poly("x1^4", 1)])
-    g = gamma_tensor(qb, 2)
+    g = GammaTensor(qb, 2)
     for m in range(4):
         for h in range(4):
             for l in range(4):
@@ -99,13 +99,13 @@ def test_criterion_03_vertex_catalog_vs_reference():
     # rows whose reference polynomial is the degree-one 3*x1 instead of
     # the derivative 3*x1^2 are flagged, not silently accepted
     m = worked_model(cap=3)
-    diff_xy = catalog_diff(vertex_catalog(m.pair(0, 1).arena), REF_XY)
+    diff_xy = catalog_diff(VertexCatalog(m.pair(0, 1).arena), REF_XY)
     assert sorted(diff_xy["matches"]) == ["A.1", "A.2", "A.3", "A.4", "C.2"]
     assert [f["vertex"] for f in diff_xy["flags"]] == ["C.1"]
-    diff_xx = catalog_diff(vertex_catalog(m.pair(0, 0).arena), REF_XX)
+    diff_xx = catalog_diff(VertexCatalog(m.pair(0, 0).arena), REF_XX)
     assert sorted(diff_xx["matches"]) == ["A.1", "A.4", "C.1", "C.2", "C.3"]
     assert diff_xx["flags"] == []
-    diff_yy = catalog_diff(vertex_catalog(m.pair(1, 1).arena), REF_YY)
+    diff_yy = catalog_diff(VertexCatalog(m.pair(1, 1).arena), REF_YY)
     assert sorted(diff_yy["matches"]) == ["A.1", "A.4", "C.2"]
     assert [f["vertex"] for f in diff_yy["flags"]] == ["C.1", "C.3"]
     for fl in diff_xy["flags"] + diff_yy["flags"]:

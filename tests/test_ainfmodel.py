@@ -287,6 +287,20 @@ def test_verify_ainf_rejects_mixed_parity():
         m.verify_ainf(2, object_paths=[(0, 1, 0)], forms=["mu"])
 
 
+@pytest.mark.parametrize("level,forms", [
+    (1, ("R",)),
+    (1, ()),
+    (1, ("r", "nu")),
+    (0, ("r", "mu")),
+    (True, ("r",)),
+])
+def test_verify_ainf_rejects_bad_arguments(level, forms):
+    # a form it does not know must not pass as a check of nothing
+    m = kstab_model(cap=3)
+    with pytest.raises(ValueError):
+        m.verify_ainf(level, forms=forms)
+
+
 def test_kstab_rho1_and_gamma():
     m = kstab_model(cap=3)
     pd = m.pair(0, 0)

@@ -83,12 +83,6 @@ def test_run_kstab_spec():
     assert cl["gamma_equals_At"] and cl["E1_equals_gamma_product"]
 
 
-def test_determinism_across_threads():
-    r1, _ = cli.run(KSTAB, threads=1)
-    r2, _ = cli.run(KSTAB, threads=3)
-    assert cli.canonical(r1) == cli.canonical(r2)
-
-
 def test_input_errors():
     bad_poly = {"variables": ["x"], "potential": "x^^2"}
     report, code = cli.run(bad_poly, commands=["basis"])
@@ -103,18 +97,47 @@ def test_input_errors():
     assert code == cli.EXIT_INPUT
 
 
+# each command with a bad argument, the five verify-ainf cases first
 @pytest.mark.parametrize("args", [
-    {"forms": ["R"]},
-    {"forms": "mu"},
-    {"forms": []},
-    {"level": 0},
-    {"level": "two"},
+    {"command": "verify-ainf", "level": 1, "forms": ["R"]},
+    {"command": "verify-ainf", "level": 1, "forms": "mu"},
+    {"command": "verify-ainf", "level": 1, "forms": []},
+    {"command": "verify-ainf", "level": 0},
+    {"command": "verify-ainf", "level": "two"},
+    {"command": "verify-ainf", "level": True},
+    {"command": "kstab", "decomposition": ["1/5*x^4"], "level": "two"},
+    {"command": "kstab", "decomposition": ["1/5*x^4"], "level": 0},
+    {"command": "rho", "k": "two"},
+    {"command": "rho", "k": 0},
+    {"command": "rho", "k": True},
+    {"command": "feynman", "k": "two"},
+    {"command": "feynman", "k": -1},
+    {"command": "feynman", "k": 1},
+    {"command": "feynman", "k": 2, "limit": "l"},
+    {"command": "feynman", "k": 2, "limit": -1},
+    {"command": "gamma", "cap": "two"},
+    {"command": "gamma", "cap": -1},
+    {"command": "expand", "polynomial": "x^2", "cap": "x"},
+    {"command": "sdr-verify", "margin": "m"},
+    {"command": "sdr-verify", "margin": -1},
 ])
 def test_verify_ainf_rejects_bad_arguments(args):
-    report, code = cli.run(
-        WORKED, commands=[dict({"command": "verify-ainf", "level": 1}, **args)])
+    report, code = cli.run(WORKED, commands=[args])
     assert code == cli.EXIT_INPUT
     assert "error" in report["results"][-1]
+
+
+def test_optional_integer_arguments():
+    # limit and margin may be absent or null; a numeric limit cuts tuples
+    report, code = cli.run(WORKED, commands=[
+        {"command": "feynman", "k": 2, "limit": None},
+        {"command": "feynman", "k": 2, "limit": 3},
+        {"command": "sdr-verify", "source": "X", "target": "Y",
+         "margin": None},
+    ])
+    assert code == cli.EXIT_OK
+    tuples = [r["result"]["tuples"] for r in report["results"][:2]]
+    assert tuples == [256, 3]
 
 
 def test_timing_per_command():

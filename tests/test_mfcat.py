@@ -8,9 +8,9 @@ from ainfmf.mfcat import (
     clifford_mult,
     d_hom,
     default_homotopies,
+    NuPresentation,
+    RhoPresentation,
     koszul_mf,
-    nu_present,
-    rho_present,
 )
 from ainfmf.poly import Polynomial, parse_poly
 
@@ -94,7 +94,7 @@ def test_homotopy_identity_failure_on_non_jacobian_t():
 
 def test_nu_identity_example():
     W, X, Y = worked_pair()
-    nu = nu_present(X, X)
+    nu = NuPresentation(X, X)
     ident = {(0, 0): Fraction(1), (1, 1): Fraction(1)}
     ext = nu.to_ext(ident)
     assert ext == {(0, 0): Fraction(1), (1, 1): Fraction(1)}
@@ -109,7 +109,7 @@ def test_nu_sign_two_generators():
     W2 = parse_poly("x1^2 + x2^2", 2)
     x, y = parse_poly("x1", 2), parse_poly("x2", 2)
     K = koszul_mf([(x, x), (y, y)], W2)
-    nu = nu_present(K, K)
+    nu = NuPresentation(K, K)
     # |T| = 2 picks up (-1)^{binom(2,2)} = -1
     e = {(0, 0b11): Fraction(1)}
     assert nu.to_ext(e) == {(0, 0b11): Fraction(-1)}
@@ -118,7 +118,7 @@ def test_nu_sign_two_generators():
 
 def test_rho_round_trip_and_example():
     W, X, Y = worked_pair()
-    rho = rho_present(X)
+    rho = RhoPresentation(X)
     # rho(xi tensor xibar) = xi wedge after xi* contraction: maps xi -> xi
     m = rho.to_matrix({(1, 1): Fraction(1)})
     assert m == {(1, 1): Fraction(1)}
@@ -132,7 +132,7 @@ def test_rho_intertwines_clifford():
     W2 = parse_poly("x1^2 + x2^2", 2)
     x, y = parse_poly("x1", 2), parse_poly("x2", 2)
     K = koszul_mf([(x, x), (y, y)], W2)
-    rho = rho_present(K)
+    rho = RhoPresentation(K)
     for A1 in range(4):
         for B1 in range(4):
             for A2 in range(4):

@@ -12,10 +12,10 @@ from ainfmf.normalorder import (
     EdgeEngine,
     FeynmanBackend,
     TupleStore,
+    VertexCatalog,
     catalog_diff,
     evaluate_summand,
     normalize,
-    vertex_catalog,
     word_vacuum_value,
     z_factor_forward,
     z_factor_sym,
@@ -318,15 +318,15 @@ def test_catalog_against_reference_tables():
     # degree-one polynomial 3*x1 where the derivative-built homotopy has
     # 3*x1^2, and the degree-one candidate fails the defining identity
     m = worked_model(cap=3)
-    diff_xy = catalog_diff(vertex_catalog(m.pair(0, 1).arena), REF_XY)
+    diff_xy = catalog_diff(VertexCatalog(m.pair(0, 1).arena), REF_XY)
     assert sorted(diff_xy["matches"]) == ["A.1", "A.2", "A.3", "A.4", "C.2"]
     assert [f["vertex"] for f in diff_xy["flags"]] == ["C.1"]
 
-    diff_xx = catalog_diff(vertex_catalog(m.pair(0, 0).arena), REF_XX)
+    diff_xx = catalog_diff(VertexCatalog(m.pair(0, 0).arena), REF_XX)
     assert sorted(diff_xx["matches"]) == ["A.1", "A.4", "C.1", "C.2", "C.3"]
     assert diff_xx["flags"] == []
 
-    diff_yy = catalog_diff(vertex_catalog(m.pair(1, 1).arena), REF_YY)
+    diff_yy = catalog_diff(VertexCatalog(m.pair(1, 1).arena), REF_YY)
     assert sorted(diff_yy["matches"]) == ["A.1", "A.4", "C.2"]
     assert [f["vertex"] for f in diff_yy["flags"]] == ["C.1", "C.3"]
 
@@ -346,7 +346,7 @@ def test_catalog_notes_on_bad_homotopy():
         W, "D")
     qb = QuotientBasis([parse_poly("x1", 2), parse_poly("x2", 2)])
     m = Model([X], qb, 3)
-    cat = vertex_catalog(m.pair(0, 0).arena)
+    cat = VertexCatalog(m.pair(0, 0).arena)
     assert any("fail" in note for note in cat.notes)
 
 

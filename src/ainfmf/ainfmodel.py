@@ -7,14 +7,14 @@ builds, per ordered pair, the operator arena from sdrcore.  Morphism
 spaces B(X,Y) are the theta- and t-degree-zero cores of those arenas.
 The binary composition mu2 is transported through the chosen exterior
 presentations and the Gamma tensor of R/I; the higher products rho_k are
-signed sums of decorated-tree evaluations; verify_ainf checks the
-defining constraints exactly on every basis tuple, in both the suspended
-(r) and unsuspended (mu) sign conventions.
+signed tree sums, evaluated as sums over leaf spans split at the root;
+verify_ainf checks the defining constraints exactly on every basis
+tuple, in both the suspended (r) and unsuspended (mu) sign conventions.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
 
 from .mfcat import (
     KoszulFactorisation,
@@ -24,8 +24,8 @@ from .mfcat import (
 )
 from .quotient import GammaTensor
 from .sdrcore import Arena
-from .superspace import add_into, state_parity
-from .treealg import denote, enumerate_binary, leaves
+from .superspace import LinearOp, add_into, state_parity
+from .treealg import denote, enumerate_binary
 
 ZERO = Fraction(0)
 
@@ -281,31 +281,53 @@ class Model:
                     add_into(out, k2, c * c2)
         return out
 
-    def _tree_eval(self, node, path, combo, memo, is_top):
-        """Evaluate one subtree of a decorated tree on basis inputs.
-
-        Every subtree composite below the top vertex is an even operator
-        (each carries an odd top edge paired with an odd vertex count),
-        so the Koszul signs of the general denotation vanish here; the
-        test suite pins this against the sign-carrying evaluator."""
-        if isinstance(node, int):
-            arena = self.pair(path[node - 1], path[node]).arena
-            return arena.Phi_inv.apply_key(combo[node - 1])
-        ls = leaves(node)
-        mkey = (node, tuple(combo[i - 1] for i in ls))
-        hit = memo.get(mkey)
-        if hit is not None:
-            return hit
-        lo, hi = ls[0], ls[-1]
-        mid = leaves(node[0])[-1]
-        s1 = self._tree_eval(node[0], path, combo, memo, False)
-        s2 = self._tree_eval(node[1], path, combo, memo, False)
-        out = self.r2_states(
-            s1, (path[lo - 1], path[mid]), s2, (path[mid], path[hi])
-        )
-        if not is_top and out:
+    def _span_sum(self, path, tokens, states, lo, hi, memo):
+        """Sum over all binary trees on the leaves lo..hi (1-based) of
+        their evaluation on states, one per slot, named by tokens:
+        Phi_inv of the state on a leaf, else the sum over root splits mid
+        of r2 on the sums over lo..mid and mid+1..hi, with H_hat applied
+        below the whole span.  Sub-span sums are memoised by their tokens.
+        Each is an even operator applied to its inputs, so the Koszul
+        signs of the general denotation vanish here; the test suite pins
+        this against rho_denote."""
+        mkey = (lo, hi) + tokens[lo - 1 : hi]
+        out = memo.get(mkey)
+        if out is not None:
+            return out
+        if lo == hi:
+            arena = self.pair(path[lo - 1], path[lo]).arena
+            out = arena.Phi_inv.apply(states[lo - 1])
+        else:
+            out = {}
+            for mid in range(hi - 1, lo - 1, -1):
+                s1 = self._span_sum(path, tokens, states, lo, mid, memo)
+                if not s1:
+                    continue
+                s2 = self._span_sum(path, tokens, states, mid + 1, hi, memo)
+                for kk, v in self.r2_states(
+                    s1, (path[lo - 1], path[mid]), s2, (path[mid], path[hi])
+                ).items():
+                    add_into(out, kk, v)
+            if hi - lo + 1 == len(tokens):
+                return out
             out = self.pair(path[lo - 1], path[hi]).arena.H_hat.apply(out)
         memo[mkey] = out
+        return out
+
+    def rho_span_sums(self, k, path, slots):
+        """rho_k (k >= 2) on every tuple drawn from slots, one list of
+        (token, core state) pairs per slot: {token tuple: output state in
+        the core of (path[0], path[k])}, non-zero outputs only.  Phi and
+        the sign (-1)^k are applied once per tuple, to the sum over the
+        root splits."""
+        root = self.pair(path[0], path[k]).arena.Phi
+        memo = {}
+        out = {}
+        for picks in product(*slots):
+            tokens, states = zip(*picks)
+            st = root.apply(self._span_sum(path, tokens, states, 1, k, memo))
+            if st:
+                out[tokens] = {kk: -v for kk, v in st.items()} if k & 1 else st
         return out
 
     def rho_table(self, k, path):
@@ -317,38 +339,25 @@ class Model:
         key = (k, path)
         if key in self._tables:
             return self._tables[key]
-        if k == 1:
-            table = {}
-            for bkey in self.pair(path[0], path[1]).core_basis():
-                out = self.rho1_apply((path[0], path[1]), {bkey: Fraction(1)})
-                if out:
-                    table[(bkey,)] = out
-            self._tables[key] = table
-            return table
         cores = [
             self.pair(path[i], path[i + 1]).core_basis() for i in range(k)
         ]
-        trees = enumerate_binary(k)
-        sign = Fraction((-1) ** k)
-        root = self.pair(path[0], path[k]).arena.Phi
-        memo = {}
-        table = {}
-        for combo in product(*cores):
-            acc = {}
-            for T in trees:
-                st = self._tree_eval(T, path, combo, memo, True)
-                if st:
-                    for kk, v in root.apply(st).items():
-                        add_into(acc, kk, v * sign)
-            if acc:
-                table[combo] = acc
+        if k == 1:
+            table = {}
+            for bkey in cores[0]:
+                out = self.rho1_apply((path[0], path[1]), {bkey: Fraction(1)})
+                if out:
+                    table[(bkey,)] = out
+        else:
+            slots = [[(b, {b: Fraction(1)}) for b in core] for core in cores]
+            table = self.rho_span_sums(k, path, slots)
         self._tables[key] = table
         return table
 
     def rho_denote(self, k, path, inputs):
         """Reference evaluation through the general sign-carrying tree
-        denotation; used to cross-check the table builder and by callers
-        that need single tuples at k >= 5."""
+        denotation, one tree at a time; the tests compare the span sums
+        against it."""
         path = tuple(path)
         if k == 1:
             return self.rho1_apply((path[0], path[1]), inputs[0])
@@ -364,23 +373,15 @@ class Model:
     def rho_apply(self, k, path, inputs):
         """rho_k on a tuple of (not necessarily basis) core states, by
         multilinear expansion over the dense table."""
-        path = tuple(path)
-        if k == 1:
-            return self.rho1_apply((path[0], path[1]), inputs[0])
-        if k <= 4:
-            table = self.rho_table(k, path)
-            out = {}
-            for combo_terms in product(*(list(s.items()) for s in inputs)):
-                combo = tuple(kc[0] for kc in combo_terms)
-                coeff = Fraction(1)
-                for _, c in combo_terms:
-                    coeff *= c
-                hit = table.get(combo)
-                if hit:
-                    for kk, v in hit.items():
-                        add_into(out, kk, v * coeff)
-            return out
-        return self.rho_denote(k, path, inputs)
+        table = self.rho_table(k, path)
+        out = {}
+        for terms in product(*(s.items() for s in inputs)):
+            hit = table.get(tuple(key for key, _ in terms))
+            if hit:
+                coeff = prod(c for _, c in terms)
+                for kk, v in hit.items():
+                    add_into(out, kk, v * coeff)
+        return out
 
     # ------------------------------------------------------------------
     # relation checking
@@ -498,12 +499,11 @@ class Model:
         components At_i = [d, d/dt_i] on the core."""
         arena = self.pair(*pair_key).arena
         n = self.qb.n
-        e = None
-        for k in range(n):
-            op = arena.wedge("theta", k)
-            e = op if e is None else op.compose(e)
-        for k in range(n):
-            e = arena.contract("theta", k).compose(e)
+        thetas = sum(1 << arena.space.gen_pos("theta", k) for k in range(n))
+        e = LinearOp.from_rule(
+            arena.space, 0,
+            lambda key: None if key[0] & thetas else {key: Fraction(1)},
+        )
         gammas = []
         daggers = []
         for i in range(n):
@@ -774,14 +774,12 @@ def kstab_minimal(model, idx, decomposition, level=4):
     for st in kernel_states:
         if model.rho1_apply(pair_key, st):
             result["rho1_zero"] = False
+    slot = list(enumerate(kernel_states))
     for j in range(2, level + 1):
-        jpath = (idx,) * (j + 1)
+        sums = model.rho_span_sums(j, (idx,) * (j + 1), [slot] * j)
         table = {}
         for combo in product(range(len(kernel_states)), repeat=j):
-            out = model.rho_apply(
-                j, jpath, [kernel_states[c] for c in combo]
-            )
-            table[combo] = out
+            table[combo] = out = sums.get(combo, {})
             if not in_span(out):
                 result["closed"] = False
                 if result["witness"] is None:

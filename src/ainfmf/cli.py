@@ -44,7 +44,7 @@ from .linalg import mat_mul
 from .mfcat import HomotopySet, koszul_mf
 from .normalorder import FeynmanBackend, VertexCatalog
 from .normalorder import CapExceeded as TreeCapExceeded
-from .poly import parse_poly
+from .poly import ORDERS, parse_poly
 from .quotient import CapExceeded, GammaTensor, QuotientBasis, t_adic_expand
 from .sdrcore import IdentityViolation
 from .treealg import enumerate_binary, mirror_eval
@@ -69,28 +69,48 @@ def frac(x):
     return "%d/%d" % (x.numerator, x.denominator)
 
 
+_REQUIRED = object()
+_KINDS = {list: "list", dict: "JSON object", str: "string"}
+
+
+def _field(desc, name, kind, where, default=_REQUIRED):
+    """desc[name] checked to be of type kind (never a bool).  An absent
+    or null field gives the default, or an InputError when there is
+    none."""
+    value = desc.get(name)
+    if value is None:
+        if default is _REQUIRED:
+            raise InputError("%s needs a %r field" % (where, name))
+        return default
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise InputError("%s: %r must be a %s" % (where, name, _KINDS[kind]))
+    return value
+
+
 class Problem:
-    """Validated problem spec plus the model built from it."""
+    """Validated problem spec plus the model built from it.  Every
+    malformed field raises InputError."""
 
     def __init__(self, raw, cap_override=None, presentation=None):
         if not isinstance(raw, dict):
             raise InputError("spec must be a JSON object")
-        try:
-            self.varnames = list(raw["variables"])
-            self.nvars = len(self.varnames)
-            if not self.nvars:
-                raise InputError("no variables")
-            self.W = self._poly(raw["potential"])
-        except KeyError as exc:
-            raise InputError("missing field %s" % exc) from exc
-        tseq = raw.get("t_sequence")
+        self.varnames = _field(raw, "variables", list, "spec")
+        if not self.varnames or not all(isinstance(v, str) for v in self.varnames):
+            raise InputError("variables must be a non-empty list of names")
+        self.nvars = len(self.varnames)
+        if raw.get("potential") is None:
+            raise InputError("spec needs a 'potential' field")
+        self.W = self._poly(raw["potential"])
+        tseq = _field(raw, "t_sequence", list, "spec", None)
         if tseq is None:
             self.tseq = [self.W.diff(i) for i in range(self.nvars)]
         else:
             self.tseq = [self._poly(s) for s in tseq]
-        self.order = raw.get("order", "grevlex")
+        self.order = _field(raw, "order", str, "spec", "grevlex")
+        if self.order not in ORDERS:
+            raise InputError("order must be one of %s" % ", ".join(ORDERS))
         self.cap = cap_override if cap_override is not None else raw.get("cap", 3)
-        if not isinstance(self.cap, int) or self.cap < 0:
+        if isinstance(self.cap, bool) or not isinstance(self.cap, int) or self.cap < 0:
             raise InputError("cap must be a non-negative integer")
         try:
             self.qb = QuotientBasis(self.tseq, self.order)
@@ -98,27 +118,29 @@ class Problem:
             raise InputError("bad t-sequence: %s" % exc) from exc
         self.labels = []
         objects = []
-        for desc in raw.get("objects", []):
-            label = desc.get("label", "M%d" % len(objects))
+        for desc in _field(raw, "objects", list, "spec", []):
+            if not isinstance(desc, dict):
+                raise InputError("each object must be a JSON object")
+            label = _field(desc, "label", str, "object", "M%d" % len(objects))
             if label in self.labels:
                 raise InputError("duplicate object label %r" % label)
-            pairs = [(self._poly(f), self._poly(g)) for f, g in desc["pairs"]]
+            pairs = []
+            for pair in _field(desc, "pairs", list, "object %r" % label):
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise InputError("object %r: each pair must be [f, g]" % label)
+                pairs.append((self._poly(pair[0]), self._poly(pair[1])))
             try:
                 objects.append(koszul_mf(pairs, self.W, label))
             except Exception as exc:
                 raise InputError("object %r: %s" % (label, exc)) from exc
             self.labels.append(label)
         homotopies = {}
-        for label, desc in (raw.get("homotopies") or {}).items():
+        for label, desc in _field(raw, "homotopies", dict, "spec", {}).items():
             if label not in self.labels:
                 raise InputError("homotopy for unknown object %r" % label)
-            lam = [
-                {(int(i), int(j)): self._poly(p) for i, j, p in entries}
-                for entries in desc["lam"]
-            ]
-            F = [[self._poly(p) for p in row] for row in desc["F"]]
-            G = [[self._poly(p) for p in row] for row in desc["G"]]
-            homotopies[self.labels.index(label)] = HomotopySet(lam, F=F, G=G)
+            idx = self.labels.index(label)
+            homotopies[idx] = self._homotopy(desc, objects[idx].r,
+                                             "homotopy %r" % label)
         presentations = {}
         if presentation == "nu":
             k = len(objects)
@@ -131,6 +153,40 @@ class Problem:
                                    presentations=presentations or None)
             except ValueError as exc:
                 raise InputError(str(exc)) from exc
+
+    def _homotopy(self, desc, rank, where):
+        """The HomotopySet of a spec entry for an object of the given
+        rank: per t-sequence index one "lam" list of [i, j, polynomial]
+        matrix entries (0 <= i, j < 2^rank) and one "F" and one "G" row
+        of rank polynomials."""
+        if not isinstance(desc, dict):
+            raise InputError("%s must be a JSON object" % where)
+        n = len(self.tseq)
+        rows = {}
+        for name in ("lam", "F", "G"):
+            rows[name] = _field(desc, name, list, where)
+            if len(rows[name]) != n or not all(
+                    isinstance(row, list) for row in rows[name]):
+                raise InputError("%s: %r must hold %d lists" % (where, name, n))
+        lam = []
+        for entries in rows["lam"]:
+            mat = {}
+            for entry in entries:
+                if (not isinstance(entry, list) or len(entry) != 3
+                        or not all(type(i) is int and 0 <= i < 1 << rank
+                                   for i in entry[:2])):
+                    raise InputError(
+                        "%s: lam entry %r is not [i, j, polynomial] with "
+                        "0 <= i, j < %d" % (where, entry, 1 << rank))
+                mat[(entry[0], entry[1])] = self._poly(entry[2])
+            lam.append(mat)
+        F, G = (
+            [[self._poly(p) for p in row] for row in rows[name]]
+            for name in ("F", "G")
+        )
+        if any(len(row) != rank for row in F + G):
+            raise InputError("%s: F and G rows need %d entries" % (where, rank))
+        return HomotopySet(lam, F=F, G=G)
 
     def _poly(self, text):
         try:
@@ -153,6 +209,8 @@ class Problem:
         return self.labels.index(label)
 
     def path_indices(self, path):
+        if not isinstance(path, list):
+            raise InputError("path must be a list of object labels")
         return tuple(self.obj_index(p) for p in path)
 
 
@@ -398,7 +456,8 @@ def cmd_clifford(prob, args):
 def cmd_kstab(prob, args):
     m = prob.need_model()
     idx = prob.obj_index(args.get("object", prob.labels[0]))
-    decomposition = [prob._poly(p) for p in args.get("decomposition", [])]
+    decomposition = [prob._poly(p) for p in
+                     _field(args, "decomposition", list, "kstab", [])]
     level = _int_arg(args, "level", 3, 1)
     try:
         result = kstab_minimal(m, idx, decomposition, level=level)
@@ -472,15 +531,35 @@ DISPATCH = {
 }
 
 
+def _parse_commands(entries):
+    """(name, args) per command entry: a command name, or an object with
+    a "command" name and the command's arguments."""
+    if not isinstance(entries, list):
+        raise InputError("commands must be a list")
+    out = []
+    for entry in entries:
+        if isinstance(entry, str):
+            out.append((entry, {}))
+        elif isinstance(entry, dict) and isinstance(entry.get("command"), str):
+            args = dict(entry)
+            out.append((args.pop("command"), args))
+        else:
+            raise InputError(
+                "command entry %r is neither a name nor an object with a "
+                "\"command\" name" % (entry,))
+    return out
+
+
 def run(raw_spec, commands=None, cap=None, presentation=None):
     """Execute a spec.  Returns (report, exit_code)."""
     report = {"results": [], "ok": True, "cap_ok": True}
     try:
         prob = Problem(raw_spec, cap_override=cap, presentation=presentation)
+        if commands is None:
+            commands = raw_spec.get("commands", [])
+        commands = _parse_commands(commands)
     except InputError as exc:
         return {"error": str(exc), "ok": False}, EXIT_INPUT
-    if commands is None:
-        commands = raw_spec.get("commands", [])
     report["spec"] = {
         "variables": prob.varnames,
         "potential": str(prob.W),
@@ -490,12 +569,7 @@ def run(raw_spec, commands=None, cap=None, presentation=None):
         "order": prob.order,
     }
     code = EXIT_OK
-    for entry in commands:
-        if isinstance(entry, str):
-            name, args = entry, {}
-        else:
-            args = dict(entry)
-            name = args.pop("command")
+    for name, args in commands:
         t0 = time.perf_counter_ns()
         try:
             if name not in DISPATCH:
@@ -644,7 +718,7 @@ def main(argv=None):
         p.add_argument("spec", help="problem spec JSON file, or - for stdin")
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--cap", type=int, help="override the t-degree cap")
-        p.add_argument("--presentation", choices=["nu", "rho", "auto"],
+        p.add_argument("--presentation", choices=["nu", "auto"],
                        default="auto")
 
     add_common(sub.add_parser("run", help="execute the spec's command list"))
@@ -678,10 +752,14 @@ def main(argv=None):
     presentation = None if ns.presentation == "auto" else ns.presentation
     commands = None
     if ns.mode != "run":
-        commands = [e for e in raw.get("commands", [])
-                    if (e if isinstance(e, str) else e.get("command")) == ns.mode]
-        if not commands:
-            commands = [ns.mode]
+        try:
+            listed = _parse_commands(
+                raw.get("commands", []) if isinstance(raw, dict) else [])
+        except InputError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return EXIT_INPUT
+        commands = [dict(args, command=name)
+                    for name, args in listed if name == ns.mode] or [ns.mode]
     report, code = run(raw, commands=commands, cap=ns.cap,
                        presentation=presentation)
     if "error" in report:

@@ -146,7 +146,7 @@ class Arena:
         sp = self.space
         n = self.n
         pres = self.presentation
-        zero1 = LinearOp.zero(sp, 1)
+        zero1 = LinearOp(sp, 1)
 
         if pres == "nu":
             d_A = zero1
@@ -156,7 +156,7 @@ class Arena:
             for i, (f, g) in enumerate(self.X.pairs):
                 d_A = d_A - self.mult_op(f).compose(self.wedge("xibar", i))
                 d_A = d_A + self.mult_op(g).compose(self.contract("xibar", i))
-            delta = LinearOp.zero(sp, 0)
+            delta = LinearOp(sp, 0)
             for k in range(n):
                 for j in range(self.Y.r):
                     delta = delta + self.mult_op(self.homY.F[k][j]).compose(
@@ -170,7 +170,7 @@ class Arena:
             for i, (f, g) in enumerate(self.X.pairs):
                 d_A = d_A + self.mult_op(f).compose(self.contract("xi", i))
                 d_A = d_A + self.mult_op(g).compose(self.contract("xibar", i))
-            delta = LinearOp.zero(sp, 0)
+            delta = LinearOp(sp, 0)
             for k in range(n):
                 for i in range(self.X.r):
                     F = self.mult_op(self.homX.F[k][i])

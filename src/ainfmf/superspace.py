@@ -139,17 +139,8 @@ class LinearOp:
         self.cols = cols if cols is not None else {}
 
     @classmethod
-    def zero(cls, space, degree=0):
-        return cls(space, degree)
-
-    @classmethod
     def identity(cls, space):
-        op = cls(space, 0)
-        op.cols = None  # marker: identity acts lazily
-        return op
-
-    def is_identity(self):
-        return self.cols is None
+        return cls(space, 0, {key: {key: Fraction(1)} for key in space.basis()})
 
     @classmethod
     def from_rule(cls, space, degree, rule, keys=None):
@@ -162,8 +153,6 @@ class LinearOp:
         return op
 
     def apply(self, state):
-        if self.is_identity():
-            return dict(state)
         out = {}
         for key, c in state.items():
             col = self.cols.get(key)
@@ -174,13 +163,9 @@ class LinearOp:
         return out
 
     def apply_key(self, key):
-        if self.is_identity():
-            return {key: Fraction(1)}
         return dict(self.cols.get(key, {}))
 
     def __add__(self, other):
-        if self.is_identity() or other.is_identity():
-            raise ValueError("materialize identity before adding")
         if self.degree != other.degree:
             raise ValueError("adding operators of different Z2-degree")
         cols = {k: dict(v) for k, v in self.cols.items()}
@@ -197,11 +182,6 @@ class LinearOp:
 
     def scaled(self, c):
         c = Fraction(c)
-        if self.is_identity():
-            op = LinearOp(self.space, 0)
-            for key in self.space.basis():
-                op.cols[key] = {key: c}
-            return op
         return LinearOp(
             self.space,
             self.degree,
@@ -210,10 +190,6 @@ class LinearOp:
 
     def compose(self, other):
         """self after other."""
-        if other.is_identity():
-            return self
-        if self.is_identity():
-            return other
         cols = {}
         for key, col in other.cols.items():
             acc = {}
@@ -228,8 +204,6 @@ class LinearOp:
         return LinearOp(self.space, self.degree ^ other.degree, cols)
 
     def is_zero(self):
-        if self.is_identity():
-            return False
         return all(not col for col in self.cols.values())
 
     def equals(self, other):
@@ -297,21 +271,14 @@ def exp_nilpotent(op, max_power=None):
     """Sum of op^m / m! until the power vanishes."""
     if max_power is None:
         max_power = op.space.ngen + op.space.cap + 2
-    total = None
-    power = LinearOp.identity(op.space)
-    fact = 1
-    for m in range(max_power + 1):
-        if m > 0:
-            power = op.compose(power)
-            fact *= m
-            if power.is_zero():
-                break
-        term = power.scaled(Fraction(1, fact))
-        total = term if total is None else total + term
-    else:
-        if not power.is_zero():
-            raise ValueError("operator is not nilpotent within the bound")
-    return total
+    total = LinearOp.identity(op.space)
+    power = op
+    for m in range(2, max_power + 2):
+        if power.is_zero():
+            return total
+        total = total + power
+        power = op.compose(power).scaled(Fraction(1, m))
+    raise ValueError("operator is not nilpotent within the bound")
 
 
 def koszul_tensor_apply(ops, tensor_state, grading="plain"):

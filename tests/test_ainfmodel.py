@@ -132,6 +132,37 @@ def test_rho_table_matches_denotation():
         assert got == {k: v for k, v in ref.items() if v}
 
 
+def _span_sums_against_denotation(m, k, path, per_slot):
+    # per_slot core keys in each slot, sampled with the slot as seed
+    samples = [
+        random.Random(i).sample(m.pair(path[i], path[i + 1]).core_basis(),
+                                per_slot)
+        for i in range(k)
+    ]
+    slots = [[(key, {key: Fraction(1)}) for key in keys] for keys in samples]
+    sums = m.rho_span_sums(k, path, slots)
+    for combo in product(*samples):
+        ref = m.rho_denote(k, path, [{key: Fraction(1)} for key in combo])
+        assert sums.get(combo, {}) == {kk: v for kk, v in ref.items() if v}
+    return sums
+
+
+@pytest.mark.parametrize("path", [(0, 1, 0, 1, 0), (0, 0, 1, 1, 0),
+                                  (1, 0, 1, 0, 1)])
+def test_span_sums_match_denotation_k4(path):
+    m = worked_model(cap=2)
+    sums = _span_sums_against_denotation(m, 4, path, 3)
+    assert len(sums) >= 10
+
+
+@pytest.mark.parametrize("path", [(0, 1, 0, 1, 0, 1), (0, 0, 1, 1, 0, 0),
+                                  (1, 0, 1, 0, 1, 0)])
+def test_span_sums_match_denotation_k5(path):
+    m = worked_model(cap=3)
+    sums = _span_sums_against_denotation(m, 5, path, 2)
+    assert sums
+
+
 def test_rho1_squares_to_zero():
     m = worked_model(cap=3)
     for src in range(2):
@@ -353,6 +384,21 @@ def test_kstab_minimal_model():
     out = {k: v for k, v in out.items() if v}
     assert list(out) == [(0, 0, (0,))]
     assert out[(0, 0, (0,))] != 0
+
+
+def test_kstab_tables_match_rho_apply():
+    # the span sums on kernel states equal the expansion over basis tables
+    m = kstab_model(cap=4)
+    result = kstab_minimal(m, 0, [parse_poly("x1^2", 1)], level=4)
+    kernel = result["kernel"]
+    nonzero = 0
+    for j, table in result["tables"].items():
+        assert set(table) == set(product(range(len(kernel)), repeat=j))
+        for combo, out in table.items():
+            ref = m.rho_apply(j, (0,) * (j + 1), [kernel[c] for c in combo])
+            assert out == ref
+            nonzero += bool(out)
+    assert nonzero
 
 
 def test_decomposition_validation():

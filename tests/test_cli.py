@@ -83,6 +83,24 @@ def test_run_kstab_spec():
     assert cl["gamma_equals_At"] and cl["E1_equals_gamma_product"]
 
 
+def test_theta_projector_on_two_variables():
+    # E1 is Phi e Phi^-1 with e the projector onto theta-degree zero; with
+    # two theta generators a product of wedges and contractions is -e
+    spec = {
+        "variables": ["x1", "x2"],
+        "potential": "x1^2 + x2^2",
+        "objects": [{"label": "K", "pairs": [["x1", "x1"], ["x2", "x2"]]}],
+        "cap": 1,
+        "commands": ["e1", "clifford"],
+    }
+    report, code = cli.run(spec)
+    assert code == cli.EXIT_OK
+    by_name = {r["command"]: r for r in report["results"]}
+    assert by_name["e1"]["result"]["pairs"][0]["idempotent"]
+    cl = by_name["clifford"]["result"]["pairs"][0]
+    assert cl["gamma_equals_At"] and cl["E1_equals_gamma_product"]
+
+
 def test_input_errors():
     bad_poly = {"variables": ["x"], "potential": "x^^2"}
     report, code = cli.run(bad_poly, commands=["basis"])
@@ -95,6 +113,47 @@ def test_input_errors():
     bad_label, code = cli.run(
         WORKED, commands=[{"command": "rho", "k": 2, "path": ["X", "Z", "X"]}])
     assert code == cli.EXIT_INPUT
+
+
+def _malformed(name, spec, edit):
+    spec = json.loads(json.dumps(spec))
+    edit(spec)
+    return pytest.param(spec, id=name)
+
+
+# each a spec field of the wrong shape: before validation these escaped
+# cli.run as tracebacks or were silently accepted
+@pytest.mark.parametrize("spec", [
+    _malformed("no-pairs", WORKED, lambda s: s["objects"][0].pop("pairs")),
+    _malformed("pairs-int", WORKED, lambda s: s["objects"][0].update(pairs=5)),
+    _malformed("pair-str", WORKED,
+               lambda s: s["objects"][0].update(pairs=["ab"])),
+    _malformed("objects-int", WORKED, lambda s: s.update(objects=3)),
+    _malformed("object-int", WORKED, lambda s: s["objects"].append(5)),
+    _malformed("command-unnamed", WORKED,
+               lambda s: s["commands"].append({"level": 2})),
+    _malformed("command-int", WORKED, lambda s: s["commands"].append(5)),
+    _malformed("commands-int", WORKED, lambda s: s.update(commands=5)),
+    _malformed("cap-bool", WORKED,
+               lambda s: s.update(cap=True, commands=["basis"])),
+    _malformed("variables-str", WORKED, lambda s: s.update(variables="xy")),
+    _malformed("order-unknown", WORKED, lambda s: s.update(order="bogus")),
+    _malformed("t-sequence-int", WORKED, lambda s: s.update(t_sequence=5)),
+    _malformed("path-int", WORKED, lambda s: s.update(
+        commands=[{"command": "rho", "k": 2, "path": 5}])),
+    _malformed("lam-index-str", KSTAB, lambda s: s["homotopies"]["k"].update(
+        lam=[[["a", 0, "1"]]])),
+    _malformed("lam-index-range", KSTAB,
+               lambda s: s["homotopies"]["k"].update(lam=[[[5, 0, "1"]]])),
+    _malformed("no-lam", KSTAB, lambda s: s["homotopies"]["k"].pop("lam")),
+    _malformed("short-F", KSTAB, lambda s: s["homotopies"]["k"].update(F=[])),
+    _malformed("decomposition-int", KSTAB, lambda s: s.update(
+        commands=[{"command": "kstab", "decomposition": 5}])),
+])
+def test_malformed_spec_exits_2(spec):
+    report, code = cli.run(spec)
+    assert code == cli.EXIT_INPUT
+    assert "error" in report or "error" in report["results"][-1]
 
 
 # each command with a bad argument, the five verify-ainf cases first
@@ -213,3 +272,12 @@ def test_main_entry(tmp_path):
     assert code == cli.EXIT_OK
     report = json.loads(out_path.read_text())
     assert [r["command"] for r in report["results"]] == ["basis"]
+
+
+def test_presentation_rho_is_not_a_choice(tmp_path):
+    # only "nu" changes the model; "rho" was a second spelling of "auto"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(WORKED))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(spec_path), "--presentation", "rho"])
+    assert exc.value.code == cli.EXIT_INPUT

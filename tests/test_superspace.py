@@ -52,7 +52,7 @@ def test_wedge_sign_convention():
 def test_anticommutation_relations():
     sp = small_space()
     gens = [sp.gen_pos("theta", 0), sp.gen_pos("theta", 1), sp.gen_pos("eta", 0)]
-    ident = LinearOp.identity(sp).scaled(1)
+    ident = LinearOp.identity(sp)
     for p in gens:
         for q in gens:
             w_p, w_q = wedge_op(sp, p), wedge_op(sp, q)
@@ -72,7 +72,7 @@ def test_operator_degree_bookkeeping():
     assert w.degree == 1
     assert w.compose(w).degree == 0
     with pytest.raises(ValueError):
-        w + LinearOp.zero(sp, 0)
+        w + LinearOp(sp, 0)
 
 
 def test_state_parity_and_format():
@@ -93,7 +93,7 @@ def test_exp_nilpotent():
     n = w1.compose(w2)
     e = exp_nilpotent(n)
     # e = 1 + N since N^2 = 0
-    expected = LinearOp.identity(sp).scaled(1) + n
+    expected = LinearOp.identity(sp) + n
     assert e.equals(expected)
 
 

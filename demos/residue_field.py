@@ -19,7 +19,7 @@ W = parse_poly("x1^3", 1)
 X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
 qb = QuotientBasis([parse_poly("x1", 1)])
 one = Polynomial.const(1, 1)
-hom = HomotopySet([{(1, 0): one}], F=[[Polynomial.zero(1)]], G=[[one]])
+hom = HomotopySet(F=[[Polynomial.zero(1)]], G=[[one]])
 model = Model([X], qb, cap=4, homotopies={0: hom})
 
 result = kstab_minimal(model, 0, [parse_poly("x1^2", 1)], level=4)

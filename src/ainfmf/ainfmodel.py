@@ -5,9 +5,10 @@ the splitting idempotent.
 A Model holds a list of Koszul factorisations of a common potential and
 builds, per ordered pair, the operator arena from sdrcore.  Morphism
 spaces B(X,Y) are the theta- and t-degree-zero cores of those arenas.
-The binary composition mu2 is transported through the chosen exterior
-presentations and the Gamma tensor of R/I; the higher products rho_k are
-signed tree sums, evaluated as sums over leaf spans split at the root;
+The binary composition mu2 is transported through the exterior
+presentation of each pair and the Gamma tensor of R/I; the higher
+products rho_k are signed tree sums, evaluated as sums over leaf spans
+split at the root;
 verify_ainf checks the defining constraints exactly on every basis
 tuple, in both the suspended (r) and unsuspended (mu) sign conventions.
 """
@@ -20,6 +21,7 @@ from .mfcat import (
     KoszulFactorisation,
     NuPresentation,
     RhoPresentation,
+    check_homotopies,
     default_homotopies,
 )
 from .quotient import GammaTensor
@@ -114,19 +116,15 @@ class PairData:
         self.tgt = tgt
         X = model.objects[src]
         Y = model.objects[tgt]
-        pres = model.presentations.get((src, tgt))
-        if pres is None:
-            pres = "rho" if src == tgt else "nu"
-        self.presentation = pres
         self.arena = Arena(
             X,
             Y,
             model.qb,
             model.cap,
-            presentation=pres,
-            homX=model.homotopy(src),
-            homY=model.homotopy(tgt),
+            homX=model.homotopies[src],
+            homY=model.homotopies[tgt],
         )
+        self.presentation = self.arena.presentation
         sp = self.arena.space
         self.n = model.qb.n
         fam1, fam2 = sp.families[1], sp.families[2]
@@ -134,7 +132,7 @@ class PairData:
         self.c2 = fam2[1]
         self.theta_all = (1 << self.n) - 1
         # exterior elements (S, T) <-> Hom matrices (row mask, col mask)
-        if pres == "nu":
+        if self.presentation == "nu":
             nu = NuPresentation(X, Y)
             self.to_matrix, self.from_matrix = nu.from_ext, nu.to_ext
         else:
@@ -161,7 +159,11 @@ class PairData:
 
 
 class Model:
-    def __init__(self, objects, qb, cap, homotopies=None, presentations=None):
+    def __init__(self, objects, qb, cap, homotopies=None):
+        """homotopies: optional {object index: HomotopySet}; the others
+        default to the x_k-derivatives of the pairs.  Every object's
+        homotopies are checked against the t-sequence of qb
+        (HomotopyIdentityFailed)."""
         if not objects:
             raise ValueError("no objects")
         self.objects = list(objects)
@@ -175,7 +177,12 @@ class Model:
         self.qb = qb
         self.cap = cap
         self.homotopies = dict(homotopies or {})
-        self.presentations = dict(presentations or {})
+        for idx, obj in enumerate(self.objects):
+            hom = self.homotopies.get(idx)
+            if hom is None:
+                self.homotopies[idx] = default_homotopies(obj, qb.tseq)
+            else:
+                check_homotopies(obj, hom, qb.tseq)
         self.gamma = GammaTensor(qb, cap)
         self._pairs = {}
         self._rho_pres = {}
@@ -185,11 +192,6 @@ class Model:
 
     # ------------------------------------------------------------------
     # plumbing
-
-    def homotopy(self, idx):
-        if idx not in self.homotopies:
-            self.homotopies[idx] = default_homotopies(self.objects[idx])
-        return self.homotopies[idx]
 
     def rho_presentation(self, idx):
         if idx not in self._rho_pres:

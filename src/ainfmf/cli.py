@@ -10,8 +10,8 @@ A problem spec is a JSON object:
         {"label": "X", "pairs": [["x^2", "1/5*x^3"]]},
         {"label": "Y", "pairs": [["x^3", "1/5*x^2"]]}
       ],
-      "homotopies": {"X": {"lam": [[[1, 0, "1"]]],
-                            "F": [["0"]], "G": [["1"]]}},   # optional
+      "homotopies": {"X": {"F": [["2*x"]],
+                            "G": [["3/5*x^2"]]}},   # optional
       "cap": 3,
       "order": "grevlex",             # optional
       "commands": ["basis", {"command": "verify-ainf", "level": 2}]
@@ -41,7 +41,7 @@ from .ainfmodel import (
     kstab_minimal,
 )
 from .linalg import mat_mul
-from .mfcat import HomotopySet, koszul_mf
+from .mfcat import HomotopyIdentityFailed, HomotopySet, koszul_mf
 from .normalorder import FeynmanBackend, VertexCatalog
 from .normalorder import CapExceeded as TreeCapExceeded
 from .poly import ORDERS, parse_poly
@@ -91,7 +91,7 @@ class Problem:
     """Validated problem spec plus the model built from it.  Every
     malformed field raises InputError."""
 
-    def __init__(self, raw, cap_override=None, presentation=None):
+    def __init__(self, raw, cap_override=None):
         if not isinstance(raw, dict):
             raise InputError("spec must be a JSON object")
         self.varnames = _field(raw, "variables", list, "spec")
@@ -141,52 +141,36 @@ class Problem:
             idx = self.labels.index(label)
             homotopies[idx] = self._homotopy(desc, objects[idx].r,
                                              "homotopy %r" % label)
-        presentations = {}
-        if presentation == "nu":
-            k = len(objects)
-            presentations = {(i, j): "nu" for i in range(k) for j in range(k)}
         self.model = None
         if objects:
             try:
                 self.model = Model(objects, self.qb, self.cap,
-                                   homotopies=homotopies or None,
-                                   presentations=presentations or None)
+                                   homotopies=homotopies)
+            except HomotopyIdentityFailed as exc:
+                raise InputError(
+                    "homotopies do not fit the t-sequence (%s); give each "
+                    "object homotopies F, G with sum_i (F_ki g_i + G_ki f_i)"
+                    " = t_k" % exc) from exc
             except ValueError as exc:
                 raise InputError(str(exc)) from exc
 
     def _homotopy(self, desc, rank, where):
         """The HomotopySet of a spec entry for an object of the given
-        rank: per t-sequence index one "lam" list of [i, j, polynomial]
-        matrix entries (0 <= i, j < 2^rank) and one "F" and one "G" row
-        of rank polynomials."""
+        rank: per t-sequence index one "F" and one "G" row of rank
+        polynomials."""
         if not isinstance(desc, dict):
             raise InputError("%s must be a JSON object" % where)
         n = len(self.tseq)
-        rows = {}
-        for name in ("lam", "F", "G"):
-            rows[name] = _field(desc, name, list, where)
-            if len(rows[name]) != n or not all(
-                    isinstance(row, list) for row in rows[name]):
-                raise InputError("%s: %r must hold %d lists" % (where, name, n))
-        lam = []
-        for entries in rows["lam"]:
-            mat = {}
-            for entry in entries:
-                if (not isinstance(entry, list) or len(entry) != 3
-                        or not all(type(i) is int and 0 <= i < 1 << rank
-                                   for i in entry[:2])):
-                    raise InputError(
-                        "%s: lam entry %r is not [i, j, polynomial] with "
-                        "0 <= i, j < %d" % (where, entry, 1 << rank))
-                mat[(entry[0], entry[1])] = self._poly(entry[2])
-            lam.append(mat)
-        F, G = (
-            [[self._poly(p) for p in row] for row in rows[name]]
-            for name in ("F", "G")
-        )
-        if any(len(row) != rank for row in F + G):
-            raise InputError("%s: F and G rows need %d entries" % (where, rank))
-        return HomotopySet(lam, F=F, G=G)
+        F, G = [], []
+        for name, rows in (("F", F), ("G", G)):
+            for row in _field(desc, name, list, where):
+                if not isinstance(row, list) or len(row) != rank:
+                    raise InputError("%s: each %r row must hold %d polynomials"
+                                     % (where, name, rank))
+                rows.append([self._poly(p) for p in row])
+            if len(rows) != n:
+                raise InputError("%s: %r must hold %d rows" % (where, name, n))
+        return HomotopySet(F, G)
 
     def _poly(self, text):
         try:
@@ -379,11 +363,8 @@ def cmd_sdr_verify(prob, args):
     out = []
     ok = True
     for s, t in _pair_list(prob, args):
-        arena = m.pair(s, t).arena
-        try:
-            rep = arena.sdr_verify(margin=margin, raise_on_failure=False)
-        except ZeroDivisionError as exc:
-            raise InputError(str(exc)) from exc
+        rep = m.pair(s, t).arena.sdr_verify(margin=margin,
+                                            raise_on_failure=False)
         pair_ok = all(v.get("ok") for v in rep["identities"].values())
         ok = ok and pair_ok
         out.append({
@@ -550,11 +531,11 @@ def _parse_commands(entries):
     return out
 
 
-def run(raw_spec, commands=None, cap=None, presentation=None):
+def run(raw_spec, commands=None, cap=None):
     """Execute a spec.  Returns (report, exit_code)."""
     report = {"results": [], "ok": True, "cap_ok": True}
     try:
-        prob = Problem(raw_spec, cap_override=cap, presentation=presentation)
+        prob = Problem(raw_spec, cap_override=cap)
         if commands is None:
             commands = raw_spec.get("commands", [])
         commands = _parse_commands(commands)
@@ -718,8 +699,6 @@ def main(argv=None):
         p.add_argument("spec", help="problem spec JSON file, or - for stdin")
         p.add_argument("--out", help="write the JSON report here")
         p.add_argument("--cap", type=int, help="override the t-degree cap")
-        p.add_argument("--presentation", choices=["nu", "auto"],
-                       default="auto")
 
     add_common(sub.add_parser("run", help="execute the spec's command list"))
     for name in COMMANDS:
@@ -749,7 +728,6 @@ def main(argv=None):
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    presentation = None if ns.presentation == "auto" else ns.presentation
     commands = None
     if ns.mode != "run":
         try:
@@ -760,8 +738,7 @@ def main(argv=None):
             return EXIT_INPUT
         commands = [dict(args, command=name)
                     for name, args in listed if name == ns.mode] or [ns.mode]
-    report, code = run(raw, commands=commands, cap=ns.cap,
-                       presentation=presentation)
+    report, code = run(raw, commands=commands, cap=ns.cap)
     if "error" in report:
         print("error: %s" % report["error"], file=sys.stderr)
         return code

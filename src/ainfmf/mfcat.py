@@ -1,11 +1,11 @@
 """Matrix factorisations of a potential W over R = Q[x_1..x_n].
 
-Two object forms: a generic matrix form (square odd matrix d with
-d^2 = W) and the Koszul form built from pairs (f_i, g_i) with
-sum f_i g_i = W.  For Koszul objects the Hom spaces have exterior-algebra
-presentations: the nu presentation of Hom(X, Y) on wedge(F_eta) tensor
-wedge(F_xibar), and for X = X the rho presentation on wedge(F_xi) tensor
-wedge(F_xibar) which identifies composition with Clifford multiplication.
+Objects are Koszul factorisations built from pairs (f_i, g_i) with
+sum f_i g_i = W.  Their Hom spaces are presented on exterior algebras:
+Hom(X, Y) by the nu presentation on wedge(F_eta) tensor wedge(F_xibar),
+and Hom(X, X) by the rho presentation on wedge(F_xi) tensor
+wedge(F_xibar), which identifies composition with Clifford
+multiplication.
 
 Hom elements over Q are dicts (row_mask, col_mask) -> Fraction; over R
 the values are Polynomial.  Exterior elements are dicts
@@ -42,31 +42,6 @@ def _matmul_poly(a, b, nvars):
             else:
                 out[key] = acc
     return out
-
-
-class MatrixFactorisation:
-    """Generic form: basis indices 0..dim-1 with declared parities and an
-    odd matrix d (dict (row, col) -> Polynomial) squaring to W."""
-
-    def __init__(self, nvars, W, parities, d, label="X"):
-        self.nvars = nvars
-        self.W = W
-        self.parities = list(parities)
-        self.dim = len(parities)
-        self.d = {k: v for k, v in d.items() if not v.is_zero()}
-        self.label = label
-        for (r, c), p in self.d.items():
-            if self.parities[r] == self.parities[c]:
-                raise NotAFactorisation("d has an even entry at %r" % ((r, c),))
-        sq = _matmul_poly(self.d, self.d, nvars)
-        for r in range(self.dim):
-            expect = W
-            got = sq.get((r, r), Polynomial.zero(nvars))
-            if got != expect:
-                raise NotAFactorisation("d^2 != W on basis index %d" % r)
-        for (r, c), p in sq.items():
-            if r != c and not p.is_zero():
-                raise NotAFactorisation("d^2 has off-diagonal entry at %r" % ((r, c),))
 
 
 class KoszulFactorisation:
@@ -106,14 +81,19 @@ class KoszulFactorisation:
         else:
             self.d[key] = acc
 
-    def as_matrix_mf(self):
-        parities = [m.bit_count() & 1 for m in range(self.dim)]
-        return MatrixFactorisation(self.nvars, self.W, parities, self.d, self.label)
-
 
 def koszul_mf(pairs, W, label="X"):
+    """The Koszul factorisation of the pairs, with d^2 = W checked
+    exactly on the matrix of d."""
     K = KoszulFactorisation(pairs, W, label)
-    K.as_matrix_mf()  # verifies d^2 = W exactly
+    zero = Polynomial.zero(K.nvars)
+    sq = _matmul_poly(K.d, K.d, K.nvars)
+    for r in range(K.dim):
+        if sq.pop((r, r), zero) != W:
+            raise NotAFactorisation("d^2 != W on basis index %d" % r)
+    if sq:
+        raise NotAFactorisation(
+            "d^2 has an off-diagonal entry at %r" % (min(sq),))
     return K
 
 
@@ -139,54 +119,46 @@ def d_hom(X, Y):
 
 
 class HomotopySet:
-    """Per index k a homotopy matrix lam[k] with [lam_k, d] = t_k, and for
-    Koszul objects the coefficient lists F[k][i], G[k][i]."""
+    """Per t-sequence index k the coefficient lists F[k][i], G[k][i] of
+    the homotopy lambda_k = sum_i (F_ki xi_i* + G_ki xi_i) of a Koszul
+    object."""
 
-    def __init__(self, lam, F=None, G=None):
-        self.lam = lam
+    def __init__(self, F, G):
         self.F = F
         self.G = G
 
 
+def check_homotopies(X, hom, tseq):
+    """Raise HomotopyIdentityFailed unless [lambda_k, d] = t_k for every
+    index k of the t-sequence; on a Koszul object this is the identity
+    sum_i (F_ki g_i + G_ki f_i) = t_k."""
+    if len(hom.F) != len(tseq) or len(hom.G) != len(tseq):
+        raise HomotopyIdentityFailed(
+            "object %r: %d homotopies for %d t-sequence entries"
+            % (X.label, len(hom.F), len(tseq)))
+    for k, t in enumerate(tseq):
+        total = Polynomial.zero(X.nvars)
+        for i, (f, g) in enumerate(X.pairs):
+            total = total + hom.F[k][i] * g + hom.G[k][i] * f
+        if total != t:
+            raise HomotopyIdentityFailed(
+                "object %r: sum_i (F_%di g_i + G_%di f_i) != t_%d"
+                % (X.label, k + 1, k + 1, k + 1))
+
+
 def default_homotopies(X, tseq=None):
-    """Entrywise x_k-derivative of d.  Valid when t is the Jacobian
-    sequence of W; the identity [lam_k, d] = t_k is verified exactly."""
+    """The x_k-derivatives F_ki = df_i/dx_k, G_ki = dg_i/dx_k of the
+    pairs, checked against tseq (default: the Jacobian sequence of W,
+    for which the identity always holds)."""
     nvars = X.nvars
+    hom = HomotopySet(
+        [[f.diff(k) for f, _ in X.pairs] for k in range(nvars)],
+        [[g.diff(k) for _, g in X.pairs] for k in range(nvars)],
+    )
     if tseq is None:
         tseq = [X.W.diff(k) for k in range(nvars)]
-    d = X.d
-    lams = []
-    for k in range(nvars):
-        lam = {}
-        for key, p in d.items():
-            dp = p.diff(k)
-            if not dp.is_zero():
-                lam[key] = dp
-        lams.append(lam)
-    dim = X.dim if not isinstance(X, KoszulFactorisation) else 1 << X.r
-    for k, lam in enumerate(lams):
-        anti = _matmul_poly(lam, d, nvars)
-        for key, p in _matmul_poly(d, lam, nvars).items():
-            acc = anti.get(key, Polynomial.zero(nvars)) + p
-            if acc.is_zero():
-                anti.pop(key, None)
-            else:
-                anti[key] = acc
-        for r in range(dim):
-            if anti.get((r, r), Polynomial.zero(nvars)) != tseq[k]:
-                raise HomotopyIdentityFailed(
-                    "[lam_%d, d] != t_%d at basis index %d" % (k + 1, k + 1, r)
-                )
-        for (r, c), p in anti.items():
-            if r != c and not p.is_zero():
-                raise HomotopyIdentityFailed(
-                    "[lam_%d, d] has off-diagonal entry at %r" % (k + 1, (r, c))
-                )
-    F = G = None
-    if isinstance(X, KoszulFactorisation):
-        F = [[f.diff(k) for f, _ in X.pairs] for k in range(nvars)]
-        G = [[g.diff(k) for _, g in X.pairs] for k in range(nvars)]
-    return HomotopySet(lams, F, G)
+    check_homotopies(X, hom, tseq)
+    return hom
 
 
 class NuPresentation:

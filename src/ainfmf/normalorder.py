@@ -152,8 +152,6 @@ class VertexCatalog:
         self.arena = arena
         self.qb = arena.qb
         self.presentation = arena.presentation
-        if self.presentation not in ("nu", "rho"):
-            raise ValueError("vertex catalog needs the nu or rho presentation")
         self.vertices = []
         self.notes = []
         self._build()
@@ -231,16 +229,9 @@ class VertexCatalog:
         the C-type rules."""
         a = self.arena
         jobs = [("target", a.homY, a.Y)]
-        if self.presentation == "rho" or a.X is not a.Y:
+        if a.homX is not a.homY:
             jobs.append(("source", a.homX, a.X))
-        seen = set()
         for role, hom, obj in jobs:
-            if id(hom) in seen:
-                continue
-            seen.add(id(hom))
-            if hom.F is None or hom.G is None:
-                self.notes.append("%s homotopies carry no coefficient lists" % role)
-                continue
             for k in range(a.n):
                 total = None
                 for i, (f, g) in enumerate(obj.pairs):
@@ -633,8 +624,6 @@ class FeynmanBackend:
             merge_b = pb.presentation == "rho"
             pc = self.model.pair(pb.src, pa.tgt)
             unit_out = not (merge_u or merge_b)
-            if pc.presentation == "rho" and not unit_out and not (merge_u and merge_b):
-                raise ValueError("mixed composition into a word-basis pair")
             self._ext[key] = _ext_pair_compose(
                 pa, pb, merge_u, merge_b,
                 out_words=(unit_out and pc.presentation == "rho"),

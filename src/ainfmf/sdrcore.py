@@ -1,10 +1,11 @@
-"""The operator arena for a pair of matrix factorisations.
+"""The operator arena for a pair of Koszul matrix factorisations.
 
 For each ordered pair (X, Y) we build the truncated state space
-wedge(F_theta (+) fermions of the chosen presentation) tensor R/I tensor
-Q[t]_{<= cap} together with the cached operators: the transported
-differential d_A, the connection nabla, the propagator zeta, the critical
-Atiyah class At = [d_A, nabla], delta and its exponentials, the
+wedge(F_theta (+) fermions of the pair's presentation) tensor R/I tensor
+Q[t]_{<= cap}, with the rho presentation (fermions xi, xibar) when X is Y
+and the nu presentation (eta, xibar) otherwise, together with the cached
+operators: the transported differential d_A, the connection nabla, the
+propagator zeta, the critical Atiyah class At = [d_A, nabla], delta and its exponentials, the
 inclusion/projection sigma/pi of the theta- and t-degree-zero sector, the
 perturbation series sigma_infty and phi_infty, and the homotopy
 equivalence Phi, Phi^{-1}, H_hat.  sdr_verify checks the defining
@@ -13,13 +14,12 @@ identities exactly on a margin-restricted basis.
 
 from fractions import Fraction
 
-from .mfcat import KoszulFactorisation, default_homotopies
+from .mfcat import default_homotopies
 from .quotient import t_adic_expand
 from .superspace import (
     LinearOp,
     Space,
     add_into,
-    contract_key,
     contract_op,
     exp_nilpotent,
     graded_commutator,
@@ -52,39 +52,24 @@ def full_expansion(r, qb, start_cap=None):
 
 
 class Arena:
-    def __init__(self, X, Y, qb, cap, presentation=None, homX=None, homY=None):
+    def __init__(self, X, Y, qb, cap, homX=None, homY=None):
         self.X = X
         self.Y = Y
         self.qb = qb
         self.cap = cap
         self.n = qb.n
-        if presentation is None:
-            presentation = "rho" if X is Y else "nu"
-        self.presentation = presentation
+        self.presentation = "rho" if X is Y else "nu"
         if homY is None:
             homY = default_homotopies(Y)
         if homX is None:
             homX = homY if X is Y else default_homotopies(X)
         self.homX = homX
         self.homY = homY
-        mu = qb.mu
-        if presentation == "nu":
+        if self.presentation == "nu":
             fam = [("theta", self.n), ("eta", Y.r), ("xibar", X.r)]
-            self.space = Space(fam, mu, self.n, cap)
-        elif presentation == "rho":
-            if not (X is Y or (isinstance(X, KoszulFactorisation) and X.pairs == Y.pairs)):
-                raise ValueError("rho presentation needs X = Y")
-            fam = [("theta", self.n), ("xi", X.r), ("xibar", X.r)]
-            self.space = Space(fam, mu, self.n, cap)
-        elif presentation == "generic":
-            fam = [("theta", self.n)]
-            sectors = []
-            for i in range(Y.dim):
-                for j in range(X.dim):
-                    sectors.append((Y.parities[i] + X.parities[j]) & 1)
-            self.space = Space(fam, mu * len(sectors), self.n, cap, sector_parities=sectors)
         else:
-            raise ValueError("unknown presentation %r" % presentation)
+            fam = [("theta", self.n), ("xi", X.r), ("xibar", X.r)]
+        self.space = Space(fam, qb.mu, self.n, cap)
         self._rsharp_cache = {}
         self.table_max_tdeg = 0
         self._build_operators()
@@ -112,12 +97,10 @@ class Arena:
         """The even operator r^# (z and t action only)."""
         cols = self._columns(r)
         cap = self.cap
-        mu_q = self.space.mu_q
 
         def rule(key):
             mask, h, delta = key
-            sector, hz = divmod(h, mu_q)
-            col = cols.get(hz)
+            col = cols.get(h)
             if not col:
                 return None
             out = {}
@@ -125,7 +108,7 @@ class Arena:
                 nd = tuple(a + b for a, b in zip(delta, d2))
                 if sum(nd) > cap:
                     continue
-                out[(mask, sector * mu_q + l, nd)] = c
+                out[(mask, l, nd)] = c
             return out
 
         return LinearOp.from_rule(self.space, 0, rule)
@@ -145,10 +128,9 @@ class Arena:
     def _build_operators(self):
         sp = self.space
         n = self.n
-        pres = self.presentation
         zero1 = LinearOp(sp, 1)
 
-        if pres == "nu":
+        if self.presentation == "nu":
             d_A = zero1
             for j, (u, v) in enumerate(self.Y.pairs):
                 d_A = d_A + self.mult_op(u).compose(self.contract("eta", j))
@@ -165,7 +147,7 @@ class Arena:
                     delta = delta + self.mult_op(self.homY.G[k][j]).compose(
                         self.wedge("eta", j)
                     ).compose(self.contract("theta", k))
-        elif pres == "rho":
+        else:
             d_A = zero1
             for i, (f, g) in enumerate(self.X.pairs):
                 d_A = d_A + self.mult_op(f).compose(self.contract("xi", i))
@@ -179,9 +161,6 @@ class Arena:
                     delta = delta + F.compose(self.contract("xi", i)).compose(tk)
                     delta = delta + F.compose(self.wedge("xibar", i)).compose(tk)
                     delta = delta + G.compose(self.wedge("xi", i)).compose(tk)
-        else:
-            d_A = self._generic_d_hom()
-            delta = self._generic_delta()
 
         self.d_A = d_A
         self.delta = delta
@@ -198,79 +177,6 @@ class Arena:
         self.Phi = self.pi.compose(self.e_minus_delta)
         self.Phi_inv = self.e_delta.compose(self.sigma_infty)
         self.H_hat = self.e_delta.compose(self.phi_infty).compose(self.e_minus_delta)
-
-    def _generic_d_hom(self):
-        sp = self.space
-        mu_q = sp.mu_q
-        dimX, dimY = self.X.dim, self.Y.dim
-
-        cols = {}
-        for key in sp.basis():
-            mask, h, delta = key
-            sector, hz = divmod(h, mu_q)
-            i, j = divmod(sector, dimX)
-            theta_sign = -1 if mask.bit_count() & 1 else 1
-            alpha_sign = -1 if sp.sector_parities[sector] == 0 else 1
-            col = {}
-            for (i2, ii), p in self.Y.d.items():
-                if ii != i:
-                    continue
-                pc = self._columns(p)
-                for (l, d2), c in pc.get(hz, {}).items():
-                    nd = tuple(a + b for a, b in zip(delta, d2))
-                    if sum(nd) > self.cap:
-                        continue
-                    add_into(col, (mask, (i2 * dimX + j) * mu_q + l, nd), c * theta_sign)
-            for (jj, j2), p in self.X.d.items():
-                if jj != j:
-                    continue
-                pc = self._columns(p)
-                for (l, d2), c in pc.get(hz, {}).items():
-                    nd = tuple(a + b for a, b in zip(delta, d2))
-                    if sum(nd) > self.cap:
-                        continue
-                    add_into(
-                        col,
-                        (mask, (i * dimX + j2) * mu_q + l, nd),
-                        c * theta_sign * alpha_sign,
-                    )
-            if col:
-                cols[key] = col
-        return LinearOp(sp, 1, cols)
-
-    def _generic_delta(self):
-        sp = self.space
-        mu_q = sp.mu_q
-        dimX = self.X.dim
-        cols = {}
-        for key in sp.basis():
-            mask, h, delta = key
-            sector, hz = divmod(h, mu_q)
-            i, j = divmod(sector, dimX)
-            col = {}
-            for k in range(self.n):
-                hit = contract_key(sp, sp.gen_pos("theta", k), key)
-                if hit is None:
-                    continue
-                s, key2 = hit
-                mask2 = key2[0]
-                lam_sign = -1 if mask2.bit_count() & 1 else 1
-                for (i2, ii), p in self.homY.lam[k].items():
-                    if ii != i:
-                        continue
-                    pc = self._columns(p)
-                    for (l, d2), c in pc.get(hz, {}).items():
-                        nd = tuple(a + b for a, b in zip(delta, d2))
-                        if sum(nd) > self.cap:
-                            continue
-                        add_into(
-                            col,
-                            (mask2, (i2 * dimX + j) * mu_q + l, nd),
-                            c * s * lam_sign,
-                        )
-            if col:
-                cols[key] = col
-        return LinearOp(sp, 0, cols)
 
     def _build_nabla(self):
         sp = self.space

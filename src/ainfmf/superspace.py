@@ -28,18 +28,9 @@ class Space:
     that order and every sign in the package is derived from them.
     """
 
-    def __init__(self, families, mu, nboson, cap, sector_parities=None):
+    def __init__(self, families, mu, nboson, cap):
         self.families = list(families)
-        # mu is the total coefficient dimension; when sector_parities is
-        # given it must be mu_q * len(sector_parities) with mu_q the
-        # quotient dimension, and index h decomposes as sector * mu_q + h_z
         self.mu = mu
-        self.sector_parities = sector_parities
-        if sector_parities:
-            assert mu % len(sector_parities) == 0
-            self.mu_q = mu // len(sector_parities)
-        else:
-            self.mu_q = mu
         self.nboson = nboson
         self.cap = cap
         self.positions = {}

@@ -40,7 +40,7 @@ def kstab_model(cap=3):
     X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
     qb = QuotientBasis([parse_poly("x1", 1)])
     one = Polynomial.const(1, 1)
-    hom = HomotopySet([{(1, 0): one}], F=[[Polynomial.zero(1)]], G=[[one]])
+    hom = HomotopySet(F=[[Polynomial.zero(1)]], G=[[one]])
     return Model([X], qb, cap, homotopies={0: hom})
 
 

@@ -30,7 +30,7 @@ KSTAB = {
     "potential": "x^3",
     "t_sequence": ["x"],
     "objects": [{"label": "k", "pairs": [["x", "x^2"]]}],
-    "homotopies": {"k": {"lam": [[[1, 0, "1"]]], "F": [["0"]], "G": [["1"]]}},
+    "homotopies": {"k": {"F": [["0"]], "G": [["1"]]}},
     "cap": 3,
     "commands": [
         {"command": "kstab", "object": "k", "decomposition": ["x^2"],
@@ -141,12 +141,17 @@ def _malformed(name, spec, edit):
     _malformed("t-sequence-int", WORKED, lambda s: s.update(t_sequence=5)),
     _malformed("path-int", WORKED, lambda s: s.update(
         commands=[{"command": "rho", "k": 2, "path": 5}])),
-    _malformed("lam-index-str", KSTAB, lambda s: s["homotopies"]["k"].update(
-        lam=[[["a", 0, "1"]]])),
-    _malformed("lam-index-range", KSTAB,
-               lambda s: s["homotopies"]["k"].update(lam=[[[5, 0, "1"]]])),
-    _malformed("no-lam", KSTAB, lambda s: s["homotopies"]["k"].pop("lam")),
     _malformed("short-F", KSTAB, lambda s: s["homotopies"]["k"].update(F=[])),
+    # homotopies that do not sum to the t-sequence: the derivatives of
+    # the pairs (F = 1, G = 2x give 3x^2, not x), and F = 0, G = 7
+    _malformed("default-homotopy-off-t", KSTAB, lambda s: s.update(
+        homotopies={}, commands=["sdr-verify",
+                                 {"command": "verify-ainf", "level": 3},
+                                 "vertices"])),
+    _malformed("spec-homotopy-off-t", KSTAB, lambda s: s.update(
+        homotopies={"k": {"F": [["0"]], "G": [["7"]]}},
+        commands=["sdr-verify", {"command": "verify-ainf", "level": 3},
+                  "vertices"])),
     _malformed("decomposition-int", KSTAB, lambda s: s.update(
         commands=[{"command": "kstab", "decomposition": 5}])),
 ])
@@ -228,7 +233,7 @@ def test_cap_insufficiency_exit():
 def test_cap_and_presentation_overrides():
     report, code = cli.run(
         dict(WORKED, commands=[{"command": "verify-ainf", "level": 1}]),
-        cap=3, presentation="nu")
+        cap=3)
     assert code == cli.EXIT_OK
     assert report["spec"]["cap"] == 3
 
@@ -275,9 +280,11 @@ def test_main_entry(tmp_path):
 
 
 def test_presentation_rho_is_not_a_choice(tmp_path):
-    # only "nu" changes the model; "rho" was a second spelling of "auto"
+    # the presentation follows the pair (rho on Hom(X, X), nu otherwise),
+    # so --presentation is no option at all
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(WORKED))
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run", str(spec_path), "--presentation", "rho"])
-    assert exc.value.code == cli.EXIT_INPUT
+    for value in ("rho", "nu"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", str(spec_path), "--presentation", value])
+        assert exc.value.code == cli.EXIT_INPUT

@@ -1,14 +1,18 @@
-"""The demos and the console entry point run to completion.
+"""The demos and the console entry point run to completion, and the
+demo spec's report matches its pinned golden file.
 
-Each runs in a fresh interpreter from the repository root, with the
-package on PYTHONPATH, and must exit 0.
+Each demo runs in a fresh interpreter from the repository root, with
+the package on PYTHONPATH, and must exit 0.
 """
 
+import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from ainfmf import cli
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -32,3 +36,12 @@ def test_cli_runs_demo_spec():
     proc = run("-m", "ainfmf.cli", "run", "demos/worked_example.json")
     assert proc.returncode == 0, proc.stderr
     assert '"ok": true' in proc.stdout
+
+
+def test_demo_report_matches_golden():
+    # the canonical report of the demo spec is pinned in the repository
+    with open(os.path.join(ROOT, "demos", "worked_example.json")) as fh:
+        report, code = cli.run(json.load(fh))
+    assert code == cli.EXIT_OK
+    golden = os.path.join(ROOT, "demos", "worked_example.golden.json")
+    assert cli.pin(report, golden) == []

@@ -83,7 +83,8 @@ def test_default_homotopies_rank1():
     W = parse_poly("x1^2", 1)
     X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1", 1))], W)
     h = default_homotopies(X)
-    assert h.lam[0] == {(0, 1): Polynomial.const(1, 1), (1, 0): Polynomial.const(1, 1)}
+    assert h.F == [[Polynomial.const(1, 1)]]
+    assert h.G == [[Polynomial.const(1, 1)]]
 
 
 def test_homotopy_identity_failure_on_non_jacobian_t():

@@ -22,6 +22,7 @@ from ainfmf.normalorder import (
 )
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
+from ainfmf.sdrcore import Arena
 from ainfmf.treealg import enumerate_binary, mirror_eval
 
 
@@ -38,7 +39,7 @@ def kstab_model(cap=3):
     X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
     qb = QuotientBasis([parse_poly("x1", 1)])
     one = Polynomial.const(1, 1)
-    hom = HomotopySet([{(1, 0): one}], F=[[Polynomial.zero(1)]], G=[[one]])
+    hom = HomotopySet(F=[[Polynomial.zero(1)]], G=[[one]])
     return Model([X], qb, cap, homotopies={0: hom})
 
 
@@ -345,8 +346,9 @@ def test_catalog_notes_on_bad_homotopy():
          (parse_poly("x2", 2), parse_poly("x2", 2))],
         W, "D")
     qb = QuotientBasis([parse_poly("x1", 2), parse_poly("x2", 2)])
-    m = Model([X], qb, 3)
-    cat = VertexCatalog(m.pair(0, 0).arena)
+    # a Model rejects these homotopies, so build the arena directly: its
+    # default homotopies sum to the Jacobian (2 x1, 2 x2), not to t
+    cat = VertexCatalog(Arena(X, X, qb, 3))
     assert any("fail" in note for note in cat.notes)
 
 

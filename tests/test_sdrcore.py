@@ -14,11 +14,10 @@ def worked_arena(cap=4, presentation="nu"):
     X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
     Y = koszul_mf([(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
     qb = QuotientBasis([parse_poly("x1^4", 1)])
+    # the presentation follows the pair: rho on Hom(X, X), nu otherwise
     if presentation == "rho":
-        return Arena(X, X, qb, cap, presentation="rho")
-    if presentation == "generic":
-        return Arena(X.as_matrix_mf(), Y.as_matrix_mf(), qb, cap, presentation="generic")
-    return Arena(X, Y, qb, cap, presentation="nu")
+        return Arena(X, X, qb, cap)
+    return Arena(X, Y, qb, cap)
 
 
 def kstab_arena(cap=3):
@@ -28,9 +27,8 @@ def kstab_arena(cap=3):
     X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
     qb = QuotientBasis([parse_poly("x1", 1)])
     one = Polynomial.const(1, 1)
-    lam = {(1, 0): one}
-    hom = HomotopySet([lam], F=[[Polynomial.zero(1)]], G=[[one]])
-    return Arena(X, X, qb, cap, presentation="rho", homX=hom, homY=hom)
+    hom = HomotopySet(F=[[Polynomial.zero(1)]], G=[[one]])
+    return Arena(X, X, qb, cap, homX=hom, homY=hom)
 
 
 def test_d_a_squares_to_zero_worked():
@@ -117,12 +115,6 @@ def test_sdr_verify_worked_example():
 
 def test_sdr_verify_worked_example_rho():
     a = worked_arena(cap=4, presentation="rho")
-    report = a.sdr_verify(margin=2)
-    assert all(v["ok"] for v in report["identities"].values())
-
-
-def test_sdr_verify_generic_presentation():
-    a = worked_arena(cap=4, presentation="generic")
     report = a.sdr_verify(margin=2)
     assert all(v["ok"] for v in report["identities"].values())
 

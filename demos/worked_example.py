@@ -14,6 +14,7 @@ from ainfmf.mfcat import koszul_mf
 from ainfmf.normalorder import FeynmanBackend, VertexCatalog
 from ainfmf.poly import parse_poly
 from ainfmf.quotient import QuotientBasis, t_adic_expand
+from ainfmf.superspace import rational_state, scaled_state
 
 W = parse_poly("1/5*x1^5", 1)
 X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
@@ -36,11 +37,13 @@ for row in cat.rows():
     print("  %-4s  coeff %-5s  shifts %s"
           % (row["vertex"], row["coefficient"], row["shifts"]))
 
-# a binary product and a genuine higher product
+# a binary product and a genuine higher product; mu2_transported works
+# on states as integer numerators over one denominator
 space = model.pair(0, 1).arena.space
 a = {(2, 0, (0,)): Fraction(1)}   # xi1 in End(Y)
 b = {(4, 0, (0,)): Fraction(1)}   # xibar1 in Hom(X, Y)
-out = model.mu2_transported(a, (1, 1), b, (0, 1))
+out = rational_state(model.mu2_transported(
+    scaled_state(a), (1, 1), scaled_state(b), (0, 1)))
 print()
 print("mu_2(xi1, xibar1) =",
       {space.key_label(k): v for k, v in out.items() if v})

@@ -11,11 +11,17 @@ products rho_k are signed tree sums, evaluated as sums over leaf spans
 split at the root;
 verify_ainf checks the defining constraints exactly on every basis
 tuple, in both the suspended (r) and unsuspended (mu) sign conventions.
+
+The products, the span sums and the relation contraction work on
+scaled states (integer numerators over one denominator, see superspace)
+and the rho tables are stored as integers over one denominator per
+table.  rho_table, rho_apply, rho_span_sums, the failure defects of
+verify_ainf and the maps of e1_and_clifford are the Fraction edge.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .mfcat import (
     KoszulFactorisation,
@@ -26,7 +32,16 @@ from .mfcat import (
 )
 from .quotient import GammaTensor
 from .sdrcore import Arena
-from .superspace import LinearOp, add_into, state_parity
+from .superspace import (
+    ZERO_STATE,
+    LinearOp,
+    add_into,
+    rational_state,
+    reduced,
+    scaled_state,
+    state_parity,
+    state_sum,
+)
 from .treealg import denote, enumerate_binary
 
 ZERO = Fraction(0)
@@ -53,15 +68,12 @@ def _merge_sign(m1, m2):
     return -1 if inv & 1 else 1
 
 
-def compose_keys(model, pa, pb, ka, kb, ext_table, cache):
+def compose_keys(model, pa, pb, ka, kb, ext_table):
     """mu2 on a pair of basis keys: ka in space(pa) composed after kb in
-    space(pb), through the Gamma tensor of the model.  ext_table(pa, pb)
-    gives the composition table of the exterior parts; results are kept
-    in the cache dict.  Outputs beyond the t-cap are dropped."""
-    cache_key = ((pa.src, pa.tgt), (pb.src, pb.tgt), ka, kb)
-    hit = cache.get(cache_key)
-    if hit is not None:
-        return hit
+    space(pb), through the Gamma tensor of the model, as a state of
+    Fraction coefficients.  ext_table(pa, pb) gives the composition
+    table of the exterior parts.  Outputs beyond the t-cap are dropped.
+    Each backend caches the results in its own arithmetic."""
     if pa.src != pb.tgt:
         raise SectorMismatch("composition needs a shared middle object")
     table = ext_table(pa, pb)
@@ -90,7 +102,6 @@ def compose_keys(model, pa, pb, ka, kb, ext_table, cache):
                         (th | pc.ext_mask(ec), k, nd),
                         Fraction(sign) * g * c3,
                     )
-    cache[cache_key] = out
     return out
 
 
@@ -241,57 +252,75 @@ class Model:
         return table
 
     def _compose_keys(self, pa, pb, ka, kb):
-        return compose_keys(self, pa, pb, ka, kb, self._ext_composition,
-                            self._term_comp)
+        """compose_keys as a scaled state, cached."""
+        key = ((pa.src, pa.tgt), (pb.src, pb.tgt), ka, kb)
+        hit = self._term_comp.get(key)
+        if hit is None:
+            hit = self._term_comp[key] = scaled_state(
+                compose_keys(self, pa, pb, ka, kb, self._ext_composition))
+        return hit
 
     def mu2_transported(self, sa, pair_a, sb, pair_b):
-        """Binary composition: sa in the space of pair_a = (mid, tgt)
-        composed after sb in the space of pair_b = (src, mid)."""
+        """Binary composition of scaled states: sa in the space of
+        pair_a = (mid, tgt) composed after sb in the space of pair_b =
+        (src, mid)."""
         pa = self.pair(*pair_a)
         pb = self.pair(*pair_b)
-        out = {}
-        for ka, c1 in sa.items():
-            for kb, c2 in sb.items():
-                for kc, c3 in self._compose_keys(pa, pb, ka, kb).items():
-                    add_into(out, kc, c1 * c2 * c3)
-        return out
+        nums_a, den_a = sa
+        nums_b, den_b = sb
+        cache = self._term_comp
+        ta, tb = (pa.src, pa.tgt), (pb.src, pb.tgt)
+        parts = {}  # denominator of the compose_keys result -> numerators
+        for ka, c1 in nums_a.items():
+            for kb, c2 in nums_b.items():
+                hit = cache.get((ta, tb, ka, kb))
+                if hit is None:
+                    hit = self._compose_keys(pa, pb, ka, kb)
+                terms, dc = hit
+                if not terms:
+                    continue
+                acc = parts.get(dc)
+                if acc is None:
+                    acc = parts[dc] = {}
+                c = c1 * c2
+                for kc, c3 in terms.items():
+                    acc[kc] = acc.get(kc, 0) + c * c3
+        den = den_a * den_b
+        return state_sum([reduced(acc, den * dc) for dc, acc in parts.items()])
 
     def r2_states(self, s1, pair_1, s2, pair_2):
-        """The suspended binary product on states: s1 earlier (pair_1 =
-        (src, mid)), s2 later (pair_2 = (mid, tgt))."""
-        if not s1 or not s2:
-            return {}
-        t1 = state_parity(s1) ^ 1
-        t2 = state_parity(s2) ^ 1
+        """The suspended binary product on scaled states: s1 earlier
+        (pair_1 = (src, mid)), s2 later (pair_2 = (mid, tgt))."""
+        if not s1[0] or not s2[0]:
+            return ZERO_STATE
+        t1 = state_parity(s1[0]) ^ 1
+        t2 = state_parity(s2[0]) ^ 1
         sign = -1 if ((t1 & t2) ^ t2 ^ 1) else 1
         out = self.mu2_transported(s2, pair_2, s1, pair_1)
         if sign == -1:
-            out = {k: -v for k, v in out.items()}
+            out = {k: -v for k, v in out[0].items()}, out[1]
         return out
 
     # ------------------------------------------------------------------
     # higher products
 
     def rho1_apply(self, pair_key, state):
-        """The differential on B: the theta- and t-degree-zero block of
-        the arena differential."""
+        """The differential on B on a scaled state: the theta- and
+        t-degree-zero block of the arena differential."""
         arena = self.pair(*pair_key).arena
-        out = {}
-        for key, c in state.items():
-            for k2, c2 in arena.d_A.apply_key(key).items():
-                if arena.is_core_key(k2):
-                    add_into(out, k2, c * c2)
-        return out
+        nums, den = arena.d_A.apply(state)
+        return reduced({k: v for k, v in nums.items() if arena.is_core_key(k)},
+                       den)
 
     def _span_sum(self, path, tokens, states, lo, hi, memo):
         """Sum over all binary trees on the leaves lo..hi (1-based) of
-        their evaluation on states, one per slot, named by tokens:
-        Phi_inv of the state on a leaf, else the sum over root splits mid
-        of r2 on the sums over lo..mid and mid+1..hi, with H_hat applied
-        below the whole span.  Sub-span sums are memoised by their tokens.
-        Each is an even operator applied to its inputs, so the Koszul
-        signs of the general denotation vanish here; the test suite pins
-        this against rho_denote."""
+        their evaluation on scaled states, one per slot, named by
+        tokens: Phi_inv of the state on a leaf, else the sum over root
+        splits mid of r2 on the sums over lo..mid and mid+1..hi, with
+        H_hat applied below the whole span.  Sub-span sums are memoised
+        by their tokens.  Each is an even operator applied to its
+        inputs, so the Koszul signs of the general denotation vanish
+        here; the test suite pins this against rho_denote."""
         mkey = (lo, hi) + tokens[lo - 1 : hi]
         out = memo.get(mkey)
         if out is not None:
@@ -300,61 +329,82 @@ class Model:
             arena = self.pair(path[lo - 1], path[lo]).arena
             out = arena.Phi_inv.apply(states[lo - 1])
         else:
-            out = {}
+            parts = []
             for mid in range(hi - 1, lo - 1, -1):
                 s1 = self._span_sum(path, tokens, states, lo, mid, memo)
-                if not s1:
+                if not s1[0]:
                     continue
                 s2 = self._span_sum(path, tokens, states, mid + 1, hi, memo)
-                for kk, v in self.r2_states(
-                    s1, (path[lo - 1], path[mid]), s2, (path[mid], path[hi])
-                ).items():
-                    add_into(out, kk, v)
+                part = self.r2_states(
+                    s1, (path[lo - 1], path[mid]), s2, (path[mid], path[hi]))
+                if part[0]:
+                    parts.append(part)
+            out = state_sum(parts)
             if hi - lo + 1 == len(tokens):
                 return out
             out = self.pair(path[lo - 1], path[hi]).arena.H_hat.apply(out)
         memo[mkey] = out
         return out
 
-    def rho_span_sums(self, k, path, slots):
+    def _span_sums(self, k, path, slots):
         """rho_k (k >= 2) on every tuple drawn from slots, one list of
-        (token, core state) pairs per slot: {token tuple: output state in
-        the core of (path[0], path[k])}, non-zero outputs only.  Phi and
-        the sign (-1)^k are applied once per tuple, to the sum over the
-        root splits."""
+        (token, scaled core state) pairs per slot: {token tuple: scaled
+        output state in the core of (path[0], path[k])}, non-zero
+        outputs only.  Phi and the sign (-1)^k are applied once per
+        tuple, to the sum over the root splits."""
         root = self.pair(path[0], path[k]).arena.Phi
         memo = {}
         out = {}
         for picks in product(*slots):
             tokens, states = zip(*picks)
-            st = root.apply(self._span_sum(path, tokens, states, 1, k, memo))
-            if st:
-                out[tokens] = {kk: -v for kk, v in st.items()} if k & 1 else st
+            nums, den = root.apply(
+                self._span_sum(path, tokens, states, 1, k, memo))
+            if nums:
+                if k & 1:
+                    nums = {kk: -v for kk, v in nums.items()}
+                out[tokens] = nums, den
         return out
 
-    def rho_table(self, k, path):
-        """Dense product table: tuples of core basis keys along the
-        object path -> output state in the core of (path[0], path[k])."""
+    def rho_span_sums(self, k, path, slots):
+        """_span_sums on slots of (token, core state) pairs with Fraction
+        coefficients, with Fraction results."""
+        slots = [[(tok, scaled_state(st)) for tok, st in slot]
+                 for slot in slots]
+        return {tok: rational_state(st)
+                for tok, st in self._span_sums(k, path, slots).items()}
+
+    def _table(self, k, path):
+        """The stored rho_k table along an object path, a RhoTable over
+        the tuples of core basis keys; built on first use."""
         path = tuple(path)
         if len(path) != k + 1:
             raise SectorMismatch("path length must be k + 1")
         key = (k, path)
-        if key in self._tables:
-            return self._tables[key]
+        table = self._tables.get(key)
+        if table is not None:
+            return table
         cores = [
             self.pair(path[i], path[i + 1]).core_basis() for i in range(k)
         ]
         if k == 1:
-            table = {}
+            states = {}
             for bkey in cores[0]:
-                out = self.rho1_apply((path[0], path[1]), {bkey: Fraction(1)})
-                if out:
-                    table[(bkey,)] = out
+                out = self.rho1_apply((path[0], path[1]), ({bkey: 1}, 1))
+                if out[0]:
+                    states[(bkey,)] = out
         else:
-            slots = [[(b, {b: Fraction(1)}) for b in core] for core in cores]
-            table = self.rho_span_sums(k, path, slots)
-        self._tables[key] = table
+            slots = [[(b, ({b: 1}, 1)) for b in core] for core in cores]
+            states = self._span_sums(k, path, slots)
+        table = self._tables[key] = RhoTable(states)
         return table
+
+    def rho_table(self, k, path):
+        """Dense product table: tuples of core basis keys along the
+        object path -> output state (Fraction coefficients) in the core
+        of (path[0], path[k])."""
+        table = self._table(k, path)
+        return {tup: rational_state((nums, table.den))
+                for tup, nums in table.items()}
 
     def rho_denote(self, k, path, inputs):
         """Reference evaluation through the general sign-carrying tree
@@ -362,7 +412,8 @@ class Model:
         against it."""
         path = tuple(path)
         if k == 1:
-            return self.rho1_apply((path[0], path[1]), inputs[0])
+            return rational_state(
+                self.rho1_apply((path[0], path[1]), scaled_state(inputs[0])))
         dec = _ModelDecoration(self, path, inputs)
         in_map = {i + 1: inputs[i] for i in range(k)}
         acc = {}
@@ -373,17 +424,20 @@ class Model:
         return acc
 
     def rho_apply(self, k, path, inputs):
-        """rho_k on a tuple of (not necessarily basis) core states, by
-        multilinear expansion over the dense table."""
-        table = self.rho_table(k, path)
+        """rho_k on a tuple of (not necessarily basis) core states with
+        Fraction coefficients, by multilinear expansion over the stored
+        table."""
+        table = self._table(k, path)
+        scaled = [scaled_state(s) for s in inputs]
         out = {}
-        for terms in product(*(s.items() for s in inputs)):
+        for terms in product(*(nums.items() for nums, _ in scaled)):
             hit = table.get(tuple(key for key, _ in terms))
             if hit:
                 coeff = prod(c for _, c in terms)
                 for kk, v in hit.items():
-                    add_into(out, kk, v * coeff)
-        return out
+                    out[kk] = out.get(kk, 0) + v * coeff
+        den = table.den * prod(d for _, d in scaled)
+        return rational_state(reduced(out, den))
 
     # ------------------------------------------------------------------
     # relation checking
@@ -418,7 +472,7 @@ class Model:
             else:
                 paths = [p for p in object_paths if len(p) == n + 1]
             for path in paths:
-                defects = self._relation_defects(n, path, forms)
+                defects, den = self._relation_defects(n, path, forms)
                 cores = [
                     self.pair(path[i], path[i + 1]).core_basis()
                     for i in range(n)
@@ -426,59 +480,74 @@ class Model:
                 for combo in product(*cores):
                     report["checked"] += 1
                     for form, found in defects.items():
-                        defect = found.get(combo)
-                        if defect:
+                        nums = found.get(combo)
+                        if nums:
                             report["failures"].append(
                                 {"form": form, "level": n, "path": path,
-                                 "inputs": combo, "defect": defect}
+                                 "inputs": combo,
+                                 "defect": rational_state(reduced(nums, den))}
                             )
         report["ok"] = not report["failures"]
         return report
 
     def _relation_defects(self, n, path, forms):
-        """{form: {basis tuple: defect state}} of the level-n relations
-        along one object path; tuples whose defect cancels map to {}."""
-        defects = {form: {} for form in ("r", "mu") if form in forms}
+        """({form: {basis tuple: integer numerator defect}}, den): the
+        defects of the level-n relations along one object path, all
+        over the one denominator den; tuples whose defect cancels map to
+        {}."""
+        terms = []
         for j in range(1, n + 1):
             for i in range(n - j + 1):
-                inner = self.rho_table(j, path[i : i + j + 1])
-                if not inner:
-                    continue
-                outer = self.rho_table(n - j + 1, path[: i + 1] + path[i + j :])
-                # outer tuples by their slot-i key, with the sign parities
-                # fixed by the outer tuple.  In the unsuspended form these
-                # are the conversion sign of the outer product (slot i
-                # carries the inner output, whose tilde is that of each of
-                # its keys), the Koszul sign of the degree-j operator
-                # crossing the later arguments, and the sign of the term.
-                by_slot = {}
-                for otup, out in outer.items():
-                    tl = [self.tilde(k) for k in otup]
-                    odd = {
-                        "r": sum(tl[:i]),
-                        "mu": _conversion_parity(tl)
-                        + j * sum(t ^ 1 for t in tl[i + 1 :])
-                        + i * j + i + j + n,
-                    }
-                    by_slot.setdefault(otup[i], []).append(
-                        (otup[:i], otup[i + 1 :], odd, out)
+                inner = self._table(j, path[i : i + j + 1])
+                if inner:
+                    outer = self._table(n - j + 1,
+                                        path[: i + 1] + path[i + j :])
+                    terms.append((i, j, inner, outer))
+        den = lcm(*(inner.den * outer.den for _, _, inner, outer in terms))
+        defects = {form: {} for form in ("r", "mu") if form in forms}
+        for i, j, inner, outer in terms:
+            scale = den // (inner.den * outer.den)
+            # outer tuples by their slot-i key, with the sign parities
+            # fixed by the outer tuple.  In the unsuspended form these
+            # are the conversion sign of the outer product (slot i
+            # carries the inner output, whose tilde is that of each of
+            # its keys), the Koszul sign of the degree-j operator
+            # crossing the later arguments, and the sign of the term.
+            by_slot = {}
+            for otup, out in outer.items():
+                tl = [self.tilde(k) for k in otup]
+                odd = {
+                    "r": sum(tl[:i]),
+                    "mu": _conversion_parity(tl)
+                    + j * sum(t ^ 1 for t in tl[i + 1 :])
+                    + i * j + i + j + n,
+                }
+                by_slot.setdefault(otup[i], []).append(
+                    (otup[:i], otup[i + 1 :], odd, out)
+                )
+            for itup, st in inner.items():
+                inner_odd = {"r": 0}
+                if "mu" in defects:
+                    state_parity(st)  # raises on mixed parity
+                    inner_odd["mu"] = _conversion_parity(
+                        [self.tilde(k) for k in itup]
                     )
-                for itup, st in inner.items():
-                    inner_odd = {"r": 0}
-                    if "mu" in defects:
-                        state_parity(st)  # raises on mixed parity
-                        inner_odd["mu"] = _conversion_parity(
-                            [self.tilde(k) for k in itup]
-                        )
-                    for kk, v in st.items():
-                        for pre, post, odd, out in by_slot.get(kk, ()):
-                            combo = pre + itup + post
-                            for form, found in defects.items():
-                                acc = found.setdefault(combo, {})
-                                sv = -v if (odd[form] + inner_odd[form]) & 1 else v
-                                for ok, w in out.items():
-                                    add_into(acc, ok, sv * w)
-        return defects
+                for kk, v in st.items():
+                    v *= scale
+                    for pre, post, odd, out in by_slot.get(kk, ()):
+                        combo = pre + itup + post
+                        for form, found in defects.items():
+                            acc = found.setdefault(combo, {})
+                            sv = -v if (odd[form] + inner_odd[form]) & 1 else v
+                            for ok, w in out.items():
+                                # drop what cancels: defects of a passing
+                                # check stay empty, not full of zeros
+                                x = acc.get(ok, 0) + sv * w
+                                if x:
+                                    acc[ok] = x
+                                else:
+                                    del acc[ok]
+        return defects, den
 
     # ------------------------------------------------------------------
     # the splitting idempotent and its Clifford structure
@@ -488,8 +557,8 @@ class Model:
         arena = self.pair(*pair_key).arena
         cols = {}
         for key in arena.core_basis():
-            st = arena.Phi.apply(op.apply(arena.Phi_inv.apply_key(key)))
-            st = {k: v for k, v in st.items() if v}
+            st = rational_state(
+                arena.Phi.apply(op.apply(arena.Phi_inv.apply_key(key))))
             if st:
                 cols[key] = st
         return cols
@@ -504,7 +573,7 @@ class Model:
         thetas = sum(1 << arena.space.gen_pos("theta", k) for k in range(n))
         e = LinearOp.from_rule(
             arena.space, 0,
-            lambda key: None if key[0] & thetas else {key: Fraction(1)},
+            lambda key: None if key[0] & thetas else {key: 1},
         )
         gammas = []
         daggers = []
@@ -518,7 +587,8 @@ class Model:
                 st = {}
                 # on t-degree zero the commutator [d, d/dt_i] reduces to
                 # minus (d/dt_i after d), since d/dt_i kills the input
-                for k2, c in arena.d_A.apply_key(key).items():
+                nums, den = arena.d_A.apply_key(key)
+                for k2, c in nums.items():
                     mask, h, delta = k2
                     if delta[i] == 0:
                         continue
@@ -526,7 +596,8 @@ class Model:
                         ee - 1 if jj == i else ee for jj, ee in enumerate(delta)
                     )
                     if arena.is_core_key((mask, h, nd)):
-                        add_into(st, (mask, h, nd), -c * delta[i])
+                        add_into(st, (mask, h, nd),
+                                 Fraction(-c * delta[i], den))
                 if st:
                     cols[key] = st
             ats.append(cols)
@@ -538,8 +609,27 @@ class Model:
         }
 
 
+class RhoTable(dict):
+    """A stored rho_k table: {tuple of core basis keys: integer numerator
+    state}, all over the one denominator den."""
+
+    __slots__ = ("den",)
+
+    def __init__(self, states):
+        """states: {tuple: scaled state}, each in lowest terms; so is the
+        table over the lcm of their denominators."""
+        den = lcm(*{d for _, d in states.values()})
+        super().__init__(
+            (tup, nums if d == den
+             else {kk: v * (den // d) for kk, v in nums.items()})
+            for tup, (nums, d) in states.items())
+        self.den = den
+
+
 class _ModelDecoration:
-    """Decoration protocol adapter for the general tree denotation."""
+    """Decoration protocol adapter for the general tree denotation:
+    inputs and the root output have Fraction coefficients, the states in
+    between are scaled states."""
 
     leaf_parity_value = 0
     edge_parity = 1
@@ -553,7 +643,7 @@ class _ModelDecoration:
 
     def leaf(self, i, state):
         arena = self.model.pair(self.path[i - 1], self.path[i]).arena
-        return arena.Phi_inv.apply(state)
+        return arena.Phi_inv.apply(scaled_state(state))
 
     def leaf_parity(self, i):
         return 0
@@ -583,7 +673,7 @@ class _ModelDecoration:
 
     def root(self, state):
         arena = self.model.pair(self.path[0], self.path[-1]).arena
-        return arena.Phi.apply(state)
+        return rational_state(arena.Phi.apply(state))
 
 
 # ----------------------------------------------------------------------
@@ -671,7 +761,8 @@ def cohomology(model, pair_key):
     pd = model.pair(*pair_key)
     basis = pd.core_basis()
     cols = [
-        model.rho1_apply(pair_key, {b: Fraction(1)}) for b in basis
+        rational_state(model.rho1_apply(pair_key, ({b: 1}, 1)))
+        for b in basis
     ]
     return CohomologyData(basis, cols)
 
@@ -774,7 +865,7 @@ def kstab_minimal(model, idx, decomposition, level=4):
         "witness": None,
     }
     for st in kernel_states:
-        if model.rho1_apply(pair_key, st):
+        if model.rho1_apply(pair_key, scaled_state(st))[0]:
             result["rho1_zero"] = False
     slot = list(enumerate(kernel_states))
     for j in range(2, level + 1):

@@ -157,9 +157,13 @@ class Problem:
     def _homotopy(self, desc, rank, where):
         """The HomotopySet of a spec entry for an object of the given
         rank: per t-sequence index one "F" and one "G" row of rank
-        polynomials."""
+        polynomials, and no other key."""
         if not isinstance(desc, dict):
             raise InputError("%s must be a JSON object" % where)
+        unknown = sorted(set(desc) - {"F", "G"})
+        if unknown:
+            raise InputError('%s: unknown keys %s; a homotopy holds only '
+                             '"F" and "G"' % (where, ", ".join(unknown)))
         n = len(self.tseq)
         F, G = [], []
         for name, rows in (("F", F), ("G", G)):

@@ -97,27 +97,6 @@ def koszul_mf(pairs, W, label="X"):
     return K
 
 
-def d_hom(X, Y):
-    """d_Hom(alpha) = d_Y alpha - (-1)^{|alpha|} alpha d_X on Hom elements
-    over R, given as (parity, entries)."""
-    nvars = X.nvars
-
-    def apply(parity, entries):
-        left = _matmul_poly(Y.d, entries, nvars)
-        right = _matmul_poly(entries, X.d, nvars)
-        sign = Fraction(-1 if parity == 0 else 1)
-        out = dict(left)
-        for k, p in right.items():
-            acc = out.get(k, Polynomial.zero(nvars)) + p * sign
-            if acc.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = acc
-        return out
-
-    return apply
-
-
 class HomotopySet:
     """Per t-sequence index k the coefficient lists F[k][i], G[k][i] of
     the homotopy lambda_k = sum_i (F_ki xi_i* + G_ki xi_i) of a Koszul

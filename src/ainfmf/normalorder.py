@@ -633,9 +633,13 @@ class FeynmanBackend:
     def compose_keys(self, pa, pb, ka, kb):
         """Binary composition of basis keys: ka (later, in pair pa =
         (mid, tgt)) after kb (earlier, in pair pb = (src, mid)), with the
-        exterior parts composed by _ext_pair_compose."""
-        return compose_keys(self.model, pa, pb, ka, kb, self._ext_table,
-                            self._junction)
+        exterior parts composed by _ext_pair_compose; cached."""
+        key = ((pa.src, pa.tgt), (pb.src, pb.tgt), ka, kb)
+        hit = self._junction.get(key)
+        if hit is None:
+            hit = self._junction[key] = compose_keys(
+                self.model, pa, pb, ka, kb, self._ext_table)
+        return hit
 
     def mu2(self, sa, pair_a, sb, pair_b):
         pa = self.model.pair(*pair_a)

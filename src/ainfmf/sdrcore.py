@@ -12,17 +12,18 @@ equivalence Phi, Phi^{-1}, H_hat.  sdr_verify checks the defining
 identities exactly on a margin-restricted basis.
 """
 
-from fractions import Fraction
+from math import lcm
 
 from .mfcat import default_homotopies
 from .quotient import t_adic_expand
 from .superspace import (
     LinearOp,
     Space,
-    add_into,
     contract_op,
     exp_nilpotent,
     graded_commutator,
+    rational_state,
+    state_sum,
     wedge_key,
     wedge_op,
 )
@@ -192,7 +193,7 @@ class Arena:
                     continue
                 s, key2 = hit
                 nd = tuple(e - 1 if j == k else e for j, e in enumerate(delta))
-                add_into(out, (key2[0], h, nd), Fraction(s * delta[k]))
+                out[(key2[0], h, nd)] = s * delta[k]
             return out
 
         return LinearOp.from_rule(sp, 1, rule)
@@ -211,25 +212,24 @@ class Arena:
         return [k for k in self.space.basis() if self.is_core_key(k)]
 
     def _build_sigma(self):
-        cols = {}
-        for key in self.core_basis():
-            cols[key] = {key: Fraction(1)}
+        cols = {key: {key: 1} for key in self.core_basis()}
         return LinearOp(self.space, 0, cols)
 
-    def zeta_state(self, state):
-        out = {}
-        for key, c in state.items():
-            v = self.space.virtual_degree(key)
-            if v == 0:
-                raise ZeroVirtualDegree(key)
-            out[key] = c * Fraction(1, v)
-        return out
-
     def zeta_after(self, op):
-        """zeta composed after an operator whose image avoids virtual
-        degree zero."""
-        cols = {key: self.zeta_state(col) for key, col in op.cols.items()}
-        return LinearOp(self.space, op.degree, cols)
+        """zeta, the division by the virtual degree, composed after an
+        operator whose image avoids virtual degree zero."""
+        vdeg = {}
+        for col in op.cols.values():
+            for key in col:
+                if key not in vdeg:
+                    v = self.space.virtual_degree(key)
+                    if v == 0:
+                        raise ZeroVirtualDegree(key)
+                    vdeg[key] = v
+        m = lcm(*set(vdeg.values()))
+        cols = {key: {k2: c * (m // vdeg[k2]) for k2, c in col.items()}
+                for key, col in op.cols.items()}
+        return LinearOp.from_cols(self.space, op.degree, cols, op.den * m)
 
     def _perturbation_series(self, tail):
         """sum_m (-1)^m (zeta At)^m tail; the series stops at m = n and
@@ -265,8 +265,7 @@ class Arena:
 
         def check(name, fn, domain):
             for key in domain:
-                got = fn(key)
-                got = {k: v for k, v in got.items() if v}
+                got = rational_state(fn(key))
                 if got:
                     report["identities"][name] = {
                         "ok": False,
@@ -282,19 +281,16 @@ class Arena:
         d = self.d_A
 
         def section_defect(key):
-            out = Phi.apply(Phi_inv.apply_key(key))
-            add_into(out, key, Fraction(-1))
-            return out
+            return state_sum([Phi.apply(Phi_inv.apply_key(key)),
+                              ({key: -1}, 1)])
 
         check("Phi Phi_inv = 1", section_defect, core)
 
         def retract_defect(key):
-            out = Phi_inv.apply(Phi.apply_key(key))
-            for part in (d.apply(H.apply_key(key)), H.apply(d.apply_key(key))):
-                for k, v in part.items():
-                    add_into(out, k, v)
-            add_into(out, key, Fraction(-1))
-            return out
+            return state_sum([Phi_inv.apply(Phi.apply_key(key)),
+                              d.apply(H.apply_key(key)),
+                              H.apply(d.apply_key(key)),
+                              ({key: -1}, 1)])
 
         check("Phi_inv Phi = 1 - [d, H]", retract_defect, keys)
         check("H H = 0", lambda key: H.apply(H.apply_key(key)), keys)

@@ -6,10 +6,19 @@ tensor Q[t] truncated at a t-degree cap.  Basis keys are triples
 basis index h, and a boson multi-index delta.  All signs derive from the
 fixed generator order; generators are grouped into named families and the
 family order is part of the space descriptor.
+
+Exact values here are integers over one denominator.  A scaled state is
+a pair (nums, den): a dict key -> integer numerator and one positive
+integer denominator, in lowest terms with no zero entries.  A LinearOp
+holds integer columns over one denominator in the same way.  Each
+operation multiplies or aligns the denominators and divides by the gcd
+once per result.  scaled_state and rational_state convert to and from
+dicts of Fraction coefficients at the edges of the operator backend.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 
 def _deltas(n, cap):
@@ -116,83 +125,174 @@ def format_state(space, state):
     return out
 
 
+# the zero scaled state, shared: scaled states are never changed in place
+ZERO_STATE = ({}, 1)
+
+
+def scaled_state(state):
+    """A state with rational coefficients (int or Fraction) as a scaled
+    state (nums, den) in lowest terms."""
+    den = lcm(*(c.denominator for c in state.values()))
+    return reduced({k: c.numerator * (den // c.denominator)
+                    for k, c in state.items()}, den)
+
+
+def rational_state(scaled):
+    """The state of Fraction coefficients of a scaled state."""
+    nums, den = scaled
+    return {k: Fraction(v, den) for k, v in nums.items()}
+
+
+def reduced(nums, den):
+    """(nums, den) with the zero entries dropped and divided by their
+    gcd; may return nums itself."""
+    if not all(nums.values()):
+        nums = {k: v for k, v in nums.items() if v}
+    if not nums:
+        return ZERO_STATE
+    # a running gcd: one call on all values would build a tuple of
+    # them, and large short-lived tuples raise the peak memory
+    g = den
+    for v in nums.values():
+        g = gcd(g, v)
+        if g == 1:
+            return nums, den
+    return {k: v // g for k, v in nums.items()}, den // g
+
+
+def state_sum(parts):
+    """The sum of a list of scaled states, reduced once."""
+    if len(parts) == 1:
+        return parts[0]
+    den = lcm(*(d for _, d in parts))
+    out = {}
+    for nums, d in parts:
+        m = den // d
+        for k, v in nums.items():
+            out[k] = out.get(k, 0) + v * m
+    return reduced(out, den)
+
+
 class LinearOp:
-    """Sparse operator stored column-wise: cols[key_in][key_out] = coeff.
-    degree is the Z2-degree; composition checks are by bookkeeping only
-    (entries are not forced to be homogeneous against the basis, but every
+    """Sparse operator stored column-wise with integer entries over one
+    denominator: cols[key_in][key_out] / den is the coefficient of
+    key_out in the image of key_in.  apply, compose, +, scaled and
+    from_rule reduce each result by its gcd once.  degree is the
+    Z2-degree; composition checks are by bookkeeping only (entries are
+    not forced to be homogeneous against the basis, but every
     constructor in this package produces homogeneous operators)."""
 
-    __slots__ = ("space", "degree", "cols")
+    __slots__ = ("space", "degree", "cols", "den")
 
-    def __init__(self, space, degree, cols=None):
+    def __init__(self, space, degree, cols=None, den=1):
         self.space = space
         self.degree = degree & 1
         self.cols = cols if cols is not None else {}
+        self.den = den
+
+    @classmethod
+    def from_cols(cls, space, degree, cols, den):
+        """The operator of integer columns over den, with zero entries
+        and empty columns dropped and divided by the gcd of all entries.
+        Works in place on cols, which the caller hands over."""
+        for key in [k for k, col in cols.items() if not all(col.values())]:
+            col = {k2: c for k2, c in cols[key].items() if c}
+            if col:
+                cols[key] = col
+            else:
+                del cols[key]
+        g = den
+        for col in cols.values():
+            for c in col.values():
+                g = gcd(g, c)
+            if g == 1:
+                break
+        if g > 1:
+            for col in cols.values():
+                for k2, c in col.items():
+                    col[k2] = c // g
+            den //= g
+        return cls(space, degree, cols, den)
 
     @classmethod
     def identity(cls, space):
-        return cls(space, 0, {key: {key: Fraction(1)} for key in space.basis()})
+        return cls(space, 0, {key: {key: 1} for key in space.basis()})
 
     @classmethod
     def from_rule(cls, space, degree, rule, keys=None):
-        """rule(key) -> dict key_out -> coeff (or None)."""
-        op = cls(space, degree)
+        """rule(key) -> dict key_out -> rational coeff (int or Fraction),
+        or None.  The columns are brought over the lcm of the
+        denominators."""
+        cols = {}
+        den = 1
         for key in keys if keys is not None else space.basis():
             col = rule(key)
             if col:
-                op.cols[key] = dict(col)
-        return op
+                cols[key] = col = dict(col)
+                den = lcm(den, *(c.denominator for c in col.values()))
+        for col in cols.values():
+            for k2, c in col.items():
+                col[k2] = c.numerator * (den // c.denominator)
+        return cls.from_cols(space, degree, cols, den)
 
     def apply(self, state):
+        """The image of a scaled state, as a scaled state."""
+        nums, den = state
+        cols = self.cols
         out = {}
-        for key, c in state.items():
-            col = self.cols.get(key)
-            if not col:
-                continue
-            for k2, c2 in col.items():
-                add_into(out, k2, c * c2)
-        return out
+        for key, c in nums.items():
+            col = cols.get(key)
+            if col:
+                for k2, c2 in col.items():
+                    out[k2] = out.get(k2, 0) + c * c2
+        return reduced(out, den * self.den)
 
     def apply_key(self, key):
-        return dict(self.cols.get(key, {}))
+        """The image of one basis key, as a scaled state."""
+        return reduced(dict(self.cols.get(key, {})), self.den)
 
     def __add__(self, other):
         if self.degree != other.degree:
             raise ValueError("adding operators of different Z2-degree")
-        cols = {k: dict(v) for k, v in self.cols.items()}
+        den = lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        cols = {k: {k2: c * ma for k2, c in col.items()}
+                for k, col in self.cols.items()}
         for k, col in other.cols.items():
             dst = cols.setdefault(k, {})
             for k2, c in col.items():
-                add_into(dst, k2, c)
-            if not dst:
-                del cols[k]
-        return LinearOp(self.space, self.degree, cols)
+                dst[k2] = dst.get(k2, 0) + c * mb
+        return self.from_cols(self.space, self.degree, cols, den)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
 
     def scaled(self, c):
         c = Fraction(c)
-        return LinearOp(
+        p = c.numerator
+        return self.from_cols(
             self.space,
             self.degree,
-            {k: {k2: c2 * c for k2, c2 in col.items()} for k, col in self.cols.items()},
+            {k: {k2: c2 * p for k2, c2 in col.items()}
+             for k, col in self.cols.items()},
+            self.den * c.denominator,
         )
 
     def compose(self, other):
         """self after other."""
         cols = {}
+        mine = self.cols
         for key, col in other.cols.items():
             acc = {}
             for kmid, c in col.items():
-                col2 = self.cols.get(kmid)
-                if not col2:
-                    continue
-                for kout, c2 in col2.items():
-                    add_into(acc, kout, c * c2)
+                col2 = mine.get(kmid)
+                if col2:
+                    for kout, c2 in col2.items():
+                        acc[kout] = acc.get(kout, 0) + c * c2
             if acc:
                 cols[key] = acc
-        return LinearOp(self.space, self.degree ^ other.degree, cols)
+        return self.from_cols(self.space, self.degree ^ other.degree, cols,
+                             self.den * other.den)
 
     def is_zero(self):
         return all(not col for col in self.cols.values())
@@ -245,7 +345,7 @@ def _fermion_op(space, pos, move):
         hit = move(space, pos, key)
         if hit is None:
             return None
-        return {hit[1]: Fraction(hit[0])}
+        return {hit[1]: hit[0]}
 
     return LinearOp.from_rule(space, 1, rule)
 
@@ -270,38 +370,3 @@ def exp_nilpotent(op, max_power=None):
         total = total + power
         power = op.compose(power).scaled(Fraction(1, m))
     raise ValueError("operator is not nilpotent within the bound")
-
-
-def koszul_tensor_apply(ops, tensor_state, grading="plain"):
-    """Apply a tuple of homogeneous operators to a tensor-product state.
-
-    tensor_state: dict mapping tuples of basis keys -> coefficient, one
-    key per tensor slot.  Sign rule: moving op_i past the first i-1 slots
-    costs (-1)^{|op_i| * (sum of slot degrees crossed)} where slot degree
-    is the mask parity (plain) or mask parity + 1 (tilde).
-    """
-    shift = 1 if grading == "tilde" else 0
-    out = {}
-    for keys, c in tensor_state.items():
-        if len(keys) != len(ops):
-            raise ValueError("arity mismatch")
-        # results per slot
-        slot_results = []
-        sign = 1
-        crossed = 0
-        for i, (op, key) in enumerate(zip(ops, keys)):
-            if op.degree and crossed & 1:
-                sign = -sign
-            slot_results.append(op.apply_key(key))
-            crossed += (key[0].bit_count() + shift) & 1
-        # expand the tensor product of the per-slot results
-        partial = [((), Fraction(sign) * c)]
-        for res in slot_results:
-            nxt = []
-            for keys_acc, coeff in partial:
-                for k2, c2 in res.items():
-                    nxt.append((keys_acc + (k2,), coeff * c2))
-            partial = nxt
-        for keys_out, coeff in partial:
-            add_into(out, keys_out, coeff)
-    return out

@@ -5,11 +5,23 @@ from math import comb
 
 import pytest
 
-from ainfmf.ainfmodel import Model, cohomology, compose_colmaps, induced_map, kstab_minimal
+from ainfmf.ainfmodel import (
+    Model,
+    RhoTable,
+    cohomology,
+    compose_colmaps,
+    induced_map,
+    kstab_minimal,
+)
 from ainfmf.mfcat import HomotopySet, koszul_mf
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
-from ainfmf.superspace import add_into, state_parity
+from ainfmf.superspace import (
+    add_into,
+    rational_state,
+    scaled_state,
+    state_parity,
+)
 
 
 def worked_model(cap=3):
@@ -29,6 +41,16 @@ def kstab_model(cap=3):
     return Model([X], qb, cap, homotopies={0: hom})
 
 
+def mu2(m, a, pair_a, b, pair_b):
+    """mu2_transported on states of Fraction coefficients."""
+    return rational_state(
+        m.mu2_transported(scaled_state(a), pair_a, scaled_state(b), pair_b))
+
+
+def apply(op, state):
+    return rational_state(op.apply(scaled_state(state)))
+
+
 def sub_states(a, b):
     out = dict(a)
     for k, v in b.items():
@@ -43,8 +65,8 @@ def test_mu2_unit():
         u_s = m.unit_state(src)
         for key in m.pair(src, tgt).core_basis():
             beta = {key: Fraction(1)}
-            left = m.mu2_transported(u_t, (tgt, tgt), beta, (src, tgt))
-            right = m.mu2_transported(beta, (src, tgt), u_s, (src, src))
+            left = mu2(m, u_t, (tgt, tgt), beta, (src, tgt))
+            right = mu2(m, beta, (src, tgt), u_s, (src, src))
             assert left == beta
             assert right == beta
 
@@ -68,10 +90,10 @@ def test_mu2_leibniz():
             kb = rng.choice(keys_b)
             a = {ka: Fraction(1)}
             b = {kb: Fraction(1)}
-            lhs = dc.apply(m.mu2_transported(a, (mid, tgt), b, (src, mid)))
-            rhs = m.mu2_transported(da.apply(a), (mid, tgt), b, (src, mid))
+            lhs = apply(dc, mu2(m, a, (mid, tgt), b, (src, mid)))
+            rhs = mu2(m, apply(da, a), (mid, tgt), b, (src, mid))
             sign = -1 if bin(ka[0]).count("1") & 1 else 1
-            term = m.mu2_transported(a, (mid, tgt), db.apply(b), (src, mid))
+            term = mu2(m, a, (mid, tgt), apply(db, b), (src, mid))
             for k, v in term.items():
                 add_into(rhs, k, v * sign)
             assert not {k: v for k, v in sub_states(lhs, rhs).items() if v}
@@ -88,10 +110,10 @@ def test_mu2_associative():
         a = {rng.choice(pa.core_basis()): Fraction(1)}
         b = {rng.choice(pb.core_basis()): Fraction(1)}
         c = {rng.choice(pc.core_basis()): Fraction(1)}
-        ab = m.mu2_transported(a, (path[2], path[3]), b, (path[1], path[2]))
-        bc = m.mu2_transported(b, (path[1], path[2]), c, (path[0], path[1]))
-        lhs = m.mu2_transported(ab, (path[1], path[3]), c, (path[0], path[1]))
-        rhs = m.mu2_transported(a, (path[2], path[3]), bc, (path[0], path[2]))
+        ab = mu2(m, a, (path[2], path[3]), b, (path[1], path[2]))
+        bc = mu2(m, b, (path[1], path[2]), c, (path[0], path[1]))
+        lhs = mu2(m, ab, (path[1], path[3]), c, (path[0], path[1]))
+        rhs = mu2(m, a, (path[2], path[3]), bc, (path[0], path[2]))
         assert lhs == rhs
 
 
@@ -168,9 +190,9 @@ def test_rho1_squares_to_zero():
     for src in range(2):
         for tgt in range(2):
             for key in m.pair(src, tgt).core_basis():
-                once = m.rho1_apply((src, tgt), {key: Fraction(1)})
+                once = m.rho1_apply((src, tgt), ({key: 1}, 1))
                 twice = m.rho1_apply((src, tgt), once)
-                assert not {k: v for k, v in twice.items() if v}
+                assert twice == ({}, 1)
 
 
 def test_strict_unitality_higher():
@@ -286,17 +308,31 @@ def _ref_failures(m, paths):
     return failures
 
 
+def inject(m, k, path, fault):
+    """Apply fault to the Fraction view of the stored rho_k table and
+    store the faulted table in its place."""
+    table = m.rho_table(k, path)
+    fault(table)
+    m._tables[(k, path)] = RhoTable(
+        {tup: scaled_state(st) for tup, st in table.items()})
+
+
 def test_verify_ainf_catches_injected_faults():
     m = worked_model(cap=2)
+
     # negate one rho_3 entry and shift one rho_2 entry by 1/7
-    t3 = m.rho_table(3, (0, 1, 0, 1))
-    combo3 = sorted(t3, key=str)[0]
-    key3 = sorted(t3[combo3], key=str)[0]
-    t3[combo3][key3] = -t3[combo3][key3]
-    t2 = m.rho_table(2, (0, 1, 0))
-    combo2 = sorted(t2, key=str)[0]
-    key2 = sorted(t2[combo2], key=str)[0]
-    t2[combo2][key2] += Fraction(1, 7)
+    def negate(t3):
+        combo3 = sorted(t3, key=str)[0]
+        key3 = sorted(t3[combo3], key=str)[0]
+        t3[combo3][key3] = -t3[combo3][key3]
+
+    def shift(t2):
+        combo2 = sorted(t2, key=str)[0]
+        key2 = sorted(t2[combo2], key=str)[0]
+        t2[combo2][key2] += Fraction(1, 7)
+
+    inject(m, 3, (0, 1, 0, 1), negate)
+    inject(m, 2, (0, 1, 0), shift)
     # every path on which a faulted table enters a relation of level <= 3
     # as the outer or the inner product, with the inner one at slot 0 and 1
     paths = [(0, 1), (0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)]
@@ -310,10 +346,13 @@ def test_verify_ainf_catches_injected_faults():
 def test_verify_ainf_rejects_mixed_parity():
     # the unsuspended signs need a parity for each inner product
     m = worked_model(cap=2)
-    t2 = m.rho_table(2, (0, 1, 0))
-    combo = sorted(t2, key=str)[0]
-    mask, h, delta = sorted(t2[combo], key=str)[0]
-    t2[combo][(mask ^ 1, h, delta)] = Fraction(1)
+
+    def mix(t2):
+        combo = sorted(t2, key=str)[0]
+        mask, h, delta = sorted(t2[combo], key=str)[0]
+        t2[combo][(mask ^ 1, h, delta)] = Fraction(1)
+
+    inject(m, 2, (0, 1, 0), mix)
     with pytest.raises(ValueError, match="parity"):
         m.verify_ainf(2, object_paths=[(0, 1, 0)], forms=["mu"])
 
@@ -336,7 +375,7 @@ def test_kstab_rho1_and_gamma():
     m = kstab_model(cap=3)
     pd = m.pair(0, 0)
     for key in pd.core_basis():
-        assert not m.rho1_apply((0, 0), {key: Fraction(1)})
+        assert m.rho1_apply((0, 0), ({key: 1}, 1)) == ({}, 1)
     cliff = m.e1_and_clifford((0, 0))
     xi_pos = pd.arena.space.gen_pos("xi", 0)
     # gamma = -xi* exactly

@@ -142,6 +142,12 @@ def _malformed(name, spec, edit):
     _malformed("path-int", WORKED, lambda s: s.update(
         commands=[{"command": "rho", "k": 2, "path": 5}])),
     _malformed("short-F", KSTAB, lambda s: s["homotopies"]["k"].update(F=[])),
+    # a homotopy entry holds F and G only: a stale "lam" or a misspelt
+    # key is an input error, not silently ignored
+    _malformed("homotopy-lam", KSTAB,
+               lambda s: s["homotopies"]["k"].update(lam=[[["a", 0, "1"]]])),
+    _malformed("homotopy-typo", KSTAB,
+               lambda s: s["homotopies"]["k"].update(GG=[["1"]])),
     # homotopies that do not sum to the t-sequence: the derivatives of
     # the pairs (F = 1, G = 2x give 3x^2, not x), and F = 0, G = 7
     _malformed("default-homotopy-off-t", KSTAB, lambda s: s.update(

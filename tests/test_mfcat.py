@@ -6,7 +6,6 @@ from ainfmf.mfcat import (
     HomotopyIdentityFailed,
     NotAFactorisation,
     clifford_mult,
-    d_hom,
     default_homotopies,
     NuPresentation,
     RhoPresentation,
@@ -45,22 +44,6 @@ def test_degenerate_w_zero():
     W = Polynomial.zero(1)
     K = koszul_mf([(parse_poly("x1", 1), Polynomial.zero(1))], W)
     assert (0, 1) in K.d and (1, 0) not in K.d
-
-
-def test_d_hom_squares_to_zero():
-    W, X, Y = worked_pair()
-    dh = d_hom(X, Y)
-    for parity in (0, 1):
-        for row in range(2):
-            for col in range(2):
-                alpha = {(row, col): parse_poly("x1 + 2", 1)}
-                once = dh(parity, alpha)
-                twice = dh(parity ^ 1, once)
-                assert all(p.is_zero() for p in twice.values())
-    # identity is closed
-    ident = {(0, 0): Polynomial.const(1, 1), (1, 1): Polynomial.const(1, 1)}
-    out = d_hom(X, X)(0, ident)
-    assert all(p.is_zero() for p in out.values())
 
 
 def test_default_homotopies_worked_example():

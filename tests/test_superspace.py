@@ -10,7 +10,6 @@ from ainfmf.superspace import (
     exp_nilpotent,
     format_state,
     graded_commutator,
-    koszul_tensor_apply,
     state_parity,
     wedge_key,
     wedge_op,
@@ -104,22 +103,3 @@ def test_virtual_degree():
     assert sp.virtual_degree(key) == 3
     assert sp.virtual_degree((0, 1, (0,))) == 0
 
-
-def test_koszul_tensor_apply():
-    sp = Space([("theta", 1)], mu=1, nboson=0, cap=0)
-    odd_key = (1, 0, ())
-    even_key = (0, 0, ())
-    w = wedge_op(sp, 0)  # odd
-    c = contract_op(sp, 0)  # odd
-    ident = LinearOp.identity(sp)
-    # (1 (x) c) over (odd (x) odd): c crosses the odd first slot -> sign -1
-    st = {(odd_key, odd_key): Fraction(1)}
-    out = koszul_tensor_apply([ident, c], st)
-    assert out == {(odd_key, even_key): Fraction(-1)}
-    # all-even inputs: no sign
-    st2 = {(even_key, even_key): Fraction(1)}
-    out2 = koszul_tensor_apply([ident, w], st2)
-    assert out2 == {(even_key, odd_key): Fraction(1)}
-    # tilde grading flips the crossed parity of an even slot
-    out3 = koszul_tensor_apply([ident, w], st2, grading="tilde")
-    assert out3 == {(even_key, odd_key): Fraction(-1)}

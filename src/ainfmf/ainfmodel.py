@@ -793,19 +793,6 @@ def induced_map(coh, colmap):
     return [list(r) for r in zip(*rows)] if rows else []
 
 
-def compose_colmaps(a, b):
-    """Column map of a after b."""
-    out = {}
-    for key, col in b.items():
-        acc = {}
-        for kmid, c in col.items():
-            for k2, c2 in a.get(kmid, {}).items():
-                add_into(acc, k2, c * c2)
-        if acc:
-            out[key] = acc
-    return out
-
-
 def kstab_minimal(model, idx, decomposition, level=4):
     """Minimal model data for a stabilised-generator object: the joint
     kernel of the gamma_i inside the core, closure of that subspace

@@ -23,6 +23,10 @@ command list) and `pin` (regression-compare a report against a golden
 file).  Exit codes: 0 all verifications pass, 1 verification failure,
 2 input error, 3 cap insufficiency.  Every number in a report is an
 exact rational rendered "p/q".
+
+feynman checks the rho_k tables that rho and verify-ainf report against
+the normal-ordering backend's signed tree sums, and counts the basis
+tuples where they disagree as mismatches.
 """
 
 import argparse
@@ -35,7 +39,6 @@ from itertools import product
 from .ainfmodel import (
     DecompositionInvalid,
     Model,
-    _ModelDecoration,
     cohomology,
     induced_map,
     kstab_minimal,
@@ -47,7 +50,8 @@ from .normalorder import CapExceeded as TreeCapExceeded
 from .poly import ORDERS, parse_poly
 from .quotient import CapExceeded, GammaTensor, QuotientBasis, t_adic_expand
 from .sdrcore import IdentityViolation
-from .treealg import enumerate_binary, mirror_eval
+from .superspace import add_into
+from .treealg import enumerate_binary, mirror_sign
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -474,6 +478,7 @@ def cmd_feynman(prob, args):
             "cap %d cannot host the %d internal edges of a %d-leaf tree"
             % (prob.cap, k - 2, k))
     limit = _int_arg(args, "limit", None, 0)
+    table = m.rho_table(k, path)
     backend = FeynmanBackend(m)
     cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(k)]
     combos = list(product(*cores))
@@ -481,16 +486,17 @@ def cmd_feynman(prob, args):
         combos = combos[:limit]
     trees = enumerate_binary(k)
     bad = 0
-    for T in trees:
-        for combo in combos:
-            inputs = [{key: Fraction(1)} for key in combo]
-            dec = _ModelDecoration(m, path, inputs)
-            want = mirror_eval(T, dec, {i + 1: inputs[i] for i in range(k)})
-            got = backend.tree_state(T, path, combo)
-            want = {kk: v for kk, v in want.items() if v}
-            got = {kk: v for kk, v in got.items() if v}
-            if got != want:
-                bad += 1
+    for combo in combos:
+        # rho_k = (-1)^k sum_T of the Koszul-signed denotation of T, which
+        # is mirror_sign times the signless tree_state
+        tilde = {i + 1: m.tilde(key) for i, key in enumerate(combo)}
+        got = {}
+        for T in trees:
+            sign = (-1) ** k * mirror_sign(T, tilde)
+            for kk, v in backend.tree_state(T, path, combo).items():
+                add_into(got, kk, sign * v)
+        if got != table.get(combo, {}):
+            bad += 1
     return {
         "k": k,
         "path": [prob.labels[p] for p in path],

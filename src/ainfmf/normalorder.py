@@ -13,8 +13,8 @@ algebra in sdrcore/ainfmodel.  The ingredients are
     scalar factors contributed by the 1/(virtual degree) insertions;
   * an edge engine that sums the vertex words into the leaf, internal
     edge and root operators of a tree evaluation, and a tree walker
-    (FeynmanBackend) producing the same coefficients as the matrix
-    backend;
+    (FeynmanBackend) whose signed sums over trees the feynman command
+    compares against the reported rho_k tables of the matrix backend;
   * evaluate_summand, which evaluates a single hand-written operator
     word (one summand of the expansion) on explicit inputs;
   * a small rewriting engine (TupleStore / normalize) that pushes

@@ -12,6 +12,7 @@ equivalence Phi, Phi^{-1}, H_hat.  sdr_verify checks the defining
 identities exactly on a margin-restricted basis.
 """
 
+from collections import Counter
 from math import lcm
 
 from .mfcat import default_homotopies
@@ -71,7 +72,6 @@ class Arena:
         else:
             fam = [("theta", self.n), ("xi", X.r), ("xibar", X.r)]
         self.space = Space(fam, qb.mu, self.n, cap)
-        self._rsharp_cache = {}
         self.table_max_tdeg = 0
         self._build_operators()
 
@@ -80,19 +80,15 @@ class Arena:
 
     def _columns(self, r):
         """r_sharp columns of a polynomial: i -> {(l, delta): coeff}."""
-        key = r
-        if key not in self._rsharp_cache:
-            qb = self.qb
-            cols = {}
-            for i in range(qb.mu):
-                exp = full_expansion(r * qb.basis_poly(i), qb)
-                col = dict(exp.coefficients)
-                if col:
-                    cols[i] = col
-                for (_, d) in col:
-                    self.table_max_tdeg = max(self.table_max_tdeg, sum(d))
-            self._rsharp_cache[key] = cols
-        return self._rsharp_cache[key]
+        qb = self.qb
+        cols = {}
+        for i in range(qb.mu):
+            col = dict(full_expansion(r * qb.basis_poly(i), qb).coefficients)
+            if col:
+                cols[i] = col
+            for (_, d) in col:
+                self.table_max_tdeg = max(self.table_max_tdeg, sum(d))
+        return cols
 
     def mult_op(self, r):
         """The even operator r^# (z and t action only)."""
@@ -126,45 +122,67 @@ class Arena:
     # ------------------------------------------------------------------
     # the main operators
 
-    def _build_operators(self):
-        sp = self.space
+    def _differentials(self):
+        """(d_A, delta), sums of r^# after fermion operators.  Each r^#
+        and each fermion operator is built once and dropped after its
+        last use, so set-up holds only those still needed."""
         n = self.n
-        zero1 = LinearOp(sp, 1)
+        ops = {}
 
+        def op(name, *args):  # mult_op(r), wedge or contract(family, i)
+            key = (name,) + args
+            if key not in ops:
+                ops[key] = getattr(self, name)(*args)
+            uses[key] -= 1
+            return ops[key] if uses[key] else ops.pop(key)
+
+        def total(degree, terms):
+            """Sum of sign * r^# after the fermion operators of word,
+            applied last to first, over the (sign, r, word) terms; a zero
+            polynomial contributes no term."""
+            acc = LinearOp(self.space, degree)
+            for sign, r, word in terms:
+                if r:
+                    term = op("mult_op", r)
+                    for fermion in word:
+                        term = term.compose(op(*fermion))
+                    acc = acc + term if sign > 0 else acc - term
+            return acc
+
+        d_terms, delta_terms = [], []
         if self.presentation == "nu":
-            d_A = zero1
             for j, (u, v) in enumerate(self.Y.pairs):
-                d_A = d_A + self.mult_op(u).compose(self.contract("eta", j))
-                d_A = d_A + self.mult_op(v).compose(self.wedge("eta", j))
+                d_terms += [(1, u, [("contract", "eta", j)]),
+                            (1, v, [("wedge", "eta", j)])]
             for i, (f, g) in enumerate(self.X.pairs):
-                d_A = d_A - self.mult_op(f).compose(self.wedge("xibar", i))
-                d_A = d_A + self.mult_op(g).compose(self.contract("xibar", i))
-            delta = LinearOp(sp, 0)
+                d_terms += [(-1, f, [("wedge", "xibar", i)]),
+                            (1, g, [("contract", "xibar", i)])]
             for k in range(n):
+                tk = ("contract", "theta", k)
                 for j in range(self.Y.r):
-                    delta = delta + self.mult_op(self.homY.F[k][j]).compose(
-                        self.contract("eta", j)
-                    ).compose(self.contract("theta", k))
-                    delta = delta + self.mult_op(self.homY.G[k][j]).compose(
-                        self.wedge("eta", j)
-                    ).compose(self.contract("theta", k))
+                    delta_terms += [
+                        (1, self.homY.F[k][j], [("contract", "eta", j), tk]),
+                        (1, self.homY.G[k][j], [("wedge", "eta", j), tk])]
         else:
-            d_A = zero1
             for i, (f, g) in enumerate(self.X.pairs):
-                d_A = d_A + self.mult_op(f).compose(self.contract("xi", i))
-                d_A = d_A + self.mult_op(g).compose(self.contract("xibar", i))
-            delta = LinearOp(sp, 0)
+                d_terms += [(1, f, [("contract", "xi", i)]),
+                            (1, g, [("contract", "xibar", i)])]
             for k in range(n):
+                tk = ("contract", "theta", k)
                 for i in range(self.X.r):
-                    F = self.mult_op(self.homX.F[k][i])
-                    G = self.mult_op(self.homX.G[k][i])
-                    tk = self.contract("theta", k)
-                    delta = delta + F.compose(self.contract("xi", i)).compose(tk)
-                    delta = delta + F.compose(self.wedge("xibar", i)).compose(tk)
-                    delta = delta + G.compose(self.wedge("xi", i)).compose(tk)
+                    F, G = self.homX.F[k][i], self.homX.G[k][i]
+                    delta_terms += [(1, F, [("contract", "xi", i), tk]),
+                                    (1, F, [("wedge", "xibar", i), tk]),
+                                    (1, G, [("wedge", "xi", i), tk])]
 
-        self.d_A = d_A
-        self.delta = delta
+        uses = Counter()
+        for _, r, word in d_terms + delta_terms:
+            if r:
+                uses.update([("mult_op", r)] + word)
+        return total(1, d_terms), total(0, delta_terms)
+
+    def _build_operators(self):
+        self.d_A, self.delta = self._differentials()
         self.nabla = self._build_nabla()
         self.At = graded_commutator(self.d_A, self.nabla)
         self.sigma = self._build_sigma()

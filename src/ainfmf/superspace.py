@@ -105,26 +105,6 @@ def add_into(acc, key, c):
         del acc[key]
 
 
-def format_state(space, state):
-    if not state:
-        return "0"
-    items = sorted(state.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0]))
-    parts = []
-    for key, c in items:
-        label = space.key_label(key)
-        if c == 1:
-            term = label
-        elif c == -1:
-            term = "-" + label
-        else:
-            term = "%s*%s" % (c, label)
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += " - " + term[1:] if term.startswith("-") else " + " + term
-    return out
-
-
 # the zero scaled state, shared: scaled states are never changed in place
 ZERO_STATE = ({}, 1)
 

@@ -13,10 +13,6 @@ mirror_sign.
 """
 
 
-class DegreeMismatch(Exception):
-    pass
-
-
 def enumerate_binary(k):
     """All plane binary trees with k leaves labelled 1..k, ordered with
     the left subtree size descending; there are Catalan(k-1) of them."""

@@ -9,7 +9,6 @@ from ainfmf.ainfmodel import (
     Model,
     RhoTable,
     cohomology,
-    compose_colmaps,
     induced_map,
     kstab_minimal,
 )
@@ -22,6 +21,19 @@ from ainfmf.superspace import (
     scaled_state,
     state_parity,
 )
+
+
+def compose_colmaps(a, b):
+    """Column map of a after b."""
+    out = {}
+    for key, col in b.items():
+        acc = {}
+        for kmid, c in col.items():
+            for k2, c2 in a.get(kmid, {}).items():
+                add_into(acc, k2, c * c2)
+        if acc:
+            out[key] = acc
+    return out
 
 
 def worked_model(cap=3):

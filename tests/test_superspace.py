@@ -8,7 +8,6 @@ from ainfmf.superspace import (
     contract_key,
     contract_op,
     exp_nilpotent,
-    format_state,
     graded_commutator,
     state_parity,
     wedge_key,
@@ -78,9 +77,9 @@ def test_state_parity_and_format():
     sp = small_space()
     t1 = sp.gen_pos("theta", 0)
     e1 = sp.gen_pos("eta", 0)
-    st = {(1 << t1 | 1 << e1, 1, (1,)): Fraction(-12, 25)}
-    assert state_parity(st) == 0
-    assert format_state(sp, st) == "-12/25*theta1*eta1*z2*t1"
+    key = (1 << t1 | 1 << e1, 1, (1,))
+    assert state_parity({key: Fraction(-12, 25)}) == 0
+    assert sp.key_label(key) == "theta1*eta1*z2*t1"
     with pytest.raises(ValueError):
         state_parity({(0, 0, (0,)): Fraction(1), (1 << t1, 0, (0,)): Fraction(1)})
 

@@ -30,6 +30,7 @@ from .mfcat import (
     check_homotopies,
     default_homotopies,
 )
+from .linalg import basis_change, kernel_basis
 from .quotient import GammaTensor
 from .sdrcore import Arena
 from .superspace import (
@@ -680,81 +681,45 @@ class _ModelDecoration:
 # cohomology of a finite complex over Q
 
 
-class CohomologyData:
-    def __init__(self, basis, diff_cols):
-        from .linalg import kernel_basis, rref
+def _dot(row, index, state):
+    """row . state, for a dense row over the basis with this index."""
+    return sum((row[index[key]] * c for key, c in state.items()), ZERO)
 
+
+class CohomologyData:
+    """The cohomology of a differential given by its columns on a basis.
+    One elimination of [image | kernel | I] picks the representatives,
+    the kernel vectors whose pivots fall past the image, and gives the
+    rows that reduce a cocycle to its class."""
+
+    def __init__(self, basis, diff_cols):
         self.basis = list(basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
+        self._diff = dict(zip(self.basis, diff_cols))
         dim = len(self.basis)
         mat = [[ZERO] * dim for _ in range(dim)]
         for j, col in enumerate(diff_cols):
             for key, c in col.items():
                 mat[self.index[key]][j] = c
-        self._mat = mat
-        self.kernel = kernel_basis(mat)
-        image = []
-        for j in range(dim):
-            col = [mat[i][j] for i in range(dim)]
-            if any(col):
-                image.append(col)
-        self.image = image
-        # representatives: kernel vectors independent modulo the image
-        reps = []
-        pool = [list(v) for v in image]
-        base_rank = self._rank(pool)
-        for v in self.kernel:
-            if self._rank(pool + [list(v)]) > base_rank + len(reps):
-                reps.append(v)
-                pool.append(list(v))
-        self.reps = reps
-        self.dim = len(reps)
-        # reduction matrix: solve [image | reps] y = v for the rep part
-        self._red_cols = image + reps
-
-    @staticmethod
-    def _rank(vectors):
-        from .linalg import rank
-
-        if not vectors:
-            return 0
-        return rank([list(r) for r in zip(*vectors)])
-
-    def vector(self, state):
-        v = [ZERO] * len(self.basis)
-        for key, c in state.items():
-            v[self.index[key]] = c
-        return v
-
-    def in_kernel(self, state):
-        v = self.vector(state)
-        for row in self._mat_rows(v):
-            if row:
-                return False
-        return True
-
-    def _mat_rows(self, v):
-        for i in range(len(self.basis)):
-            yield sum(self._mat[i][j] * v[j] for j in range(len(v)))
+        image = [col for col in zip(*mat) if any(col)]
+        kernel = kernel_basis(mat)
+        pivots, coords, self._null = basis_change(image + kernel, dim)
+        self.reps = [kernel[p - len(image)] for p in pivots if p >= len(image)]
+        self.dim = len(self.reps)
+        self._coords = coords[len(pivots) - self.dim:]
 
     def reduce(self, state):
         """Class of a cocycle in the chosen representative basis, or
         None if the state is not a cocycle."""
-        from .linalg import solve
-
-        if not self.in_kernel(state):
+        boundary = {}
+        for key, c in state.items():
+            for k2, c2 in self._diff[key].items():
+                add_into(boundary, k2, c * c2)
+        if boundary:
             return None
-        v = self.vector(state)
-        if not self._red_cols:
-            return []
-        mat = [
-            [self._red_cols[j][i] for j in range(len(self._red_cols))]
-            for i in range(len(self.basis))
-        ]
-        y = solve(mat, v)
-        if y is None:
+        if any(_dot(row, self.index, state) for row in self._null):
             raise ValueError("cocycle outside kernel + image span")
-        return y[len(self.image) :]
+        return [_dot(row, self.index, state) for row in self._coords]
 
 
 def cohomology(model, pair_key):
@@ -781,11 +746,8 @@ def induced_map(coh, colmap):
 
     rows = []
     for v in coh.reps:
-        state = {
-            coh.basis[i]: c for i, c in enumerate(v) if c
-        }
-        image = apply(state)
-        red = coh.reduce(image)
+        state = {coh.basis[i]: c for i, c in enumerate(v) if c}
+        red = coh.reduce(apply(state))
         if red is None:
             return None
         rows.append(red)
@@ -819,8 +781,6 @@ def kstab_minimal(model, idx, decomposition, level=4):
     basis = pd.core_basis()
     index = {b: i for i, b in enumerate(basis)}
     # joint kernel of the gamma_i
-    from .linalg import kernel_basis, solve
-
     stacked = []
     for g in cliff["gamma"]:
         block = [[ZERO] * len(basis) for _ in range(len(basis))]
@@ -832,17 +792,10 @@ def kstab_minimal(model, idx, decomposition, level=4):
     kernel_states = [
         {basis[i]: c for i, c in enumerate(v) if c} for v in kernel
     ]
-    span_cols = [
-        [v[i] for v in kernel] for i in range(len(basis))
-    ]
+    null = basis_change(kernel, len(basis))[2]
 
     def in_span(state):
-        if not kernel:
-            return not state
-        vec = [ZERO] * len(basis)
-        for key, c in state.items():
-            vec[index[key]] = c
-        return solve(span_cols, vec) is not None
+        return not any(_dot(row, index, state) for row in null)
 
     result = {
         "kernel": kernel_states,

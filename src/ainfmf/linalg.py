@@ -1,4 +1,4 @@
-"""Dense exact linear algebra over Fraction: rref, solve, inverse, kernel.
+"""Dense exact linear algebra over Fraction: rref, kernel, basis change.
 
 Matrices are lists of lists of Fraction.  Dimensions in this package are
 small (tens to a few hundred), so Gaussian elimination is plenty.
@@ -36,10 +36,6 @@ def rref(mat):
     return m, pivots
 
 
-def rank(mat):
-    return len(rref(mat)[1])
-
-
 def kernel_basis(mat):
     """Basis of the right kernel, as column vectors (lists)."""
     rows = len(mat)
@@ -59,27 +55,24 @@ def kernel_basis(mat):
     return basis
 
 
-def solve(mat, rhs):
-    """One solution of mat @ x = rhs, or None if inconsistent."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    aug = [mat[i][:] + [rhs[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
+def basis_change(cols, n):
+    """One rref of [cols | I] for column vectors of length n.  Returns
 
-
-def inverse(mat):
-    n = len(mat)
-    aug = [mat[i][:] + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    - pivots: the indices of the greedy independent subset of cols, in
+      order;
+    - coords: one row per pivot; coords[i] . v is the coefficient of
+      cols[pivots[i]] in v, for v in the span of cols;
+    - null: the rows past the rank; all of them vanish on v exactly
+      when v is in the span of cols.
+    """
+    m = len(cols)
+    red, pivots = rref([
+        [c[i] for c in cols] + [Fraction(int(i == j)) for j in range(n)]
+        for i in range(n)
+    ])
+    rank = sum(1 for p in pivots if p < m)
+    rows = [row[m:] for row in red]
+    return pivots[:rank], rows[:rank], rows[rank:]
 
 
 def mat_mul(a, b):

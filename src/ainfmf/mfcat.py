@@ -15,7 +15,7 @@ the values are Polynomial.  Exterior elements are dicts
 from fractions import Fraction
 from math import comb
 
-from .linalg import inverse
+from .linalg import basis_change
 from .poly import Polynomial
 from .superspace import add_into, contract_mask, wedge_mask
 
@@ -172,17 +172,20 @@ class RhoPresentation:
         self.r = X.r
         self.dim = 1 << self.r
         n2 = self.dim * self.dim
-        # matrix of the map in the flat basis: column (A,B), row (row,col)
-        mat = [[Fraction(0)] * n2 for _ in range(n2)]
+        # the map in the flat basis: column (A,B), row (row,col)
+        cols = []
         self._cols = {}
         for A in range(self.dim):
             for B in range(self.dim):
                 entries = self._operator_matrix(A, B)
                 self._cols[(A, B)] = entries
-                ci = A * self.dim + B
+                vec = [Fraction(0)] * n2
                 for (row, col), c in entries.items():
-                    mat[row * self.dim + col][ci] = c
-        self._inv = inverse(mat)
+                    vec[row * self.dim + col] = c
+                cols.append(vec)
+        pivots, self._inv, _ = basis_change(cols, n2)
+        if len(pivots) != n2:
+            raise ValueError("the rho presentation is singular")
 
     def _operator_matrix(self, A, B):
         out = {}

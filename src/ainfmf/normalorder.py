@@ -346,12 +346,12 @@ class EdgeEngine:
     """Evaluates the leaf, internal-edge and root operators of a tree on
     one ordered pair of objects, from the vertex catalog alone."""
 
-    def __init__(self, arena, catalog=None):
+    def __init__(self, arena):
         self.arena = arena
         self.space = arena.space
         self.cap = arena.cap
         self.n = arena.n
-        self.catalog = catalog if catalog is not None else VertexCatalog(arena)
+        self.catalog = VertexCatalog(arena)
         self.A_rules = [r for r in self.catalog.vertices if r.kind == "A"]
         self.C_rules = [r for r in self.catalog.vertices if r.kind == "C"]
         self._theta_pos = [self.space.gen_pos("theta", k) for k in range(self.n)]
@@ -674,14 +674,12 @@ class FeynmanBackend:
         memo[mkey] = out
         return out
 
-    def tree_state(self, tree, path, keys, memo=None):
+    def tree_state(self, tree, path, keys):
         """The full output state of one tree on a tuple of core basis
         keys; equals the signless mirror evaluation of the matrix
         backend."""
         path = tuple(path)
-        if memo is None:
-            memo = {}
-        st = self._eval(tree, path, tuple(keys), memo, True)
+        st = self._eval(tree, path, tuple(keys), {}, True)
         return self.engine(path[0], path[-1]).root(st)
 
     def c_tau(self, tree, path, keys, tau):

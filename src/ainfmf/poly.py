@@ -444,10 +444,14 @@ class GroebnerBasis:
     def standard_monomials(self):
         """Monomials outside the leading ideal, ascending in the order.
 
-        Raises ValueError if the quotient is infinite dimensional.
+        Raises ValueError if the quotient is zero or infinite
+        dimensional.
         """
         leads = self.leading_monomials()
         nvars = self.nvars
+        if (0,) * nvars in leads:
+            raise ValueError("the ideal is the unit ideal, so the quotient "
+                             "ring is zero")
         bound = [None] * nvars
         for lm in leads:
             nz = [i for i in range(nvars) if lm[i]]
@@ -455,8 +459,10 @@ class GroebnerBasis:
                 i = nz[0]
                 if bound[i] is None or lm[i] < bound[i]:
                     bound[i] = lm[i]
-        if any(b is None for b in bound):
-            raise ValueError("quotient ring is infinite dimensional")
+        if None in bound:
+            raise ValueError(
+                "quotient ring is infinite dimensional: no power of "
+                "variable %d lies in the ideal" % (bound.index(None) + 1))
         monos = []
 
         def rec(prefix):

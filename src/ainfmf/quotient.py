@@ -16,10 +16,6 @@ from .poly import GroebnerBasis, Polynomial
 from .superspace import add_into
 
 
-class InfiniteQuotient(Exception):
-    pass
-
-
 class CapExceeded(Exception):
     pass
 
@@ -43,10 +39,7 @@ class QuotientBasis:
         self.tseq = list(tseq)
         self.order = order
         self.gb = GroebnerBasis(tseq, order)
-        try:
-            self.monomials = self.gb.standard_monomials()
-        except ValueError as exc:
-            raise InfiniteQuotient(str(exc)) from exc
+        self.monomials = self.gb.standard_monomials()
         self.mu = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         assert self.monomials[0] == (0,) * self.nvars

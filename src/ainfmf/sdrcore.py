@@ -34,17 +34,9 @@ class ZeroVirtualDegree(Exception):
     pass
 
 
-class IdentityViolation(Exception):
-    def __init__(self, name, witness, diff):
-        super().__init__("identity %s fails on %r" % (name, witness))
-        self.name = name
-        self.witness = witness
-        self.diff = diff
-
-
-def full_expansion(r, qb, start_cap=None):
+def full_expansion(r, qb):
     """t-adic expansion with the cap raised until it is exact."""
-    cap = start_cap if start_cap is not None else max(r.total_degree(), 1)
+    cap = max(r.total_degree(), 1)
     for _ in range(12):
         exp = t_adic_expand(r, qb, cap)
         if exp.exact_beyond_cap:
@@ -272,7 +264,7 @@ class Arena:
         limit = self.cap - margin
         return [k for k in self.space.basis() if sum(k[2]) <= limit]
 
-    def sdr_verify(self, margin=None, raise_on_failure=True):
+    def sdr_verify(self, margin=None):
         """Check the homotopy-equivalence identities exactly on all basis
         states of t-degree <= cap - margin.  Returns a report dict."""
         if margin is None:
@@ -290,8 +282,6 @@ class Arena:
                         "witness": key,
                         "diff": got,
                     }
-                    if raise_on_failure:
-                        raise IdentityViolation(name, key, got)
                     return
             report["identities"][name] = {"ok": True}
 

@@ -66,12 +66,12 @@ class Space:
                 for mask in range(1 << self.ngen):
                     yield (mask, h, delta)
 
-    def virtual_degree(self, key, theta_family="theta"):
+    def virtual_degree(self, key):
         """Number of theta generators present plus the boson degree."""
         mask = key[0]
         count = 0
-        for i in range(self.family_count(theta_family)):
-            if mask >> self.gen_pos(theta_family, i) & 1:
+        for i in range(self.family_count("theta")):
+            if mask >> self.gen_pos("theta", i) & 1:
                 count += 1
         return count + sum(key[2])
 

@@ -156,11 +156,11 @@ def test_criterion_07_sdr_identities():
     m = worked_model(cap=3)
     for s in range(2):
         for t in range(2):
-            rep = m.pair(s, t).arena.sdr_verify(raise_on_failure=False)
+            rep = m.pair(s, t).arena.sdr_verify()
             assert all(v.get("ok") for v in rep["identities"].values()), (s, t)
             assert rep["checked"] > 0
     mk = kstab_model(cap=4)
-    rep = mk.pair(0, 0).arena.sdr_verify(margin=2, raise_on_failure=False)
+    rep = mk.pair(0, 0).arena.sdr_verify(margin=2)
     assert all(v.get("ok") for v in rep["identities"].values())
     verdict(7, "retract identities verified on all pairs")
 

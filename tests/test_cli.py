@@ -162,11 +162,32 @@ def _malformed(name, spec, edit):
                   "vertices"])),
     _malformed("decomposition-int", KSTAB, lambda s: s.update(
         commands=[{"command": "kstab", "decomposition": 5}])),
+    # t-sequences whose quotient is not finite dimensional and non-zero:
+    # the partials (2x, 0) of x^2 leave y free, and 1 is the unit ideal
+    _malformed("infinite-quotient", WORKED, lambda s: s.update(
+        variables=["x", "y"], potential="x^2",
+        objects=[{"label": "X", "pairs": [["x", "x"]]}])),
+    _malformed("unit-ideal", KSTAB, lambda s: s.update(t_sequence=["1"])),
 ])
 def test_malformed_spec_exits_2(spec):
     report, code = cli.run(spec)
     assert code == cli.EXIT_INPUT
     assert "error" in report or "error" in report["results"][-1]
+
+
+# a cap that leaves no key inside the margin: the worked spec at caps 0
+# and 1 (margin 2) and the KSTAB spec (cap 3, margin 4)
+@pytest.mark.parametrize("spec", [
+    pytest.param(dict(WORKED, cap=0), id="worked-cap0"),
+    pytest.param(dict(WORKED, cap=1), id="worked-cap1"),
+    pytest.param(KSTAB, id="kstab"),
+])
+def test_empty_sdr_verify_exits_3(spec):
+    report, code = cli.run(spec, commands=["sdr-verify"])
+    assert code == cli.EXIT_CAP
+    assert not report["cap_ok"]
+    assert all(p["checked"] == 0
+               for p in report["results"][0]["result"]["pairs"])
 
 
 # each command with a bad argument, the five verify-ainf cases first

@@ -234,16 +234,20 @@ class Model:
         if pa.src != pb.tgt:
             raise SectorMismatch("composition needs a shared middle object")
         pc = self.pair(pb.src, pa.tgt)
+        # each pb matrix once per table, its entries grouped by row
+        rows_b = []
+        for eb in pb.ext_basis():
+            by_row = {}
+            for (r2, c2), v2 in pb.to_matrix({eb: Fraction(1)}).items():
+                by_row.setdefault(r2, []).append((c2, v2))
+            rows_b.append((eb, by_row))
         table = {}
         for ea in pa.ext_basis():
             mata = pa.to_matrix({ea: Fraction(1)})
-            for eb in pb.ext_basis():
-                matb = pb.to_matrix({eb: Fraction(1)})
+            for eb, by_row in rows_b:
                 prod = {}
                 for (r1, c1), v1 in mata.items():
-                    for (r2, c2), v2 in matb.items():
-                        if c1 != r2:
-                            continue
+                    for c2, v2 in by_row.get(c1, ()):
                         add_into(prod, (r1, c2), v1 * v2)
                 if prod:
                     ext = pc.from_matrix(prod)

@@ -24,9 +24,11 @@ file).  Exit codes: 0 all verifications pass, 1 verification failure,
 2 input error, 3 cap insufficiency.  Every number in a report is an
 exact rational rendered "p/q".
 
-feynman checks the rho_k tables that rho and verify-ainf report against
-the normal-ordering backend's signed tree sums, and counts the basis
-tuples where they disagree as mismatches.
+Unknown keys in the spec, in an object or in a command entry are input
+errors.  feynman checks the rho_k tables that rho and verify-ainf
+report against the normal-ordering backend's signed tree sums, and
+counts the basis tuples where they disagree as mismatches; a cap below
+the margin n (k - 1) is cap insufficiency.
 """
 
 import argparse
@@ -57,10 +59,25 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
 
-COMMANDS = [
-    "groebner", "basis", "gamma", "expand", "vertices", "rho",
-    "verify-ainf", "sdr-verify", "e1", "clifford", "kstab", "feynman",
-]
+SPEC_KEYS = ("variables", "potential", "t_sequence", "order", "cap",
+             "objects", "homotopies", "commands")
+OBJECT_KEYS = ("label", "pairs")
+PAIR_ARGS = ("source", "target")
+# each command with the arguments it reads
+COMMANDS = {
+    "groebner": (),
+    "basis": (),
+    "gamma": ("cap",),
+    "expand": ("polynomial", "cap"),
+    "vertices": PAIR_ARGS,
+    "rho": ("k", "path"),
+    "verify-ainf": ("level", "forms"),
+    "sdr-verify": PAIR_ARGS + ("margin",),
+    "e1": PAIR_ARGS,
+    "clifford": PAIR_ARGS,
+    "kstab": ("object", "decomposition", "level"),
+    "feynman": ("k", "path", "limit"),
+}
 
 
 class InputError(Exception):
@@ -74,6 +91,15 @@ def frac(x):
 
 _REQUIRED = object()
 _KINDS = {list: "list", dict: "JSON object", str: "string"}
+
+
+def _known_keys(desc, keys, where):
+    """InputError naming every key of desc outside keys."""
+    unknown = sorted(set(desc) - set(keys))
+    if unknown:
+        raise InputError("%s: unknown keys %s (known: %s)"
+                         % (where, ", ".join(map(repr, unknown)),
+                            ", ".join(map(repr, keys)) or "none"))
 
 
 def _field(desc, name, kind, where, default=_REQUIRED):
@@ -97,6 +123,7 @@ class Problem:
     def __init__(self, raw, cap_override=None):
         if not isinstance(raw, dict):
             raise InputError("spec must be a JSON object")
+        _known_keys(raw, SPEC_KEYS, "spec")
         self.varnames = _field(raw, "variables", list, "spec")
         if not self.varnames or not all(isinstance(v, str) for v in self.varnames):
             raise InputError("variables must be a non-empty list of names")
@@ -125,6 +152,7 @@ class Problem:
             if not isinstance(desc, dict):
                 raise InputError("each object must be a JSON object")
             label = _field(desc, "label", str, "object", "M%d" % len(objects))
+            _known_keys(desc, OBJECT_KEYS, "object %r" % label)
             if label in self.labels:
                 raise InputError("duplicate object label %r" % label)
             pairs = []
@@ -163,10 +191,7 @@ class Problem:
         polynomials, and no other key."""
         if not isinstance(desc, dict):
             raise InputError("%s must be a JSON object" % where)
-        unknown = sorted(set(desc) - {"F", "G"})
-        if unknown:
-            raise InputError('%s: unknown keys %s; a homotopy holds only '
-                             '"F" and "G"' % (where, ", ".join(unknown)))
+        _known_keys(desc, ("F", "G"), where)
         n = len(self.tseq)
         F, G = [], []
         for name, rows in (("F", F), ("G", G)):
@@ -478,10 +503,14 @@ def cmd_feynman(prob, args):
     path = prob.path_indices(args.get("path", [prob.labels[0]] * (k + 1)))
     if len(path) != k + 1:
         raise InputError("feynman needs a path of k + 1 object labels")
-    if prob.cap < k - 2:
+    # only nabla lowers the t-degree, by one, and adds a theta, so a tree
+    # uses it at most n times per leaf and per internal edge: as in
+    # sdr-verify, the cap must leave a key inside the margin n (k - 1)
+    margin = m.qb.n * (k - 1)
+    if prob.cap < margin:
         raise TreeCapExceeded(
-            "cap %d cannot host the %d internal edges of a %d-leaf tree"
-            % (prob.cap, k - 2, k))
+            "cap %d is below the margin %d = n (k - 1) of a %d-leaf tree"
+            % (prob.cap, margin, k))
     limit = _int_arg(args, "limit", None, 0)
     table = m.rho_table(k, path)
     backend = FeynmanBackend(m)
@@ -538,7 +567,10 @@ def _parse_commands(entries):
             out.append((entry, {}))
         elif isinstance(entry, dict) and isinstance(entry.get("command"), str):
             args = dict(entry)
-            out.append((args.pop("command"), args))
+            name = args.pop("command")
+            if name in COMMANDS:
+                _known_keys(args, COMMANDS[name], "command %r" % name)
+            out.append((name, args))
         else:
             raise InputError(
                 "command entry %r is neither a name nor an object with a "

@@ -5,7 +5,9 @@ sum f_i g_i = W.  Their Hom spaces are presented on exterior algebras:
 Hom(X, Y) by the nu presentation on wedge(F_eta) tensor wedge(F_xibar),
 and Hom(X, X) by the rho presentation on wedge(F_xi) tensor
 wedge(F_xibar), which identifies composition with Clifford
-multiplication.
+multiplication.  The rho presentation is inverted by one elimination
+and the inverse kept as sparse columns, one exterior element per matrix
+unit, so converting a matrix back costs time in its non-zero entries.
 
 Hom elements over Q are dicts (row_mask, col_mask) -> Fraction; over R
 the values are Polynomial.  Exterior elements are dicts
@@ -165,7 +167,9 @@ class NuPresentation:
 class RhoPresentation:
     """wedge(F_xi) tensor wedge(F_xibar) <-> End_k(wedge F_xi):
     xi_A tensor xibar_B maps to the composite of the wedge operators for A
-    (ascending) followed by the contraction operators for B (ascending)."""
+    (ascending) followed by the contraction operators for B (ascending).
+    The inverse is kept as sparse columns: _inv_cols[(row, col)] holds the
+    non-zero coefficients of the matrix unit E_{row,col} (5^r in all)."""
 
     def __init__(self, X):
         self.X = X
@@ -183,9 +187,17 @@ class RhoPresentation:
                 for (row, col), c in entries.items():
                     vec[row * self.dim + col] = c
                 cols.append(vec)
-        pivots, self._inv, _ = basis_change(cols, n2)
+        pivots, coords, _ = basis_change(cols, n2)
         if len(pivots) != n2:
             raise ValueError("the rho presentation is singular")
+        # coords[A * dim + B][row * dim + col] is the coefficient of
+        # xi_A tensor xibar_B in the matrix unit E_{row,col}
+        self._inv_cols = {}
+        for ci, coord in enumerate(coords):
+            AB = divmod(ci, self.dim)
+            for j, c in enumerate(coord):
+                if c:
+                    self._inv_cols.setdefault(divmod(j, self.dim), {})[AB] = c
 
     def _operator_matrix(self, A, B):
         out = {}
@@ -224,59 +236,8 @@ class RhoPresentation:
         return out
 
     def from_matrix(self, entries):
-        vec = [Fraction(0)] * (self.dim * self.dim)
-        for (row, col), c in entries.items():
-            vec[row * self.dim + col] = c
         out = {}
-        for ci in range(self.dim * self.dim):
-            acc = Fraction(0)
-            row = self._inv[ci]
-            for j, c in enumerate(vec):
-                if c:
-                    acc += row[j] * c
-            if acc:
-                out[(ci // self.dim, ci % self.dim)] = acc
+        for key, c in entries.items():
+            for AB, c2 in self._inv_cols[key].items():
+                add_into(out, AB, c * c2)
         return out
-
-
-def clifford_left_xi(i, elem):
-    """Left Clifford multiplication by xi_i on dicts (A, B) -> coeff."""
-    out = {}
-    for (A, B), c in elem.items():
-        hit = wedge_mask(A, i)
-        if hit:
-            s, A2 = hit
-            add_into(out, (A2, B), c * s)
-    return out
-
-
-def clifford_left_xibar(i, elem):
-    """xibar_i bullet (-) = xi_i* tensor 1 + 1 tensor xibar_i."""
-    out = {}
-    for (A, B), c in elem.items():
-        hit = contract_mask(A, i)
-        if hit:
-            s, A2 = hit
-            add_into(out, (A2, B), c * s)
-        hit = wedge_mask(B, i)
-        if hit:
-            s, B2 = hit
-            sign = s * (-1 if A.bit_count() & 1 else 1)
-            add_into(out, (A, B2), c * sign)
-    return out
-
-
-def clifford_mult(e1, e2):
-    """Clifford product on wedge(F_xi) tensor wedge(F_xibar)."""
-    out = {}
-    for (A, B), c in e1.items():
-        cur = {k: v * c for k, v in e2.items()}
-        for i in reversed(range(64)):
-            if B >> i & 1:
-                cur = clifford_left_xibar(i, cur)
-        for i in reversed(range(64)):
-            if A >> i & 1:
-                cur = clifford_left_xi(i, cur)
-        for k, v in cur.items():
-            add_into(out, k, v)
-    return out

@@ -168,6 +168,14 @@ def _malformed(name, spec, edit):
         variables=["x", "y"], potential="x^2",
         objects=[{"label": "X", "pairs": [["x", "x"]]}])),
     _malformed("unit-ideal", KSTAB, lambda s: s.update(t_sequence=["1"])),
+    # unknown keys are named, not ignored: in the spec, in an object and
+    # among a command's arguments
+    _malformed("spec-key-typo", WORKED,
+               lambda s: s.update(potental=s.pop("potential"))),
+    _malformed("object-extra-key", WORKED,
+               lambda s: s["objects"][0].update(extra=1)),
+    _malformed("command-arg-typo", WORKED, lambda s: s.update(
+        commands=[{"command": "verify-ainf", "levl": 3}])),
 ])
 def test_malformed_spec_exits_2(spec):
     report, code = cli.run(spec)
@@ -301,6 +309,21 @@ def test_cap_insufficiency_exit():
     spec2 = dict(KSTAB, cap=0, commands=[{"command": "feynman", "k": 3}])
     report2, code2 = cli.run(spec2)
     assert code2 == cli.EXIT_CAP
+
+
+# rho_2 needs the margin n (k - 1) = 1: at cap 0 the operator backend
+# drops terms that pass through t-degree 1 on their way to the core
+@pytest.mark.parametrize("path", [["X", "X", "X"], ["X", "Y", "X"],
+                                  ["Y", "Y", "Y"]])
+@pytest.mark.parametrize("cap, want", [(0, cli.EXIT_CAP), (1, cli.EXIT_OK)])
+def test_feynman_cap_margin(path, cap, want):
+    spec = dict(WORKED, cap=cap)
+    report, code = cli.run(spec, commands=[
+        {"command": "feynman", "k": 2, "path": path}])
+    assert code == want
+    assert report["cap_ok"] == (cap == 1)
+    if cap == 1:
+        assert report["results"][0]["result"]["mismatches"] == 0
 
 
 def test_cap_and_presentation_overrides():

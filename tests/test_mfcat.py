@@ -1,17 +1,67 @@
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ainfmf.mfcat import (
     HomotopyIdentityFailed,
     NotAFactorisation,
-    clifford_mult,
     default_homotopies,
     NuPresentation,
     RhoPresentation,
     koszul_mf,
 )
 from ainfmf.poly import Polynomial, parse_poly
+from ainfmf.superspace import add_into, contract_mask, wedge_mask
+
+
+# an independent Clifford reference for the rho presentation: left
+# multiplication by the generators on dicts (A, B) -> coefficient of
+# xi_A tensor xibar_B
+
+
+def clifford_left_xi(i, elem):
+    """Left Clifford multiplication by xi_i."""
+    out = {}
+    for (A, B), c in elem.items():
+        hit = wedge_mask(A, i)
+        if hit:
+            s, A2 = hit
+            add_into(out, (A2, B), c * s)
+    return out
+
+
+def clifford_left_xibar(i, elem):
+    """xibar_i bullet (-) = xi_i* tensor 1 + 1 tensor xibar_i."""
+    out = {}
+    for (A, B), c in elem.items():
+        hit = contract_mask(A, i)
+        if hit:
+            s, A2 = hit
+            add_into(out, (A2, B), c * s)
+        hit = wedge_mask(B, i)
+        if hit:
+            s, B2 = hit
+            sign = s * (-1 if A.bit_count() & 1 else 1)
+            add_into(out, (A, B2), c * sign)
+    return out
+
+
+def clifford_mult(e1, e2):
+    """Clifford product on wedge(F_xi) tensor wedge(F_xibar)."""
+    out = {}
+    for (A, B), c in e1.items():
+        cur = {k: v * c for k, v in e2.items()}
+        for i in reversed(range(64)):
+            if B >> i & 1:
+                cur = clifford_left_xibar(i, cur)
+        for i in reversed(range(64)):
+            if A >> i & 1:
+                cur = clifford_left_xi(i, cur)
+        for k, v in cur.items():
+            add_into(out, k, v)
+    return out
 
 
 def worked_pair():
@@ -112,28 +162,47 @@ def test_rho_round_trip_and_example():
             assert rho.from_matrix(rho.to_matrix(e)) == e
 
 
+def quadric_object(n):
+    # the rank-n Koszul object (x_i, x_i) of W = x1^2 + ... + xn^2
+    xs = [parse_poly("x%d" % (i + 1), n) for i in range(n)]
+    W = parse_poly("+".join("x%d^2" % (i + 1) for i in range(n)), n)
+    return koszul_mf([(x, x) for x in xs], W)
+
+
+def test_rho_round_trip_rank4():
+    rho = RhoPresentation(quadric_object(4))
+    for A in range(16):
+        for B in range(16):
+            e = {(A, B): Fraction(1)}
+            assert rho.from_matrix(rho.to_matrix(e)) == e
+
+
 def test_rho_intertwines_clifford():
-    W2 = parse_poly("x1^2 + x2^2", 2)
-    x, y = parse_poly("x1", 2), parse_poly("x2", 2)
-    K = koszul_mf([(x, x), (y, y)], W2)
-    rho = RhoPresentation(K)
-    for A1 in range(4):
-        for B1 in range(4):
-            for A2 in range(4):
-                for B2 in range(4):
-                    a = {(A1, B1): Fraction(1)}
-                    b = {(A2, B2): Fraction(1)}
-                    # compose the operator matrices
-                    ma, mb = rho.to_matrix(a), rho.to_matrix(b)
-                    comp = {}
-                    for (r, m), c in ma.items():
-                        for (m2, c2col), c2 in mb.items():
-                            if m == m2:
-                                key = (r, c2col)
-                                comp[key] = comp.get(key, Fraction(0)) + c * c2
-                    comp = {k: v for k, v in comp.items() if v}
-                    prod = clifford_mult(a, b)
-                    assert rho.to_matrix(prod) == comp
+    # every pair at rank 2, a fixed sample of the 4,096 pairs at rank 3:
+    # the matrix of a Clifford product is the composite of the matrices,
+    # and from_matrix takes the composite back to the product
+    rng = random.Random(5)
+    for n, sample in ((2, None), (3, 300)):
+        rho = RhoPresentation(quadric_object(n))
+        dim = 1 << n
+        quads = list(product(range(dim), repeat=4))
+        if sample is not None:
+            quads = rng.sample(quads, sample)
+        for A1, B1, A2, B2 in quads:
+            a = {(A1, B1): Fraction(1)}
+            b = {(A2, B2): Fraction(1)}
+            # compose the operator matrices
+            ma, mb = rho.to_matrix(a), rho.to_matrix(b)
+            comp = {}
+            for (r, m), c in ma.items():
+                for (m2, c2col), c2 in mb.items():
+                    if m == m2:
+                        key = (r, c2col)
+                        comp[key] = comp.get(key, Fraction(0)) + c * c2
+            comp = {k: v for k, v in comp.items() if v}
+            prod = clifford_mult(a, b)
+            assert rho.to_matrix(prod) == comp
+            assert rho.from_matrix(comp) == prod
 
 
 def test_clifford_relations():

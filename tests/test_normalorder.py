@@ -44,17 +44,20 @@ def kstab_model(cap=3):
     return Model([X], qb, cap, homotopies={0: hom})
 
 
+def quadric_model(n, cap, nobj=1):
+    # rank-n objects (x_i, x_i) for W = x1^2 + ... + xn^2
+    xs = ["x%d" % (i + 1) for i in range(n)]
+    W = parse_poly("+".join(x + "^2" for x in xs), n)
+    pairs = [(parse_poly(x, n), parse_poly(x, n)) for x in xs]
+    objs = [koszul_mf(list(pairs), W, "D%d" % i) for i in range(nobj)]
+    qb = QuotientBasis([parse_poly("2*" + x, n) for x in xs])
+    return Model(objs, qb, cap)
+
+
 def twovar_model(cap=3, nobj=1):
     # rank-two object for W = x^2 + y^2; exercises multi-bit fermion
     # pairings that a rank-one model cannot see
-    W = parse_poly("x1^2+x2^2", 2)
-    pairs = [
-        (parse_poly("x1", 2), parse_poly("x1", 2)),
-        (parse_poly("x2", 2), parse_poly("x2", 2)),
-    ]
-    objs = [koszul_mf(list(pairs), W, "D%d" % i) for i in range(nobj)]
-    qb = QuotientBasis([parse_poly("2*x1", 2), parse_poly("2*x2", 2)])
-    return Model(objs, qb, cap)
+    return quadric_model(2, cap, nobj)
 
 
 def clean(state):
@@ -151,9 +154,12 @@ def test_constant_coefficient_rules_are_inert():
 # junction tables
 
 
+# quadric3 checks the rho presentation's sparse inverse entry by entry
+# on a rank-3 endomorphism pair
 @pytest.mark.parametrize(
-    "m", [worked_model(cap=3), twovar_model(cap=3, nobj=2)],
-    ids=["worked", "twovar"])
+    "m", [worked_model(cap=3), twovar_model(cap=3, nobj=2),
+          quadric_model(3, cap=0)],
+    ids=["worked", "twovar", "quadric3"])
 def test_junction_tables_match(m):
     backend = FeynmanBackend(m)
     objs = range(len(m.objects))

@@ -582,27 +582,19 @@ class Model:
         )
         gammas = []
         daggers = []
-        for i in range(n):
-            gammas.append(self._conjugated(pair_key, arena.contract("theta", i)))
-            daggers.append(self._conjugated(pair_key, arena.wedge("theta", i)))
         ats = []
         for i in range(n):
+            theta_star = arena.contract("theta", i)
+            gammas.append(self._conjugated(pair_key, theta_star))
+            daggers.append(self._conjugated(pair_key, arena.wedge("theta", i)))
+            # on the core nabla kills the input, so At = nabla d there;
+            # theta_i* picks out d/dt_i after d, and [d, d/dt_i] is
+            # minus that
             cols = {}
             for key in arena.core_basis():
-                st = {}
-                # on t-degree zero the commutator [d, d/dt_i] reduces to
-                # minus (d/dt_i after d), since d/dt_i kills the input
-                nums, den = arena.d_A.apply_key(key)
-                for k2, c in nums.items():
-                    mask, h, delta = k2
-                    if delta[i] == 0:
-                        continue
-                    nd = tuple(
-                        ee - 1 if jj == i else ee for jj, ee in enumerate(delta)
-                    )
-                    if arena.is_core_key((mask, h, nd)):
-                        add_into(st, (mask, h, nd),
-                                 Fraction(-c * delta[i], den))
+                image = theta_star.apply(arena.At.apply_key(key))
+                st = {k2: -c for k2, c in rational_state(image).items()
+                      if arena.is_core_key(k2)}
                 if st:
                     cols[key] = st
             ats.append(cols)

@@ -216,6 +216,9 @@ class Problem:
         return self.model
 
     def obj_index(self, label):
+        if isinstance(label, bool):
+            raise InputError("object index %s is a boolean, not an integer"
+                             % json.dumps(label))
         if isinstance(label, int):
             if 0 <= label < len(self.labels):
                 return label

@@ -16,10 +16,7 @@ algebra in sdrcore/ainfmodel.  The ingredients are
     (FeynmanBackend) whose signed sums over trees the feynman command
     compares against the reported rho_k tables of the matrix backend;
   * evaluate_summand, which evaluates a single hand-written operator
-    word (one summand of the expansion) on explicit inputs;
-  * a small rewriting engine (TupleStore / normalize) that pushes
-    annihilation operators toward the input through the standard
-    commutation rules.
+    word (one summand of the expansion) on explicit inputs.
 
 The junction (binary composition) is computed by pairing the fermions of
 the shared middle object directly on exterior masks, not through the
@@ -369,7 +366,7 @@ class EdgeEngine:
         for fam, i, mode in rule.ops:
             pos = self.space.gen_pos(fam, i)
             hit = (wedge_key if mode == "wedge" else contract_key)(
-                self.space, pos, (mask, h, delta)
+                pos, (mask, h, delta)
             )
             if hit is None:
                 return {}
@@ -414,7 +411,7 @@ class EdgeEngine:
             for k in range(self.n):
                 if delta[k] == 0:
                     continue
-                hit = wedge_key(self.space, self._theta_pos[k], (mask, h, delta))
+                hit = wedge_key(self._theta_pos[k], (mask, h, delta))
                 if hit is None:
                     continue
                 s, (m2, _, _) = hit
@@ -744,7 +741,7 @@ def _apply_atom(arena, parsed, state):
         pos = space.gen_pos(parsed[1], parsed[2])
         fn = wedge_key if kind == "wedge" else contract_key
         for key, c in state.items():
-            hit = fn(space, pos, key)
+            hit = fn(pos, key)
             if hit is None:
                 continue
             s, k2 = hit
@@ -830,148 +827,3 @@ def evaluate_summand(model, path, word, inputs, tau, prefactor=Fraction(1)):
     if not isinstance(tau, tuple):
         raise ValueError("tau must be a basis key")
     return Fraction(prefactor) * out.get(tau, Fraction(0))
-
-
-# ----------------------------------------------------------------------
-# flat-word rewriting: TupleStore and normalize
-#
-# Atoms are ("c"|"a", species, tag) with species "f" (fermionic),
-# "b" (bosonic, [a, c] = 1 per tag) or "z" (the coefficient register;
-# tag = (scope, index), an annihilator meets the next creation in its
-# scope as a delta function).  Words act on the vacuum on the right;
-# the rightmost atom acts first.
-
-
-def fermionic(atom):
-    return atom[1] == "f"
-
-
-class TupleStore:
-    """A sum of scalar multiples of operator words."""
-
-    def __init__(self, tuples):
-        self.tuples = [(Fraction(lam), tuple(word)) for lam, word in tuples]
-
-    def simplified(self):
-        acc = {}
-        for lam, word in self.tuples:
-            acc[word] = acc.get(word, Fraction(0)) + lam
-        return TupleStore([(lam, w) for w, lam in acc.items() if lam])
-
-    def value(self):
-        total = Fraction(0)
-        for lam, word in self.tuples:
-            total += lam * word_vacuum_value(word)
-        return total
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-    def __len__(self):
-        return len(self.tuples)
-
-
-def word_vacuum_value(word):
-    """<1| word |1>: apply the word to the vacuum and read off the
-    scalar part.  Surviving creation operators contribute zero."""
-    coeff = Fraction(1)
-    ferm = []
-    bosons = {}
-    zreg = {}
-    for atom in reversed(word):
-        op, species, tag = atom
-        if species == "f":
-            if op == "c":
-                if tag in ferm:
-                    return Fraction(0)
-                ferm.insert(0, tag)
-            else:
-                if tag not in ferm:
-                    return Fraction(0)
-                p = ferm.index(tag)
-                if p & 1:
-                    coeff = -coeff
-                ferm.pop(p)
-        elif species == "b":
-            if op == "c":
-                bosons[tag] = bosons.get(tag, 0) + 1
-            else:
-                cnt = bosons.get(tag, 0)
-                if cnt == 0:
-                    return Fraction(0)
-                coeff *= cnt
-                bosons[tag] = cnt - 1
-        else:
-            scope, idx = tag
-            if op == "c":
-                if zreg.get(scope) is not None:
-                    return Fraction(0)
-                zreg[scope] = idx
-            else:
-                if zreg.get(scope) != idx:
-                    return Fraction(0)
-                zreg[scope] = None
-    if ferm or any(bosons.values()) or any(v is not None for v in zreg.values()):
-        return Fraction(0)
-    return coeff
-
-
-def _swap_sign(a, b):
-    return -1 if fermionic(a) and fermionic(b) else 1
-
-
-def _rewrite_site(word):
-    """Rightmost position i with an annihilator at i and a creation at
-    i + 1, or None."""
-    for i in range(len(word) - 2, -1, -1):
-        if word[i][0] == "a" and word[i + 1][0] == "c":
-            return i
-    return None
-
-
-def normalize(store, boundary=False):
-    """Push annihilation operators toward the input until no creation
-    operator stands to the right of an annihilator.  With boundary=True,
-    tuples whose word still ends in an annihilator (which kills the
-    vacuum input) or still contains a creation operator (killed by the
-    scalar output projection) are removed."""
-    work = list(store.simplified() if isinstance(store, TupleStore) else store)
-    done = []
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 200000:
-            raise ValueError("rewriting failed to terminate")
-        lam, word = work.pop()
-        i = _rewrite_site(word)
-        if i is None:
-            done.append((lam, word))
-            continue
-        a, c = word[i], word[i + 1]
-        swapped = word[:i] + (c, a) + word[i + 2:]
-        removed = word[:i] + word[i + 2:]
-        if a[1] == c[1] and a[2] == c[2]:
-            if a[1] == "f":
-                work.append((-lam, swapped))
-                work.append((lam, removed))
-            elif a[1] == "b":
-                work.append((lam, swapped))
-                work.append((lam, removed))
-            else:
-                work.append((lam, removed))
-        elif a[1] == "z" and c[1] == "z" and a[2][0] == c[2][0]:
-            # same scope, different index: the delta function vanishes
-            continue
-        else:
-            work.append((lam * _swap_sign(a, c), swapped))
-    out = TupleStore(done).simplified()
-    if boundary:
-        kept = []
-        for lam, word in out:
-            if word and word[-1][0] == "a":
-                continue
-            if any(atom[0] == "c" for atom in word):
-                continue
-            kept.append((lam, word))
-        out = TupleStore(kept)
-    return out

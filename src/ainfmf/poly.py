@@ -157,9 +157,6 @@ class Polynomial:
                 out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c * m[i]
         return Polynomial(self.nvars, out)
 
-    def constant_term(self):
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def sorted_terms(self, order="grevlex"):
         key = ORDERS[order]
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
@@ -477,23 +474,3 @@ class GroebnerBasis:
         rec([])
         monos.sort(key=ORDERS[self.order])
         return monos
-
-
-def potential_check(w, order="grevlex"):
-    """Check w has w(0)=0, no linear part, and finite Milnor number.
-
-    Returns (jacobi_generators, milnor_number); raises ValueError if the
-    critical locus is not zero dimensional.
-    """
-    n = w.nvars
-    if w.constant_term():
-        raise ValueError("potential must vanish at the origin")
-    for m, _ in w.terms.items():
-        if sum(m) == 1:
-            raise ValueError("potential must have no linear part")
-    parts = [w.diff(i) for i in range(n)]
-    if any(p.is_zero() for p in parts):
-        raise ValueError("potential has a vanishing partial derivative")
-    gb = GroebnerBasis(parts, order)
-    mu = len(gb.standard_monomials())
-    return parts, mu

@@ -5,9 +5,9 @@ Everything here is driven by a Groebner basis of I = (t_1,...,t_n) with
 cofactors, which lets us expand any polynomial r as a finite or truncated
 sum  r = sum_{i,delta} r_{(i,delta)} sigma(z_i) t^delta  where the z_i are
 the standard monomials of R/I.  On top of that expansion sit the structure
-tensor Gamma of the multiplication, the transported multiplication
-operator r^#, the connection components d/dt_i, and the rescaled Euler
-idempotent.
+tensor Gamma of the multiplication, the connection components d/dt_i,
+and the rescaled Euler idempotent.  The transported multiplication
+operator r^# acts on the arena's states in sdrcore.
 """
 
 from fractions import Fraction
@@ -113,13 +113,10 @@ class GammaTensor:
         self.qb = qb
         self.cap = cap
         self.entries = {}
-        self.exact_beyond_cap = True
         for i in range(qb.mu):
             for j in range(i, qb.mu):
                 prod = qb.basis_poly(i) * qb.basis_poly(j)
                 exp = t_adic_expand(prod, qb, cap)
-                if not exp.exact_beyond_cap:
-                    self.exact_beyond_cap = False
                 for (k, delta), c in exp.coefficients.items():
                     self.entries[(i, j, k, delta)] = c
                     if i != j:
@@ -135,89 +132,6 @@ class GammaTensor:
     def products_of(self, i, j):
         """All (k, delta, coeff) with Gamma^{ij}_{k delta} nonzero."""
         return self._products.get((i, j), ())
-
-
-class TLinearOp:
-    """A Q[t]-linear operator on R/I tensor Q[t]_{<= cap}, stored by its
-    action on the basis vectors z_i at t-degree zero."""
-
-    def __init__(self, qb, cap, columns, exact_beyond_cap):
-        self.qb = qb
-        self.cap = cap
-        # columns[i] = {(l, delta): coeff} meaning z_i -> coeff z_l t^delta
-        self.columns = columns
-        self.exact_beyond_cap = exact_beyond_cap
-
-    def apply(self, state):
-        """state: {(i, delta): Fraction} -> same shape.  Output terms with
-        |delta| beyond the cap are dropped when the operator is exact up
-        to the cap being irrelevant; if the columns themselves were
-        truncated we refuse to silently produce wrong answers."""
-        out = {}
-        for (i, delta), c in state.items():
-            col = self.columns.get(i, {})
-            for (l, d2), c2 in col.items():
-                nd = _add_delta(delta, d2)
-                if sum(nd) > self.cap:
-                    if self.exact_beyond_cap:
-                        raise CapExceeded(
-                            "result exceeds t-degree cap %d" % self.cap
-                        )
-                    raise CapExceeded("operator truncated at the cap")
-                add_into(out, (l, nd), c * c2)
-        return out
-
-    def compose(self, other):
-        columns = {}
-        exact = self.exact_beyond_cap and other.exact_beyond_cap
-        for i, col in other.columns.items():
-            acc = {}
-            for (l, delta), c in col.items():
-                mid = self.columns.get(l, {})
-                for (m, d2), c2 in mid.items():
-                    nd = _add_delta(delta, d2)
-                    if sum(nd) > self.cap:
-                        exact = False
-                        continue
-                    add_into(acc, (m, nd), c * c2)
-            if acc:
-                columns[i] = acc
-        return TLinearOp(self.qb, self.cap, columns, exact)
-
-
-def r_sharp(r, qb, cap, gamma=None):
-    """Multiplication by r transported to R/I tensor Q[t]: columns are the
-    expansions of r * sigma(z_i).
-
-    When a Gamma tensor is supplied the columns are instead assembled by
-    the convolution  sum_{alpha+beta=delta} sum_k r_{(k,alpha)}
-    Gamma^{ki}_{l beta};  both routes agree (the tests assert it)."""
-    columns = {}
-    exact = True
-    if gamma is None:
-        for i in range(qb.mu):
-            exp = t_adic_expand(r * qb.basis_poly(i), qb, cap)
-            if not exp.exact_beyond_cap:
-                exact = False
-            col = {(l, delta): c for (l, delta), c in exp.coefficients.items()}
-            if col:
-                columns[i] = col
-    else:
-        rexp = t_adic_expand(r, qb, cap)
-        if not rexp.exact_beyond_cap or not gamma.exact_beyond_cap:
-            exact = False
-        for i in range(qb.mu):
-            col = {}
-            for (k, alpha), c in rexp.coefficients.items():
-                for l, beta, g in gamma.products_of(k, i):
-                    delta = _add_delta(alpha, beta)
-                    if sum(delta) > cap:
-                        exact = False
-                        continue
-                    add_into(col, (l, delta), c * g)
-            if col:
-                columns[i] = col
-    return TLinearOp(qb, cap, columns, exact)
 
 
 def dt_operator(i, n):

@@ -8,11 +8,13 @@ operators: the transported differential d_A, the connection nabla, the
 propagator zeta, the critical Atiyah class At = [d_A, nabla], delta and its exponentials, the
 inclusion/projection sigma/pi of the theta- and t-degree-zero sector, the
 perturbation series sigma_infty and phi_infty, and the homotopy
-equivalence Phi, Phi^{-1}, H_hat.  sdr_verify checks the defining
-identities exactly on a margin-restricted basis.
+equivalence Phi, Phi^{-1}, H_hat.  d_A and delta are built key by key:
+each summand moves the fermion bits of the key's mask (wedge_mask,
+contract_mask) and then multiplies by a polynomial through its t-adic
+columns, the transported multiplication r^#.  sdr_verify checks the
+defining identities exactly on a margin-restricted basis.
 """
 
-from collections import Counter
 from math import lcm
 
 from .mfcat import default_homotopies
@@ -20,12 +22,14 @@ from .quotient import t_adic_expand
 from .superspace import (
     LinearOp,
     Space,
+    contract_mask,
     contract_op,
     exp_nilpotent,
     graded_commutator,
     rational_state,
     state_sum,
     wedge_key,
+    wedge_mask,
     wedge_op,
 )
 
@@ -71,7 +75,8 @@ class Arena:
     # coefficient tables
 
     def _columns(self, r):
-        """r_sharp columns of a polynomial: i -> {(l, delta): coeff}."""
+        """The t-adic columns of multiplication by a polynomial:
+        i -> {(l, delta): coeff}."""
         qb = self.qb
         cols = {}
         for i in range(qb.mu):
@@ -81,26 +86,6 @@ class Arena:
             for (_, d) in col:
                 self.table_max_tdeg = max(self.table_max_tdeg, sum(d))
         return cols
-
-    def mult_op(self, r):
-        """The even operator r^# (z and t action only)."""
-        cols = self._columns(r)
-        cap = self.cap
-
-        def rule(key):
-            mask, h, delta = key
-            col = cols.get(h)
-            if not col:
-                return None
-            out = {}
-            for (l, d2), c in col.items():
-                nd = tuple(a + b for a, b in zip(delta, d2))
-                if sum(nd) > cap:
-                    continue
-                out[(mask, l, nd)] = c
-            return out
-
-        return LinearOp.from_rule(self.space, 0, rule)
 
     # ------------------------------------------------------------------
     # fermion operators
@@ -115,63 +100,81 @@ class Arena:
     # the main operators
 
     def _differentials(self):
-        """(d_A, delta), sums of r^# after fermion operators.  Each r^#
-        and each fermion operator is built once and dropped after its
-        last use, so set-up holds only those still needed."""
+        """(d_A, delta), each a sum of (sign, r, word) terms: the fermion
+        moves of word act on the mask, last to first, and then the
+        t-adic columns of r, cut at the cap, act on (h, delta)."""
         n = self.n
-        ops = {}
+        pos = self.space.gen_pos
 
-        def op(name, *args):  # mult_op(r), wedge or contract(family, i)
-            key = (name,) + args
-            if key not in ops:
-                ops[key] = getattr(self, name)(*args)
-            uses[key] -= 1
-            return ops[key] if uses[key] else ops.pop(key)
+        def wedge(family, i):
+            return wedge_mask, pos(family, i)
 
-        def total(degree, terms):
-            """Sum of sign * r^# after the fermion operators of word,
-            applied last to first, over the (sign, r, word) terms; a zero
-            polynomial contributes no term."""
-            acc = LinearOp(self.space, degree)
-            for sign, r, word in terms:
-                if r:
-                    term = op("mult_op", r)
-                    for fermion in word:
-                        term = term.compose(op(*fermion))
-                    acc = acc + term if sign > 0 else acc - term
-            return acc
+        def contract(family, i):
+            return contract_mask, pos(family, i)
 
         d_terms, delta_terms = [], []
         if self.presentation == "nu":
             for j, (u, v) in enumerate(self.Y.pairs):
-                d_terms += [(1, u, [("contract", "eta", j)]),
-                            (1, v, [("wedge", "eta", j)])]
+                d_terms += [(1, u, [contract("eta", j)]),
+                            (1, v, [wedge("eta", j)])]
             for i, (f, g) in enumerate(self.X.pairs):
-                d_terms += [(-1, f, [("wedge", "xibar", i)]),
-                            (1, g, [("contract", "xibar", i)])]
+                d_terms += [(-1, f, [wedge("xibar", i)]),
+                            (1, g, [contract("xibar", i)])]
             for k in range(n):
-                tk = ("contract", "theta", k)
+                tk = contract("theta", k)
                 for j in range(self.Y.r):
                     delta_terms += [
-                        (1, self.homY.F[k][j], [("contract", "eta", j), tk]),
-                        (1, self.homY.G[k][j], [("wedge", "eta", j), tk])]
+                        (1, self.homY.F[k][j], [contract("eta", j), tk]),
+                        (1, self.homY.G[k][j], [wedge("eta", j), tk])]
         else:
             for i, (f, g) in enumerate(self.X.pairs):
-                d_terms += [(1, f, [("contract", "xi", i)]),
-                            (1, g, [("contract", "xibar", i)])]
+                d_terms += [(1, f, [contract("xi", i)]),
+                            (1, g, [contract("xibar", i)])]
             for k in range(n):
-                tk = ("contract", "theta", k)
+                tk = contract("theta", k)
                 for i in range(self.X.r):
                     F, G = self.homX.F[k][i], self.homX.G[k][i]
-                    delta_terms += [(1, F, [("contract", "xi", i), tk]),
-                                    (1, F, [("wedge", "xibar", i), tk]),
-                                    (1, G, [("wedge", "xi", i), tk])]
+                    delta_terms += [(1, F, [contract("xi", i), tk]),
+                                    (1, F, [wedge("xibar", i), tk]),
+                                    (1, G, [wedge("xi", i), tk])]
 
-        uses = Counter()
-        for _, r, word in d_terms + delta_terms:
-            if r:
-                uses.update([("mult_op", r)] + word)
-        return total(1, d_terms), total(0, delta_terms)
+        columns = {}
+        for _, r, _ in d_terms + delta_terms:
+            if r and r not in columns:
+                columns[r] = self._columns(r)
+        return (self._term_sum(1, d_terms, columns),
+                self._term_sum(0, delta_terms, columns))
+
+    def _term_sum(self, degree, terms, columns):
+        """The operator sum of sign * r after word over the terms with a
+        non-zero polynomial r; columns maps each r to its columns."""
+        cap = self.cap
+        terms = [(sign, word[::-1], columns[r]) for sign, r, word in terms
+                 if r]
+
+        def rule(key):
+            mask0, h, delta = key
+            out = {}
+            for sign, word, cols in terms:
+                col = cols.get(h)
+                if not col:
+                    continue
+                mask = mask0
+                for move, p in word:
+                    hit = move(mask, p)
+                    if hit is None:
+                        break
+                    sign *= hit[0]
+                    mask = hit[1]
+                else:
+                    for (l, d2), c in col.items():
+                        nd = tuple(a + b for a, b in zip(delta, d2))
+                        if sum(nd) <= cap:
+                            k2 = (mask, l, nd)
+                            out[k2] = out.get(k2, 0) + sign * c
+            return out
+
+        return LinearOp.from_rule(self.space, degree, rule)
 
     def _build_operators(self):
         self.d_A, self.delta = self._differentials()
@@ -198,7 +201,7 @@ class Arena:
             for k in range(self.n):
                 if delta[k] == 0:
                     continue
-                hit = wedge_key(sp, sp.gen_pos("theta", k), key)
+                hit = wedge_key(sp.gen_pos("theta", k), key)
                 if hit is None:
                     continue
                 s, key2 = hit

@@ -303,7 +303,7 @@ def contract_mask(mask, i):
     return sign, mask & ~(1 << i)
 
 
-def wedge_key(space, pos, key):
+def wedge_key(pos, key):
     """(sign, new_key) or None for wedging generator pos onto a basis key."""
     mask, h, delta = key
     hit = wedge_mask(mask, pos)
@@ -312,7 +312,7 @@ def wedge_key(space, pos, key):
     return hit[0], (hit[1], h, delta)
 
 
-def contract_key(space, pos, key):
+def contract_key(pos, key):
     mask, h, delta = key
     hit = contract_mask(mask, pos)
     if hit is None:
@@ -322,7 +322,7 @@ def contract_key(space, pos, key):
 
 def _fermion_op(space, pos, move):
     def rule(key):
-        hit = move(space, pos, key)
+        hit = move(pos, key)
         if hit is None:
             return None
         return {hit[1]: hit[0]}

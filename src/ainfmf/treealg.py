@@ -38,61 +38,6 @@ def leaves(tree):
     return leaves(tree[0]) + leaves(tree[1])
 
 
-def leaf_count(tree):
-    return len(leaves(tree))
-
-
-def tree_to_str(tree):
-    if isinstance(tree, int):
-        return str(tree)
-    return "(%s,%s)" % (tree_to_str(tree[0]), tree_to_str(tree[1]))
-
-
-def parse_tree(text):
-    text = text.replace(" ", "")
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if text[pos] == "(":
-            pos += 1
-            left = parse()
-            assert text[pos] == ","
-            pos += 1
-            right = parse()
-            assert text[pos] == ")"
-            pos += 1
-            return (left, right)
-        start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        return int(text[start:pos])
-
-    out = parse()
-    if pos != len(text):
-        raise ValueError("trailing characters in tree string")
-    return out
-
-
-def internal_edges(tree):
-    """Edges between two trivalent vertices: one for every internal
-    vertex that is a child of another internal vertex."""
-
-    def count(node, has_parent_vertex):
-        if isinstance(node, int):
-            return 0
-        own = 1 if has_parent_vertex else 0
-        return own + count(node[0], True) + count(node[1], True)
-
-    return count(tree, False)
-
-
-def internal_vertices(tree):
-    if isinstance(tree, int):
-        return 0
-    return 1 + internal_vertices(tree[0]) + internal_vertices(tree[1])
-
-
 def right_branch_counts(tree):
     """P_i: how often the path from leaf i to the root enters a
     trivalent vertex as the right-hand branch.  Returns a dict leaf -> count."""

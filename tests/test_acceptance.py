@@ -21,7 +21,7 @@ from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import GammaTensor, QuotientBasis, \
     dt_of_polynomial, euler_idempotent
 from ainfmf.treealg import denote, enumerate_binary, mirror_eval, \
-    mirror_sign, tree_to_str
+    mirror_sign
 
 from test_normalorder import REF_XX, REF_XY, REF_YY
 from test_treealg import ToyDecoration
@@ -278,7 +278,7 @@ def test_criterion_11_tree_enumeration_and_mirror_sign():
     for k in range(2, 9):
         trees = enumerate_binary(k)
         assert len(trees) == comb(2 * (k - 1), k - 1) // k
-        assert len(set(map(tree_to_str, trees))) == len(trees)
+        assert len(set(trees)) == len(trees)
     rng = random.Random(41)
     checked = 0
     while checked < 100:

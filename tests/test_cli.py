@@ -221,6 +221,9 @@ def test_empty_sdr_verify_exits_3(spec):
     {"command": "expand", "polynomial": "x^2", "cap": "x"},
     {"command": "sdr-verify", "margin": "m"},
     {"command": "sdr-verify", "margin": -1},
+    # JSON booleans are not object indices
+    {"command": "rho", "k": 2, "path": [True, False, True]},
+    {"command": "sdr-verify", "source": True},
 ])
 def test_verify_ainf_rejects_bad_arguments(args):
     report, code = cli.run(WORKED, commands=[args])

@@ -1,5 +1,6 @@
 """The demos and the console entry point run to completion, and the
-demo spec's report matches its pinned golden file.
+reports of the demo spec and of the two-variable spec match their
+pinned golden files.
 
 Each demo runs in a fresh interpreter from the repository root, with
 the package on PYTHONPATH, and must exit 0.
@@ -38,10 +39,21 @@ def test_cli_runs_demo_spec():
     assert '"ok": true' in proc.stdout
 
 
-def test_demo_report_matches_golden():
-    # the canonical report of the demo spec is pinned in the repository
-    with open(os.path.join(ROOT, "demos", "worked_example.json")) as fh:
+def matches_golden(name):
+    """The canonical report of demos/<name>.json equals its pinned
+    demos/<name>.golden.json."""
+    with open(os.path.join(ROOT, "demos", name + ".json")) as fh:
         report, code = cli.run(json.load(fh))
     assert code == cli.EXIT_OK
-    golden = os.path.join(ROOT, "demos", "worked_example.golden.json")
+    golden = os.path.join(ROOT, "demos", name + ".golden.json")
     assert cli.pin(report, golden) == []
+
+
+def test_demo_report_matches_golden():
+    matches_golden("worked_example")
+
+
+def test_two_variable_report_matches_golden():
+    # rank two with two objects: the pinned reports of delta with two
+    # thetas, of both presentations and of feynman on K, L, K
+    matches_golden("two_variable")

@@ -11,12 +11,9 @@ from ainfmf.normalorder import (
     DegreeMismatch,
     EdgeEngine,
     FeynmanBackend,
-    TupleStore,
     VertexCatalog,
     catalog_diff,
     evaluate_summand,
-    normalize,
-    word_vacuum_value,
     z_factor_forward,
     z_factor_sym,
 )
@@ -363,65 +360,3 @@ def test_catalog_notes_on_bad_homotopy():
     # default homotopies sum to the Jacobian (2 x1, 2 x2), not to t
     cat = VertexCatalog(Arena(X, X, qb, 3))
     assert any("fail" in note for note in cat.notes)
-
-
-# ----------------------------------------------------------------------
-# rewriting of flat operator words
-
-
-def test_normalize_fermion_pair():
-    st = TupleStore([(1, (("a", "f", "xi"), ("c", "f", "xi")))])
-    out = normalize(st)
-    assert sorted(out.tuples, key=str) == [
-        (Fraction(-1), (("c", "f", "xi"), ("a", "f", "xi"))),
-        (Fraction(1), ()),
-    ]
-
-
-def test_normalize_boson_pair():
-    st = TupleStore([(1, (("a", "b", "t"), ("c", "b", "t")))])
-    out = normalize(st)
-    assert sorted(out.tuples, key=str) == [
-        (Fraction(1), (("c", "b", "t"), ("a", "b", "t"))),
-        (Fraction(1), ()),
-    ]
-
-
-def test_normalize_z_register():
-    hit = TupleStore([(1, (("a", "z", ("s", 2)), ("c", "z", ("s", 2))))])
-    assert normalize(hit).tuples == [(Fraction(1), ())]
-    miss = TupleStore([(1, (("a", "z", ("s", 1)), ("c", "z", ("s", 2))))])
-    assert normalize(miss).tuples == []
-
-
-def test_normalize_value_invariance():
-    rng = random.Random(0)
-    atoms = []
-    for tag in ("p", "q", "r"):
-        atoms += [("c", "f", tag), ("a", "f", tag)]
-    for tag in ("t1", "t2"):
-        atoms += [("c", "b", tag), ("a", "b", tag)]
-    atoms += [("c", "z", ("s", h)) for h in range(3)]
-    atoms += [("a", "z", ("s", h)) for h in range(3)]
-    for _ in range(300):
-        word = tuple(rng.choice(atoms) for _ in range(rng.randint(0, 8)))
-        lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        st = normalize(TupleStore([(lam, word)]))
-        assert st.value() == lam * word_vacuum_value(word)
-        for _, w in st:
-            seen_a = False
-            for atom in w:
-                if atom[0] == "a":
-                    seen_a = True
-                else:
-                    assert not seen_a, w
-
-
-def test_normalize_boundary_projection():
-    st = TupleStore([
-        (1, (("a", "f", "p"), ("c", "f", "p"))),
-        (2, (("c", "f", "q"),)),
-        (3, (("a", "b", "t"),)),
-    ])
-    out = normalize(st, boundary=True)
-    assert out.tuples == [(Fraction(1), ())]

@@ -1,20 +1,19 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfmf.mfcat import koszul_mf
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import (
-    CapExceeded,
     GammaTensor,
     QuotientBasis,
     dt_of_polynomial,
     dt_operator,
     euler_idempotent,
     middle_operator,
-    r_sharp,
     t_adic_expand,
 )
+from ainfmf.sdrcore import Arena
 
 
 def qb_x4():
@@ -135,43 +134,64 @@ def test_gamma_symmetry_and_unit():
     assert g.get(ix, ix, 0, (1, 0)) == 1
 
 
+def r_sharp(r):
+    """The columns of r^# over t = x^4, as the arena computes them:
+    i -> {(l, delta): coeff}, the expansion of r * sigma(z_i)."""
+    W = parse_poly("1/5*x1^5", 1)
+    X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W)
+    return Arena(X, X, qb_x4(), 0)._columns(r)
+
+
+def compose_columns(a, b):
+    """The columns of a after b."""
+    out = {}
+    for i, col in b.items():
+        acc = {}
+        for (l, d), c in col.items():
+            for (m, d2), c2 in a.get(l, {}).items():
+                key = (m, tuple(x + y for x, y in zip(d, d2)))
+                acc[key] = acc.get(key, 0) + c * c2
+        acc = {key: c for key, c in acc.items() if c}
+        if acc:
+            out[i] = acc
+    return out
+
+
 def test_r_sharp_direct_vs_convolution():
+    # the columns of r^# equal the convolution
+    # sum_{alpha+beta=delta} sum_k r_{(k,alpha)} Gamma^{ki}_{l beta}
     qb = qb_x4()
     g = GammaTensor(qb, 3)
     for text in ("x1", "x1^2 + x1^5", "2 + 3*x1^3", "x1^6"):
         r = parse_poly(text, 1)
-        a = r_sharp(r, qb, 3)
-        b = r_sharp(r, qb, 3, gamma=g)
-        assert a.columns == b.columns
+        rexp = t_adic_expand(r, qb, 3)
+        assert rexp.exact_beyond_cap
+        conv = {}
+        for i in range(qb.mu):
+            col = {}
+            for (k, alpha), c in rexp.coefficients.items():
+                for l, beta, gc in g.products_of(k, i):
+                    key = (l, tuple(x + y for x, y in zip(alpha, beta)))
+                    col[key] = col.get(key, 0) + c * gc
+            col = {key: c for key, c in col.items() if c}
+            if col:
+                conv[i] = col
+        assert r_sharp(r) == conv
 
 
 def test_r_sharp_action():
-    qb = qb_x4()
-    op = r_sharp(parse_poly("x1", 1), qb, 2)
-    assert op.apply({(2, (0,)): Fraction(1)}) == {(3, (0,)): Fraction(1)}
-    assert op.apply({(3, (0,)): Fraction(1)}) == {(0, (1,)): Fraction(1)}
+    x = r_sharp(parse_poly("x1", 1))
+    assert x[2] == {(3, (0,)): Fraction(1)}
+    assert x[3] == {(0, (1,)): Fraction(1)}
     # r = 1 is the identity
-    one = r_sharp(Polynomial.const(1, 1), qb, 2)
-    st0 = {(1, (1,)): Fraction(2, 5)}
-    assert one.apply(st0) == st0
+    one = r_sharp(Polynomial.const(1, 1))
+    assert one == {i: {(i, (0,)): Fraction(1)} for i in range(4)}
 
 
 def test_r_sharp_ring_action():
-    qb = qb_x4()
     x = Polynomial.var(1, 0)
     r, s = x + 1, x ** 2
-    cap = 4
-    lhs = r_sharp(r * s, qb, cap)
-    rhs = r_sharp(r, qb, cap).compose(r_sharp(s, qb, cap))
-    state = {(3, (0,)): Fraction(1)}
-    assert lhs.apply(state) == rhs.apply(state)
-
-
-def test_r_sharp_cap_exceeded():
-    qb = qb_x4()
-    op = r_sharp(parse_poly("x1", 1), qb, 1)
-    with pytest.raises(CapExceeded):
-        op.apply({(3, (1,)): Fraction(1)})
+    assert r_sharp(r * s) == compose_columns(r_sharp(r), r_sharp(s))
 
 
 def test_dt_operator():

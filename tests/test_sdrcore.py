@@ -5,8 +5,14 @@ import pytest
 from ainfmf.mfcat import HomotopySet, koszul_mf
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
-from ainfmf.sdrcore import Arena, ZeroVirtualDegree
-from ainfmf.superspace import LinearOp, graded_commutator, rational_state
+from ainfmf.sdrcore import Arena, ZeroVirtualDegree, full_expansion
+from ainfmf.superspace import (
+    LinearOp,
+    contract_op,
+    graded_commutator,
+    rational_state,
+    wedge_op,
+)
 
 
 def image(op, key):
@@ -34,6 +40,103 @@ def kstab_arena(cap=3):
     one = Polynomial.const(1, 1)
     hom = HomotopySet(F=[[Polynomial.zero(1)]], G=[[one]])
     return Arena(X, X, qb, cap, homX=hom, homY=hom)
+
+
+def twovar_arena(presentation, cap=2):
+    # rank-two objects K = (x1, x1), (x2, x2) and L = (x1, x1), (-x2, -x2)
+    # of W = x1^2 + x2^2: delta carries two thetas
+    W = parse_poly("x1^2 + x2^2", 2)
+    x1, x2 = parse_poly("x1", 2), parse_poly("x2", 2)
+    K = koszul_mf([(x1, x1), (x2, x2)], W, "K")
+    L = koszul_mf([(x1, x1), (-x2, -x2)], W, "L")
+    qb = QuotientBasis([parse_poly("2*x1", 2), parse_poly("2*x2", 2)])
+    return Arena(K, K if presentation == "rho" else L, qb, cap)
+
+
+def composed_differentials(a):
+    """Reference (d_A, delta): sums of the whole-basis operator r^# (the
+    t-adic columns of r, cut at the cap) after whole-basis fermion
+    operators, composed as LinearOps.  Returns the two operators and
+    the largest t-degree in the columns of r."""
+    sp, n = a.space, a.n
+    tmax = [0]
+
+    def mult_op(r):
+        cols = [full_expansion(r * a.qb.basis_poly(h), a.qb).coefficients
+                for h in range(a.qb.mu)]
+        for col in cols:
+            for (_, d) in col:
+                tmax[0] = max(tmax[0], sum(d))
+
+        def rule(key):
+            mask, h, delta = key
+            out = {}
+            for (l, d2), c in cols[h].items():
+                nd = tuple(x + y for x, y in zip(delta, d2))
+                if sum(nd) <= sp.cap:
+                    out[(mask, l, nd)] = c
+            return out
+
+        return LinearOp.from_rule(sp, 0, rule)
+
+    def fermion(move, family, i):
+        op = wedge_op if move == "wedge" else contract_op
+        return op(sp, sp.gen_pos(family, i))
+
+    def total(degree, terms):
+        acc = LinearOp(sp, degree)
+        for sign, r, word in terms:
+            if r:
+                term = mult_op(r)
+                for f in word:
+                    term = term.compose(fermion(*f))
+                acc = acc + term if sign > 0 else acc - term
+        return acc
+
+    d_terms, delta_terms = [], []
+    if a.presentation == "nu":
+        for j, (u, v) in enumerate(a.Y.pairs):
+            d_terms += [(1, u, [("contract", "eta", j)]),
+                        (1, v, [("wedge", "eta", j)])]
+        for i, (f, g) in enumerate(a.X.pairs):
+            d_terms += [(-1, f, [("wedge", "xibar", i)]),
+                        (1, g, [("contract", "xibar", i)])]
+        for k in range(n):
+            tk = ("contract", "theta", k)
+            for j in range(a.Y.r):
+                delta_terms += [
+                    (1, a.homY.F[k][j], [("contract", "eta", j), tk]),
+                    (1, a.homY.G[k][j], [("wedge", "eta", j), tk])]
+    else:
+        for i, (f, g) in enumerate(a.X.pairs):
+            d_terms += [(1, f, [("contract", "xi", i)]),
+                        (1, g, [("contract", "xibar", i)])]
+        for k in range(n):
+            tk = ("contract", "theta", k)
+            for i in range(a.X.r):
+                F, G = a.homX.F[k][i], a.homX.G[k][i]
+                delta_terms += [(1, F, [("contract", "xi", i), tk]),
+                                (1, F, [("wedge", "xibar", i), tk]),
+                                (1, G, [("wedge", "xi", i), tk])]
+    return total(1, d_terms), total(0, delta_terms), tmax[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: worked_arena(cap=4),
+    lambda: worked_arena(cap=4, presentation="rho"),
+    lambda: kstab_arena(cap=3),
+    lambda: twovar_arena("rho"),
+    lambda: twovar_arena("nu"),
+], ids=["worked-nu", "worked-rho", "kstab", "twovar-rho", "twovar-nu"])
+def test_differentials_match_composed_reference(make):
+    a = make()
+    tdeg = a.table_max_tdeg
+    d_A, delta, tmax = composed_differentials(a)
+    assert (a.d_A.cols, a.d_A.den) == (d_A.cols, d_A.den)
+    assert (a.delta.cols, a.delta.den) == (delta.cols, delta.den)
+    assert a.d_A.degree == 1 and a.delta.degree == 0
+    assert tdeg == tmax
+    assert a.delta.cols and a.d_A.cols
 
 
 def test_d_a_squares_to_zero_worked():

@@ -25,25 +25,25 @@ def test_wedge_contract_signs():
     t1, t2 = sp.gen_pos("theta", 0), sp.gen_pos("theta", 1)
     both = (1 << t1 | 1 << t2, 0, (0,))
     # contract theta1 out of theta1^theta2: position 1, sign +
-    s, k = contract_key(sp, t1, both)
+    s, k = contract_key(t1, both)
     assert s == 1 and k == (1 << t2, 0, (0,))
     # contract theta2 out of theta1^theta2: position 2, sign -
-    s, k = contract_key(sp, t2, both)
+    s, k = contract_key(t2, both)
     assert s == -1 and k == (1 << t1, 0, (0,))
     # wedge repeated generator gives zero
-    assert wedge_key(sp, t1, both) is None
+    assert wedge_key(t1, both) is None
     # wedge theta2 onto theta1 picks up no sign; onto theta2-first ordering it does
-    s, k = wedge_key(sp, t2, (1 << t1, 0, (0,)))
+    s, k = wedge_key(t2, (1 << t1, 0, (0,)))
     assert s == -1 and k == both  # theta1 already present below position t2?
 
 def test_wedge_sign_convention():
     sp = small_space()
     t1, t2 = sp.gen_pos("theta", 0), sp.gen_pos("theta", 1)
     # theta2 ^ (theta1) : one generator below position of theta2 -> sign -1
-    s, _ = wedge_key(sp, t2, (1 << t1, 0, (0,)))
+    s, _ = wedge_key(t2, (1 << t1, 0, (0,)))
     assert s == -1
     # theta1 ^ (theta2) : nothing below position of theta1 -> sign +1
-    s, _ = wedge_key(sp, t1, (1 << t2, 0, (0,)))
+    s, _ = wedge_key(t1, (1 << t2, 0, (0,)))
     assert s == 1
 
 

@@ -5,15 +5,10 @@ from math import comb
 from ainfmf.treealg import (
     denote,
     enumerate_binary,
-    internal_edges,
-    internal_vertices,
-    leaf_count,
     leaves,
     mirror_eval,
     mirror_sign,
-    parse_tree,
     right_branch_counts,
-    tree_to_str,
 )
 
 
@@ -25,22 +20,9 @@ def test_enumeration_counts():
     for k in range(2, 9):
         trees = enumerate_binary(k)
         assert len(trees) == catalan(k - 1)
-        assert len(set(map(tree_to_str, trees))) == len(trees)
+        assert len(set(trees)) == len(trees)
         for t in trees:
             assert leaves(t) == list(range(1, k + 1))
-
-
-def test_tree_string_roundtrip():
-    for k in range(2, 6):
-        for t in enumerate_binary(k):
-            assert parse_tree(tree_to_str(t)) == t
-
-
-def test_edge_and_vertex_counts():
-    for k in range(2, 8):
-        for t in enumerate_binary(k):
-            assert internal_edges(t) == k - 2
-            assert internal_vertices(t) == k - 1
 
 
 def test_right_branch_counts_comb():

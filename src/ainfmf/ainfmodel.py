@@ -216,15 +216,6 @@ class Model:
             self._pairs[key] = PairData(self, src, tgt)
         return self._pairs[key]
 
-    def unit_state(self, idx):
-        """1 tensor z_1 tensor id, the strict unit of (idx, idx)."""
-        pd = self.pair(idx, idx)
-        dim = 1 << self.objects[idx].r
-        ident = {(m, m): Fraction(1) for m in range(dim)}
-        ext = pd.from_matrix(ident)
-        zero = (0,) * self.qb.n
-        return {(pd.ext_mask(e), 0, zero): c for e, c in ext.items()}
-
     def _ext_composition(self, pa, pb):
         """Composition table on exterior elements: (ext of pa) after
         (ext of pb), presented in the pair (pb.src, pa.tgt)."""

@@ -48,7 +48,6 @@ from .ainfmodel import (
 from .linalg import mat_mul
 from .mfcat import HomotopyIdentityFailed, HomotopySet, koszul_mf
 from .normalorder import FeynmanBackend, VertexCatalog
-from .normalorder import CapExceeded as TreeCapExceeded
 from .poly import ORDERS, parse_poly
 from .quotient import CapExceeded, GammaTensor, QuotientBasis, t_adic_expand
 from .superspace import add_into
@@ -511,7 +510,7 @@ def cmd_feynman(prob, args):
     # sdr-verify, the cap must leave a key inside the margin n (k - 1)
     margin = m.qb.n * (k - 1)
     if prob.cap < margin:
-        raise TreeCapExceeded(
+        raise CapExceeded(
             "cap %d is below the margin %d = n (k - 1) of a %d-leaf tree"
             % (prob.cap, margin, k))
     limit = _int_arg(args, "limit", None, 0)
@@ -522,14 +521,18 @@ def cmd_feynman(prob, args):
     if limit is not None:
         combos = combos[:limit]
     trees = enumerate_binary(k)
+    signs = {}
     bad = 0
     for combo in combos:
         # rho_k = (-1)^k sum_T of the Koszul-signed denotation of T, which
-        # is mirror_sign times the signless tree_state
-        tilde = {i + 1: m.tilde(key) for i, key in enumerate(combo)}
+        # is mirror_sign times the signless tree_state; the sign depends
+        # on the tree and the inputs' parities only
+        parity = tuple(m.tilde(key) for key in combo)
+        if parity not in signs:
+            tilde = dict(enumerate(parity, 1))
+            signs[parity] = [(-1) ** k * mirror_sign(T, tilde) for T in trees]
         got = {}
-        for T in trees:
-            sign = (-1) ** k * mirror_sign(T, tilde)
+        for T, sign in zip(trees, signs[parity]):
             for kk, v in backend.tree_state(T, path, combo).items():
                 add_into(got, kk, sign * v)
         if got != table.get(combo, {}):
@@ -611,7 +614,7 @@ def run(raw_spec, commands=None, cap=None):
                 {"command": name, "error": str(exc), "ok": False})
             report["ok"] = False
             return report, EXIT_INPUT
-        except (CapExceeded, TreeCapExceeded) as exc:
+        except CapExceeded as exc:
             report["results"].append(
                 {"command": name, "error": "cap insufficient: %s" % exc,
                  "ok": False})

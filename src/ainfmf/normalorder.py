@@ -12,9 +12,14 @@ algebra in sdrcore/ainfmodel.  The ingredients are
   * a propagator bookkeeping z_factor_forward / z_factor_sym for the
     scalar factors contributed by the 1/(virtual degree) insertions;
   * an edge engine that sums the vertex words into the leaf, internal
-    edge and root operators of a tree evaluation, and a tree walker
-    (FeynmanBackend) whose signed sums over trees the feynman command
-    compares against the reported rho_k tables of the matrix backend;
+    edge and root operators of a tree evaluation, each memoised per
+    basis key and extended linearly to states;
+  * a tree walker (FeynmanBackend) whose signed sums over trees the
+    feynman command compares against the reported rho_k tables of the
+    matrix backend.  Each tree is evaluated on its own; the state below
+    an internal node other than the top is kept on the backend, keyed by
+    path, node and the keys of the node's leaves, and shared by every
+    tuple and tree that reaches it;
   * evaluate_summand, which evaluates a single hand-written operator
     word (one summand of the expansion) on explicit inputs.
 
@@ -29,17 +34,23 @@ from itertools import permutations
 from math import factorial
 
 from .ainfmodel import compose_keys
+from .quotient import CapExceeded
 from .sdrcore import ZeroVirtualDegree, full_expansion
 from .superspace import add_into, contract_key, wedge_key
 from .treealg import leaves
 
 
-class CapExceeded(Exception):
-    pass
-
-
 class DegreeMismatch(Exception):
     pass
+
+
+def _extend(image, state):
+    """The linear extension to a state of a map given on basis keys."""
+    out = {}
+    for key, c in state.items():
+        for k2, c2 in image(key).items():
+            add_into(out, k2, c * c2)
+    return out
 
 
 def _bits(mask):
@@ -357,6 +368,7 @@ class EdgeEngine:
             self._theta_mask |= 1 << p
         self._leaf = {}
         self._edge = {}
+        self._root = {}
 
     # -- single vertex families -----------------------------------------
 
@@ -476,18 +488,18 @@ class EdgeEngine:
         return self._edge[key]
 
     def edge(self, state):
-        out = {}
-        for key, c in state.items():
-            for k2, c2 in self.edge_key(key).items():
-                add_into(out, k2, c * c2)
-        return out
+        return _extend(self.edge_key, state)
+
+    def root_key(self, key):
+        if key not in self._root:
+            st = self.exp_delta({key: Fraction(1)}, -1)
+            self._root[key] = {
+                k2: c for k2, c in st.items() if self.arena.is_core_key(k2)
+            }
+        return self._root[key]
 
     def root(self, state):
-        st = self.exp_delta(state, -1)
-        return {
-            key: c for key, c in st.items()
-            if self.arena.is_core_key(key) and c
-        }
+        return _extend(self.root_key, state)
 
 
 # ----------------------------------------------------------------------
@@ -607,6 +619,8 @@ class FeynmanBackend:
         self._engines = {}
         self._ext = {}
         self._junction = {}
+        self._spans = {}
+        self._states = {}
 
     def engine(self, src, tgt):
         key = (src, tgt)
@@ -650,25 +664,33 @@ class FeynmanBackend:
 
     # -- tree walking ----------------------------------------------------
 
-    def _eval(self, node, path, keys, memo, is_top):
+    def _span(self, node):
+        """(first leaf, last leaf of the left branch, last leaf)."""
+        if node not in self._spans:
+            self._spans[node] = (
+                leaves(node)[0], leaves(node[0])[-1], leaves(node[1])[-1])
+        return self._spans[node]
+
+    def _eval(self, node, path, keys, is_top):
+        """The state below node.  Below the top, a state depends only on
+        the path, the node and the keys of its leaves, so it is shared
+        by every tuple and tree of this backend that has them; the top
+        state is used once and not kept."""
         if isinstance(node, int):
             eng = self.engine(path[node - 1], path[node])
             return eng.leaf(keys[node - 1])
-        ls = leaves(node)
-        mkey = (node, tuple(keys[i - 1] for i in ls))
-        hit = memo.get(mkey)
-        if hit is not None:
-            return hit
-        lo, hi = ls[0], ls[-1]
-        mid = leaves(node[0])[-1]
-        sa = self._eval(node[1], path, keys, memo, False)
-        sb = self._eval(node[0], path, keys, memo, False)
+        lo, mid, hi = self._span(node)
+        mkey = (path, node, keys[lo - 1:hi])
+        if not is_top and mkey in self._states:
+            return self._states[mkey]
+        sa = self._eval(node[1], path, keys, False)
+        sb = self._eval(node[0], path, keys, False)
         out = self.mu2(
             sa, (path[mid], path[hi]), sb, (path[lo - 1], path[mid])
         )
-        if not is_top and out:
+        if not is_top:
             out = self.engine(path[lo - 1], path[hi]).edge(out)
-        memo[mkey] = out
+            self._states[mkey] = out
         return out
 
     def tree_state(self, tree, path, keys):
@@ -676,7 +698,7 @@ class FeynmanBackend:
         keys; equals the signless mirror evaluation of the matrix
         backend."""
         path = tuple(path)
-        st = self._eval(tree, path, tuple(keys), {}, True)
+        st = self._eval(tree, path, tuple(keys), True)
         return self.engine(path[0], path[-1]).root(st)
 
     def c_tau(self, tree, path, keys, tau):

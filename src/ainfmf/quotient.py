@@ -64,18 +64,6 @@ class TAdicExpansion:
     def coefficient(self, i, delta):
         return self.coefficients.get((i, delta), Fraction(0))
 
-    def reconstruct(self, qb):
-        """Substitute the polynomials t_j back in.  Equals the source
-        exactly when exact_beyond_cap holds."""
-        out = Polynomial.zero(qb.nvars)
-        for (i, delta), c in self.coefficients.items():
-            p = Polynomial.const(qb.nvars, c) * qb.basis_poly(i)
-            for j, e in enumerate(delta):
-                for _ in range(e):
-                    p = p * qb.tseq[j]
-            out = out + p
-        return out
-
 
 def t_adic_expand(r, qb, cap):
     """Expand r = sum r_{(i,delta)} sigma(z_i) t^delta by iterated
@@ -194,48 +182,6 @@ def nabla0(qb, state):
                 continue
             nd = tuple(x - 1 if k == j else x for k, x in enumerate(delta))
             add_into(out, (h, nd, j), c * e)
-    return out
-
-
-def nabla1(qb, one_form):
-    """Extension of the connection to one-forms.  Two-form components are
-    keyed (h, delta, k, j) with k < j canonical (dz_k wedge dz_j)."""
-    out = {}
-    for (h, delta, j), c in one_form.items():
-        for k, e in enumerate(delta):
-            if e == 0 or k == j:
-                continue
-            nd = tuple(x - 1 if m == k else x for m, x in enumerate(delta))
-            if k < j:
-                key, sign = (h, nd, k, j), 1
-            else:
-                key, sign = (h, nd, j, k), -1
-            add_into(out, key, sign * c * e)
-    return out
-
-
-def koszul_d2(qb, two_form):
-    """Koszul differential on two-forms: contract dz_k wedge dz_j against
-    sum t_i (dz_i)^*."""
-    out = {}
-    for (h, delta, k, j), c in two_form.items():
-        for pos, (idx, other) in enumerate(((k, j), (j, k))):
-            sign = 1 if pos == 0 else -1
-            nd = tuple(
-                x + 1 if m == idx else x for m, x in enumerate(delta)
-            )
-            add_into(out, (h, nd, other), sign * c)
-    return out
-
-
-def middle_operator(qb, one_form):
-    """d_K nabla^1 + nabla^0 d_K on one-forms.  Diagonal: scales the
-    component at t-degree |N| by 1 + |N|."""
-    a = koszul_d2(qb, nabla1(qb, one_form))
-    b = nabla0(qb, koszul_d(qb, one_form))
-    out = dict(a)
-    for key, c in b.items():
-        add_into(out, key, c)
     return out
 
 

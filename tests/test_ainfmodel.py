@@ -36,6 +36,15 @@ def compose_colmaps(a, b):
     return out
 
 
+def unit_state(m, idx):
+    """1 tensor z_1 tensor id, the strict unit of (idx, idx)."""
+    pd = m.pair(idx, idx)
+    dim = 1 << m.objects[idx].r
+    ext = pd.from_matrix({(e, e): Fraction(1) for e in range(dim)})
+    zero = (0,) * m.qb.n
+    return {(pd.ext_mask(e), 0, zero): c for e, c in ext.items()}
+
+
 def worked_model(cap=3):
     W = parse_poly("1/5*x1^5", 1)
     X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
@@ -73,8 +82,8 @@ def sub_states(a, b):
 def test_mu2_unit():
     m = worked_model(cap=3)
     for src, tgt in [(0, 1), (0, 0), (1, 1)]:
-        u_t = m.unit_state(tgt)
-        u_s = m.unit_state(src)
+        u_t = unit_state(m, tgt)
+        u_s = unit_state(m, src)
         for key in m.pair(src, tgt).core_basis():
             beta = {key: Fraction(1)}
             left = mu2(m, u_t, (tgt, tgt), beta, (src, tgt))
@@ -133,8 +142,8 @@ def test_r2_unit_conventions():
     # r2(u, x) = -x and r2(x, u) = (-1)^{x~} x
     m = worked_model(cap=3)
     for src, tgt in [(0, 1), (0, 0)]:
-        u_s = m.unit_state(src)
-        u_t = m.unit_state(tgt)
+        u_s = unit_state(m, src)
+        u_t = unit_state(m, tgt)
         for key in m.pair(src, tgt).core_basis():
             x = {key: Fraction(1)}
             left = m.rho_apply(2, (src, src, tgt), [u_s, x])
@@ -224,7 +233,7 @@ def test_strict_unitality_higher():
             inputs = []
             for i, p in enumerate(pairs):
                 if i == slot:
-                    inputs.append(m.unit_state(p[0]))
+                    inputs.append(unit_state(m, p[0]))
                 else:
                     inputs.append(
                         {rng.choice(m.pair(*p).core_basis()): Fraction(1)}

@@ -226,6 +226,63 @@ def test_tree_dual_backend_worked_sample():
                 assert got == want, (path, T, combo)
 
 
+# the four k = 3 paths of the benchmark's feynman commands: XYXY, XXYY,
+# YXYX and YYXX
+WORKED_PATHS = [(0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
+
+
+@pytest.mark.parametrize("maker, k, paths", [
+    (worked_model, 3, WORKED_PATHS),
+    (kstab_model, 4, [(0,) * 5]),
+    (worked_model, 4, [(0,) * 5]),
+], ids=["worked", "kstab", "worked-k4"])
+def test_shared_subtree_states_match_fresh_backend(maker, k, paths):
+    # one backend keeps its sub-tree states across paths, trees and
+    # tuples; each must equal what a fresh backend computes.  Every pair
+    # of these models has the same core keys, so the same key tuples
+    # recur on every path: a memo that ignored the path would hand one
+    # path's states to another.  At k = 4 the sub-trees ((1, 2), 3) and
+    # (1, (2, 3)) cover the same keys, and on the worked model their
+    # states differ
+    m = maker(cap=3)
+    shared = FeynmanBackend(m)
+    rng = random.Random(31)
+    cores = [m.pair(0, 0).core_basis()] * k
+    combos = [tuple(rng.choice(c) for c in cores) for _ in range(12)]
+    trees = enumerate_binary(k)
+    for path in paths:
+        for combo in combos:
+            for T in trees:
+                fresh = FeynmanBackend(m)
+                assert (shared.tree_state(T, path, combo)
+                        == fresh.tree_state(T, path, combo)), (path, T, combo)
+    assert shared._states
+
+
+def whole_state_root(eng, state):
+    """The root operator as exp(-delta) on the whole state, then its core
+    part: the reference for the key-linear EdgeEngine.root."""
+    st = eng.exp_delta(state, -1)
+    return {key: c for key, c in st.items()
+            if eng.arena.is_core_key(key) and c}
+
+
+@pytest.mark.parametrize("maker", [worked_model, twovar_model])
+def test_root_is_key_linear(maker):
+    m = maker(cap=3)
+    rng = random.Random(5)
+    objs = range(len(m.objects))
+    for s in objs:
+        for t in objs:
+            eng = EdgeEngine(m.pair(s, t).arena)
+            keys = list(eng.space.basis())
+            for _ in range(20):
+                state = {key: Fraction(rng.choice((-3, -1, 2, 5)),
+                                       rng.randint(1, 4))
+                         for key in rng.sample(keys, 4)}
+                assert eng.root(state) == whole_state_root(eng, state), (s, t)
+
+
 def test_c_tau_guards():
     m = kstab_model(cap=1)
     backend = FeynmanBackend(m)

@@ -30,13 +30,14 @@ from .mfcat import (
     check_homotopies,
     default_homotopies,
 )
-from .linalg import basis_change, kernel_basis
-from .quotient import GammaTensor
+from .linalg import Echelon
+from .quotient import CapExceeded, GammaTensor
 from .sdrcore import Arena
 from .superspace import (
     ZERO_STATE,
     LinearOp,
     add_into,
+    extend_linearly,
     rational_state,
     reduced,
     scaled_state,
@@ -563,7 +564,11 @@ class Model:
         """E1 = Phi e Phi^{-1} with e the projector onto theta-degree
         zero, the Clifford maps gamma_i = Phi theta_i* Phi^{-1} and
         gamma_i^dagger = Phi theta_i Phi^{-1}, and the transported
-        components At_i = [d, d/dt_i] on the core."""
+        components At_i = [d, d/dt_i] on the core.  At cap 0 no key
+        has positive t-degree, so At vanishes and the maps say nothing:
+        CapExceeded."""
+        if self.cap == 0:
+            raise CapExceeded("cap 0 leaves no t-degree for At")
         arena = self.pair(*pair_key).arena
         n = self.qb.n
         thetas = sum(1 << arena.space.gen_pos("theta", k) for k in range(n))
@@ -668,45 +673,32 @@ class _ModelDecoration:
 # cohomology of a finite complex over Q
 
 
-def _dot(row, index, state):
-    """row . state, for a dense row over the basis with this index."""
-    return sum((row[index[key]] * c for key, c in state.items()), ZERO)
-
-
 class CohomologyData:
     """The cohomology of a differential given by its columns on a basis.
-    One elimination of [image | kernel | I] picks the representatives,
-    the kernel vectors whose pivots fall past the image, and gives the
-    rows that reduce a cocycle to its class."""
+    One echelon is fed the columns, which gives the kernel, and then the
+    kernel vectors: those independent of the image are the
+    representatives, and a cocycle reduces to its class by its
+    coordinates on them."""
 
     def __init__(self, basis, diff_cols):
-        self.basis = list(basis)
-        self.index = {b: i for i, b in enumerate(self.basis)}
-        self._diff = dict(zip(self.basis, diff_cols))
-        dim = len(self.basis)
-        mat = [[ZERO] * dim for _ in range(dim)]
-        for j, col in enumerate(diff_cols):
-            for key, c in col.items():
-                mat[self.index[key]][j] = c
-        image = [col for col in zip(*mat) if any(col)]
-        kernel = kernel_basis(mat)
-        pivots, coords, self._null = basis_change(image + kernel, dim)
-        self.reps = [kernel[p - len(image)] for p in pivots if p >= len(image)]
+        self._diff = dict(zip(basis, diff_cols))
+        self._echelon = Echelon()
+        self.reps = []
+        for vec in self._echelon.kernel(diff_cols):
+            state = {basis[j]: c for j, c in vec.items()}
+            if self._echelon.add(state, ("rep", len(self.reps))) is None:
+                self.reps.append(state)
         self.dim = len(self.reps)
-        self._coords = coords[len(pivots) - self.dim:]
 
     def reduce(self, state):
         """Class of a cocycle in the chosen representative basis, or
         None if the state is not a cocycle."""
-        boundary = {}
-        for key, c in state.items():
-            for k2, c2 in self._diff[key].items():
-                add_into(boundary, k2, c * c2)
-        if boundary:
+        if extend_linearly(self._diff.__getitem__, state):
             return None
-        if any(_dot(row, self.index, state) for row in self._null):
+        rem, coords = self._echelon.reduce(state)
+        if rem:
             raise ValueError("cocycle outside kernel + image span")
-        return [_dot(row, self.index, state) for row in self._coords]
+        return [coords.get(("rep", i), ZERO) for i in range(self.dim)]
 
 
 def cohomology(model, pair_key):
@@ -723,18 +715,10 @@ def induced_map(coh, colmap):
     """Matrix of a cochain map on cohomology classes, given its column
     map on the underlying basis.  Returns None if the map fails to send
     some representative cocycle to a cocycle."""
-
-    def apply(state):
-        out = {}
-        for key, c in state.items():
-            for k2, c2 in colmap.get(key, {}).items():
-                add_into(out, k2, c * c2)
-        return out
-
     rows = []
-    for v in coh.reps:
-        state = {coh.basis[i]: c for i, c in enumerate(v) if c}
-        red = coh.reduce(apply(state))
+    for state in coh.reps:
+        red = coh.reduce(
+            extend_linearly(lambda key: colmap.get(key, {}), state))
         if red is None:
             return None
         rows.append(red)
@@ -763,26 +747,21 @@ def kstab_minimal(model, idx, decomposition, level=4):
     if total != model.W:
         raise DecompositionInvalid("sum x_i W^i != W")
     pair_key = (idx, idx)
-    cliff = model.e1_and_clifford(pair_key)
-    pd = model.pair(*pair_key)
-    basis = pd.core_basis()
-    index = {b: i for i, b in enumerate(basis)}
-    # joint kernel of the gamma_i
-    stacked = []
-    for g in cliff["gamma"]:
-        block = [[ZERO] * len(basis) for _ in range(len(basis))]
-        for j, b in enumerate(basis):
-            for k2, c in g.get(b, {}).items():
-                block[index[k2]][j] = c
-        stacked.extend(block)
-    kernel = kernel_basis(stacked) if stacked else []
-    kernel_states = [
-        {basis[i]: c for i, c in enumerate(v) if c} for v in kernel
-    ]
-    null = basis_change(kernel, len(basis))[2]
+    gammas = model.e1_and_clifford(pair_key)["gamma"]
+    basis = model.pair(*pair_key).core_basis()
+    # the joint kernel of the gamma_i, from their stacked columns
+    kernel = Echelon().kernel([
+        {(i, k2): c for i, g in enumerate(gammas)
+         for k2, c in g.get(b, {}).items()}
+        for b in basis
+    ])
+    kernel_states = [{basis[j]: c for j, c in v.items()} for v in kernel]
+    span = Echelon()
+    for i, st in enumerate(kernel_states):
+        span.add(st, i)
 
     def in_span(state):
-        return not any(_dot(row, index, state) for row in null)
+        return not span.reduce(state)[0]
 
     result = {
         "kernel": kernel_states,

@@ -28,7 +28,8 @@ Unknown keys in the spec, in an object or in a command entry are input
 errors.  feynman checks the rho_k tables that rho and verify-ainf
 report against the normal-ordering backend's signed tree sums, and
 counts the basis tuples where they disagree as mismatches; a cap below
-the margin n (k - 1) is cap insufficiency.
+the margin n (k - 1) is cap insufficiency.  So is cap 0 for e1,
+clifford and kstab, where no key has the t-degree that At needs.
 """
 
 import argparse
@@ -47,7 +48,7 @@ from .ainfmodel import (
 )
 from .linalg import mat_mul
 from .mfcat import HomotopyIdentityFailed, HomotopySet, koszul_mf
-from .normalorder import FeynmanBackend, VertexCatalog
+from .normalorder import FeynmanBackend, VertexCatalog, check_cap
 from .poly import ORDERS, parse_poly
 from .quotient import CapExceeded, GammaTensor, QuotientBasis, t_adic_expand
 from .superspace import add_into
@@ -505,14 +506,7 @@ def cmd_feynman(prob, args):
     path = prob.path_indices(args.get("path", [prob.labels[0]] * (k + 1)))
     if len(path) != k + 1:
         raise InputError("feynman needs a path of k + 1 object labels")
-    # only nabla lowers the t-degree, by one, and adds a theta, so a tree
-    # uses it at most n times per leaf and per internal edge: as in
-    # sdr-verify, the cap must leave a key inside the margin n (k - 1)
-    margin = m.qb.n * (k - 1)
-    if prob.cap < margin:
-        raise CapExceeded(
-            "cap %d is below the margin %d = n (k - 1) of a %d-leaf tree"
-            % (prob.cap, margin, k))
+    check_cap(m, k)
     limit = _int_arg(args, "limit", None, 0)
     table = m.rho_table(k, path)
     backend = FeynmanBackend(m)

@@ -1,78 +1,69 @@
-"""Dense exact linear algebra over Fraction: rref, kernel, basis change.
+"""Exact linear algebra over Fraction on sparse vectors.
 
-Matrices are lists of lists of Fraction.  Dimensions in this package are
-small (tens to a few hundred), so Gaussian elimination is plenty.
+A vector is a dict key -> Fraction with no zero entries, the same shape
+as every state in the package.  One Echelon holds a growing set of
+independent vectors, each with a tag, and reduces any vector to a
+remainder (empty exactly on the span) and its coordinates on the tags.
+Every answer is fixed by the order in which the vectors are added: the
+independent ones are the greedy subset, and the coordinates on them are
+unique.  mat_mul multiplies the small dense matrices that maps induce on
+cohomology classes.
 """
 
 from fractions import Fraction
 
-
-def rref(mat):
-    """Reduced row echelon form.  Returns (rref matrix, pivot columns)."""
-    m = [row[:] for row in mat]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if m[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+from .superspace import add_into
 
 
-def kernel_basis(mat):
-    """Basis of the right kernel, as column vectors (lists)."""
-    rows = len(mat)
-    cols = len(mat[0]) if rows else 0
-    if rows == 0:
-        return [[Fraction(1) if i == j else Fraction(0) for i in range(cols)] for j in range(cols)]
-    red, pivots = rref(mat)
-    pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -red[r][fc]
-        basis.append(vec)
-    return basis
+class Echelon:
+    """Semi-reduced rows: each row is 1 at its pivot key and 0 at the
+    pivot keys of the rows before it, and is stored with its expression
+    {tag: coefficient} in the tagged vectors that were added."""
 
+    def __init__(self):
+        self._rows = []
 
-def basis_change(cols, n):
-    """One rref of [cols | I] for column vectors of length n.  Returns
+    def reduce(self, vec):
+        """(remainder, coordinates): vec equals the remainder plus the
+        sum of coordinates[tag] times the vector added with that tag, and
+        the remainder is empty exactly when vec lies in the span."""
+        rem = dict(vec)
+        coords = {}
+        for pivot, row, combo in self._rows:
+            c = rem.get(pivot)
+            if c:
+                for key, v in row.items():
+                    add_into(rem, key, -c * v)
+                for tag, v in combo.items():
+                    add_into(coords, tag, c * v)
+        return rem, coords
 
-    - pivots: the indices of the greedy independent subset of cols, in
-      order;
-    - coords: one row per pivot; coords[i] . v is the coefficient of
-      cols[pivots[i]] in v, for v in the span of cols;
-    - null: the rows past the rank; all of them vanish on v exactly
-      when v is in the span of cols.
-    """
-    m = len(cols)
-    red, pivots = rref([
-        [c[i] for c in cols] + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ])
-    rank = sum(1 for p in pivots if p < m)
-    rows = [row[m:] for row in red]
-    return pivots[:rank], rows[:rank], rows[rank:]
+    def add(self, vec, tag):
+        """Keep vec under tag and return None if it extends the span;
+        otherwise keep nothing and return its coordinates on the tags."""
+        rem, coords = self.reduce(vec)
+        if not rem:
+            return coords
+        pivot = next(iter(rem))
+        inv = 1 / rem[pivot]
+        combo = {t: -c * inv for t, c in coords.items()}
+        combo[tag] = inv
+        self._rows.append((pivot, {k: c * inv for k, c in rem.items()}, combo))
+        return None
+
+    def kernel(self, images):
+        """Add images[j] under tag j, in order.  Returns the kernel of
+        the map e_j -> images[j], one vector {j: coefficient} per image
+        that depends on the earlier ones: 1 at j, minus its coordinates
+        on the earlier independent images."""
+        out = []
+        for j, image in enumerate(images):
+            coords = self.add(image, j)
+            if coords is not None:
+                vec = {i: -c for i, c in sorted(coords.items())}
+                vec[j] = Fraction(1)
+                out.append(vec)
+        return out
 
 
 def mat_mul(a, b):

@@ -5,9 +5,12 @@ sum f_i g_i = W.  Their Hom spaces are presented on exterior algebras:
 Hom(X, Y) by the nu presentation on wedge(F_eta) tensor wedge(F_xibar),
 and Hom(X, X) by the rho presentation on wedge(F_xi) tensor
 wedge(F_xibar), which identifies composition with Clifford
-multiplication.  The rho presentation is inverted by one elimination
-and the inverse kept as sparse columns, one exterior element per matrix
-unit, so converting a matrix back costs time in its non-zero entries.
+multiplication.  The rho presentation is inverted on one sparse
+echelon of its columns: each matrix unit reduces to its coordinates on
+them, one exterior element per matrix unit, so converting a matrix back
+costs time in its non-zero entries.  check_homotopies is the one check
+of the homotopy identity sum_i (F_ki g_i + G_ki f_i) = t_k; the model,
+the command line and the vertex catalog all call it.
 
 Hom elements over Q are dicts (row_mask, col_mask) -> Fraction; over R
 the values are Polynomial.  Exterior elements are dicts
@@ -15,11 +18,12 @@ the values are Polynomial.  Exterior elements are dicts
 """
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
-from .linalg import basis_change
+from .linalg import Echelon
 from .poly import Polynomial
-from .superspace import add_into, contract_mask, wedge_mask
+from .superspace import add_into, contract_mask, extend_linearly, wedge_mask
 
 
 class NotAFactorisation(Exception):
@@ -175,29 +179,18 @@ class RhoPresentation:
         self.X = X
         self.r = X.r
         self.dim = 1 << self.r
-        n2 = self.dim * self.dim
-        # the map in the flat basis: column (A,B), row (row,col)
-        cols = []
+        masks = range(self.dim)
         self._cols = {}
-        for A in range(self.dim):
-            for B in range(self.dim):
-                entries = self._operator_matrix(A, B)
-                self._cols[(A, B)] = entries
-                vec = [Fraction(0)] * n2
-                for (row, col), c in entries.items():
-                    vec[row * self.dim + col] = c
-                cols.append(vec)
-        pivots, coords, _ = basis_change(cols, n2)
-        if len(pivots) != n2:
-            raise ValueError("the rho presentation is singular")
-        # coords[A * dim + B][row * dim + col] is the coefficient of
-        # xi_A tensor xibar_B in the matrix unit E_{row,col}
-        self._inv_cols = {}
-        for ci, coord in enumerate(coords):
-            AB = divmod(ci, self.dim)
-            for j, c in enumerate(coord):
-                if c:
-                    self._inv_cols.setdefault(divmod(j, self.dim), {})[AB] = c
+        echelon = Echelon()
+        for AB in product(masks, masks):
+            self._cols[AB] = self._operator_matrix(*AB)
+            if echelon.add(self._cols[AB], AB) is not None:
+                raise ValueError("the rho presentation is singular")
+        # the coordinates of the matrix unit E_{row,col} on the columns
+        self._inv_cols = {
+            unit: dict(sorted(echelon.reduce({unit: Fraction(1)})[1].items()))
+            for unit in product(masks, masks)
+        }
 
     def _operator_matrix(self, A, B):
         out = {}
@@ -229,15 +222,7 @@ class RhoPresentation:
         return out
 
     def to_matrix(self, ext):
-        out = {}
-        for (A, B), c in ext.items():
-            for key, c2 in self._cols[(A, B)].items():
-                add_into(out, key, c * c2)
-        return out
+        return extend_linearly(self._cols.__getitem__, ext)
 
     def from_matrix(self, entries):
-        out = {}
-        for key, c in entries.items():
-            for AB, c2 in self._inv_cols[key].items():
-                add_into(out, AB, c * c2)
-        return out
+        return extend_linearly(self._inv_cols.__getitem__, entries)

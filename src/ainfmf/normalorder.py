@@ -34,9 +34,10 @@ from itertools import permutations
 from math import factorial
 
 from .ainfmodel import compose_keys
+from .mfcat import HomotopyIdentityFailed, HomotopySet, check_homotopies
 from .quotient import CapExceeded
 from .sdrcore import ZeroVirtualDegree, full_expansion
-from .superspace import add_into, contract_key, wedge_key
+from .superspace import add_into, contract_key, extend_linearly, wedge_key
 from .treealg import leaves
 
 
@@ -44,13 +45,17 @@ class DegreeMismatch(Exception):
     pass
 
 
-def _extend(image, state):
-    """The linear extension to a state of a map given on basis keys."""
-    out = {}
-    for key, c in state.items():
-        for k2, c2 in image(key).items():
-            add_into(out, k2, c * c2)
-    return out
+def check_cap(model, k):
+    """Raise CapExceeded unless the cap leaves a key inside the margin
+    n (k - 1) of a k-leaf tree.  Only nabla lowers the t-degree, by one,
+    and adds a theta, so a tree uses it at most n times per leaf and per
+    internal edge: as in sdr-verify, the cap must leave a key inside
+    that margin."""
+    margin = model.qb.n * (k - 1)
+    if model.cap < margin:
+        raise CapExceeded(
+            "cap %d is below the margin %d = n (k - 1) of a %d-leaf tree"
+            % (model.cap, margin, k))
 
 
 def _bits(mask):
@@ -240,16 +245,11 @@ class VertexCatalog:
         if a.homX is not a.homY:
             jobs.append(("source", a.homX, a.X))
         for role, hom, obj in jobs:
-            for k in range(a.n):
-                total = None
-                for i, (f, g) in enumerate(obj.pairs):
-                    term = hom.F[k][i] * g + hom.G[k][i] * f
-                    total = term if total is None else total + term
-                if total != self.qb.tseq[k]:
-                    self.notes.append(
-                        "%s homotopy coefficients fail sum(F g + G f) = t_%d"
-                        % (role, k + 1)
-                    )
+            try:
+                check_homotopies(obj, hom, self.qb.tseq)
+            except HomotopyIdentityFailed as exc:
+                self.notes.append(
+                    "%s homotopy coefficients fail: %s" % (role, exc))
 
     def rows(self):
         """Summary rows for display and comparison: one per rule, with
@@ -326,24 +326,21 @@ def _identity_with(catalog, rule, candidate):
     """Re-check sum_i (F_ki g_i + G_ki f_i) = t_k with the polynomial of
     one C-type rule replaced by a candidate."""
     a = catalog.arena
-    kind, k = rule.source[0], rule.source[1]
-    idx = rule.source[2]
+    kind, k, idx = rule.source[:3]
     if catalog.presentation == "nu":
         hom, obj = a.homY, a.Y
     else:
         hom, obj = a.homX, a.X
-    total = None
-    for i, (f, g) in enumerate(obj.pairs):
-        Fk = hom.F[k][i]
-        Gk = hom.G[k][i]
-        if i == idx:
-            if kind in ("F", "F2"):
-                Fk = candidate
-            elif kind == "G":
-                Gk = candidate
-        term = Fk * g + Gk * f
-        total = term if total is None else total + term
-    return total == catalog.qb.tseq[k]
+    F, G = list(hom.F[k]), list(hom.G[k])
+    if kind in ("F", "F2"):
+        F[idx] = candidate
+    elif kind == "G":
+        G[idx] = candidate
+    try:
+        check_homotopies(obj, HomotopySet([F], [G]), [catalog.qb.tseq[k]])
+    except HomotopyIdentityFailed:
+        return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -488,7 +485,7 @@ class EdgeEngine:
         return self._edge[key]
 
     def edge(self, state):
-        return _extend(self.edge_key, state)
+        return extend_linearly(self.edge_key, state)
 
     def root_key(self, key):
         if key not in self._root:
@@ -499,7 +496,7 @@ class EdgeEngine:
         return self._root[key]
 
     def root(self, state):
-        return _extend(self.root_key, state)
+        return extend_linearly(self.root_key, state)
 
 
 # ----------------------------------------------------------------------
@@ -706,9 +703,7 @@ class FeynmanBackend:
         path = tuple(path)
         if len(path) != k + 1:
             raise ValueError("path length must be k + 1")
-        if self.model.cap < k - 2:
-            raise CapExceeded("cap %d cannot host %d internal edges"
-                              % (self.model.cap, k - 2))
+        check_cap(self.model, k)
         for i, key in enumerate(keys):
             eng = self.engine(path[i], path[i + 1])
             if eng.virtual_degree(key):

@@ -105,6 +105,16 @@ def add_into(acc, key, c):
         del acc[key]
 
 
+def extend_linearly(image, state):
+    """The linear extension to a state of a map given on basis keys:
+    image(key) is the state a key maps to."""
+    out = {}
+    for key, c in state.items():
+        for k2, c2 in image(key).items():
+            add_into(out, k2, c * c2)
+    return out
+
+
 # the zero scaled state, shared: scaled states are never changed in place
 ZERO_STATE = ({}, 1)
 

@@ -198,6 +198,23 @@ def test_empty_sdr_verify_exits_3(spec):
                for p in report["results"][0]["result"]["pairs"])
 
 
+# at cap 0 no key has positive t-degree, so At vanishes and E1, gamma and
+# the kstab kernel say nothing: cap insufficiency; cap 1 is enough
+@pytest.mark.parametrize("spec, command", [
+    pytest.param(WORKED, "e1", id="e1"),
+    pytest.param(WORKED, "clifford", id="clifford"),
+    pytest.param(KSTAB, KSTAB["commands"][0], id="kstab"),
+])
+def test_linear_part_needs_cap_1(spec, command):
+    report, code = cli.run(dict(spec, cap=0), commands=[command])
+    assert code == cli.EXIT_CAP
+    assert not report["cap_ok"]
+    assert "cap insufficient" in report["results"][0]["error"]
+    report, code = cli.run(dict(spec, cap=1), commands=[command])
+    assert code == cli.EXIT_OK
+    assert report["ok"] and report["cap_ok"]
+
+
 # each command with a bad argument, the five verify-ainf cases first
 @pytest.mark.parametrize("args", [
     {"command": "verify-ainf", "level": 1, "forms": ["R"]},

@@ -15,6 +15,8 @@ from ainfmf.mfcat import (
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.superspace import add_into, contract_mask, wedge_mask
 
+from test_linalg import rref
+
 
 # an independent Clifford reference for the rho presentation: left
 # multiplication by the generators on dicts (A, B) -> coefficient of
@@ -167,6 +169,28 @@ def quadric_object(n):
     xs = [parse_poly("x%d" % (i + 1), n) for i in range(n)]
     W = parse_poly("+".join("x%d^2" % (i + 1) for i in range(n)), n)
     return koszul_mf([(x, x) for x in xs], W)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rho_inverse_matches_dense_inverse(n):
+    # one dense rref of [M | I], with M the matrix of the presentation in
+    # the flat bases: column A * dim + B, row row * dim + col
+    rho = RhoPresentation(quadric_object(n))
+    dim = 1 << n
+    flat = list(product(range(dim), repeat=2))
+    red, pivots = rref([
+        [rho._cols[AB].get(unit, Fraction(0)) for AB in flat]
+        + [Fraction(int(unit == other)) for other in flat]
+        for unit in flat
+    ])
+    assert pivots == list(range(len(flat)))
+    inverse = {
+        unit: {AB: red[i][len(flat) + j] for i, AB in enumerate(flat)
+               if red[i][len(flat) + j]}
+        for j, unit in enumerate(flat)
+    }
+    assert rho._inv_cols == inverse
+    assert sum(map(len, inverse.values())) == 5 ** n
 
 
 def test_rho_round_trip_rank4():

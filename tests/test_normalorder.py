@@ -295,6 +295,17 @@ def test_c_tau_guards():
         b2.c_tau((1, 2), (0, 0, 0), [(0, 0, (1,)), (0, 0, (0,))], (0, 0, (0,)))
 
 
+def test_c_tau_margin_boundary():
+    # n = 1 and k = 3: the margin n (k - 1) is 2
+    T = ((1, 2), 3)
+    unit = (0, 0, (0,))
+    with pytest.raises(CapExceeded):
+        FeynmanBackend(kstab_model(cap=1)).c_tau(T, (0,) * 4, [unit] * 3, unit)
+    value = FeynmanBackend(kstab_model(cap=2)).c_tau(T, (0,) * 4, [unit] * 3,
+                                                     unit)
+    assert isinstance(value, Fraction)
+
+
 # ----------------------------------------------------------------------
 # a literal operator word
 

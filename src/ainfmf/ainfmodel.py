@@ -6,11 +6,14 @@ A Model holds a list of Koszul factorisations of a common potential and
 builds, per ordered pair, the operator arena from sdrcore.  Morphism
 spaces B(X,Y) are the theta- and t-degree-zero cores of those arenas.
 The binary composition mu2 is transported through the exterior
-presentation of each pair and the Gamma tensor of R/I; the higher
-products rho_k are signed tree sums, evaluated as sums over leaf spans
-split at the root;
-verify_ainf checks the defining constraints exactly on every basis
-tuple, in both the suspended (r) and unsuspended (mu) sign conventions.
+presentation of each pair and the Gamma tensor of R/I, by one factored
+ComposeKernel per pair of pairs.  The higher products rho_k are signed
+tree sums, built bottom-up as span tables: every span of leaves lo..hi
+maps each token tuple to the sum over all trees on those leaves, and
+each split of a span is one contraction of its left table against its
+right table.  verify_ainf checks the defining constraints exactly on
+every basis tuple, in both the suspended (r) and unsuspended (mu) sign
+conventions.
 
 The products, the span sums and the relation contraction work on
 scaled states (integer numerators over one denominator, see superspace)
@@ -22,6 +25,7 @@ verify_ainf and the maps of e1_and_clifford are the Fraction edge.
 from fractions import Fraction
 from itertools import product
 from math import comb, lcm, prod
+from operator import add
 
 from .mfcat import (
     KoszulFactorisation,
@@ -44,7 +48,6 @@ from .superspace import (
     state_parity,
     state_sum,
 )
-from .treealg import denote, enumerate_binary
 
 ZERO = Fraction(0)
 
@@ -70,41 +73,106 @@ def _merge_sign(m1, m2):
     return -1 if inv & 1 else 1
 
 
-def compose_keys(model, pa, pb, ka, kb, ext_table):
-    """mu2 on a pair of basis keys: ka in space(pa) composed after kb in
-    space(pb), through the Gamma tensor of the model, as a state of
-    Fraction coefficients.  ext_table(pa, pb) gives the composition
-    table of the exterior parts.  Outputs beyond the t-cap are dropped.
-    Each backend caches the results in its own arithmetic."""
-    if pa.src != pb.tgt:
-        raise SectorMismatch("composition needs a shared middle object")
-    table = ext_table(pa, pb)
-    pc = model.pair(pb.src, pa.tgt)
-    m1, h1, d1 = ka
-    m2, h2, d2 = kb
-    th1, ea = pa.split(m1)
-    th2, eb = pb.split(m2)
-    out = {}
-    if not th1 & th2:
-        alpha_par = (m1 >> pa.n).bit_count() & 1
-        omega2_par = th2.bit_count() & 1
-        sign = -1 if alpha_par & omega2_par else 1
-        sign *= _merge_sign(th1, th2)
-        ext = table.get((ea, eb))
-        if ext:
+class ComposeKernel:
+    """mu2 on basis keys: a key ka of pair pa composed after a key kb of
+    pair pb, through the Gamma tensor of the model and the exterior
+    composition table of the two pairs ({(ea, eb): {ec: Fraction}}).
+
+    The part that depends only on (ea, eb, h1, h2), the table entry
+    times GammaTensor.products_of, is built once per quadruple as
+    integers over the one denominator den of the kernel.  Per key pair
+    only the theta-overlap test, the merge and alpha signs, the t-shift
+    and the cap filter remain."""
+
+    __slots__ = ("pa", "pb", "pc", "table", "gamma", "cap", "den", "_parts")
+
+    def __init__(self, model, pa, pb, table):
+        if pa.src != pb.tgt:
+            raise SectorMismatch("composition needs a shared middle object")
+        self.pa = pa
+        self.pb = pb
+        self.pc = model.pair(pb.src, pa.tgt)
+        self.table = table
+        self.gamma = model.gamma
+        self.cap = model.cap
+        self.den = model.gamma.den * lcm(
+            *(c.denominator for ext in table.values() for c in ext.values()))
+        self._parts = {}
+
+    def _part(self, f1, f2, h1, h2):
+        """(ext mask of ec, k, delta, |delta|, numerator) for every
+        Gamma^{h1 h2}_{k delta} ext[ec], smallest |delta| first, where
+        ext is the table entry of the exterior masks f1 and f2."""
+        lo1, lo2 = (1 << self.pa.c1) - 1, (1 << self.pb.c1) - 1
+        ext = self.table.get(((f1 & lo1, f1 >> self.pa.c1),
+                              (f2 & lo2, f2 >> self.pb.c1)), {})
+        den = self.den
+        part = self._parts[f1, f2, h1, h2] = sorted(
+            ((self.pc.ext_mask(ec), k, delta, sum(delta),
+              g.numerator * c3.numerator
+              * (den // (g.denominator * c3.denominator)))
+             for k, delta, g in self.gamma.products_of(h1, h2)
+             for ec, c3 in ext.items()),
+            key=lambda entry: entry[3])
+        return part
+
+    def laters(self, keys):
+        """Keys of pa split once for row: (theta mask, exterior mask, h,
+        delta, |delta|, parity of the exterior mask)."""
+        n, theta_all = self.pa.n, self.pa.theta_all
+        return [(m & theta_all, m >> n, h, d, sum(d), (m >> n).bit_count() & 1)
+                for m, h, d in keys]
+
+    def row(self, kb, laters):
+        """[(i, {key: integer numerator over den})]: mu2 of the i-th key
+        of laters after the key kb of pb, non-zero results only.
+        Outputs beyond the t-cap are dropped."""
+        m2, h2, d2 = kb
+        th2 = m2 & self.pb.theta_all
+        f2 = m2 >> self.pb.n
+        omega = th2.bit_count() & 1
+        size2 = sum(d2)
+        room2 = self.cap - size2
+        parts = self._parts
+        out = []
+        for i, (th1, f1, h1, d1, size1, alpha) in enumerate(laters):
+            if th1 & th2:
+                continue
+            part = parts.get((f1, f2, h1, h2))
+            if part is None:
+                part = self._part(f1, f2, h1, h2)
+            room = room2 - size1
+            if not part or part[0][3] > room:
+                continue
+            # the alpha sign: the exterior generators of ka cross the
+            # thetas of kb; then the thetas merge into one ascending list
+            neg = alpha & omega
+            if th1 and th2 and _merge_sign(th1, th2) < 0:
+                neg ^= 1
             th = th1 | th2
-            base = tuple(a + b for a, b in zip(d1, d2))
-            for k, delta, g in model.gamma.products_of(h1, h2):
-                nd = tuple(a + b for a, b in zip(base, delta))
-                if sum(nd) > model.cap:
-                    continue
-                for ec, c3 in ext.items():
-                    add_into(
-                        out,
-                        (th | pc.ext_mask(ec), k, nd),
-                        Fraction(sign) * g * c3,
-                    )
-    return out
+            base = tuple(map(add, d1, d2)) if size1 or size2 else None
+            comp = {}
+            for mask, k, delta, size, c in part:
+                if size > room:
+                    break
+                comp[th | mask, k,
+                     tuple(map(add, base, delta)) if base else delta] = (
+                         -c if neg else c)
+            out.append((i, comp))
+        return out
+
+
+def compose_keys(model, pa, pb, ka, kb, ext_table):
+    """mu2 on a pair of basis keys as a state of Fraction coefficients:
+    the ComposeKernel of the one entry of ext_table(pa, pb) that the
+    pair reads.  Each backend caches the results in its own
+    arithmetic."""
+    ext_key = (pa.split(ka[0])[1], pb.split(kb[0])[1])
+    ext = ext_table(pa, pb).get(ext_key)
+    kernel = ComposeKernel(model, pa, pb, {ext_key: ext} if ext else {})
+    for _, comp in kernel.row(kb, kernel.laters([ka])):
+        return {kc: Fraction(v, kernel.den) for kc, v in comp.items()}
+    return {}
 
 
 def _conversion_parity(tildes):
@@ -248,55 +316,77 @@ class Model:
         self._comp_tables[key] = table
         return table
 
-    def _compose_keys(self, pa, pb, ka, kb):
-        """compose_keys as a scaled state, cached."""
-        key = ((pa.src, pa.tgt), (pb.src, pb.tgt), ka, kb)
-        hit = self._term_comp.get(key)
-        if hit is None:
-            hit = self._term_comp[key] = scaled_state(
-                compose_keys(self, pa, pb, ka, kb, self._ext_composition))
-        return hit
+    def _kernel(self, pa, pb):
+        """The ComposeKernel of pa after pb on the model's exterior
+        tables, one per pair of pairs."""
+        key = ((pa.src, pa.tgt), (pb.src, pb.tgt))
+        kernel = self._term_comp.get(key)
+        if kernel is None:
+            kernel = self._term_comp[key] = ComposeKernel(
+                self, pa, pb, self._ext_composition(pa, pb))
+        return kernel
+
+    def _contract(self, pair_1, left, pair_2, right, r2=True):
+        """mu2 of every right state after every left state: left and
+        right are {token tuple: scaled state}, left in the space of
+        pair_1 = (src, mid) and right in that of pair_2 = (mid, tgt).
+        Yields (left token, right token, (nums, den)) for the products
+        with a non-zero term, with the r2 sign when r2 is set; the
+        products are not reduced.
+
+        One left entry at a time, stage 1 forms the column map ka ->
+        mu2(ka, left state) over every key ka of the right states, and
+        stage 2 applies it to each right state.  Each key pair is
+        composed once, in a cache dropped when the contraction ends."""
+        kernel = self._kernel(self.pair(*pair_2), self.pair(*pair_1))
+        index = {}  # right key -> its column
+        rights = []
+        for tr, (nums, den) in right.items():
+            terms = [(index.setdefault(ka, len(index)), c)
+                     for ka, c in nums.items()]
+            rights.append((tr, terms, den, state_parity(nums) if r2 else 0))
+        laters = kernel.laters(index)
+        rows = {}  # left key -> [(column, compose result)], non-zero only
+        for tl, (nums1, den1) in left.items():
+            cols = [None] * len(laters)
+            for kb, c in nums1.items():
+                row = rows.get(kb)
+                if row is None:
+                    row = rows[kb] = kernel.row(kb, laters)
+                for i, comp in row:
+                    col = cols[i]
+                    if col is None:
+                        cols[i] = {kc: c * v for kc, v in comp.items()}
+                    else:
+                        for kc, v in comp.items():
+                            col[kc] = col.get(kc, 0) + c * v
+            if not any(cols):
+                continue
+            # r2(s1, s2) is mu2(s2, s1) for s1 odd and s2 even, else
+            # minus it
+            p1 = state_parity(nums1) if r2 else 0
+            signs = (1, 1) if not r2 else (1, -1) if p1 else (-1, -1)
+            den = den1 * kernel.den
+            for tr, terms, den2, p2 in rights:
+                sign = signs[p2]
+                out = {}
+                for i, c in terms:
+                    col = cols[i]
+                    if col:
+                        c *= sign
+                        for kc, v in col.items():
+                            out[kc] = out.get(kc, 0) + c * v
+                if out:
+                    yield tl, tr, (out, den * den2)
 
     def mu2_transported(self, sa, pair_a, sb, pair_b):
         """Binary composition of scaled states: sa in the space of
         pair_a = (mid, tgt) composed after sb in the space of pair_b =
         (src, mid)."""
-        pa = self.pair(*pair_a)
-        pb = self.pair(*pair_b)
-        nums_a, den_a = sa
-        nums_b, den_b = sb
-        cache = self._term_comp
-        ta, tb = (pa.src, pa.tgt), (pb.src, pb.tgt)
-        parts = {}  # denominator of the compose_keys result -> numerators
-        for ka, c1 in nums_a.items():
-            for kb, c2 in nums_b.items():
-                hit = cache.get((ta, tb, ka, kb))
-                if hit is None:
-                    hit = self._compose_keys(pa, pb, ka, kb)
-                terms, dc = hit
-                if not terms:
-                    continue
-                acc = parts.get(dc)
-                if acc is None:
-                    acc = parts[dc] = {}
-                c = c1 * c2
-                for kc, c3 in terms.items():
-                    acc[kc] = acc.get(kc, 0) + c * c3
-        den = den_a * den_b
-        return state_sum([reduced(acc, den * dc) for dc, acc in parts.items()])
-
-    def r2_states(self, s1, pair_1, s2, pair_2):
-        """The suspended binary product on scaled states: s1 earlier
-        (pair_1 = (src, mid)), s2 later (pair_2 = (mid, tgt))."""
-        if not s1[0] or not s2[0]:
-            return ZERO_STATE
-        t1 = state_parity(s1[0]) ^ 1
-        t2 = state_parity(s2[0]) ^ 1
-        sign = -1 if ((t1 & t2) ^ t2 ^ 1) else 1
-        out = self.mu2_transported(s2, pair_2, s1, pair_1)
-        if sign == -1:
-            out = {k: -v for k, v in out[0].items()}, out[1]
-        return out
+        for _, _, out in self._contract(pair_b, {(): sb}, pair_a, {(): sa},
+                                        r2=False):
+            return reduced(*out)
+        return ZERO_STATE
 
     # ------------------------------------------------------------------
     # higher products
@@ -309,62 +399,60 @@ class Model:
         return reduced({k: v for k, v in nums.items() if arena.is_core_key(k)},
                        den)
 
-    def _span_sum(self, path, tokens, states, lo, hi, memo):
-        """Sum over all binary trees on the leaves lo..hi (1-based) of
-        their evaluation on scaled states, one per slot, named by
-        tokens: Phi_inv of the state on a leaf, else the sum over root
-        splits mid of r2 on the sums over lo..mid and mid+1..hi, with
-        H_hat applied below the whole span.  Sub-span sums are memoised
-        by their tokens.  Each is an even operator applied to its
-        inputs, so the Koszul signs of the general denotation vanish
-        here; the test suite pins this against rho_denote."""
-        mkey = (lo, hi) + tokens[lo - 1 : hi]
-        out = memo.get(mkey)
-        if out is not None:
-            return out
-        if lo == hi:
-            arena = self.pair(path[lo - 1], path[lo]).arena
-            out = arena.Phi_inv.apply(states[lo - 1])
-        else:
-            parts = []
-            for mid in range(hi - 1, lo - 1, -1):
-                s1 = self._span_sum(path, tokens, states, lo, mid, memo)
-                if not s1[0]:
-                    continue
-                s2 = self._span_sum(path, tokens, states, mid + 1, hi, memo)
-                part = self.r2_states(
-                    s1, (path[lo - 1], path[mid]), s2, (path[mid], path[hi]))
-                if part[0]:
-                    parts.append(part)
-            out = state_sum(parts)
-            if hi - lo + 1 == len(tokens):
-                return out
-            out = self.pair(path[lo - 1], path[hi]).arena.H_hat.apply(out)
-        memo[mkey] = out
-        return out
+    def _span_table(self, path, tables, lo, hi, op):
+        """{token tuple: op applied to the sum over the splits lo <= mid
+        < hi of r2 on the span tables of lo..mid and mid+1..hi}, non-zero
+        entries only.  op is applied to each product as it is produced,
+        so no table of unreduced sums is held."""
+        acc = {}
+        for mid in range(hi - 1, lo - 1, -1):
+            for tl, tr, part in self._contract(
+                    (path[lo - 1], path[mid]), tables[lo, mid],
+                    (path[mid], path[hi]), tables[mid + 1, hi]):
+                image = op.apply(part)
+                if image[0]:
+                    tokens = tl + tr
+                    prev = acc.get(tokens)
+                    acc[tokens] = (image if prev is None
+                                   else state_sum([prev, image]))
+        return {tokens: st for tokens, st in acc.items() if st[0]}
 
     def _span_sums(self, k, path, slots):
         """rho_k (k >= 2) on every tuple drawn from slots, one list of
         (token, scaled core state) pairs per slot: {token tuple: scaled
         output state in the core of (path[0], path[k])}, non-zero
-        outputs only.  Phi and the sign (-1)^k are applied once per
-        tuple, to the sum over the root splits."""
-        root = self.pair(path[0], path[k]).arena.Phi
-        memo = {}
-        out = {}
-        for picks in product(*slots):
-            tokens, states = zip(*picks)
-            nums, den = root.apply(
-                self._span_sum(path, tokens, states, 1, k, memo))
-            if nums:
-                if k & 1:
-                    nums = {kk: -v for kk, v in nums.items()}
-                out[tokens] = nums, den
+        outputs only.
+
+        The tree sum is built bottom-up as one span table per leaf span
+        (lo, hi), 1-based: Phi_inv of the states on the leaves, H_hat of
+        the sum over the splits of r2 on every inner span, and Phi of
+        that sum with the sign (-1)^k at the root.  Each split is one
+        contraction of its two span tables.  Every vertex is an even
+        operator applied to its inputs, so the Koszul signs of the
+        general tree denotation vanish here; the test suite pins the
+        span sums against that denotation."""
+        tables = {}
+        for i, slot in enumerate(slots, 1):
+            phi_inv = self.pair(path[i - 1], path[i]).arena.Phi_inv
+            tables[i, i] = {(tok,): st for tok, state in slot
+                            if (st := phi_inv.apply(state))[0]}
+        for width in range(1, k - 1):
+            for lo in range(1, k - width + 1):
+                hi = lo + width
+                tables[lo, hi] = self._span_table(
+                    path, tables, lo, hi,
+                    self.pair(path[lo - 1], path[hi]).arena.H_hat)
+        out = self._span_table(path, tables, 1, k,
+                               self.pair(path[0], path[k]).arena.Phi)
+        if k & 1:
+            out = {tokens: ({kk: -v for kk, v in nums.items()}, den)
+                   for tokens, (nums, den) in out.items()}
         return out
 
     def rho_span_sums(self, k, path, slots):
         """_span_sums on slots of (token, core state) pairs with Fraction
-        coefficients, with Fraction results."""
+        coefficients, with Fraction results: rho_k on every tuple of
+        states drawn one per slot, by the span-table contraction."""
         slots = [[(tok, scaled_state(st)) for tok, st in slot]
                  for slot in slots]
         return {tok: rational_state(st)
@@ -402,23 +490,6 @@ class Model:
         table = self._table(k, path)
         return {tup: rational_state((nums, table.den))
                 for tup, nums in table.items()}
-
-    def rho_denote(self, k, path, inputs):
-        """Reference evaluation through the general sign-carrying tree
-        denotation, one tree at a time; the tests compare the span sums
-        against it."""
-        path = tuple(path)
-        if k == 1:
-            return rational_state(
-                self.rho1_apply((path[0], path[1]), scaled_state(inputs[0])))
-        dec = _ModelDecoration(self, path, inputs)
-        in_map = {i + 1: inputs[i] for i in range(k)}
-        acc = {}
-        sign = Fraction((-1) ** k)
-        for T in enumerate_binary(k):
-            for kk, v in denote(T, dec, in_map).items():
-                add_into(acc, kk, v * sign)
-        return acc
 
     def rho_apply(self, k, path, inputs):
         """rho_k on a tuple of (not necessarily basis) core states with
@@ -617,56 +688,6 @@ class RhoTable(dict):
              else {kk: v * (den // d) for kk, v in nums.items()})
             for tup, (nums, d) in states.items())
         self.den = den
-
-
-class _ModelDecoration:
-    """Decoration protocol adapter for the general tree denotation:
-    inputs and the root output have Fraction coefficients, the states in
-    between are scaled states."""
-
-    leaf_parity_value = 0
-    edge_parity = 1
-
-    def __init__(self, model, path, inputs):
-        self.model = model
-        self.path = path
-        self.tildes = {
-            i + 1: state_parity(inputs[i]) ^ 1 for i in range(len(inputs))
-        }
-
-    def leaf(self, i, state):
-        arena = self.model.pair(self.path[i - 1], self.path[i]).arena
-        return arena.Phi_inv.apply(scaled_state(state))
-
-    def leaf_parity(self, i):
-        return 0
-
-    def tilde(self, i):
-        return self.tildes[i]
-
-    def edge(self, lo, hi, state):
-        arena = self.model.pair(self.path[lo - 1], self.path[hi]).arena
-        return arena.H_hat.apply(state)
-
-    def vertex(self, lo, mid, hi, s1, s2):
-        return self.model.r2_states(
-            s1,
-            (self.path[lo - 1], self.path[mid]),
-            s2,
-            (self.path[mid], self.path[hi]),
-        )
-
-    def mu2(self, lo, mid, hi, a, b):
-        return self.model.mu2_transported(
-            a,
-            (self.path[mid], self.path[hi]),
-            b,
-            (self.path[lo - 1], self.path[mid]),
-        )
-
-    def root(self, state):
-        arena = self.model.pair(self.path[0], self.path[-1]).arena
-        return rational_state(arena.Phi.apply(state))
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ operator r^# acts on the arena's states in sdrcore.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .poly import GroebnerBasis, Polynomial
 from .superspace import add_into
@@ -95,7 +96,8 @@ def t_adic_expand(r, qb, cap):
 
 class GammaTensor:
     """sigma(z_i) sigma(z_j) = sum_{k,delta} Gamma^{ij}_{k delta}
-    sigma(z_k) t^delta, stored for |delta| <= cap."""
+    sigma(z_k) t^delta, stored for |delta| <= cap; den is the lcm of the
+    entries' denominators."""
 
     def __init__(self, qb, cap):
         self.qb = qb
@@ -109,6 +111,7 @@ class GammaTensor:
                     self.entries[(i, j, k, delta)] = c
                     if i != j:
                         self.entries[(j, i, k, delta)] = c
+        self.den = lcm(*(c.denominator for c in self.entries.values()))
         # (i, j) -> [(k, delta, coeff)], in entries order
         self._products = {}
         for (i, j, k, delta), c in self.entries.items():

@@ -1,12 +1,12 @@
-"""Plane binary trees, decorations, Koszul-signed denotation and the
-signless mirror evaluation.
+"""Plane binary trees, decorations and the signless mirror evaluation.
 
 A tree with k leaves is a nested tuple over the leaf labels 1..k, e.g.
 ((1, 2), 3).  Internal vertices are trivalent; the root hangs below the
 top vertex.  A decoration assigns operators to leaves, internal edges,
 internal vertices (a binary product r2) and the root; its denotation
 evaluates the tree on a tuple of inputs with the Koszul sign convention
-in the tilde grading.  The mirror evaluation runs the left-right
+in the tilde grading (the tests keep it as their reference, in
+tests/test_treealg.py).  The mirror evaluation runs the left-right
 mirrored decoration on the reversed inputs with no Koszul signs, with
 mu2 at the vertices; the two paths differ by a pure sign computed by
 mirror_sign.
@@ -74,43 +74,6 @@ def mirror_sign(tree, tilde):
     for i in ls:
         exp ^= t(i) & (P[i] & 1)
     return -1 if exp else 1
-
-
-def denote(tree, dec, inputs):
-    """Koszul-signed denotation.  dec must provide:
-
-      leaf(i, state) / leaf_parity(i)
-      edge(lo, hi, state) / edge_parity  -- applied on internal edges
-      vertex(lo, mid, hi, s1, s2)        -- r2, signs of its own included
-      root(state)
-      tilde(i)                           -- tilde degree of input i
-
-    inputs: dict leaf label -> state.
-    """
-    sign = [1]
-
-    def go(node, is_top):
-        if isinstance(node, int):
-            return dec.leaf(node, inputs[node]), dec.leaf_parity(node) & 1, [node]
-        s1, p1, l1 = go(node[0], False)
-        s2, p2, l2 = go(node[1], False)
-        if p2 & 1:
-            crossed = sum(dec.tilde(i) for i in l1) & 1
-            if crossed:
-                sign[0] = -sign[0]
-        lo, mid, hi = l1[0], l1[-1], l2[-1]
-        out = dec.vertex(lo, mid, hi, s1, s2)
-        parity = (p1 + p2 + 1) & 1
-        if not is_top:
-            out = dec.edge(lo, hi, out)
-            parity = (parity + dec.edge_parity) & 1
-        return out, parity, l1 + l2
-
-    state, _, _ = go(tree, True)
-    state = dec.root(state)
-    if sign[0] == -1:
-        return {k: -v for k, v in state.items()}
-    return state
 
 
 def mirror_eval(tree, dec, inputs):

@@ -11,8 +11,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb
 
-from ainfmf.ainfmodel import Model, _ModelDecoration, cohomology, \
-    induced_map, kstab_minimal
+from ainfmf.ainfmodel import Model, cohomology, induced_map, \
+    kstab_minimal
 from ainfmf.linalg import mat_mul
 from ainfmf.mfcat import HomotopySet, koszul_mf
 from ainfmf.normalorder import FeynmanBackend, VertexCatalog, \
@@ -20,11 +20,11 @@ from ainfmf.normalorder import FeynmanBackend, VertexCatalog, \
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import GammaTensor, QuotientBasis, \
     dt_of_polynomial, euler_idempotent
-from ainfmf.treealg import denote, enumerate_binary, mirror_eval, \
-    mirror_sign
+from ainfmf.treealg import enumerate_binary, mirror_eval, mirror_sign
 
+from test_ainfmodel import ModelDecoration
 from test_normalorder import REF_XX, REF_XY, REF_YY
-from test_treealg import ToyDecoration
+from test_treealg import ToyDecoration, denote
 
 
 def worked_model(cap=3):
@@ -179,7 +179,7 @@ def test_criterion_08_dual_backend_coefficients():
         for combo in product(core, repeat=k):
             inputs = [{key: Fraction(1)} for key in combo]
             in_map = {i + 1: inputs[i] for i in range(k)}
-            dec = _ModelDecoration(m, path, inputs)
+            dec = ModelDecoration(m, path, inputs)
             for T in enumerate_binary(k):
                 want = mirror_eval(T, dec, in_map)
                 for tau in taus:
@@ -193,7 +193,7 @@ def test_criterion_08_dual_backend_coefficients():
     assert bw.c_tau((1, (2, 3)), path, combo, (4, 3, (0,))) == \
         Fraction(126, 125)
     inputs = [{key: Fraction(1)} for key in combo]
-    dec = _ModelDecoration(mw, path, inputs)
+    dec = ModelDecoration(mw, path, inputs)
     want = mirror_eval((1, (2, 3)), dec, {i + 1: inputs[i] for i in range(3)})
     assert clean(want)[(4, 3, (0,))] == Fraction(126, 125)
     verdict(8, "both backends agree on all tree coefficients")

@@ -5,7 +5,6 @@ import pytest
 
 from ainfmf import cli
 from ainfmf.ainfmodel import Model
-from ainfmf.superspace import state_sum
 
 
 WORKED = {
@@ -261,45 +260,37 @@ def test_optional_integer_arguments():
     assert tuples == [256, 3]
 
 
-def _faulty_span_sum(fault):
-    """Model._span_sum with one fault: "drop-split" leaves out the root
-    split at mid = lo, "skip-H_hat" returns the sub-span sums without
-    H_hat."""
+class _Unchanged:
+    """Stands in for H_hat: applies the identity."""
 
-    def span_sum(self, path, tokens, states, lo, hi, memo):
-        mkey = (lo, hi) + tokens[lo - 1 : hi]
-        if mkey in memo:
-            return memo[mkey]
-        if lo == hi:
-            out = self.pair(path[lo - 1], path[lo]).arena.Phi_inv.apply(
-                states[lo - 1])
-        else:
-            root = hi - lo + 1 == len(tokens)
-            parts = []
-            for mid in range(hi - 1, lo - 1, -1):
-                if root and mid == lo and fault == "drop-split":
-                    continue
-                parts.append(self.r2_states(
-                    span_sum(self, path, tokens, states, lo, mid, memo),
-                    (path[lo - 1], path[mid]),
-                    span_sum(self, path, tokens, states, mid + 1, hi, memo),
-                    (path[mid], path[hi])))
-            out = state_sum(parts)
-            if root:
-                return out
-            if fault != "skip-H_hat":
-                out = self.pair(path[lo - 1], path[hi]).arena.H_hat.apply(out)
-        memo[mkey] = out
-        return out
+    @staticmethod
+    def apply(state):
+        return state
 
-    return span_sum
+
+def _faulty_span_table(fault):
+    """Model._span_table with one fault: "drop-split" leaves out the root
+    split at mid = lo, "skip-H_hat" leaves out H_hat on the inner
+    spans."""
+    original = Model._span_table
+
+    def span_table(self, path, tables, lo, hi, op):
+        root = (lo, hi) == (1, len(path) - 1)
+        if root and fault == "drop-split":
+            # no left states for the split at mid = lo
+            tables = {**tables, (lo, lo): {}}
+        if not root and fault == "skip-H_hat":
+            op = _Unchanged
+        return original(self, path, tables, lo, hi, op)
+
+    return span_table
 
 
 @pytest.mark.parametrize("fault", ["drop-split", "skip-H_hat"])
 def test_feynman_catches_faults_in_span_sums(monkeypatch, fault):
     # feynman checks the rho_k table that rho and verify-ainf report, so
-    # a fault in the span sums that build it is a verification failure
-    monkeypatch.setattr(Model, "_span_sum", _faulty_span_sum(fault))
+    # a fault in the span tables that build it is a verification failure
+    monkeypatch.setattr(Model, "_span_table", _faulty_span_table(fault))
     report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 3}])
     assert code == cli.EXIT_VERIFY
     assert report["results"][0]["result"]["mismatches"] > 0

@@ -1,6 +1,6 @@
 """The demos and the console entry point run to completion, and the
-reports of the demo spec and of the two-variable spec match their
-pinned golden files.
+reports of the demo spec, the two-variable spec and the residue-field
+spec match their pinned golden files.
 
 Each demo runs in a fresh interpreter from the repository root, with
 the package on PYTHONPATH, and must exit 0.
@@ -57,3 +57,9 @@ def test_two_variable_report_matches_golden():
     # rank two with two objects: the pinned reports of delta with two
     # thetas, of both presentations and of feynman on K, L, K
     matches_golden("two_variable")
+
+
+def test_residue_field_report_matches_golden():
+    # kstab feeds the span tables kernel states rather than basis keys;
+    # with rho_3, verify-ainf level 3 and feynman k=3 on one object
+    matches_golden("residue_field")

@@ -5,17 +5,97 @@ Random rational states and operators, with mixed and negative
 denominators and with terms that cancel, go through LinearOp and
 Model.mu2_transported.  A test-local Fraction reference computes the
 same results, and every result must come back in lowest terms.
+
+The factored ComposeKernel and the span-table contraction are checked
+against references that compose one key pair at a time in Fraction:
+ref_compose_keys, ref_mu2 and ref_r2.
 """
 
+import random
+from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfmf import cli
 from ainfmf.ainfmodel import compose_keys
-from ainfmf.superspace import LinearOp, Space, rational_state, scaled_state
+from ainfmf.superspace import (
+    LinearOp,
+    Space,
+    add_into,
+    rational_state,
+    scaled_state,
+    state_parity,
+)
+
+from test_normalorder import quadric_model, worked_model
+
+
+def ref_merge_sign(m1, m2):
+    """Sign of sorting the generators of mask m1 followed by those of
+    mask m2 into one ascending list."""
+    gens = [i for i in range(m1.bit_length()) if m1 >> i & 1]
+    gens += [i for i in range(m2.bit_length()) if m2 >> i & 1]
+    inversions = sum(a > b for i, a in enumerate(gens) for b in gens[i + 1:])
+    return -1 if inversions & 1 else 1
+
+
+def ref_compose_keys(model, pa, pb, ka, kb, ext_table, cap=None):
+    """mu2 on a pair of basis keys, one pair at a time, in Fraction: ka
+    in space(pa) composed after kb in space(pb), with the outputs beyond
+    the t-cap (the model's, unless cap is given) dropped."""
+    cap = model.cap if cap is None else cap
+    table = ext_table(pa, pb)
+    pc = model.pair(pb.src, pa.tgt)
+    m1, h1, d1 = ka
+    m2, h2, d2 = kb
+    th1, ea = pa.split(m1)
+    th2, eb = pb.split(m2)
+    out = {}
+    if not th1 & th2:
+        alpha_par = (m1 >> pa.n).bit_count() & 1
+        omega2_par = th2.bit_count() & 1
+        sign = -1 if alpha_par & omega2_par else 1
+        sign *= ref_merge_sign(th1, th2)
+        ext = table.get((ea, eb))
+        if ext:
+            th = th1 | th2
+            base = tuple(a + b for a, b in zip(d1, d2))
+            for k, delta, g in model.gamma.products_of(h1, h2):
+                nd = tuple(a + b for a, b in zip(base, delta))
+                if sum(nd) > cap:
+                    continue
+                for ec, c3 in ext.items():
+                    add_into(out, (th | pc.ext_mask(ec), k, nd),
+                             Fraction(sign) * g * c3)
+    return out
+
+
+def ref_mu2(model, sa, pair_a, sb, pair_b):
+    """mu2 on Fraction states, summed over key pairs: sa in pair_a =
+    (mid, tgt) composed after sb in pair_b = (src, mid)."""
+    pa, pb = model.pair(*pair_a), model.pair(*pair_b)
+    out = {}
+    for ka, c1 in sa.items():
+        for kb, c2 in sb.items():
+            for kc, c3 in ref_compose_keys(model, pa, pb, ka, kb,
+                                           model._ext_composition).items():
+                add_into(out, kc, c1 * c2 * c3)
+    return out
+
+
+def ref_r2(model, s1, pair_1, s2, pair_2):
+    """The suspended product on Fraction states: s1 earlier (pair_1 =
+    (src, mid)), s2 later (pair_2 = (mid, tgt))."""
+    t1 = state_parity(s1) ^ 1
+    t2 = state_parity(s2) ^ 1
+    sign = -1 if ((t1 & t2) ^ t2 ^ 1) else 1
+    return {k: sign * v
+            for k, v in ref_mu2(model, s2, pair_2, s1, pair_1).items()}
 
 SPACE = Space([("theta", 1), ("eta", 2)], mu=2, nboson=1, cap=1)
 KEYS = list(SPACE.basis())
@@ -139,17 +219,6 @@ def test_compose_add_scaled_match_fractions(a, b, c):
     assert columns(opa.scaled(c)) == ref_op(scaled)
 
 
-def ref_mu2(sa, pair_a, sb, pair_b):
-    pa, pb = MODEL.pair(*pair_a), MODEL.pair(*pair_b)
-    out = {}
-    for ka, c1 in sa.items():
-        for kb, c2 in sb.items():
-            for kc, c3 in compose_keys(MODEL, pa, pb, ka, kb,
-                                       MODEL._ext_composition).items():
-                out[kc] = out.get(kc, 0) + c1 * c2 * c3
-    return {k: v for k, v in out.items() if v}
-
-
 @st.composite
 def mu2_inputs(draw):
     src, mid, tgt = draw(st.sampled_from(PAIRS))
@@ -164,7 +233,7 @@ def test_mu2_matches_fractions(args):
     sa, pair_a, sb, pair_b = args
     got = MODEL.mu2_transported(scaled_state(sa), pair_a,
                                 scaled_state(sb), pair_b)
-    assert lowest(got) == ref_mu2(sa, pair_a, sb, pair_b)
+    assert lowest(got) == ref_mu2(MODEL, sa, pair_a, sb, pair_b)
 
 
 def test_model_has_compose_denominator_five():
@@ -174,5 +243,88 @@ def test_model_has_compose_denominator_five():
     for src, mid, tgt in PAIRS:
         pa, pb = MODEL.pair(mid, tgt), MODEL.pair(src, mid)
         for ka, kb in product(pa.core_basis(), pb.core_basis()):
-            dens.add(MODEL._compose_keys(pa, pb, ka, kb)[1])
+            dens.add(scaled_state(compose_keys(
+                MODEL, pa, pb, ka, kb, MODEL._ext_composition))[1])
     assert 5 in dens
+
+
+# ----------------------------------------------------------------------
+# the factored kernel and the contraction against their references
+
+
+@cache
+def oracle_model(name):
+    # cap 1 on the rank-3 quadric: sums of two keys of t-degree one
+    # leave the cap
+    return {"worked": lambda: worked_model(cap=2),
+            "twovar": lambda: quadric_model(2, cap=2),
+            "quadric3": lambda: quadric_model(3, cap=1)}[name]()
+
+
+def triples(m):
+    return list(product(range(len(m.objects)), repeat=3))
+
+
+@pytest.mark.parametrize("name", ["worked", "twovar", "quadric3"])
+def test_factored_compose_matches_per_pair_reference(name):
+    # key pairs drawn from the whole arenas, so that thetas overlap,
+    # thetas merge with a sign, and outputs leave the cap
+    m = oracle_model(name)
+    rng = random.Random(name)
+    seen = Counter()
+    for src, mid, tgt in triples(m):
+        pa, pb = m.pair(mid, tgt), m.pair(src, mid)
+        kernel = m._kernel(pa, pb)
+        keys_a = list(pa.arena.space.basis())
+        keys_b = list(pb.arena.space.basis())
+        for _ in range(3000 // len(triples(m))):
+            ka, kb = rng.choice(keys_a), rng.choice(keys_b)
+            want = ref_compose_keys(m, pa, pb, ka, kb, m._ext_composition)
+            got = {kc: Fraction(v, kernel.den)
+                   for _, comp in kernel.row(kb, kernel.laters([ka]))
+                   for kc, v in comp.items()}
+            assert got == want, (src, mid, tgt, ka, kb)
+            assert compose_keys(m, pa, pb, ka, kb, m._ext_composition) == want
+            th1, th2 = pa.split(ka[0])[0], pb.split(kb[0])[0]
+            seen["overlap"] += bool(th1 & th2)
+            seen["merge sign"] += bool(want) and ref_merge_sign(th1, th2) < 0
+            seen["beyond cap"] += ref_compose_keys(
+                m, pa, pb, ka, kb, m._ext_composition, cap=99) != want
+            seen["non-zero"] += bool(want)
+    assert seen["overlap"] and seen["beyond cap"] and seen["non-zero"] > 100
+    if m.qb.n > 1:
+        assert seen["merge sign"]
+
+
+def random_states(m, pair, parity, rng, count):
+    """count states of the given parity on the arena of pair, each a
+    sum of one to four keys with small Fraction coefficients."""
+    keys = [k for k in m.pair(*pair).arena.space.basis()
+            if k[0].bit_count() & 1 == parity]
+    return [{k: Fraction(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
+             for k in rng.sample(keys, rng.randint(1, 4))}
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["worked", "twovar", "quadric3"])
+def test_contraction_matches_per_pair_r2(name):
+    # every split contracts a left span table against a right one; on
+    # states of both parities each product is the per-pair r2
+    m = oracle_model(name)
+    rng = random.Random(name)
+    signs = Counter()
+    for src, mid, tgt in triples(m):
+        pair_1, pair_2 = (src, mid), (mid, tgt)
+        left = {("l", p, i): st for p in (0, 1) for i, st in
+                enumerate(random_states(m, pair_1, p, rng, 4))}
+        right = {("r", p, i): st for p in (0, 1) for i, st in
+                 enumerate(random_states(m, pair_2, p, rng, 4))}
+        got = {(tl, tr): rational_state(st) for tl, tr, st in m._contract(
+            pair_1, {(t,): scaled_state(st) for t, st in left.items()},
+            pair_2, {(t,): scaled_state(st) for t, st in right.items()})}
+        for tl, tr in product(left, right):
+            want = ref_r2(m, left[tl], pair_1, right[tr], pair_2)
+            assert got.get(((tl,), (tr,)), {}) == want, (pair_1, tl, tr)
+            if want:
+                signs[tl[1], tr[1]] += 1
+    assert set(signs) == {(0, 0), (0, 1), (1, 0), (1, 1)}

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from ainfmf.ainfmodel import Model, _ModelDecoration
+from ainfmf.ainfmodel import Model, compose_keys
 from ainfmf.mfcat import HomotopySet, koszul_mf
 from ainfmf.normalorder import (
     CapExceeded,
@@ -22,6 +22,8 @@ from ainfmf.quotient import QuotientBasis
 from ainfmf.sdrcore import Arena
 from ainfmf.superspace import rational_state, scaled_state
 from ainfmf.treealg import enumerate_binary, mirror_eval
+
+from test_ainfmodel import ModelDecoration
 
 
 def worked_model(cap=3):
@@ -185,7 +187,7 @@ def test_compose_keys_match_matrix_backend():
             ka = rng.choice(keys_a)
             kb = rng.choice(keys_b)
             got = clean(backend.compose_keys(pa, pb, ka, kb))
-            want = rational_state(m._compose_keys(pa, pb, ka, kb))
+            want = compose_keys(m, pa, pb, ka, kb, m._ext_composition)
             assert got == want, (s, mid, t, ka, kb)
 
 
@@ -202,7 +204,7 @@ def test_tree_dual_backend_kstab():
         for combo in product(*cores):
             inputs = [{key: Fraction(1)} for key in combo]
             in_map = {i + 1: inputs[i] for i in range(k)}
-            dec = _ModelDecoration(m, path, inputs)
+            dec = ModelDecoration(m, path, inputs)
             for T in enumerate_binary(k):
                 got = clean(backend.tree_state(T, path, combo))
                 want = clean(mirror_eval(T, dec, in_map))
@@ -219,7 +221,7 @@ def test_tree_dual_backend_worked_sample():
             combo = tuple(rng.choice(c) for c in cores)
             inputs = [{key: Fraction(1)} for key in combo]
             in_map = {i + 1: inputs[i] for i in range(3)}
-            dec = _ModelDecoration(m, path, inputs)
+            dec = ModelDecoration(m, path, inputs)
             for T in enumerate_binary(3):
                 got = clean(backend.tree_state(T, path, combo))
                 want = clean(mirror_eval(T, dec, in_map))

@@ -3,13 +3,49 @@ from fractions import Fraction
 from math import comb
 
 from ainfmf.treealg import (
-    denote,
     enumerate_binary,
     leaves,
     mirror_eval,
     mirror_sign,
     right_branch_counts,
 )
+
+
+def denote(tree, dec, inputs):
+    """Koszul-signed denotation.  dec must provide:
+
+      leaf(i, state) / leaf_parity(i)
+      edge(lo, hi, state) / edge_parity  -- applied on internal edges
+      vertex(lo, mid, hi, s1, s2)        -- r2, signs of its own included
+      root(state)
+      tilde(i)                           -- tilde degree of input i
+
+    inputs: dict leaf label -> state.
+    """
+    sign = [1]
+
+    def go(node, is_top):
+        if isinstance(node, int):
+            return dec.leaf(node, inputs[node]), dec.leaf_parity(node) & 1, [node]
+        s1, p1, l1 = go(node[0], False)
+        s2, p2, l2 = go(node[1], False)
+        if p2 & 1:
+            crossed = sum(dec.tilde(i) for i in l1) & 1
+            if crossed:
+                sign[0] = -sign[0]
+        lo, mid, hi = l1[0], l1[-1], l2[-1]
+        out = dec.vertex(lo, mid, hi, s1, s2)
+        parity = (p1 + p2 + 1) & 1
+        if not is_top:
+            out = dec.edge(lo, hi, out)
+            parity = (parity + dec.edge_parity) & 1
+        return out, parity, l1 + l2
+
+    state, _, _ = go(tree, True)
+    state = dec.root(state)
+    if sign[0] == -1:
+        return {k: -v for k, v in state.items()}
+    return state
 
 
 def catalan(n):

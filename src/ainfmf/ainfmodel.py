@@ -7,7 +7,10 @@ builds, per ordered pair, the operator arena from sdrcore.  Morphism
 spaces B(X,Y) are the theta- and t-degree-zero cores of those arenas.
 The binary composition mu2 is transported through the exterior
 presentation of each pair and the Gamma tensor of R/I, by one factored
-ComposeKernel per pair of pairs.  The higher products rho_k are signed
+ComposeKernel per pair of pairs.  A kernel takes its exterior
+composition table as an argument: the model's come from the Hom matrices
+of the two pairs, and normalorder runs its own kernels on the tables it
+builds by fermion pairing.  The higher products rho_k are signed
 tree sums, built bottom-up as span tables: every span of leaves lo..hi
 maps each token tuple to the sum over all trees on those leaves, and
 each split of a span is one contraction of its left table against its
@@ -160,19 +163,6 @@ class ComposeKernel:
                          -c if neg else c)
             out.append((i, comp))
         return out
-
-
-def compose_keys(model, pa, pb, ka, kb, ext_table):
-    """mu2 on a pair of basis keys as a state of Fraction coefficients:
-    the ComposeKernel of the one entry of ext_table(pa, pb) that the
-    pair reads.  Each backend caches the results in its own
-    arithmetic."""
-    ext_key = (pa.split(ka[0])[1], pb.split(kb[0])[1])
-    ext = ext_table(pa, pb).get(ext_key)
-    kernel = ComposeKernel(model, pa, pb, {ext_key: ext} if ext else {})
-    for _, comp in kernel.row(kb, kernel.laters([ka])):
-        return {kc: Fraction(v, kernel.den) for kc, v in comp.items()}
-    return {}
 
 
 def _conversion_parity(tildes):
@@ -527,12 +517,14 @@ class Model:
         per-tuple defects for the requested forms together.  Returns a
         report; each failure carries its witness tuple and non-zero
         defect state, in basis-tuple order, r before mu.  Raises
-        ValueError on a level below 1 or on forms that are empty or name
-        anything but "r" and "mu"."""
+        ValueError on a level below 1 or on forms that are empty, repeat
+        a form or name anything but "r" and "mu"."""
         if isinstance(level, bool) or not isinstance(level, int) or level < 1:
             raise ValueError("level must be an integer >= 1")
-        if not forms or any(f not in ("r", "mu") for f in forms):
-            raise ValueError('forms must be a non-empty choice of "r", "mu"')
+        if (not forms or any(f not in ("r", "mu") for f in forms)
+                or len(set(forms)) < len(forms)):
+            raise ValueError(
+                'forms must be a non-empty choice of distinct "r", "mu"')
         report = {"level": level, "forms": list(forms), "checked": 0, "failures": []}
         for n in range(1, level + 1):
             if object_paths is None:

@@ -373,9 +373,10 @@ def cmd_verify_ainf(prob, args):
     level = _int_arg(args, "level", 2, 1)
     forms = args.get("forms", ["r", "mu"])
     if (not isinstance(forms, list) or not forms
-            or any(f not in ("r", "mu") for f in forms)):
-        raise InputError(
-            'verify-ainf forms must be a non-empty list of "r" and "mu"')
+            or any(f not in ("r", "mu") for f in forms)
+            or len(set(forms)) < len(forms)):
+        raise InputError('verify-ainf forms must be a non-empty list of '
+                         'distinct "r" and "mu"')
     report = m.verify_ainf(level, forms=forms)
     result = {
         "level": level,
@@ -507,7 +508,7 @@ def cmd_feynman(prob, args):
     if len(path) != k + 1:
         raise InputError("feynman needs a path of k + 1 object labels")
     check_cap(m, k)
-    limit = _int_arg(args, "limit", None, 0)
+    limit = _int_arg(args, "limit", None, 1)
     table = m.rho_table(k, path)
     backend = FeynmanBackend(m)
     cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(k)]

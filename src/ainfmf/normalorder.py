@@ -16,24 +16,26 @@ algebra in sdrcore/ainfmodel.  The ingredients are
     basis key and extended linearly to states;
   * a tree walker (FeynmanBackend) whose signed sums over trees the
     feynman command compares against the reported rho_k tables of the
-    matrix backend.  Each tree is evaluated on its own; the state below
-    an internal node other than the top is kept on the backend, keyed by
-    path, node and the keys of the node's leaves, and shared by every
-    tuple and tree that reaches it;
+    matrix backend.  Each tree is evaluated on its own, by one
+    tree_state call, from states and top-node column maps that the
+    backend shares across tuples and trees;
   * evaluate_summand, which evaluates a single hand-written operator
     word (one summand of the expansion) on explicit inputs.
 
 The junction (binary composition) is computed by pairing the fermions of
 the shared middle object directly on exterior masks, not through the
 matrix dictionaries used by the main backend, so that agreement of the
-two backends is a genuine cross-check.
+two backends is a genuine cross-check.  Its exterior tables feed one
+ComposeKernel per pair of pairs, the factored Gamma product of the
+operator backend, whose integer rows are converted to Fraction: every
+coefficient of this module is a Fraction.
 """
 
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .ainfmodel import compose_keys
+from .ainfmodel import ComposeKernel
 from .mfcat import HomotopyIdentityFailed, HomotopySet, check_homotopies
 from .quotient import CapExceeded
 from .sdrcore import ZeroVirtualDegree, full_expansion
@@ -609,7 +611,20 @@ class FeynmanBackend:
 
     Reuses the model only for its pair layouts, quotient data and
     Gamma products; all operators are rebuilt from the vertex catalog
-    and the junction is computed by _ext_pair_compose."""
+    and the junction is computed from _ext_pair_compose.
+
+    Three memos live as long as the backend:
+      * _states: the state below every internal node but the top, keyed
+        by path, node and the keys of the node's leaves;
+      * _top: the top operator on a key pair, top(ka, kb) =
+        root(mu2(ka, kb)), core outputs only;
+      * _columns: per left sub-tree state of a top node, keyed by path,
+        left node and the keys of its leaves (not by the split alone:
+        the left nodes ((1, 2), 3) and (1, (2, 3)) share one), the
+        column map ka -> sum over kb of c_b top(ka, kb).
+    The top operator is linear in the key pairs of its two states, so a
+    tree's output is the sum over the keys ka of its right state of c_a
+    times the column of ka."""
 
     def __init__(self, model):
         self.model = model
@@ -618,6 +633,8 @@ class FeynmanBackend:
         self._junction = {}
         self._spans = {}
         self._states = {}
+        self._top = {}
+        self._columns = {}
 
     def engine(self, src, tgt):
         key = (src, tgt)
@@ -638,25 +655,38 @@ class FeynmanBackend:
             )
         return self._ext[key]
 
-    def compose_keys(self, pa, pb, ka, kb):
-        """Binary composition of basis keys: ka (later, in pair pa =
-        (mid, tgt)) after kb (earlier, in pair pb = (src, mid)), with the
-        exterior parts composed by _ext_pair_compose; cached."""
-        key = ((pa.src, pa.tgt), (pb.src, pb.tgt), ka, kb)
-        hit = self._junction.get(key)
-        if hit is None:
-            hit = self._junction[key] = compose_keys(
-                self.model, pa, pb, ka, kb, self._ext_table)
-        return hit
+    def _kernel(self, pair_a, pair_b):
+        """The junction of pair_a = (mid, tgt) after pair_b = (src, mid):
+        one ComposeKernel per pair of pairs over the exterior table of
+        _ext_pair_compose."""
+        key = (pair_a, pair_b)
+        kernel = self._junction.get(key)
+        if kernel is None:
+            pa, pb = self.model.pair(*pair_a), self.model.pair(*pair_b)
+            kernel = self._junction[key] = ComposeKernel(
+                self.model, pa, pb, self._ext_table(pa, pb))
+        return kernel
+
+    @staticmethod
+    def _row(kernel, kb, laters):
+        """kernel.row converted to Fraction: [(i, mu2(ka_i, kb))] over
+        the keys ka_i of laters with a non-zero product."""
+        den = kernel.den
+        return [(i, {kc: Fraction(v, den) for kc, v in comp.items()})
+                for i, comp in kernel.row(kb, laters)]
 
     def mu2(self, sa, pair_a, sb, pair_b):
-        pa = self.model.pair(*pair_a)
-        pb = self.model.pair(*pair_b)
+        """Binary composition of states: sa (later, in pair_a = (mid,
+        tgt)) after sb (earlier, in pair_b = (src, mid))."""
+        kernel = self._kernel(pair_a, pair_b)
+        coeffs = list(sa.values())
+        laters = kernel.laters(sa)
         out = {}
-        for ka, c1 in sa.items():
-            for kb, c2 in sb.items():
-                for kc, c3 in self.compose_keys(pa, pb, ka, kb).items():
-                    add_into(out, kc, c1 * c2 * c3)
+        for kb, c2 in sb.items():
+            for i, comp in self._row(kernel, kb, laters):
+                c = coeffs[i] * c2
+                for kc, c3 in comp.items():
+                    add_into(out, kc, c * c3)
         return out
 
     # -- tree walking ----------------------------------------------------
@@ -668,35 +698,66 @@ class FeynmanBackend:
                 leaves(node)[0], leaves(node[0])[-1], leaves(node[1])[-1])
         return self._spans[node]
 
-    def _eval(self, node, path, keys, is_top):
-        """The state below node.  Below the top, a state depends only on
-        the path, the node and the keys of its leaves, so it is shared
-        by every tuple and tree of this backend that has them; the top
-        state is used once and not kept."""
+    def _eval(self, node, path, keys):
+        """The state below a node other than the top.  It depends only
+        on the path, the node and the keys of its leaves, so it is shared
+        by every tuple and tree of this backend that has them."""
         if isinstance(node, int):
             eng = self.engine(path[node - 1], path[node])
             return eng.leaf(keys[node - 1])
         lo, mid, hi = self._span(node)
         mkey = (path, node, keys[lo - 1:hi])
-        if not is_top and mkey in self._states:
-            return self._states[mkey]
-        sa = self._eval(node[1], path, keys, False)
-        sb = self._eval(node[0], path, keys, False)
-        out = self.mu2(
-            sa, (path[mid], path[hi]), sb, (path[lo - 1], path[mid])
-        )
-        if not is_top:
-            out = self.engine(path[lo - 1], path[hi]).edge(out)
-            self._states[mkey] = out
+        out = self._states.get(mkey)
+        if out is None:
+            sa = self._eval(node[1], path, keys)
+            sb = self._eval(node[0], path, keys)
+            out = self.mu2(
+                sa, (path[mid], path[hi]), sb, (path[lo - 1], path[mid]))
+            out = self._states[mkey] = self.engine(
+                path[lo - 1], path[hi]).edge(out)
         return out
+
+    def _column(self, pair_a, pair_b, ka, sb):
+        """sum over the keys kb of the left state sb of c_b top(ka, kb),
+        where top(ka, kb) = root(mu2(ka, kb)) is kept per key pair."""
+        kernel = self._kernel(pair_a, pair_b)
+        root = self.engine(pair_b[0], pair_a[1]).root_key
+        top = self._top
+        ends = (pair_b[0], pair_a[0], pair_a[1])
+        laters = kernel.laters([ka])
+        col = {}
+        for kb, cb in sb.items():
+            tkey = (ends, ka, kb)
+            st = top.get(tkey)
+            if st is None:
+                row = self._row(kernel, kb, laters)
+                st = top[tkey] = (extend_linearly(root, row[0][1]) if row
+                                  else {})
+            for kc, c in st.items():
+                col[kc] = col.get(kc, 0) + cb * c
+        return {kc: c for kc, c in col.items() if c}
 
     def tree_state(self, tree, path, keys):
         """The full output state of one tree on a tuple of core basis
         keys; equals the signless mirror evaluation of the matrix
-        backend."""
+        backend: the right state below the top summed against the
+        column map of the left state."""
         path = tuple(path)
-        st = self._eval(tree, path, tuple(keys), True)
-        return self.engine(path[0], path[-1]).root(st)
+        keys = tuple(keys)
+        _, mid, hi = self._span(tree)
+        pair_a, pair_b = (path[mid], path[hi]), (path[0], path[mid])
+        cols = self._columns.setdefault((path, tree[0], keys[:mid]), {})
+        sb = None
+        out = {}
+        for ka, ca in self._eval(tree[1], path, keys).items():
+            col = cols.get(ka)
+            if col is None:
+                if sb is None:
+                    sb = self._eval(tree[0], path, keys)
+                col = cols[ka] = self._column(pair_a, pair_b, ka, sb)
+            for kc, c in col.items():
+                out[kc] = out.get(kc, 0) + ca * c
+        return {kc: c for kc, c in out.items() if c}
 
     def c_tau(self, tree, path, keys, tau):
         k = len(leaves(tree))

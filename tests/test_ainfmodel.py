@@ -458,6 +458,8 @@ def test_verify_ainf_rejects_mixed_parity():
     (1, ("r", "nu")),
     (0, ("r", "mu")),
     (True, ("r",)),
+    (1, ("r", "r")),
+    (2, ("mu", "r", "mu")),
 ])
 def test_verify_ainf_rejects_bad_arguments(level, forms):
     # a form it does not know must not pass as a check of nothing

@@ -1,10 +1,13 @@
 import json
 import re
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from ainfmf import cli
 from ainfmf.ainfmodel import Model
+from ainfmf.normalorder import FeynmanBackend
 
 
 WORKED = {
@@ -214,7 +217,7 @@ def test_linear_part_needs_cap_1(spec, command):
     assert report["ok"] and report["cap_ok"]
 
 
-# each command with a bad argument, the five verify-ainf cases first
+# each command with a bad argument
 @pytest.mark.parametrize("args", [
     {"command": "verify-ainf", "level": 1, "forms": ["R"]},
     {"command": "verify-ainf", "level": 1, "forms": "mu"},
@@ -240,6 +243,11 @@ def test_linear_part_needs_cap_1(spec, command):
     # JSON booleans are not object indices
     {"command": "rho", "k": 2, "path": [True, False, True]},
     {"command": "sdr-verify", "source": True},
+    # repeated forms would be checked and reported twice
+    {"command": "verify-ainf", "level": 1, "forms": ["r", "r"]},
+    {"command": "verify-ainf", "level": 1, "forms": ["mu", "r", "mu"]},
+    # a limit of 0 would check no tuple and still report ok
+    {"command": "feynman", "k": 2, "limit": 0},
 ])
 def test_verify_ainf_rejects_bad_arguments(args):
     report, code = cli.run(WORKED, commands=[args])
@@ -294,6 +302,47 @@ def test_feynman_catches_faults_in_span_sums(monkeypatch, fault):
     report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 3}])
     assert code == cli.EXIT_VERIFY
     assert report["results"][0]["result"]["mismatches"] > 0
+
+
+def _faulty_column(fault):
+    """FeynmanBackend._column with one fault in the stage-1 columns of the
+    top: "flip" negates the first non-empty column a backend builds,
+    "drop" empties it, "spurious" puts the key ka into every empty
+    column."""
+    original = FeynmanBackend._column
+
+    def column(self, pair_a, pair_b, ka, sb):
+        col = original(self, pair_a, pair_b, ka, sb)
+        if fault == "spurious":
+            return col or {ka: Fraction(1)}
+        if col and not getattr(self, "faulted", False):
+            self.faulted = True
+            return {kc: -c for kc, c in col.items()} if fault == "flip" else {}
+        return col
+
+    return column
+
+
+@pytest.mark.parametrize("fault, one_sided", [
+    ("flip", None), ("drop", "table"), ("spurious", "feynman")])
+def test_feynman_catches_faults_in_top_columns(monkeypatch, fault, one_sided):
+    monkeypatch.setattr(FeynmanBackend, "_column", _faulty_column(fault))
+    report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 2}])
+    assert code == cli.EXIT_VERIFY
+    assert report["results"][0]["result"]["mismatches"] > 0
+    if one_sided is None:
+        return
+    # k = 2 has one tree, so a tuple's feynman side is empty exactly when
+    # its tree_state is: the faults leave some tuple non-empty on one
+    # side only, which the comparison must count as well
+    m = cli.Problem(WORKED).need_model()
+    backend = FeynmanBackend(m)
+    table = m.rho_table(2, (0, 0, 0))
+    core = m.pair(0, 0).core_basis()
+    sides = {(bool(table.get(combo)),
+              bool(backend.tree_state((1, 2), (0, 0, 0), combo)))
+             for combo in product(core, core)}
+    assert ((True, False) if one_sided == "table" else (False, True)) in sides
 
 
 def test_timing_per_command():

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfmf import cli
-from ainfmf.ainfmodel import compose_keys
 from ainfmf.superspace import (
     LinearOp,
     Space,
@@ -32,7 +31,7 @@ from ainfmf.superspace import (
     state_parity,
 )
 
-from test_normalorder import quadric_model, worked_model
+from test_normalorder import compose_keys, quadric_model, worked_model
 
 
 def ref_merge_sign(m1, m2):

@@ -1,10 +1,13 @@
+import json
+import os
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import pytest
 
-from ainfmf.ainfmodel import Model, compose_keys
+from ainfmf import cli
+from ainfmf.ainfmodel import ComposeKernel, Model
 from ainfmf.mfcat import HomotopySet, koszul_mf
 from ainfmf.normalorder import (
     CapExceeded,
@@ -21,7 +24,7 @@ from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
 from ainfmf.sdrcore import Arena
 from ainfmf.superspace import rational_state, scaled_state
-from ainfmf.treealg import enumerate_binary, mirror_eval
+from ainfmf.treealg import enumerate_binary, leaves, mirror_eval
 
 from test_ainfmodel import ModelDecoration
 
@@ -57,6 +60,26 @@ def twovar_model(cap=3, nobj=1):
     # rank-two object for W = x^2 + y^2; exercises multi-bit fermion
     # pairings that a rank-one model cannot see
     return quadric_model(2, cap, nobj)
+
+
+def compose_keys(model, pa, pb, ka, kb, ext_table):
+    """mu2 on a pair of basis keys as a state of Fraction coefficients:
+    the ComposeKernel of the one entry of ext_table(pa, pb) that the
+    pair reads.  With the model's exterior tables this is the matrix
+    backend's composition, one key pair at a time."""
+    ext_key = (pa.split(ka[0])[1], pb.split(kb[0])[1])
+    ext = ext_table(pa, pb).get(ext_key)
+    kernel = ComposeKernel(model, pa, pb, {ext_key: ext} if ext else {})
+    for _, comp in kernel.row(kb, kernel.laters([ka])):
+        return {kc: Fraction(v, kernel.den) for kc, v in comp.items()}
+    return {}
+
+
+def demo_model(name):
+    """The model of demos/<name>.json."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                           name + ".json")) as fh:
+        return cli.Problem(json.load(fh)).need_model()
 
 
 def clean(state):
@@ -186,7 +209,8 @@ def test_compose_keys_match_matrix_backend():
         for _ in range(60):
             ka = rng.choice(keys_a)
             kb = rng.choice(keys_b)
-            got = clean(backend.compose_keys(pa, pb, ka, kb))
+            got = backend.mu2({ka: Fraction(1)}, (mid, t),
+                              {kb: Fraction(1)}, (s, mid))
             want = compose_keys(m, pa, pb, ka, kb, m._ext_composition)
             assert got == want, (s, mid, t, ka, kb)
 
@@ -283,6 +307,86 @@ def test_root_is_key_linear(maker):
                                        rng.randint(1, 4))
                          for key in rng.sample(keys, 4)}
                 assert eng.root(state) == whole_state_root(eng, state), (s, t)
+
+
+def per_tuple_tree_state(backend, tree, path, keys):
+    """The reference for tree_state, one tuple at a time and with no
+    memo but the edge engine's: mu2 over every key pair of two states,
+    one compose_keys call per pair on the backend's exterior tables,
+    then the edge operator below the top and the root operator on the
+    whole product at the top."""
+    m = backend.model
+
+    def mu2(sa, pair_a, sb, pair_b):
+        pa, pb = m.pair(*pair_a), m.pair(*pair_b)
+        out = {}
+        for ka, c1 in sa.items():
+            for kb, c2 in sb.items():
+                for kc, c3 in compose_keys(m, pa, pb, ka, kb,
+                                           backend._ext_table).items():
+                    out[kc] = out.get(kc, 0) + c1 * c2 * c3
+        return clean(out)
+
+    def ev(node):
+        if isinstance(node, int):
+            return backend.engine(path[node - 1], path[node]).leaf(
+                keys[node - 1])
+        lo, mid, hi = leaves(node)[0], leaves(node[0])[-1], leaves(node)[-1]
+        st = mu2(ev(node[1]), (path[mid], path[hi]),
+                 ev(node[0]), (path[lo - 1], path[mid]))
+        eng = backend.engine(path[lo - 1], path[hi])
+        return whole_state_root(eng, st) if node == tree else eng.edge(st)
+
+    return ev(tree)
+
+
+# (model, k, paths, tuples per path or None for all): the worked model
+# on the four benchmark paths, the kstab model at k = 4 (five trees,
+# two of them with the left node ((1, 2), 3) or (1, (2, 3))), where
+# every tree vanishes, the worked model at k = 4, where the states of
+# those two left nodes differ, the rank-two model of
+# demos/two_variable.json on K, L, K and the rank-3 quadric at its
+# margin
+TOP_CASES = {
+    "worked": (lambda: worked_model(cap=3), 3, WORKED_PATHS, 40),
+    "kstab": (lambda: kstab_model(cap=3), 4, [(0,) * 5], None),
+    "worked-k4": (lambda: worked_model(cap=3), 4, [(0, 1, 0, 1, 0)], 40),
+    "twovar-KLK": (lambda: demo_model("two_variable"), 2, [(0, 1, 0)], 120),
+    "quadric3": (lambda: quadric_model(3, cap=3), 2, [(0, 0, 0)], 12),
+}
+
+
+@pytest.mark.parametrize("case", list(TOP_CASES))
+def test_top_columns_match_per_tuple_reference(case):
+    # one backend for the whole case, so that columns and top key pairs
+    # built for one tuple are read by later tuples and trees; tuples are
+    # drawn from a few keys per slot to make that happen often
+    maker, k, paths, count = TOP_CASES[case]
+    m = maker()
+    backend = FeynmanBackend(m)
+    rng = random.Random(case)
+    trees = enumerate_binary(k)
+    for path in paths:
+        cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(k)]
+        if count is None:
+            combos = list(product(*cores))
+        else:
+            pools = [rng.sample(c, min(len(c), 6)) for c in cores]
+            combos = [tuple(rng.choice(p) for p in pools)
+                      for _ in range(count)]
+        nonzero = 0
+        for combo in combos:
+            for T in trees:
+                got = backend.tree_state(T, path, combo)
+                want = per_tuple_tree_state(backend, T, path, combo)
+                assert got == want, (path, T, combo)
+                nonzero += bool(want)
+        assert nonzero or case == "kstab", path
+    assert backend._top and backend._columns
+    # the column maps are keyed by left node, not by split alone
+    if k == 4:
+        assert {ckey[1] for ckey in backend._columns} >= {((1, 2), 3),
+                                                          (1, (2, 3))}
 
 
 def test_c_tau_guards():

@@ -565,6 +565,12 @@ class Model:
                     terms.append((i, j, inner, outer))
         den = lcm(*(inner.den * outer.den for _, _, inner, outer in terms))
         defects = {form: {} for form in ("r", "mu") if form in forms}
+        # the tildes and conversion parity of each table's tuples, in
+        # its order, once per call: the j = 1 terms share one table
+        tables = {id(t): t for term in terms for t in term[2:]}
+        signs = {key: [(tl, _conversion_parity(tl)) for tl in
+                       [tuple(map(self.tilde, tup)) for tup in table]]
+                 for key, table in tables.items()}
         for i, j, inner, outer in terms:
             scale = den // (inner.den * outer.den)
             # outer tuples by their slot-i key, with the sign parities
@@ -574,24 +580,23 @@ class Model:
             # its keys), the Koszul sign of the degree-j operator
             # crossing the later arguments, and the sign of the term.
             by_slot = {}
-            for otup, out in outer.items():
-                tl = [self.tilde(k) for k in otup]
+            for (otup, out), (tl, conversion) in zip(outer.items(),
+                                                     signs[id(outer)]):
                 odd = {
                     "r": sum(tl[:i]),
-                    "mu": _conversion_parity(tl)
+                    "mu": conversion
                     + j * sum(t ^ 1 for t in tl[i + 1 :])
                     + i * j + i + j + n,
                 }
                 by_slot.setdefault(otup[i], []).append(
                     (otup[:i], otup[i + 1 :], odd, out)
                 )
-            for itup, st in inner.items():
+            for (itup, st), (_, conversion) in zip(inner.items(),
+                                                   signs[id(inner)]):
                 inner_odd = {"r": 0}
                 if "mu" in defects:
                     state_parity(st)  # raises on mixed parity
-                    inner_odd["mu"] = _conversion_parity(
-                        [self.tilde(k) for k in itup]
-                    )
+                    inner_odd["mu"] = conversion
                 for kk, v in st.items():
                     v *= scale
                     for pre, post, odd, out in by_slot.get(kk, ()):
@@ -634,7 +639,7 @@ class Model:
             raise CapExceeded("cap 0 leaves no t-degree for At")
         arena = self.pair(*pair_key).arena
         n = self.qb.n
-        thetas = sum(1 << arena.space.gen_pos("theta", k) for k in range(n))
+        thetas = arena.space.theta_mask
         e = LinearOp.from_rule(
             arena.space, 0,
             lambda key: None if key[0] & thetas else {key: 1},

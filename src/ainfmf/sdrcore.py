@@ -5,17 +5,24 @@ wedge(F_theta (+) fermions of the pair's presentation) tensor R/I tensor
 Q[t]_{<= cap}, with the rho presentation (fermions xi, xibar) when X is Y
 and the nu presentation (eta, xibar) otherwise, together with the cached
 operators: the transported differential d_A, the connection nabla, the
-propagator zeta, the critical Atiyah class At = [d_A, nabla], delta and its exponentials, the
-inclusion/projection sigma/pi of the theta- and t-degree-zero sector, the
-perturbation series sigma_infty and phi_infty, and the homotopy
-equivalence Phi, Phi^{-1}, H_hat.  d_A and delta are built key by key:
-each summand moves the fermion bits of the key's mask (wedge_mask,
-contract_mask) and then multiplies by a polynomial through its t-adic
-columns, the transported multiplication r^#.  sdr_verify checks the
-defining identities exactly on a margin-restricted basis.
+propagator zeta, the critical Atiyah class At = [d_A, nabla], delta and
+its exponentials, the inclusion/projection sigma/pi of the theta- and
+t-degree-zero sector, the perturbation series sigma_infty and phi_infty,
+and the homotopy equivalence Phi, Phi^{-1}, H_hat.  d_A and delta come
+from integer mask moves: each summand moves the fermion bits of a mask
+once per (mask, h), then multiplies by a polynomial through its t-adic
+columns over one denominator (the transported multiplication r^#),
+shifted by each boson multi-index and cut at the cap.  e^{+-delta} (one
+pass over the powers of delta) and sigma_infty, phi_infty (two tails of
+one zeta At) are power series summed column by column; Phi, Phi^{-1}
+and H_hat are compositions.  sdr_verify checks the defining identities
+exactly on a margin-restricted basis.
 """
 
-from math import lcm
+from fractions import Fraction
+from itertools import product
+from math import factorial, lcm
+from operator import add
 
 from .mfcat import default_homotopies
 from .quotient import t_adic_expand
@@ -24,11 +31,10 @@ from .superspace import (
     Space,
     contract_mask,
     contract_op,
-    exp_nilpotent,
     graded_commutator,
+    power_series,
     rational_state,
     state_sum,
-    wedge_key,
     wedge_mask,
     wedge_op,
 )
@@ -103,7 +109,6 @@ class Arena:
         """(d_A, delta), each a sum of (sign, r, word) terms: the fermion
         moves of word act on the mask, last to first, and then the
         t-adic columns of r, cut at the cap, act on (h, delta)."""
-        n = self.n
         pos = self.space.gen_pos
 
         def wedge(family, i):
@@ -120,7 +125,7 @@ class Arena:
             for i, (f, g) in enumerate(self.X.pairs):
                 d_terms += [(-1, f, [wedge("xibar", i)]),
                             (1, g, [contract("xibar", i)])]
-            for k in range(n):
+            for k in range(self.n):
                 tk = contract("theta", k)
                 for j in range(self.Y.r):
                     delta_terms += [
@@ -130,7 +135,7 @@ class Arena:
             for i, (f, g) in enumerate(self.X.pairs):
                 d_terms += [(1, f, [contract("xi", i)]),
                             (1, g, [contract("xibar", i)])]
-            for k in range(n):
+            for k in range(self.n):
                 tk = contract("theta", k)
                 for i in range(self.X.r):
                     F, G = self.homX.F[k][i], self.homX.G[k][i]
@@ -147,18 +152,19 @@ class Arena:
 
     def _term_sum(self, degree, terms, columns):
         """The operator sum of sign * r after word over the terms with a
-        non-zero polynomial r; columns maps each r to its columns."""
-        cap = self.cap
+        non-zero polynomial r; columns maps each r to its columns.  The
+        columns are brought over one denominator as integers; the moves
+        of every term are made once per (mask, h), and their outputs are
+        then shifted by each boson multi-index and cut at the cap."""
+        sp, cap = self.space, self.cap
         terms = [(sign, word[::-1], columns[r]) for sign, r, word in terms
                  if r]
-
-        def rule(key):
-            mask0, h, delta = key
-            out = {}
+        den = lcm(*(c.denominator for _, _, cols in terms
+                    for col in cols.values() for c in col.values()))
+        moves = {}
+        for mask0, h in product(range(1 << sp.ngen), range(sp.mu)):
+            outs = moves[mask0, h] = []
             for sign, word, cols in terms:
-                col = cols.get(h)
-                if not col:
-                    continue
                 mask = mask0
                 for move, p in word:
                     hit = move(mask, p)
@@ -167,27 +173,39 @@ class Arena:
                     sign *= hit[0]
                     mask = hit[1]
                 else:
-                    for (l, d2), c in col.items():
-                        nd = tuple(a + b for a, b in zip(delta, d2))
-                        if sum(nd) <= cap:
-                            k2 = (mask, l, nd)
-                            out[k2] = out.get(k2, 0) + sign * c
-            return out
-
-        return LinearOp.from_rule(self.space, degree, rule)
+                    outs += [(mask, l, d2, sum(d2),
+                              sign * c.numerator * (den // c.denominator))
+                             for (l, d2), c in cols.get(h, {}).items()]
+        cols = {}
+        for key in sp.basis():
+            delta, room = key[2], cap - sum(key[2])
+            out = {}
+            for mask, l, d2, t, c in moves[key[:2]]:
+                if t <= room:
+                    k2 = (mask, l, tuple(map(add, delta, d2)))
+                    out[k2] = out.get(k2, 0) + c
+            if out:
+                cols[key] = out
+        return LinearOp.from_cols(sp, degree, cols, den)
 
     def _build_operators(self):
+        n = self.n
         self.d_A, self.delta = self._differentials()
         self.nabla = self._build_nabla()
         self.At = graded_commutator(self.d_A, self.nabla)
         self.sigma = self._build_sigma()
         self.pi = self.sigma
-        self.e_delta = exp_nilpotent(self.delta, max_power=self.n + 1)
-        self.e_minus_delta = exp_nilpotent(self.delta.scaled(-1), max_power=self.n + 1)
-        self.sigma_infty = self._perturbation_series(self.sigma)
-        self.phi_infty = self._perturbation_series(
-            self.zeta_after(self.nabla)
-        )
+        # e^{+-delta}: delta lowers the theta-degree, so delta^(n+1) = 0
+        exp = [Fraction(1, factorial(m)) for m in range(n + 1)]
+        self.e_delta, self.e_minus_delta = power_series(
+            self.delta, [exp, [(-1) ** m * c for m, c in enumerate(exp)]])
+        # the perturbation series sum_m (-1)^m (zeta At)^m tail, which
+        # stops at m = n, for the tails sigma and zeta nabla
+        zeta_at = self.zeta_after(self.At)
+        alternating = [[(-1) ** m for m in range(n + 1)]]
+        self.sigma_infty, = power_series(zeta_at, alternating, self.sigma)
+        self.phi_infty, = power_series(zeta_at, alternating,
+                                       self.zeta_after(self.nabla))
         self.Phi = self.pi.compose(self.e_minus_delta)
         self.Phi_inv = self.e_delta.compose(self.sigma_infty)
         self.H_hat = self.e_delta.compose(self.phi_infty).compose(self.e_minus_delta)
@@ -199,27 +217,18 @@ class Arena:
             mask, h, delta = key
             out = {}
             for k in range(self.n):
-                if delta[k] == 0:
-                    continue
-                hit = wedge_key(sp.gen_pos("theta", k), key)
-                if hit is None:
-                    continue
-                s, key2 = hit
-                nd = tuple(e - 1 if j == k else e for j, e in enumerate(delta))
-                out[(key2[0], h, nd)] = s * delta[k]
+                hit = delta[k] and wedge_mask(mask, sp.gen_pos("theta", k))
+                if hit:
+                    nd = tuple(e - 1 if j == k else e
+                               for j, e in enumerate(delta))
+                    out[(hit[1], h, nd)] = hit[0] * delta[k]
             return out
 
         return LinearOp.from_rule(sp, 1, rule)
 
     def is_core_key(self, key):
         """theta-degree 0 and t-degree 0: the subspace B'."""
-        mask, h, delta = key
-        if sum(delta):
-            return False
-        for k in range(self.n):
-            if mask >> self.space.gen_pos("theta", k) & 1:
-                return False
-        return True
+        return not key[0] & self.space.theta_mask and not sum(key[2])
 
     def core_basis(self):
         return [k for k in self.space.basis() if self.is_core_key(k)]
@@ -243,23 +252,6 @@ class Arena:
         cols = {key: {k2: c * (m // vdeg[k2]) for k2, c in col.items()}
                 for key, col in op.cols.items()}
         return LinearOp.from_cols(self.space, op.degree, cols, op.den * m)
-
-    def _perturbation_series(self, tail):
-        """sum_m (-1)^m (zeta At)^m tail; the series stops at m = n and
-        the m = n + 1 term is asserted to vanish."""
-        zeta_at = self.zeta_after(self.At)
-        total = tail
-        term = tail
-        sign = 1
-        for m in range(1, self.n + 2):
-            term = zeta_at.compose(term)
-            sign = -sign
-            if m <= self.n:
-                total = total + term.scaled(sign)
-            else:
-                if not term.is_zero():
-                    raise ValueError("perturbation series failed to truncate")
-        return total
 
     # ------------------------------------------------------------------
 

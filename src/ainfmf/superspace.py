@@ -50,15 +50,11 @@ class Space:
                 pos += 1
         self.ngen = pos
         self.pos_name = {v: k for k, v in self.positions.items()}
+        self.theta_mask = sum(1 << p for (name, _), p in self.positions.items()
+                              if name == "theta")
 
     def gen_pos(self, family, i=0):
         return self.positions[(family, i)]
-
-    def family_count(self, family):
-        for name, count in self.families:
-            if name == family:
-                return count
-        return 0
 
     def basis(self):
         for delta in _deltas(self.nboson, self.cap):
@@ -68,12 +64,7 @@ class Space:
 
     def virtual_degree(self, key):
         """Number of theta generators present plus the boson degree."""
-        mask = key[0]
-        count = 0
-        for i in range(self.family_count("theta")):
-            if mask >> self.gen_pos("theta", i) & 1:
-                count += 1
-        return count + sum(key[2])
+        return (key[0] & self.theta_mask).bit_count() + sum(key[2])
 
     def key_label(self, key):
         mask, h, delta = key
@@ -205,10 +196,6 @@ class LinearOp:
         return cls(space, degree, cols, den)
 
     @classmethod
-    def identity(cls, space):
-        return cls(space, 0, {key: {key: 1} for key in space.basis()})
-
-    @classmethod
     def from_rule(cls, space, degree, rule, keys=None):
         """rule(key) -> dict key_out -> rational coeff (int or Fraction),
         or None.  The columns are brought over the lcm of the
@@ -284,12 +271,6 @@ class LinearOp:
         return self.from_cols(self.space, self.degree ^ other.degree, cols,
                              self.den * other.den)
 
-    def is_zero(self):
-        return all(not col for col in self.cols.values())
-
-    def equals(self, other):
-        return (self - other).is_zero()
-
 
 def graded_commutator(a, b):
     sign = -1 if (a.degree and b.degree) else 1
@@ -348,15 +329,36 @@ def contract_op(space, pos):
     return _fermion_op(space, pos, contract_key)
 
 
-def exp_nilpotent(op, max_power=None):
-    """Sum of op^m / m! until the power vanishes."""
-    if max_power is None:
-        max_power = op.space.ngen + op.space.cap + 2
-    total = LinearOp.identity(op.space)
-    power = op
-    for m in range(2, max_power + 2):
-        if power.is_zero():
-            return total
-        total = total + power
-        power = op.compose(power).scaled(Fraction(1, m))
-    raise ValueError("operator is not nilpotent within the bound")
+def power_series(op, coeffs, tail=None):
+    """The operators sum_m c[m] op^m tail, one for each coefficient list
+    c in coeffs (every list of one length N + 1), built column by column
+    on powers shared by the lists; tail None is the identity.  op is
+    even.  Raises ValueError unless op^(N + 1) tail vanishes."""
+    top, mine = len(coeffs[0]) - 1, op.cols
+    if tail is None:
+        tail = LinearOp(op.space, 0, {k: {k: 1} for k in op.space.basis()})
+    coeffs = [[Fraction(c) for c in cs] for cs in coeffs]
+    q = lcm(*(c.denominator for cs in coeffs for c in cs))
+    # c[m] op^m tail over the one denominator q op.den^N tail.den
+    factors = [[c.numerator * (q // c.denominator) * op.den ** (top - m)
+                for m, c in enumerate(cs)] for cs in coeffs]
+    outs = [{} for _ in coeffs]
+    for key, power in tail.cols.items():
+        accs = [out.setdefault(key, {}) for out in outs]
+        for m in range(top + 1):
+            for acc, fs in zip(accs, factors):
+                for k2, c in power.items():
+                    acc[k2] = acc.get(k2, 0) + c * fs[m]
+            nxt = {}
+            for kmid, c in power.items():
+                col = mine.get(kmid)
+                if col:
+                    for kout, c2 in col.items():
+                        nxt[kout] = nxt.get(kout, 0) + c * c2
+            power = {k2: c for k2, c in nxt.items() if c}
+            if not power:
+                break
+        else:
+            raise ValueError("power series does not truncate")
+    return [LinearOp.from_cols(op.space, tail.degree, out,
+                               q * op.den ** top * tail.den) for out in outs]

@@ -13,6 +13,7 @@ from ainfmf.superspace import (
     rational_state,
     wedge_op,
 )
+from test_superspace import identity, is_zero
 
 
 def image(op, key):
@@ -51,6 +52,15 @@ def twovar_arena(presentation, cap=2):
     L = koszul_mf([(x1, x1), (-x2, -x2)], W, "L")
     qb = QuotientBasis([parse_poly("2*x1", 2), parse_poly("2*x2", 2)])
     return Arena(K, K if presentation == "rho" else L, qb, cap)
+
+
+def quadric3_arena(cap=2):
+    # x1^2 + x2^2 + x3^2 with K = (x_i, x_i): delta^3 carries three thetas
+    W = parse_poly("x1^2 + x2^2 + x3^2", 3)
+    xs = [parse_poly("x%d" % i, 3) for i in (1, 2, 3)]
+    K = koszul_mf([(x, x) for x in xs], W, "K")
+    qb = QuotientBasis([parse_poly("2*x%d" % i, 3) for i in (1, 2, 3)])
+    return Arena(K, K, qb, cap)
 
 
 def composed_differentials(a):
@@ -121,13 +131,17 @@ def composed_differentials(a):
     return total(1, d_terms), total(0, delta_terms), tmax[0]
 
 
-@pytest.mark.parametrize("make", [
+FIXTURES = [
     lambda: worked_arena(cap=4),
     lambda: worked_arena(cap=4, presentation="rho"),
     lambda: kstab_arena(cap=3),
     lambda: twovar_arena("rho"),
     lambda: twovar_arena("nu"),
-], ids=["worked-nu", "worked-rho", "kstab", "twovar-rho", "twovar-nu"])
+]
+FIXTURE_IDS = ["worked-nu", "worked-rho", "kstab", "twovar-rho", "twovar-nu"]
+
+
+@pytest.mark.parametrize("make", FIXTURES, ids=FIXTURE_IDS)
 def test_differentials_match_composed_reference(make):
     a = make()
     tdeg = a.table_max_tdeg
@@ -137,6 +151,77 @@ def test_differentials_match_composed_reference(make):
     assert a.d_A.degree == 1 and a.delta.degree == 0
     assert tdeg == tmax
     assert a.delta.cols and a.d_A.cols
+
+
+def ref_exp_nilpotent(op, max_power):
+    """Reference: sum of op^m / m! until the power vanishes, by whole
+    operator compositions."""
+    total = identity(op.space)
+    power = op
+    for m in range(2, max_power + 2):
+        if is_zero(power):
+            return total
+        total = total + power
+        power = op.compose(power).scaled(Fraction(1, m))
+    raise ValueError("operator is not nilpotent within the bound")
+
+
+def ref_perturbation_series(a, zeta_at, tail):
+    """Reference: sum_m (-1)^m (zeta At)^m tail by whole operator
+    compositions; the series stops at m = n and the m = n + 1 term is
+    asserted to vanish."""
+    total = tail
+    term = tail
+    sign = 1
+    for m in range(1, a.n + 2):
+        term = zeta_at.compose(term)
+        sign = -sign
+        if m <= a.n:
+            total = total + term.scaled(sign)
+        else:
+            if not is_zero(term):
+                raise ValueError("perturbation series failed to truncate")
+    return total
+
+
+def reference_operators(a):
+    """The arena's operators rebuilt from the composed reference d_A and
+    delta by whole-operator series and compositions."""
+    d_A, delta, _ = composed_differentials(a)
+    at = graded_commutator(d_A, a.nabla)
+    zeta_at = a.zeta_after(at)
+    ops = {
+        "At": at,
+        "e_delta": ref_exp_nilpotent(delta, a.n + 1),
+        "e_minus_delta": ref_exp_nilpotent(delta.scaled(-1), a.n + 1),
+        "sigma_infty": ref_perturbation_series(a, zeta_at, a.sigma),
+        "phi_infty": ref_perturbation_series(a, zeta_at,
+                                             a.zeta_after(a.nabla)),
+    }
+    ops["Phi"] = a.pi.compose(ops["e_minus_delta"])
+    ops["Phi_inv"] = ops["e_delta"].compose(ops["sigma_infty"])
+    ops["H_hat"] = ops["e_delta"].compose(ops["phi_infty"]).compose(
+        ops["e_minus_delta"])
+    return ops
+
+
+@pytest.mark.parametrize("make", FIXTURES + [lambda: quadric3_arena(cap=2)],
+                         ids=FIXTURE_IDS + ["quadric3"])
+def test_operators_match_composed_reference(make):
+    a = make()
+    for name, ref in reference_operators(a).items():
+        op = getattr(a, name)
+        assert (op.cols, op.den, op.degree) == (ref.cols, ref.den,
+                                                ref.degree), name
+    # the top power m = n of the series is there: delta^n and
+    # (zeta At)^n sigma do not vanish
+    delta, zeta_at, sigma_top = a.delta, a.zeta_after(a.At), a.sigma
+    delta_top = delta
+    for _ in range(a.n):
+        sigma_top = zeta_at.compose(sigma_top)
+    for _ in range(a.n - 1):
+        delta_top = delta.compose(delta_top)
+    assert not is_zero(delta_top) and not is_zero(sigma_top)
 
 
 def test_d_a_squares_to_zero_worked():

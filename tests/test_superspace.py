@@ -7,12 +7,24 @@ from ainfmf.superspace import (
     Space,
     contract_key,
     contract_op,
-    exp_nilpotent,
     graded_commutator,
+    power_series,
     state_parity,
     wedge_key,
     wedge_op,
 )
+
+
+def identity(space):
+    return LinearOp(space, 0, {key: {key: 1} for key in space.basis()})
+
+
+def is_zero(op):
+    return all(not col for col in op.cols.values())
+
+
+def equals(a, b):
+    return is_zero(a - b)
 
 
 def small_space():
@@ -50,18 +62,18 @@ def test_wedge_sign_convention():
 def test_anticommutation_relations():
     sp = small_space()
     gens = [sp.gen_pos("theta", 0), sp.gen_pos("theta", 1), sp.gen_pos("eta", 0)]
-    ident = LinearOp.identity(sp)
+    ident = identity(sp)
     for p in gens:
         for q in gens:
             w_p, w_q = wedge_op(sp, p), wedge_op(sp, q)
             c_p, c_q = contract_op(sp, p), contract_op(sp, q)
-            assert graded_commutator(w_p, w_q).is_zero()
-            assert graded_commutator(c_p, c_q).is_zero()
+            assert is_zero(graded_commutator(w_p, w_q))
+            assert is_zero(graded_commutator(c_p, c_q))
             cross = graded_commutator(w_p, c_q)
             if p == q:
-                assert cross.equals(ident)
+                assert equals(cross, ident)
             else:
-                assert cross.is_zero()
+                assert is_zero(cross)
 
 
 def test_operator_degree_bookkeeping():
@@ -84,15 +96,34 @@ def test_state_parity_and_format():
         state_parity({(0, 0, (0,)): Fraction(1), (1 << t1, 0, (0,)): Fraction(1)})
 
 
-def test_exp_nilpotent():
+def test_power_series():
     sp = Space([("theta", 2)], mu=1, nboson=0, cap=0)
     # even nilpotent: N = theta1 theta2 wedge (degree 0 composite)
     w1, w2 = wedge_op(sp, 0), wedge_op(sp, 1)
     n = w1.compose(w2)
-    e = exp_nilpotent(n)
-    # e = 1 + N since N^2 = 0
-    expected = LinearOp.identity(sp) + n
-    assert e.equals(expected)
+    # e^{+-N} = 1 +- N since N^2 = 0, both from one pass over the powers
+    e, e_minus = power_series(n, [[1, 1], [1, -1]])
+    assert equals(e, identity(sp) + n)
+    assert equals(e_minus, identity(sp) - n)
+    assert equals(e.compose(e_minus), identity(sp))
+    # a tail of odd degree: (1 + N/2) theta2*
+    c2 = contract_op(sp, 1)
+    got, = power_series(n, [[1, Fraction(1, 2)]], c2)
+    assert got.degree == 1
+    assert equals(got, c2 + n.compose(c2).scaled(Fraction(1, 2)))
+
+
+def test_power_series_must_truncate():
+    sp = Space([("theta", 2)], mu=1, nboson=0, cap=0)
+    n = wedge_op(sp, 0).compose(wedge_op(sp, 1))
+    # N^1 does not vanish, so a series that stops at m = 0 raises
+    with pytest.raises(ValueError):
+        power_series(n, [[1]])
+    # theta1 theta1* is idempotent, so no power of it vanishes
+    number = wedge_op(sp, 0).compose(contract_op(sp, 0))
+    for top in range(4):
+        with pytest.raises(ValueError):
+            power_series(number, [[1] * (top + 1)])
 
 
 def test_virtual_degree():

@@ -10,13 +10,13 @@ presentation of each pair and the Gamma tensor of R/I, by one factored
 ComposeKernel per pair of pairs.  A kernel takes its exterior
 composition table as an argument: the model's come from the Hom matrices
 of the two pairs, and normalorder runs its own kernels on the tables it
-builds by fermion pairing.  The higher products rho_k are signed
-tree sums, built bottom-up as span tables: every span of leaves lo..hi
-maps each token tuple to the sum over all trees on those leaves, and
-each split of a span is one contraction of its left table against its
-right table.  verify_ainf checks the defining constraints exactly on
-every basis tuple, in both the suspended (r) and unsuspended (mu) sign
-conventions.
+builds by fermion pairing.  The higher products rho_k are signed tree
+sums, built bottom-up as span tables: every span of leaves lo..hi maps
+each token tuple to the sum over all trees on those leaves, and each
+split of a span is one contraction of its two tables, whose kernel rows
+hold the vertex operator after mu2 (H_hat; Phi at the root).
+verify_ainf checks the defining constraints exactly on every basis
+tuple, summing once for the suspended (r) and unsuspended (mu) signs.
 
 The products, the span sums and the relation contraction work on
 scaled states (integer numerators over one denominator, see superspace)
@@ -316,18 +316,20 @@ class Model:
                 self, pa, pb, self._ext_composition(pa, pb))
         return kernel
 
-    def _contract(self, pair_1, left, pair_2, right, r2=True):
-        """mu2 of every right state after every left state: left and
-        right are {token tuple: scaled state}, left in the space of
-        pair_1 = (src, mid) and right in that of pair_2 = (mid, tgt).
+    def _contract(self, pair_1, left, pair_2, right, op=None, r2=True):
+        """op after mu2 of every right state after every left state: left
+        and right are {token tuple: scaled state}, left in the space of
+        pair_1 = (src, mid) and right in that of pair_2 = (mid, tgt), and
+        op (None for the identity) a LinearOp on the space of (src, tgt).
         Yields (left token, right token, (nums, den)) for the products
         with a non-zero term, with the r2 sign when r2 is set; the
         products are not reduced.
 
         One left entry at a time, stage 1 forms the column map ka ->
-        mu2(ka, left state) over every key ka of the right states, and
-        stage 2 applies it to each right state.  Each key pair is
-        composed once, in a cache dropped when the contraction ends."""
+        op(mu2(ka, left state)) over every key ka of the right states,
+        and stage 2 applies it to each right state.  Each key pair goes
+        through mu2 and op once: a kernel row holds op(mu2(ka, kb)) over
+        kernel.den * op.den, in a cache dropped at the end."""
         kernel = self._kernel(self.pair(*pair_2), self.pair(*pair_1))
         index = {}  # right key -> its column
         rights = []
@@ -336,13 +338,18 @@ class Model:
                      for ka, c in nums.items()]
             rights.append((tr, terms, den, state_parity(nums) if r2 else 0))
         laters = kernel.laters(index)
-        rows = {}  # left key -> [(column, compose result)], non-zero only
+        rows = {}  # left key -> [(column, op of compose result)], non-zero
         for tl, (nums1, den1) in left.items():
             cols = [None] * len(laters)
             for kb, c in nums1.items():
                 row = rows.get(kb)
                 if row is None:
                     row = rows[kb] = kernel.row(kb, laters)
+                    if op is not None:
+                        row = rows[kb] = [
+                            (i, image) for i, comp in row
+                            if (image := {ko: v for ko, v in
+                                          op.image(comp).items() if v})]
                 for i, comp in row:
                     col = cols[i]
                     if col is None:
@@ -356,7 +363,7 @@ class Model:
             # minus it
             p1 = state_parity(nums1) if r2 else 0
             signs = (1, 1) if not r2 else (1, -1) if p1 else (-1, -1)
-            den = den1 * kernel.den
+            den = den1 * kernel.den * (op.den if op is not None else 1)
             for tr, terms, den2, p2 in rights:
                 sign = signs[p2]
                 out = {}
@@ -392,14 +399,14 @@ class Model:
     def _span_table(self, path, tables, lo, hi, op):
         """{token tuple: op applied to the sum over the splits lo <= mid
         < hi of r2 on the span tables of lo..mid and mid+1..hi}, non-zero
-        entries only.  op is applied to each product as it is produced,
-        so no table of unreduced sums is held."""
+        entries only.  op is applied in the contraction's kernel rows, and
+        each product is reduced and summed as it is produced."""
         acc = {}
         for mid in range(hi - 1, lo - 1, -1):
             for tl, tr, part in self._contract(
                     (path[lo - 1], path[mid]), tables[lo, mid],
-                    (path[mid], path[hi]), tables[mid + 1, hi]):
-                image = op.apply(part)
+                    (path[mid], path[hi]), tables[mid + 1, hi], op):
+                image = reduced(*part)
                 if image[0]:
                     tokens = tl + tr
                     prev = acc.get(tokens)
@@ -513,8 +520,8 @@ class Model:
         Each (level, path) is one sparse contraction: for every term
         (i, j) of the relation, the non-zero entries of the rho_j table
         on path[i:i+j+1] are contracted into slot i of the rho_{n-j+1}
-        table on the remaining path, and the products are summed into
-        per-tuple defects for the requested forms together.  Returns a
+        table on the remaining path, and the products are summed once
+        into per-tuple defects (see _relation_defects).  Returns a
         report; each failure carries its witness tuple and non-zero
         defect state, in basis-tuple order, r before mu.  Raises
         ValueError on a level below 1 or on forms that are empty, repeat
@@ -533,28 +540,38 @@ class Model:
                 paths = [p for p in object_paths if len(p) == n + 1]
             for path in paths:
                 defects, den = self._relation_defects(n, path, forms)
-                cores = [
-                    self.pair(path[i], path[i + 1]).core_basis()
-                    for i in range(n)
-                ]
-                for combo in product(*cores):
-                    report["checked"] += 1
-                    for form, found in defects.items():
-                        nums = found.get(combo)
-                        if nums:
-                            report["failures"].append(
-                                {"form": form, "level": n, "path": path,
-                                 "inputs": combo,
-                                 "defect": rational_state(reduced(nums, den))}
-                            )
+                cores = [self.pair(*path[i : i + 2]).core_basis()
+                         for i in range(n)]
+                report["checked"] += prod(map(len, cores))
+                ranks = [{key: r for r, key in enumerate(c)} for c in cores]
+                for *_, form, combo, nums in sorted(
+                        (list(map(dict.get, ranks, combo)), form == "mu",
+                         form, combo, nums)
+                        for form, found in defects.items()
+                        for combo, nums in found.items()):
+                    report["failures"].append({
+                        "form": form, "level": n, "path": path, "inputs": combo,
+                        "defect": rational_state(reduced(nums, den))})
         report["ok"] = not report["failures"]
         return report
 
     def _relation_defects(self, n, path, forms):
         """({form: {basis tuple: integer numerator defect}}, den): the
-        defects of the level-n relations along one object path, all
-        over the one denominator den; tuples whose defect cancels map to
-        {}."""
+        non-empty defects of the level-n relations along one object path,
+        all over the one denominator den.
+
+        Let term (i, j) act on a tuple with tildes t whose sums are A
+        before the inner arguments, B on them and P after them.  Its r
+        parity is A, its mu parity c(outer tildes) + c(inner tildes) +
+        j (n - i - j - P) + ij + i + j + n, with the conversion parity
+        c(t) = C(len t, 2) + C(sum t, 2) + sum_p p t_p and B + 1 for the
+        inner output's tilde (rho_j has parity j).  By C(x + y, 2) =
+        C(x, 2) + C(y, 2) + xy that is A + c(t), for every (i, j).  So
+        with both forms the defects are summed once, in r signs, and a
+        mu defect is the r defect times (-1)^c(t), read off the tuple's
+        terms.  Only a sign fault gives a tuple terms of mixed ratio;
+        then the path is summed again in mu signs, so the mu defects are
+        exact in every case."""
         terms = []
         for j in range(1, n + 1):
             for i in range(n - j + 1):
@@ -564,55 +581,67 @@ class Model:
                                         path[: i + 1] + path[i + j :])
                     terms.append((i, j, inner, outer))
         den = lcm(*(inner.den * outer.den for _, _, inner, outer in terms))
-        defects = {form: {} for form in ("r", "mu") if form in forms}
+        form = "r" if "r" in forms else "mu"
+        sums, ratios = self._defect_sums(n, terms, den, form, len(forms) > 1)
+        defects = {form: sums}
+        if len(forms) > 1:
+            defects["mu"] = (
+                self._defect_sums(n, terms, den, "mu", False)[0]
+                if ratios is None else
+                {combo: {ok: -w for ok, w in nums.items()}
+                 if ratios[combo] else nums for combo, nums in sums.items()})
+        return defects, den
+
+    def _defect_sums(self, n, terms, den, form, both):
+        """({basis tuple: integer numerator defect}, ratios): the non-empty
+        defects in the signs of form, and their tuples' mu-over-r sign
+        ratios (with both set), or None if a tuple's terms disagree."""
         # the tildes and conversion parity of each table's tuples, in
         # its order, once per call: the j = 1 terms share one table
         tables = {id(t): t for term in terms for t in term[2:]}
         signs = {key: [(tl, _conversion_parity(tl)) for tl in
                        [tuple(map(self.tilde, tup)) for tup in table]]
                  for key, table in tables.items()}
+        found = {}  # basis tuple -> (defect, sign ratio of its first term)
+        mixed = False
         for i, j, inner, outer in terms:
             scale = den // (inner.den * outer.den)
-            # outer tuples by their slot-i key, with the sign parities
-            # fixed by the outer tuple.  In the unsuspended form these
-            # are the conversion sign of the outer product (slot i
-            # carries the inner output, whose tilde is that of each of
-            # its keys), the Koszul sign of the degree-j operator
-            # crossing the later arguments, and the sign of the term.
+            # outer tuples by their slot-i key, with the sign parities the
+            # outer tuple fixes; in mu: its conversion, the degree-j
+            # operator crossing the later arguments, the term's sign
             by_slot = {}
             for (otup, out), (tl, conversion) in zip(outer.items(),
                                                      signs[id(outer)]):
-                odd = {
-                    "r": sum(tl[:i]),
-                    "mu": conversion
-                    + j * sum(t ^ 1 for t in tl[i + 1 :])
-                    + i * j + i + j + n,
-                }
+                odd_r = sum(tl[:i]) & 1
+                odd_mu = (conversion + j * sum(t ^ 1 for t in tl[i + 1 :])
+                          + i * j + i + j + n) & 1
                 by_slot.setdefault(otup[i], []).append(
-                    (otup[:i], otup[i + 1 :], odd, out)
-                )
+                    (otup[:i], otup[i + 1 :], odd_mu if form == "mu" else odd_r,
+                     odd_r ^ odd_mu if both else 0, out))
             for (itup, st), (_, conversion) in zip(inner.items(),
                                                    signs[id(inner)]):
-                inner_odd = {"r": 0}
-                if "mu" in defects:
+                if form == "mu" or both:
                     state_parity(st)  # raises on mixed parity
-                    inner_odd["mu"] = conversion
+                inner_odd = conversion if form == "mu" else 0
+                inner_ratio = conversion if both else 0
                 for kk, v in st.items():
                     v *= scale
-                    for pre, post, odd, out in by_slot.get(kk, ()):
-                        combo = pre + itup + post
-                        for form, found in defects.items():
-                            acc = found.setdefault(combo, {})
-                            sv = -v if (odd[form] + inner_odd[form]) & 1 else v
-                            for ok, w in out.items():
-                                # drop what cancels: defects of a passing
-                                # check stay empty, not full of zeros
-                                x = acc.get(ok, 0) + sv * w
-                                if x:
-                                    acc[ok] = x
-                                else:
-                                    del acc[ok]
-        return defects, den
+                    for pre, post, odd, ratio, out in by_slot.get(kk, ()):
+                        ratio ^= inner_ratio
+                        acc, first = found.setdefault(pre + itup + post,
+                                                      ({}, ratio))
+                        mixed |= first != ratio
+                        sv = -v if odd ^ inner_odd else v
+                        for ok, w in out.items():
+                            # drop what cancels: defects of a passing
+                            # check stay empty, not full of zeros
+                            x = acc.get(ok, 0) + sv * w
+                            if x:
+                                acc[ok] = x
+                            else:
+                                del acc[ok]
+        sums = {combo: acc for combo, (acc, _) in found.items() if acc}
+        return sums, None if mixed else {c: found[c][1] for c in sums}
 
     # ------------------------------------------------------------------
     # the splitting idempotent and its Clifford structure

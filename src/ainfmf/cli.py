@@ -386,9 +386,15 @@ def cmd_verify_ainf(prob, args):
     }
     if report["failures"]:
         first = report["failures"][0]
+        path = first["path"]
+        space = m.pair(path[0], path[-1]).arena.space
         result["first_failure"] = {
             "form": first["form"], "level": first["level"],
-            "path": [prob.labels[p] for p in first["path"]],
+            "path": [prob.labels[p] for p in path],
+            "inputs": [m.pair(*path[i : i + 2]).arena.space.key_label(key)
+                       for i, key in enumerate(first["inputs"])],
+            "defect": {space.key_label(kk): frac(v) for kk, v in
+                       sorted(first["defect"].items(), key=str)},
         }
     return result, report["ok"], True
 

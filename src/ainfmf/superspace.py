@@ -215,6 +215,11 @@ class LinearOp:
     def apply(self, state):
         """The image of a scaled state, as a scaled state."""
         nums, den = state
+        return reduced(self.image(nums), den * self.den)
+
+    def image(self, nums):
+        """The image of integer numerators, over their denominator times
+        den: not reduced, and zero entries may remain."""
         cols = self.cols
         out = {}
         for key, c in nums.items():
@@ -222,7 +227,7 @@ class LinearOp:
             if col:
                 for k2, c2 in col.items():
                     out[k2] = out.get(k2, 0) + c * c2
-        return reduced(out, den * self.den)
+        return out
 
     def apply_key(self, key):
         """The image of one basis key, as a scaled state."""

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from ainfmf import ainfmodel
 from ainfmf.ainfmodel import (
     Model,
     RhoTable,
@@ -436,6 +437,72 @@ def test_verify_ainf_catches_injected_faults():
     assert {f["form"] for f in expect} == {"r", "mu"}
     assert not report["ok"]
     assert report["failures"] == expect
+
+
+def _merged(m, *reports):
+    """The failures of single-form reports in the order verify_ainf
+    reports both forms: by level, path and basis tuple, r before mu."""
+    def rank(f):
+        n, path = f["level"], f["path"]
+        cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(n)]
+        return (n, path, [c.index(k) for c, k in zip(cores, f["inputs"])],
+                f["form"] == "mu")
+
+    return sorted((f for rep in reports for f in rep["failures"]), key=rank)
+
+
+def _record_sums(monkeypatch):
+    """The (form, both) of every Model._defect_sums call, as they come."""
+    calls = []
+    sums = Model._defect_sums
+
+    def defect_sums(self, n, terms, den, form, both):
+        calls.append((form, both))
+        return sums(self, n, terms, den, form, both)
+
+    monkeypatch.setattr(Model, "_defect_sums", defect_sums)
+    return calls
+
+
+def test_verify_ainf_sums_mixed_ratios_again_in_mu_signs(monkeypatch):
+    # with both forms the defects are summed once, in r signs; a wrong
+    # conversion parity on the tildes (1, 0) gives some tuples terms of
+    # mixed mu/r sign ratio, and those paths are summed again in mu signs
+    original = ainfmodel._conversion_parity
+    monkeypatch.setattr(ainfmodel, "_conversion_parity",
+                        lambda tl: original(tl) ^ (tuple(tl) == (1, 0)))
+    calls = _record_sums(monkeypatch)
+    m = worked_model(cap=2)
+    report = m.verify_ainf(3)
+    assert ("mu", False) in calls
+    assert {f["form"] for f in report["failures"]} == {"mu"}
+    assert len(report["failures"]) == 8873
+    assert report["failures"] == _merged(
+        m, m.verify_ainf(3, forms=["r"]), m.verify_ainf(3, forms=["mu"]))
+
+
+def test_verify_ainf_both_forms_merge_single_form_reports(monkeypatch):
+    # under injected table faults, one run of both forms reports exactly
+    # what one run of each form reports.  The faults keep every parity,
+    # so every tuple's terms share one sign ratio: one sum per path
+    def first_entry(table, change):
+        combo = min(table, key=str)
+        key = min(table[combo], key=str)
+        table[combo][key] = change(table[combo][key])
+
+    # the faults of test_verify_ainf_catches_injected_faults
+    m = worked_model(cap=2)
+    inject(m, 3, (0, 1, 0, 1), lambda t3: first_entry(t3, lambda v: -v))
+    inject(m, 2, (0, 1, 0),
+           lambda t2: first_entry(t2, lambda v: v + Fraction(1, 7)))
+    paths = [(0, 1), (0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)]
+    calls = _record_sums(monkeypatch)
+    both = m.verify_ainf(3, object_paths=paths)
+    assert set(calls) == {("r", True)}
+    assert {f["form"] for f in both["failures"]} == {"r", "mu"}
+    assert both["failures"] == _merged(
+        m, m.verify_ainf(3, object_paths=paths, forms=["r"]),
+        m.verify_ainf(3, object_paths=paths, forms=["mu"]))
 
 
 def test_verify_ainf_rejects_mixed_parity():

@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from ainfmf import cli
+from ainfmf import ainfmodel, cli
 from ainfmf.ainfmodel import Model
 from ainfmf.normalorder import FeynmanBackend
 
@@ -268,18 +268,10 @@ def test_optional_integer_arguments():
     assert tuples == [256, 3]
 
 
-class _Unchanged:
-    """Stands in for H_hat: applies the identity."""
-
-    @staticmethod
-    def apply(state):
-        return state
-
-
 def _faulty_span_table(fault):
     """Model._span_table with one fault: "drop-split" leaves out the root
-    split at mid = lo, "skip-H_hat" leaves out H_hat on the inner
-    spans."""
+    split at mid = lo, "skip-H_hat" leaves out H_hat on the inner spans
+    (no operator in their kernel rows)."""
     original = Model._span_table
 
     def span_table(self, path, tables, lo, hi, op):
@@ -288,7 +280,7 @@ def _faulty_span_table(fault):
             # no left states for the split at mid = lo
             tables = {**tables, (lo, lo): {}}
         if not root and fault == "skip-H_hat":
-            op = _Unchanged
+            op = None
         return original(self, path, tables, lo, hi, op)
 
     return span_table
@@ -302,6 +294,28 @@ def test_feynman_catches_faults_in_span_sums(monkeypatch, fault):
     report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 3}])
     assert code == cli.EXIT_VERIFY
     assert report["results"][0]["result"]["mismatches"] > 0
+
+
+def test_verify_ainf_names_its_witness(monkeypatch):
+    # a wrong conversion parity on the tildes (1, 0) is a mu failure;
+    # first_failure names its inputs and defect in key labels and p/q
+    original = ainfmodel._conversion_parity
+    monkeypatch.setattr(ainfmodel, "_conversion_parity",
+                        lambda tl: original(tl) ^ (tuple(tl) == (1, 0)))
+    report, code = cli.run(WORKED, commands=[
+        {"command": "verify-ainf", "level": 2}])
+    assert code == cli.EXIT_VERIFY
+    first = report["results"][0]["result"]["first_failure"]
+    m = cli.Problem(WORKED).model
+    want = m.verify_ainf(2)["failures"][0]
+    assert first["form"] == "mu" and first["level"] == 2
+    path = want["path"]
+    assert first["inputs"] == [m.pair(*path[i : i + 2]).arena.space.key_label(k)
+                               for i, k in enumerate(want["inputs"])]
+    space = m.pair(path[0], path[-1]).arena.space
+    assert first["defect"] == {space.key_label(k): cli.frac(v)
+                               for k, v in want["defect"].items()}
+    assert all(re.fullmatch(r"-?\d+/\d+", v) for v in first["defect"].values())
 
 
 def _faulty_column(fault):

@@ -27,6 +27,7 @@ from ainfmf.superspace import (
     Space,
     add_into,
     rational_state,
+    reduced,
     scaled_state,
     state_parity,
 )
@@ -318,12 +319,19 @@ def test_contraction_matches_per_pair_r2(name):
                 enumerate(random_states(m, pair_1, p, rng, 4))}
         right = {("r", p, i): st for p in (0, 1) for i, st in
                  enumerate(random_states(m, pair_2, p, rng, 4))}
-        got = {(tl, tr): rational_state(st) for tl, tr, st in m._contract(
-            pair_1, {(t,): scaled_state(st) for t, st in left.items()},
-            pair_2, {(t,): scaled_state(st) for t, st in right.items()})}
+        tables = (pair_1, {(t,): scaled_state(st) for t, st in left.items()},
+                  pair_2, {(t,): scaled_state(st) for t, st in right.items()})
+        got = {(tl, tr): rational_state(st)
+               for tl, tr, st in m._contract(*tables)}
+        # with a vertex operator, its kernel rows hold H_hat after mu2
+        hat = m.pair(src, tgt).arena.H_hat
+        fused = {(tl, tr): rational_state(reduced(*st))
+                 for tl, tr, st in m._contract(*tables, hat)}
         for tl, tr in product(left, right):
             want = ref_r2(m, left[tl], pair_1, right[tr], pair_2)
             assert got.get(((tl,), (tr,)), {}) == want, (pair_1, tl, tr)
+            assert fused.get(((tl,), (tr,)), {}) == rational_state(
+                hat.apply(scaled_state(want))), (pair_1, tl, tr)
             if want:
                 signs[tl[1], tr[1]] += 1
     assert set(signs) == {(0, 0), (0, 1), (1, 0), (1, 1)}

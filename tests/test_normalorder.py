@@ -257,31 +257,38 @@ def test_tree_dual_backend_worked_sample():
 WORKED_PATHS = [(0, 1, 0, 1), (0, 0, 1, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
 
 
-@pytest.mark.parametrize("maker, k, paths", [
-    (worked_model, 3, WORKED_PATHS),
-    (kstab_model, 4, [(0,) * 5]),
-    (worked_model, 4, [(0,) * 5]),
+@pytest.mark.parametrize("maker, k, paths, sample", [
+    (worked_model, 3, WORKED_PATHS, 12),
+    (kstab_model, 3, [(0,) * 4], None),
+    (worked_model, 4, [(0,) * 5, (0, 1, 0, 1, 0), (1, 1, 0, 0, 1)], 24),
 ], ids=["worked", "kstab", "worked-k4"])
-def test_shared_subtree_states_match_fresh_backend(maker, k, paths):
+def test_shared_subtree_states_match_fresh_backend(maker, k, paths, sample):
     # one backend keeps its sub-tree states across paths, trees and
     # tuples; each must equal what a fresh backend computes.  Every pair
     # of these models has the same core keys, so the same key tuples
     # recur on every path: a memo that ignored the path would hand one
     # path's states to another.  At k = 4 the sub-trees ((1, 2), 3) and
     # (1, (2, 3)) cover the same keys, and on the worked model their
-    # states differ
+    # states differ.  sample tuples are drawn, or all when it is None:
+    # every kstab state of four inputs is empty, so that model runs every
+    # tuple of three, 4 of whose 128 states are not
     m = maker(cap=3)
     shared = FeynmanBackend(m)
     rng = random.Random(31)
     cores = [m.pair(0, 0).core_basis()] * k
-    combos = [tuple(rng.choice(c) for c in cores) for _ in range(12)]
+    combos = (list(product(*cores)) if sample is None else
+              [tuple(rng.choice(c) for c in cores) for _ in range(sample)])
     trees = enumerate_binary(k)
     for path in paths:
+        non_empty = 0
         for combo in combos:
             for T in trees:
-                fresh = FeynmanBackend(m)
-                assert (shared.tree_state(T, path, combo)
-                        == fresh.tree_state(T, path, combo)), (path, T, combo)
+                state = shared.tree_state(T, path, combo)
+                assert state == FeynmanBackend(m).tree_state(T, path, combo), (
+                    path, T, combo)
+                non_empty += bool(state)
+        # a case of empty states only would compare nothing
+        assert non_empty, path
     assert shared._states
 
 

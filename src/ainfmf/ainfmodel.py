@@ -7,14 +7,17 @@ builds, per ordered pair, the operator arena from sdrcore.  Morphism
 spaces B(X,Y) are the theta- and t-degree-zero cores of those arenas.
 The binary composition mu2 is transported through the exterior
 presentation of each pair and the Gamma tensor of R/I, by one factored
-ComposeKernel per pair of pairs.  A kernel takes its exterior
-composition table as an argument: the model's come from the Hom matrices
-of the two pairs, and normalorder runs its own kernels on the tables it
-builds by fermion pairing.  The higher products rho_k are signed tree
-sums, built bottom-up as span tables: every span of leaves lo..hi maps
-each token tuple to the sum over all trees on those leaves, and each
-split of a span is one contraction of its two tables, whose kernel rows
-hold the vertex operator after mu2 (H_hat; Phi at the root).
+ComposeKernel per pair of pairs, kept in one cache (_term_comp; the
+normalorder backend keeps its own).  On states mu2 is
+ComposeKernel.product, the bilinear extension of the kernel's rows.  A
+kernel takes its exterior composition table as an argument and keeps
+it: the model's come from the Hom matrices of the two pairs, and
+normalorder's from fermion pairing.  The higher products rho_k are
+signed tree sums, built bottom-up as span tables: every span of leaves
+lo..hi maps each token tuple to the sum over all trees on those leaves,
+and each split of a span is one contraction of its two tables, whose
+kernel rows hold the vertex operator after mu2 (H_hat; Phi at the
+root).
 verify_ainf checks the defining constraints exactly on every basis
 tuple, summing once for the suspended (r) and unsuspended (mu) signs.
 
@@ -41,7 +44,6 @@ from .linalg import Echelon
 from .quotient import CapExceeded, GammaTensor
 from .sdrcore import Arena
 from .superspace import (
-    ZERO_STATE,
     LinearOp,
     add_into,
     extend_linearly,
@@ -164,6 +166,20 @@ class ComposeKernel:
             out.append((i, comp))
         return out
 
+    def product(self, sa, sb):
+        """mu2 of the state sa of pa after the state sb of pb, the
+        bilinear extension of row: {key: coefficient times den}, for int
+        or Fraction coefficients, non-zero entries only."""
+        coeffs = list(sa.values())
+        laters = self.laters(sa)
+        out = {}
+        for kb, cb in sb.items():
+            for i, comp in self.row(kb, laters):
+                c = coeffs[i] * cb
+                for kc, v in comp.items():
+                    out[kc] = out.get(kc, 0) + c * v
+        return {kc: v for kc, v in out.items() if v}
+
 
 def _conversion_parity(tildes):
     """Parity of the sign converting the suspended product into the
@@ -207,7 +223,7 @@ class PairData:
             nu = NuPresentation(X, Y)
             self.to_matrix, self.from_matrix = nu.from_ext, nu.to_ext
         else:
-            rho = model.rho_presentation(src)
+            rho = RhoPresentation(X)
             self.to_matrix, self.from_matrix = rho.to_matrix, rho.from_matrix
 
     def split(self, mask):
@@ -256,18 +272,11 @@ class Model:
                 check_homotopies(obj, hom, qb.tseq)
         self.gamma = GammaTensor(qb, cap)
         self._pairs = {}
-        self._rho_pres = {}
-        self._comp_tables = {}
         self._term_comp = {}
         self._tables = {}
 
     # ------------------------------------------------------------------
     # plumbing
-
-    def rho_presentation(self, idx):
-        if idx not in self._rho_pres:
-            self._rho_pres[idx] = RhoPresentation(self.objects[idx])
-        return self._rho_pres[idx]
 
     def pair(self, src, tgt):
         key = (src, tgt)
@@ -277,12 +286,8 @@ class Model:
 
     def _ext_composition(self, pa, pb):
         """Composition table on exterior elements: (ext of pa) after
-        (ext of pb), presented in the pair (pb.src, pa.tgt)."""
-        key = ((pa.src, pa.tgt), (pb.src, pb.tgt))
-        if key in self._comp_tables:
-            return self._comp_tables[key]
-        if pa.src != pb.tgt:
-            raise SectorMismatch("composition needs a shared middle object")
+        (ext of pb), presented in the pair (pb.src, pa.tgt); built once
+        per kernel, which keeps it."""
         pc = self.pair(pb.src, pa.tgt)
         # each pb matrix once per table, its entries grouped by row
         rows_b = []
@@ -303,7 +308,6 @@ class Model:
                     ext = pc.from_matrix(prod)
                     if ext:
                         table[(ea, eb)] = ext
-        self._comp_tables[key] = table
         return table
 
     def _kernel(self, pa, pb):
@@ -316,14 +320,14 @@ class Model:
                 self, pa, pb, self._ext_composition(pa, pb))
         return kernel
 
-    def _contract(self, pair_1, left, pair_2, right, op=None, r2=True):
-        """op after mu2 of every right state after every left state: left
-        and right are {token tuple: scaled state}, left in the space of
-        pair_1 = (src, mid) and right in that of pair_2 = (mid, tgt), and
-        op (None for the identity) a LinearOp on the space of (src, tgt).
-        Yields (left token, right token, (nums, den)) for the products
-        with a non-zero term, with the r2 sign when r2 is set; the
-        products are not reduced.
+    def _contract(self, pair_1, left, pair_2, right, op):
+        """op after r2 of every left state and every right state, that
+        is mu2 of the right state after the left one with the r2 sign:
+        left and right are {token tuple: scaled state}, left in the space
+        of pair_1 = (src, mid) and right in that of pair_2 = (mid, tgt),
+        and op a LinearOp on the space of (src, tgt).  Yields (left
+        token, right token, (nums, den)) for the products with a non-zero
+        term; the products are not reduced.
 
         One left entry at a time, stage 1 forms the column map ka ->
         op(mu2(ka, left state)) over every key ka of the right states,
@@ -336,7 +340,7 @@ class Model:
         for tr, (nums, den) in right.items():
             terms = [(index.setdefault(ka, len(index)), c)
                      for ka, c in nums.items()]
-            rights.append((tr, terms, den, state_parity(nums) if r2 else 0))
+            rights.append((tr, terms, den, state_parity(nums)))
         laters = kernel.laters(index)
         rows = {}  # left key -> [(column, op of compose result)], non-zero
         for tl, (nums1, den1) in left.items():
@@ -344,12 +348,10 @@ class Model:
             for kb, c in nums1.items():
                 row = rows.get(kb)
                 if row is None:
-                    row = rows[kb] = kernel.row(kb, laters)
-                    if op is not None:
-                        row = rows[kb] = [
-                            (i, image) for i, comp in row
-                            if (image := {ko: v for ko, v in
-                                          op.image(comp).items() if v})]
+                    row = rows[kb] = [
+                        (i, image) for i, comp in kernel.row(kb, laters)
+                        if (image := {ko: v for ko, v in
+                                      op.image(comp).items() if v})]
                 for i, comp in row:
                     col = cols[i]
                     if col is None:
@@ -361,9 +363,8 @@ class Model:
                 continue
             # r2(s1, s2) is mu2(s2, s1) for s1 odd and s2 even, else
             # minus it
-            p1 = state_parity(nums1) if r2 else 0
-            signs = (1, 1) if not r2 else (1, -1) if p1 else (-1, -1)
-            den = den1 * kernel.den * (op.den if op is not None else 1)
+            signs = (1, -1) if state_parity(nums1) else (-1, -1)
+            den = den1 * kernel.den * op.den
             for tr, terms, den2, p2 in rights:
                 sign = signs[p2]
                 out = {}
@@ -380,10 +381,9 @@ class Model:
         """Binary composition of scaled states: sa in the space of
         pair_a = (mid, tgt) composed after sb in the space of pair_b =
         (src, mid)."""
-        for _, _, out in self._contract(pair_b, {(): sb}, pair_a, {(): sa},
-                                        r2=False):
-            return reduced(*out)
-        return ZERO_STATE
+        kernel = self._kernel(self.pair(*pair_a), self.pair(*pair_b))
+        return reduced(kernel.product(sa[0], sb[0]),
+                       sa[1] * sb[1] * kernel.den)
 
     # ------------------------------------------------------------------
     # higher products
@@ -749,12 +749,11 @@ class CohomologyData:
 
 
 def cohomology(model, pair_key):
-    pd = model.pair(*pair_key)
-    basis = pd.core_basis()
-    cols = [
-        rational_state(model.rho1_apply(pair_key, ({b: 1}, 1)))
-        for b in basis
-    ]
+    """The cohomology of rho_1 on the core of a pair, its columns read
+    from the stored rho_1 table."""
+    basis = model.pair(*pair_key).core_basis()
+    table = model._table(1, pair_key)
+    cols = [rational_state((table.get((b,), {}), table.den)) for b in basis]
     return CohomologyData(basis, cols)
 
 

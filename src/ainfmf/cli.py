@@ -37,7 +37,7 @@ import json
 import sys
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 from .ainfmodel import (
     DecompositionInvalid,
@@ -356,13 +356,10 @@ def cmd_rho(prob, args):
     spaces = [m.pair(path[i], path[i + 1]).arena.space for i in range(k)]
     entries = []
     for combo in sorted(table, key=str):
-        state = {kk: v for kk, v in table[combo].items() if v}
-        if not state:
-            continue
         entries.append({
             "inputs": [spaces[i].key_label(combo[i]) for i in range(k)],
             "output": {space.key_label(kk): frac(v)
-                       for kk, v in sorted(state.items(), key=str)},
+                       for kk, v in sorted(table[combo].items(), key=str)},
         })
     return {"k": k, "path": [prob.labels[p] for p in path],
             "entries": entries}, True, True
@@ -518,9 +515,7 @@ def cmd_feynman(prob, args):
     table = m.rho_table(k, path)
     backend = FeynmanBackend(m)
     cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(k)]
-    combos = list(product(*cores))
-    if limit is not None:
-        combos = combos[:limit]
+    combos = list(islice(product(*cores), limit))
     trees = enumerate_binary(k)
     signs = {}
     bad = 0

@@ -25,10 +25,10 @@ algebra in sdrcore/ainfmodel.  The ingredients are
 The junction (binary composition) is computed by pairing the fermions of
 the shared middle object directly on exterior masks, not through the
 matrix dictionaries used by the main backend, so that agreement of the
-two backends is a genuine cross-check.  Its exterior tables feed one
-ComposeKernel per pair of pairs, the factored Gamma product of the
-operator backend, whose integer rows are converted to Fraction: every
-coefficient of this module is a Fraction.
+two backends is a genuine cross-check.  Each exterior table is built
+into one ComposeKernel per pair of pairs, the factored Gamma product of
+the operator backend, which keeps it; mu2 is ComposeKernel.product
+converted to Fraction: every coefficient of this module is a Fraction.
 """
 
 from fractions import Fraction
@@ -610,10 +610,12 @@ class FeynmanBackend:
     """Tree evaluation by vertex words and middle-object pairing.
 
     Reuses the model only for its pair layouts, quotient data and
-    Gamma products; all operators are rebuilt from the vertex catalog
-    and the junction is computed from _ext_pair_compose.
+    Gamma products; all operators are rebuilt from the vertex catalog.
+    The junction is one ComposeKernel per pair of pairs in _junction,
+    over the exterior table of _ext_pair_compose, and mu2 on states is
+    its product; the edge engines are kept per pair in _engines.
 
-    Three memos live as long as the backend:
+    Three memos of tree evaluation live as long as the backend:
       * _states: the state below every internal node but the top, keyed
         by path, node and the keys of the node's leaves;
       * _top: the top operator on a key pair, top(ka, kb) =
@@ -629,7 +631,6 @@ class FeynmanBackend:
     def __init__(self, model):
         self.model = model
         self._engines = {}
-        self._ext = {}
         self._junction = {}
         self._spans = {}
         self._states = {}
@@ -642,52 +643,30 @@ class FeynmanBackend:
             self._engines[key] = EdgeEngine(self.model.pair(src, tgt).arena)
         return self._engines[key]
 
-    def _ext_table(self, pa, pb):
-        key = ((pa.src, pa.tgt), (pb.src, pb.tgt))
-        if key not in self._ext:
-            merge_u = pa.presentation == "rho"
-            merge_b = pb.presentation == "rho"
-            pc = self.model.pair(pb.src, pa.tgt)
-            unit_out = not (merge_u or merge_b)
-            self._ext[key] = _ext_pair_compose(
-                pa, pb, merge_u, merge_b,
-                out_words=(unit_out and pc.presentation == "rho"),
-            )
-        return self._ext[key]
-
     def _kernel(self, pair_a, pair_b):
         """The junction of pair_a = (mid, tgt) after pair_b = (src, mid):
-        one ComposeKernel per pair of pairs over the exterior table of
-        _ext_pair_compose."""
+        one ComposeKernel per pair of pairs, which keeps the exterior
+        table of _ext_pair_compose."""
         key = (pair_a, pair_b)
         kernel = self._junction.get(key)
         if kernel is None:
             pa, pb = self.model.pair(*pair_a), self.model.pair(*pair_b)
+            merge_u = pa.presentation == "rho"
+            merge_b = pb.presentation == "rho"
+            out_words = (not (merge_u or merge_b) and self.model.pair(
+                pair_b[0], pair_a[1]).presentation == "rho")
             kernel = self._junction[key] = ComposeKernel(
-                self.model, pa, pb, self._ext_table(pa, pb))
+                self.model, pa, pb,
+                _ext_pair_compose(pa, pb, merge_u, merge_b, out_words))
         return kernel
-
-    @staticmethod
-    def _row(kernel, kb, laters):
-        """kernel.row converted to Fraction: [(i, mu2(ka_i, kb))] over
-        the keys ka_i of laters with a non-zero product."""
-        den = kernel.den
-        return [(i, {kc: Fraction(v, den) for kc, v in comp.items()})
-                for i, comp in kernel.row(kb, laters)]
 
     def mu2(self, sa, pair_a, sb, pair_b):
         """Binary composition of states: sa (later, in pair_a = (mid,
         tgt)) after sb (earlier, in pair_b = (src, mid))."""
         kernel = self._kernel(pair_a, pair_b)
-        coeffs = list(sa.values())
-        laters = kernel.laters(sa)
-        out = {}
-        for kb, c2 in sb.items():
-            for i, comp in self._row(kernel, kb, laters):
-                c = coeffs[i] * c2
-                for kc, c3 in comp.items():
-                    add_into(out, kc, c * c3)
-        return out
+        den = kernel.den
+        return {kc: Fraction(v, den)
+                for kc, v in kernel.product(sa, sb).items()}
 
     # -- tree walking ----------------------------------------------------
 
@@ -721,6 +700,7 @@ class FeynmanBackend:
         """sum over the keys kb of the left state sb of c_b top(ka, kb),
         where top(ka, kb) = root(mu2(ka, kb)) is kept per key pair."""
         kernel = self._kernel(pair_a, pair_b)
+        den = kernel.den
         root = self.engine(pair_b[0], pair_a[1]).root_key
         top = self._top
         ends = (pair_b[0], pair_a[0], pair_a[1])
@@ -730,9 +710,10 @@ class FeynmanBackend:
             tkey = (ends, ka, kb)
             st = top.get(tkey)
             if st is None:
-                row = self._row(kernel, kb, laters)
-                st = top[tkey] = (extend_linearly(root, row[0][1]) if row
-                                  else {})
+                row = kernel.row(kb, laters)
+                st = top[tkey] = extend_linearly(root, {
+                    kc: Fraction(v, den) for kc, v in row[0][1].items()
+                }) if row else {}
             for kc, c in st.items():
                 col[kc] = col.get(kc, 0) + cb * c
         return {kc: c for kc, c in col.items() if c}

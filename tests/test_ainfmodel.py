@@ -248,6 +248,12 @@ def test_rho_table_matches_denotation():
         got = table3.get(combo, {})
         ref = rho_denote(m, 3, path3, [{k: Fraction(1)} for k in combo])
         assert got == {k: v for k, v in ref.items() if v}
+    # a stored table holds no empty state and no zero coefficient, so
+    # the rho command reports its entries as they are
+    for key in [(1, (0, 1)), (2, path), (3, path3)]:
+        stored = m._table(*key)
+        assert stored and all(st and all(st.values())
+                              for st in stored.values())
 
 
 def _span_sums_against_denotation(m, k, path, per_slot):

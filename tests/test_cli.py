@@ -9,6 +9,8 @@ from ainfmf import ainfmodel, cli
 from ainfmf.ainfmodel import Model
 from ainfmf.normalorder import FeynmanBackend
 
+from test_superspace import identity
+
 
 WORKED = {
     "variables": ["x"],
@@ -268,10 +270,28 @@ def test_optional_integer_arguments():
     assert tuples == [256, 3]
 
 
+def test_feynman_limit_draws_only_limit_tuples(monkeypatch):
+    # a limit must not build every basis tuple first: on a large core at
+    # k = 4 that is millions of tuples to check a few
+    drawn = []
+
+    def counted(*cores):
+        for combo in product(*cores):
+            drawn.append(combo)
+            yield combo
+
+    monkeypatch.setattr(cli, "product", counted)
+    report, code = cli.run(WORKED, commands=[
+        {"command": "feynman", "k": 3, "limit": 5}])
+    assert code == cli.EXIT_OK
+    assert report["results"][0]["result"]["tuples"] == 5
+    assert len(drawn) == 5
+
+
 def _faulty_span_table(fault):
     """Model._span_table with one fault: "drop-split" leaves out the root
     split at mid = lo, "skip-H_hat" leaves out H_hat on the inner spans
-    (no operator in their kernel rows)."""
+    (the identity in their kernel rows)."""
     original = Model._span_table
 
     def span_table(self, path, tables, lo, hi, op):
@@ -280,7 +300,7 @@ def _faulty_span_table(fault):
             # no left states for the split at mid = lo
             tables = {**tables, (lo, lo): {}}
         if not root and fault == "skip-H_hat":
-            op = None
+            op = identity(op.space)
         return original(self, path, tables, lo, hi, op)
 
     return span_table

@@ -22,6 +22,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfmf import cli
+from ainfmf.ainfmodel import SectorMismatch
+from ainfmf.normalorder import FeynmanBackend
 from ainfmf.superspace import (
     LinearOp,
     Space,
@@ -33,6 +35,7 @@ from ainfmf.superspace import (
 )
 
 from test_normalorder import compose_keys, quadric_model, worked_model
+from test_superspace import identity
 
 
 def ref_merge_sign(m1, m2):
@@ -44,12 +47,12 @@ def ref_merge_sign(m1, m2):
     return -1 if inversions & 1 else 1
 
 
-def ref_compose_keys(model, pa, pb, ka, kb, ext_table, cap=None):
+def ref_compose_keys(model, pa, pb, ka, kb, table, cap=None):
     """mu2 on a pair of basis keys, one pair at a time, in Fraction: ka
-    in space(pa) composed after kb in space(pb), with the outputs beyond
-    the t-cap (the model's, unless cap is given) dropped."""
+    in space(pa) composed after kb in space(pb), through the exterior
+    table of pa after pb, with the outputs beyond the t-cap (the
+    model's, unless cap is given) dropped."""
     cap = model.cap if cap is None else cap
-    table = ext_table(pa, pb)
     pc = model.pair(pb.src, pa.tgt)
     m1, h1, d1 = ka
     m2, h2, d2 = kb
@@ -79,11 +82,12 @@ def ref_mu2(model, sa, pair_a, sb, pair_b):
     """mu2 on Fraction states, summed over key pairs: sa in pair_a =
     (mid, tgt) composed after sb in pair_b = (src, mid)."""
     pa, pb = model.pair(*pair_a), model.pair(*pair_b)
+    table = model._kernel(pa, pb).table
     out = {}
     for ka, c1 in sa.items():
         for kb, c2 in sb.items():
             for kc, c3 in ref_compose_keys(model, pa, pb, ka, kb,
-                                           model._ext_composition).items():
+                                           table).items():
                 add_into(out, kc, c1 * c2 * c3)
     return out
 
@@ -244,8 +248,16 @@ def test_model_has_compose_denominator_five():
         pa, pb = MODEL.pair(mid, tgt), MODEL.pair(src, mid)
         for ka, kb in product(pa.core_basis(), pb.core_basis()):
             dens.add(scaled_state(compose_keys(
-                MODEL, pa, pb, ka, kb, MODEL._ext_composition))[1])
+                MODEL, pa, pb, ka, kb, MODEL._kernel(pa, pb).table))[1])
     assert 5 in dens
+
+
+def test_compose_needs_a_shared_middle_object():
+    # the one sector check, in ComposeKernel, guards both backends
+    with pytest.raises(SectorMismatch):
+        MODEL._kernel(MODEL.pair(0, 1), MODEL.pair(0, 1))
+    with pytest.raises(SectorMismatch):
+        FeynmanBackend(MODEL).mu2({}, (0, 1), {}, (0, 1))
 
 
 # ----------------------------------------------------------------------
@@ -279,17 +291,17 @@ def test_factored_compose_matches_per_pair_reference(name):
         keys_b = list(pb.arena.space.basis())
         for _ in range(3000 // len(triples(m))):
             ka, kb = rng.choice(keys_a), rng.choice(keys_b)
-            want = ref_compose_keys(m, pa, pb, ka, kb, m._ext_composition)
+            want = ref_compose_keys(m, pa, pb, ka, kb, kernel.table)
             got = {kc: Fraction(v, kernel.den)
                    for _, comp in kernel.row(kb, kernel.laters([ka]))
                    for kc, v in comp.items()}
             assert got == want, (src, mid, tgt, ka, kb)
-            assert compose_keys(m, pa, pb, ka, kb, m._ext_composition) == want
+            assert compose_keys(m, pa, pb, ka, kb, kernel.table) == want
             th1, th2 = pa.split(ka[0])[0], pb.split(kb[0])[0]
             seen["overlap"] += bool(th1 & th2)
             seen["merge sign"] += bool(want) and ref_merge_sign(th1, th2) < 0
             seen["beyond cap"] += ref_compose_keys(
-                m, pa, pb, ka, kb, m._ext_composition, cap=99) != want
+                m, pa, pb, ka, kb, kernel.table, cap=99) != want
             seen["non-zero"] += bool(want)
     assert seen["overlap"] and seen["beyond cap"] and seen["non-zero"] > 100
     if m.qb.n > 1:
@@ -321,8 +333,8 @@ def test_contraction_matches_per_pair_r2(name):
                  enumerate(random_states(m, pair_2, p, rng, 4))}
         tables = (pair_1, {(t,): scaled_state(st) for t, st in left.items()},
                   pair_2, {(t,): scaled_state(st) for t, st in right.items()})
-        got = {(tl, tr): rational_state(st)
-               for tl, tr, st in m._contract(*tables)}
+        got = {(tl, tr): rational_state(reduced(*st)) for tl, tr, st in
+               m._contract(*tables, identity(m.pair(src, tgt).arena.space))}
         # with a vertex operator, its kernel rows hold H_hat after mu2
         hat = m.pair(src, tgt).arena.H_hat
         fused = {(tl, tr): rational_state(reduced(*st))

@@ -62,13 +62,13 @@ def twovar_model(cap=3, nobj=1):
     return quadric_model(2, cap, nobj)
 
 
-def compose_keys(model, pa, pb, ka, kb, ext_table):
+def compose_keys(model, pa, pb, ka, kb, table):
     """mu2 on a pair of basis keys as a state of Fraction coefficients:
-    the ComposeKernel of the one entry of ext_table(pa, pb) that the
-    pair reads.  With the model's exterior tables this is the matrix
-    backend's composition, one key pair at a time."""
+    the ComposeKernel of the one entry of the exterior table of pa after
+    pb that the pair reads.  With the model's exterior tables this is
+    the matrix backend's composition, one key pair at a time."""
     ext_key = (pa.split(ka[0])[1], pb.split(kb[0])[1])
-    ext = ext_table(pa, pb).get(ext_key)
+    ext = table.get(ext_key)
     kernel = ComposeKernel(model, pa, pb, {ext_key: ext} if ext else {})
     for _, comp in kernel.row(kb, kernel.laters([ka])):
         return {kc: Fraction(v, kernel.den) for kc, v in comp.items()}
@@ -190,8 +190,10 @@ def test_junction_tables_match(m):
             for t in objs:
                 pa = m.pair(mid, t)
                 pb = m.pair(s, mid)
-                want = {k: clean(v) for k, v in m._ext_composition(pa, pb).items()}
-                got = {k: clean(v) for k, v in backend._ext_table(pa, pb).items()}
+                want = {k: clean(v) for k, v in
+                        m._kernel(pa, pb).table.items()}
+                got = {k: clean(v) for k, v in
+                       backend._kernel((mid, t), (s, mid)).table.items()}
                 want = {k: v for k, v in want.items() if v}
                 got = {k: v for k, v in got.items() if v}
                 assert got == want, (s, mid, t)
@@ -211,7 +213,7 @@ def test_compose_keys_match_matrix_backend():
             kb = rng.choice(keys_b)
             got = backend.mu2({ka: Fraction(1)}, (mid, t),
                               {kb: Fraction(1)}, (s, mid))
-            want = compose_keys(m, pa, pb, ka, kb, m._ext_composition)
+            want = compose_keys(m, pa, pb, ka, kb, m._kernel(pa, pb).table)
             assert got == want, (s, mid, t, ka, kb)
 
 
@@ -326,11 +328,11 @@ def per_tuple_tree_state(backend, tree, path, keys):
 
     def mu2(sa, pair_a, sb, pair_b):
         pa, pb = m.pair(*pair_a), m.pair(*pair_b)
+        table = backend._kernel(pair_a, pair_b).table
         out = {}
         for ka, c1 in sa.items():
             for kb, c2 in sb.items():
-                for kc, c3 in compose_keys(m, pa, pb, ka, kb,
-                                           backend._ext_table).items():
+                for kc, c3 in compose_keys(m, pa, pb, ka, kb, table).items():
                     out[kc] = out.get(kc, 0) + c1 * c2 * c3
         return clean(out)
 

@@ -44,14 +44,15 @@ from .linalg import Echelon
 from .quotient import CapExceeded, GammaTensor
 from .sdrcore import Arena
 from .superspace import (
-    LinearOp,
     add_into,
+    contract_mask,
     extend_linearly,
     rational_state,
     reduced,
     scaled_state,
     state_parity,
     state_sum,
+    wedge_mask,
 )
 
 ZERO = Fraction(0)
@@ -646,56 +647,57 @@ class Model:
     # ------------------------------------------------------------------
     # the splitting idempotent and its Clifford structure
 
-    def _conjugated(self, pair_key, op):
-        """Phi op Phi^{-1} restricted to the core, as a column map."""
-        arena = self.pair(*pair_key).arena
-        cols = {}
-        for key in arena.core_basis():
-            st = rational_state(
-                arena.Phi.apply(op.apply(arena.Phi_inv.apply_key(key))))
-            if st:
-                cols[key] = st
-        return cols
-
     def e1_and_clifford(self, pair_key):
         """E1 = Phi e Phi^{-1} with e the projector onto theta-degree
         zero, the Clifford maps gamma_i = Phi theta_i* Phi^{-1} and
         gamma_i^dagger = Phi theta_i Phi^{-1}, and the transported
-        components At_i = [d, d/dt_i] on the core.  At cap 0 no key
+        components At_i = [d, d/dt_i] on the core, as column maps.  e,
+        theta_i* and theta_i are mask moves made on the Phi^{-1} image
+        of each core key, and theta_i* on its At image.  At cap 0 no key
         has positive t-degree, so At vanishes and the maps say nothing:
         CapExceeded."""
         if self.cap == 0:
             raise CapExceeded("cap 0 leaves no t-degree for At")
         arena = self.pair(*pair_key).arena
-        n = self.qb.n
+        core = arena.core_basis()
+        lifts = [arena.Phi_inv.apply_key(key) for key in core]
         thetas = arena.space.theta_mask
-        e = LinearOp.from_rule(
-            arena.space, 0,
-            lambda key: None if key[0] & thetas else {key: 1},
-        )
-        gammas = []
-        daggers = []
-        ats = []
-        for i in range(n):
-            theta_star = arena.contract("theta", i)
-            gammas.append(self._conjugated(pair_key, theta_star))
-            daggers.append(self._conjugated(pair_key, arena.wedge("theta", i)))
+
+        def column_map(images, finish, move, *args):
+            """key -> finish(move(mask, *args) made on the image of key),
+            non-zero columns only.  A move is injective on masks, so no
+            two keys of an image meet."""
+            cols = {}
+            for key, (nums, den) in zip(core, images):
+                hits = [(move(m, *args), h, d, c)
+                        for (m, h, d), c in nums.items()]
+                st = finish(({(hit[1], h, d): hit[0] * c
+                              for hit, h, d, c in hits if hit}, den))
+                if st:
+                    cols[key] = st
+            return cols
+
+        def conjugated(state):
+            return rational_state(arena.Phi.apply(state))
+
+        def minus_core(state):
             # on the core nabla kills the input, so At = nabla d there;
             # theta_i* picks out d/dt_i after d, and [d, d/dt_i] is
             # minus that
-            cols = {}
-            for key in arena.core_basis():
-                image = theta_star.apply(arena.At.apply_key(key))
-                st = {k2: -c for k2, c in rational_state(image).items()
-                      if arena.is_core_key(k2)}
-                if st:
-                    cols[key] = st
-            ats.append(cols)
+            return {k: -c for k, c in rational_state(state).items()
+                    if arena.is_core_key(k)}
+
+        ats = [arena.At.apply_key(key) for key in core]
+        pos = [arena.space.gen_pos("theta", i) for i in range(self.qb.n)]
         return {
-            "E1": self._conjugated(pair_key, e),
-            "gamma": gammas,
-            "dagger": daggers,
-            "At": ats,
+            "E1": column_map(lifts, conjugated,
+                             lambda m: None if m & thetas else (1, m)),
+            "gamma": [column_map(lifts, conjugated, contract_mask, p)
+                      for p in pos],
+            "dagger": [column_map(lifts, conjugated, wedge_mask, p)
+                       for p in pos],
+            "At": [column_map(ats, minus_core, contract_mask, p)
+                   for p in pos],
         }
 
 

@@ -49,7 +49,7 @@ from .ainfmodel import (
 from .linalg import mat_mul
 from .mfcat import HomotopyIdentityFailed, HomotopySet, koszul_mf
 from .normalorder import FeynmanBackend, VertexCatalog, check_cap
-from .poly import ORDERS, parse_poly
+from .poly import ORDERS, is_variable_name, parse_poly
 from .quotient import CapExceeded, GammaTensor, QuotientBasis, t_adic_expand
 from .superspace import add_into
 from .treealg import enumerate_binary, mirror_sign
@@ -127,6 +127,12 @@ class Problem:
         self.varnames = _field(raw, "variables", list, "spec")
         if not self.varnames or not all(isinstance(v, str) for v in self.varnames):
             raise InputError("variables must be a non-empty list of names")
+        for i, name in enumerate(self.varnames):
+            if not is_variable_name(name):
+                raise InputError("variable %r is not a name the polynomial "
+                                 "parser reads" % name)
+            if name in self.varnames[:i]:
+                raise InputError("duplicate variable name %r" % name)
         self.nvars = len(self.varnames)
         if raw.get("potential") is None:
             raise InputError("spec needs a 'potential' field")

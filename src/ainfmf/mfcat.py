@@ -23,7 +23,8 @@ from math import comb
 
 from .linalg import Echelon
 from .poly import Polynomial
-from .superspace import add_into, contract_mask, extend_linearly, wedge_mask
+from .superspace import (add_into, contract_mask, extend_linearly, move_word,
+                         wedge_mask)
 
 
 class NotAFactorisation(Exception):
@@ -153,8 +154,6 @@ class NuPresentation:
     def __init__(self, X, Y):
         self.X = X
         self.Y = Y
-        self.r = X.r
-        self.s = Y.r
 
     def to_ext(self, entries):
         out = {}
@@ -171,7 +170,8 @@ class NuPresentation:
 class RhoPresentation:
     """wedge(F_xi) tensor wedge(F_xibar) <-> End_k(wedge F_xi):
     xi_A tensor xibar_B maps to the composite of the wedge operators for A
-    (ascending) followed by the contraction operators for B (ascending).
+    (ascending) followed by the contraction operators for B (ascending),
+    one word of wedge_mask and contract_mask moves per column.
     The inverse is kept as sparse columns: _inv_cols[(row, col)] holds the
     non-zero coefficients of the matrix unit E_{row,col} (5^r in all)."""
 
@@ -193,32 +193,17 @@ class RhoPresentation:
         }
 
     def _operator_matrix(self, A, B):
+        """The matrix of xi_A xibar_B: on each column one word of moves,
+        the contractions for B and then the wedges for A, each family
+        from its highest generator down (the rightmost acts first)."""
+        down = range(self.r - 1, -1, -1)
+        word = ([(contract_mask, i) for i in down if B >> i & 1]
+                + [(wedge_mask, i) for i in down if A >> i & 1])
         out = {}
         for col in range(self.dim):
-            cur = {col: Fraction(1)}
-            # contractions for B, applied ascending-last (rightmost acts first)
-            for i in reversed(range(self.r)):
-                if not B >> i & 1:
-                    continue
-                nxt = {}
-                for m, c in cur.items():
-                    hit = contract_mask(m, i)
-                    if hit:
-                        s, m2 = hit
-                        add_into(nxt, m2, c * s)
-                cur = nxt
-            for i in reversed(range(self.r)):
-                if not A >> i & 1:
-                    continue
-                nxt = {}
-                for m, c in cur.items():
-                    hit = wedge_mask(m, i)
-                    if hit:
-                        s, m2 = hit
-                        add_into(nxt, m2, c * s)
-                cur = nxt
-            for row, c in cur.items():
-                out[(row, col)] = c
+            hit = move_word(col, word)
+            if hit:
+                out[hit[1], col] = Fraction(hit[0])
         return out
 
     def to_matrix(self, ext):

@@ -39,8 +39,13 @@ from .ainfmodel import ComposeKernel
 from .mfcat import HomotopyIdentityFailed, HomotopySet, check_homotopies
 from .quotient import CapExceeded
 from .sdrcore import ZeroVirtualDegree, full_expansion
-from .superspace import add_into, contract_key, extend_linearly, wedge_key
+from .superspace import (add_into, contract_mask, extend_linearly, move_word,
+                         wedge_mask)
 from .treealg import leaves
+
+
+# the fermion move of each operation name of a vertex word or an atom
+_MOVES = {"wedge": wedge_mask, "contract": contract_mask}
 
 
 class DegreeMismatch(Exception):
@@ -118,23 +123,19 @@ class VertexRule:
     (family, index, "wedge"|"contract") applied to the mask, theta
     included.  columns maps an incoming coefficient index h to a list of
     (l, delta, coeff): the t-adic expansion of poly * z_h, with the rule
-    sign folded into coeff.  tmode is "dt" for A-type rules (the vertex
-    monomial t^delta is differentiated at t_k before it multiplies) and
-    "mult" for C-type rules.
+    sign folded into coeff.  For A-type rules the vertex monomial t^delta
+    is differentiated at t_k before it multiplies; C-type rules multiply
+    by it.
     """
 
-    __slots__ = ("name", "kind", "k", "ops", "poly", "tmode", "sign",
-                 "columns", "source")
+    __slots__ = ("name", "kind", "k", "ops", "poly", "columns", "source")
 
-    def __init__(self, name, kind, k, ops, poly, tmode, sign, columns,
-                 source):
+    def __init__(self, name, kind, k, ops, poly, columns, source):
         self.name = name
         self.kind = kind
         self.k = k
         self.ops = ops
         self.poly = poly
-        self.tmode = tmode
-        self.sign = sign
         self.columns = columns
         self.source = source
 
@@ -147,7 +148,7 @@ class VertexRule:
         for h, entries in self.columns.items():
             live = []
             for (l, delta, c) in entries:
-                if self.tmode == "dt":
+                if self.kind == "A":
                     if delta[self.k] == 0:
                         continue
                     emit = sum(delta) - 1
@@ -181,13 +182,11 @@ class VertexCatalog:
                 cols[h] = entries
         return cols
 
-    def _add(self, name, kind, k, ops, poly, tmode, sign, source):
-        if poly.is_zero():
-            return
-        self.vertices.append(
-            VertexRule(name, kind, k, ops, poly, tmode, Fraction(sign),
-                       self._columns(poly, Fraction(sign)), source)
-        )
+    def _add(self, name, kind, k, ops, poly, sign, source):
+        if not poly.is_zero():
+            self.vertices.append(VertexRule(
+                name, kind, k, ops, poly, self._columns(poly, Fraction(sign)),
+                source))
 
     def _build(self):
         a = self.arena
@@ -197,46 +196,46 @@ class VertexCatalog:
                 for k in range(n):
                     self._add("A.1", "A", k,
                               [("eta", j, "contract"), ("theta", k, "wedge")],
-                              u, "dt", 1, ("u", j))
+                              u, 1, ("u", j))
                     self._add("A.2", "A", k,
                               [("eta", j, "wedge"), ("theta", k, "wedge")],
-                              v, "dt", 1, ("v", j))
+                              v, 1, ("v", j))
             for i, (f, g) in enumerate(a.X.pairs):
                 for k in range(n):
                     self._add("A.3", "A", k,
                               [("xibar", i, "wedge"), ("theta", k, "wedge")],
-                              f, "dt", -1, ("f", i))
+                              f, -1, ("f", i))
                     self._add("A.4", "A", k,
                               [("xibar", i, "contract"), ("theta", k, "wedge")],
-                              g, "dt", 1, ("g", i))
+                              g, 1, ("g", i))
             for k in range(n):
                 for j in range(a.Y.r):
                     self._add("C.1", "C", k,
                               [("theta", k, "contract"), ("eta", j, "contract")],
-                              a.homY.F[k][j], "mult", 1, ("F", k, j))
+                              a.homY.F[k][j], 1, ("F", k, j))
                     self._add("C.2", "C", k,
                               [("theta", k, "contract"), ("eta", j, "wedge")],
-                              a.homY.G[k][j], "mult", 1, ("G", k, j))
+                              a.homY.G[k][j], 1, ("G", k, j))
         else:
             for i, (f, g) in enumerate(a.X.pairs):
                 for k in range(n):
                     self._add("A.1", "A", k,
                               [("xi", i, "contract"), ("theta", k, "wedge")],
-                              f, "dt", 1, ("f", i))
+                              f, 1, ("f", i))
                     self._add("A.4", "A", k,
                               [("xibar", i, "contract"), ("theta", k, "wedge")],
-                              g, "dt", 1, ("g", i))
+                              g, 1, ("g", i))
             for k in range(n):
                 for i in range(a.X.r):
                     self._add("C.1", "C", k,
                               [("theta", k, "contract"), ("xi", i, "contract")],
-                              a.homX.F[k][i], "mult", 1, ("F", k, i))
+                              a.homX.F[k][i], 1, ("F", k, i))
                     self._add("C.2", "C", k,
                               [("theta", k, "contract"), ("xi", i, "wedge")],
-                              a.homX.G[k][i], "mult", 1, ("G", k, i))
+                              a.homX.G[k][i], 1, ("G", k, i))
                     self._add("C.3", "C", k,
                               [("theta", k, "contract"), ("xibar", i, "wedge")],
-                              a.homX.F[k][i], "mult", 1, ("F2", k, i))
+                              a.homX.F[k][i], 1, ("F2", k, i))
         self._check_homotopy_identity()
 
     def _check_homotopy_identity(self):
@@ -361,10 +360,6 @@ class EdgeEngine:
         self.catalog = VertexCatalog(arena)
         self.A_rules = [r for r in self.catalog.vertices if r.kind == "A"]
         self.C_rules = [r for r in self.catalog.vertices if r.kind == "C"]
-        self._theta_pos = [self.space.gen_pos("theta", k) for k in range(self.n)]
-        self._theta_mask = 0
-        for p in self._theta_pos:
-            self._theta_mask |= 1 << p
         self._leaf = {}
         self._edge = {}
         self._root = {}
@@ -373,19 +368,15 @@ class EdgeEngine:
 
     def apply_rule(self, rule, key):
         mask, h, delta = key
-        sign = 1
-        for fam, i, mode in rule.ops:
-            pos = self.space.gen_pos(fam, i)
-            hit = (wedge_key if mode == "wedge" else contract_key)(
-                pos, (mask, h, delta)
-            )
-            if hit is None:
-                return {}
-            s, (mask, h, delta) = hit
-            sign *= s
+        pos = self.space.gen_pos
+        hit = move_word(mask, [(_MOVES[mode], pos(fam, i))
+                               for fam, i, mode in rule.ops])
+        if hit is None:
+            return {}
+        sign, mask = hit
         out = {}
         for l, dvec, c in rule.columns.get(h, ()):
-            if rule.tmode == "dt":
+            if rule.kind == "A":
                 k = rule.k
                 if dvec[k] == 0:
                     continue
@@ -417,23 +408,16 @@ class EdgeEngine:
         return self._sum_rules(self.C_rules, state)
 
     def nabla_state(self, state):
+        pos = self.space.gen_pos
         out = {}
         for (mask, h, delta), c in state.items():
             for k in range(self.n):
-                if delta[k] == 0:
-                    continue
-                hit = wedge_key(self._theta_pos[k], (mask, h, delta))
-                if hit is None:
-                    continue
-                s, (m2, _, _) = hit
-                nd = tuple(e - 1 if j == k else e for j, e in enumerate(delta))
-                add_into(out, (m2, h, nd), c * s * delta[k])
+                hit = delta[k] and wedge_mask(mask, pos("theta", k))
+                if hit:
+                    nd = tuple(e - 1 if j == k else e
+                               for j, e in enumerate(delta))
+                    add_into(out, (hit[1], h, nd), c * hit[0] * delta[k])
         return out
-
-    # -- scalar insertions ----------------------------------------------
-
-    def virtual_degree(self, key):
-        return (key[0] & self._theta_mask).bit_count() + sum(key[2])
 
     # -- series ----------------------------------------------------------
 
@@ -447,7 +431,7 @@ class EdgeEngine:
             cur = self.at_state(cur)
             if not cur:
                 return total
-            cur = zeta(cur, self.virtual_degree)
+            cur = zeta(cur, self.space.virtual_degree)
             sign = -sign
             for key, c in cur.items():
                 add_into(total, key, c * sign)
@@ -472,7 +456,7 @@ class EdgeEngine:
 
     def leaf(self, key):
         if key not in self._leaf:
-            if self.virtual_degree(key):
+            if self.space.virtual_degree(key):
                 raise DegreeMismatch("leaf input carries theta or t content")
             self._leaf[key] = self.exp_delta(self.sigma_tail({key: Fraction(1)}), 1)
         return self._leaf[key]
@@ -481,7 +465,7 @@ class EdgeEngine:
         if key not in self._edge:
             st = self.exp_delta({key: Fraction(1)}, -1)
             st = self.nabla_state(st)
-            st = zeta(st, self.virtual_degree) if st else st
+            st = zeta(st, self.space.virtual_degree) if st else st
             st = self.sigma_tail(st) if st else st
             self._edge[key] = self.exp_delta(st, 1) if st else {}
         return self._edge[key]
@@ -748,7 +732,7 @@ class FeynmanBackend:
         check_cap(self.model, k)
         for i, key in enumerate(keys):
             eng = self.engine(path[i], path[i + 1])
-            if eng.virtual_degree(key):
+            if eng.space.virtual_degree(key):
                 raise DegreeMismatch("input %d carries theta or t content" % (i + 1))
         return self.tree_state(tree, path, keys).get(tau, Fraction(0))
 
@@ -796,15 +780,12 @@ def _apply_atom(arena, parsed, state):
         return out
     if kind == "zeta":
         return zeta(state, space.virtual_degree)
-    if kind in ("wedge", "contract"):
+    if kind in _MOVES:
         pos = space.gen_pos(parsed[1], parsed[2])
-        fn = wedge_key if kind == "wedge" else contract_key
-        for key, c in state.items():
-            hit = fn(pos, key)
-            if hit is None:
-                continue
-            s, k2 = hit
-            add_into(out, k2, c * s)
+        for (mask, h, delta), c in state.items():
+            hit = _MOVES[kind](mask, pos)
+            if hit:
+                add_into(out, (hit[1], h, delta), c * hit[0])
         return out
     if kind == "zset":
         l = parsed[1]

@@ -202,6 +202,12 @@ _TOKEN = re.compile(
 )
 
 
+def is_variable_name(name):
+    """Whether parse_poly reads name as one variable token."""
+    m = _TOKEN.fullmatch(name)
+    return m is not None and m.group("var") == name
+
+
 def parse_poly(text, nvars, varnames=None):
     """Parse expressions like "x1^2 - 2/5*x1*x2 + 3" into a Polynomial.
 

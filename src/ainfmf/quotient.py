@@ -62,9 +62,6 @@ class TAdicExpansion:
         self.coefficients = coefficients
         self.exact_beyond_cap = exact_beyond_cap
 
-    def coefficient(self, i, delta):
-        return self.coefficients.get((i, delta), Fraction(0))
-
 
 def t_adic_expand(r, qb, cap):
     """Expand r = sum r_{(i,delta)} sigma(z_i) t^delta by iterated

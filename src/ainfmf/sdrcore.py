@@ -30,13 +30,12 @@ from .superspace import (
     LinearOp,
     Space,
     contract_mask,
-    contract_op,
     graded_commutator,
+    move_word,
     power_series,
     rational_state,
     state_sum,
     wedge_mask,
-    wedge_op,
 )
 
 
@@ -92,15 +91,6 @@ class Arena:
             for (_, d) in col:
                 self.table_max_tdeg = max(self.table_max_tdeg, sum(d))
         return cols
-
-    # ------------------------------------------------------------------
-    # fermion operators
-
-    def wedge(self, family, i=0):
-        return wedge_op(self.space, self.space.gen_pos(family, i))
-
-    def contract(self, family, i=0):
-        return contract_op(self.space, self.space.gen_pos(family, i))
 
     # ------------------------------------------------------------------
     # the main operators
@@ -165,16 +155,10 @@ class Arena:
         for mask0, h in product(range(1 << sp.ngen), range(sp.mu)):
             outs = moves[mask0, h] = []
             for sign, word, cols in terms:
-                mask = mask0
-                for move, p in word:
-                    hit = move(mask, p)
-                    if hit is None:
-                        break
-                    sign *= hit[0]
-                    mask = hit[1]
-                else:
-                    outs += [(mask, l, d2, sum(d2),
-                              sign * c.numerator * (den // c.denominator))
+                hit = move_word(mask0, word)
+                if hit:
+                    outs += [(hit[1], l, d2, sum(d2), sign * hit[0]
+                              * c.numerator * (den // c.denominator))
                              for (l, d2), c in cols.get(h, {}).items()]
         cols = {}
         for key in sp.basis():

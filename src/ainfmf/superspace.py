@@ -5,7 +5,10 @@ tensor Q[t] truncated at a t-degree cap.  Basis keys are triples
 (mask, h, delta): a bitmask over the ordered generator list, a quotient
 basis index h, and a boson multi-index delta.  All signs derive from the
 fixed generator order; generators are grouped into named families and the
-family order is part of the space descriptor.
+family order is part of the space descriptor.  The one fermion move is
+wedge_mask or contract_mask on a mask, which every caller makes on the
+masks of its keys (move_word makes a word of them); wedge_op and
+contract_op are the two moves on every basis key.
 
 Exact values here are integers over one denominator.  A scaled state is
 a pair (nums, den): a dict key -> integer numerator and one positive
@@ -299,39 +302,33 @@ def contract_mask(mask, i):
     return sign, mask & ~(1 << i)
 
 
-def wedge_key(pos, key):
-    """(sign, new_key) or None for wedging generator pos onto a basis key."""
-    mask, h, delta = key
-    hit = wedge_mask(mask, pos)
-    if hit is None:
-        return None
-    return hit[0], (hit[1], h, delta)
-
-
-def contract_key(pos, key):
-    mask, h, delta = key
-    hit = contract_mask(mask, pos)
-    if hit is None:
-        return None
-    return hit[0], (hit[1], h, delta)
+def move_word(mask, word):
+    """(sign, new mask) after the moves (move, generator) of word, first
+    to last, or None when one of them vanishes."""
+    sign = 1
+    for move, i in word:
+        hit = move(mask, i)
+        if hit is None:
+            return None
+        sign, mask = sign * hit[0], hit[1]
+    return sign, mask
 
 
 def _fermion_op(space, pos, move):
-    def rule(key):
-        hit = move(pos, key)
-        if hit is None:
-            return None
-        return {hit[1]: hit[0]}
-
-    return LinearOp.from_rule(space, 1, rule)
+    cols = {}
+    for mask, h, delta in space.basis():
+        hit = move(mask, pos)
+        if hit:
+            cols[mask, h, delta] = {(hit[1], h, delta): hit[0]}
+    return LinearOp(space, 1, cols)
 
 
 def wedge_op(space, pos):
-    return _fermion_op(space, pos, wedge_key)
+    return _fermion_op(space, pos, wedge_mask)
 
 
 def contract_op(space, pos):
-    return _fermion_op(space, pos, contract_key)
+    return _fermion_op(space, pos, contract_mask)
 
 
 def power_series(op, coeffs, tail=None):

@@ -121,6 +121,23 @@ def test_input_errors():
     assert code == cli.EXIT_INPUT
 
 
+# a repeated name, and one the polynomial parser cannot read: before
+# the check they were reported as an infinite quotient ring and as the
+# unknown variable 'x'
+@pytest.mark.parametrize("variables, message", [
+    pytest.param(["x", "x"], "duplicate variable name 'x'", id="repeated"),
+    pytest.param(["1x"],
+                 "variable '1x' is not a name the polynomial parser reads",
+                 id="unreadable"),
+])
+def test_bad_variable_names_are_named(variables, message):
+    spec = {"variables": variables, "potential": "x^2",
+            "commands": ["basis"]}
+    report, code = cli.run(spec)
+    assert code == cli.EXIT_INPUT
+    assert message in report["error"]
+
+
 def _malformed(name, spec, edit):
     spec = json.loads(json.dumps(spec))
     edit(spec)

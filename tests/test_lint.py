@@ -1,5 +1,7 @@
-"""Static checks on the package source: no unused import, and no private
-function or method that nothing else in the package refers to."""
+"""Static checks on the package source: no unused import, no private
+function or method that nothing else in the package refers to, and no
+public function, method or class that nothing in the package, the
+tests, the demos or the benchmark refers to."""
 
 import ast
 import os
@@ -8,15 +10,20 @@ from collections import Counter
 import ainfmf
 
 PACKAGE = os.path.dirname(ainfmf.__file__)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+USERS = ("tests", "demos", "benchmark")
 
 
-def modules():
-    """{file name: parsed module} for every source file of the package."""
+def modules(top=PACKAGE):
+    """{path below top: parsed module} for every source file under top."""
     out = {}
-    for name in sorted(os.listdir(PACKAGE)):
-        if name.endswith(".py"):
-            with open(os.path.join(PACKAGE, name)) as fh:
-                out[name] = ast.parse(fh.read(), name)
+    for dirpath, _, names in sorted(os.walk(top)):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                path = os.path.join(dirpath, name)
+                with open(path) as fh:
+                    out[os.path.relpath(path, top)] = ast.parse(fh.read(),
+                                                                path)
     return out
 
 
@@ -58,5 +65,23 @@ def test_no_unreferenced_private_functions():
         for name, tree in trees.items() for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and node.name.startswith("_") and not node.name.endswith("__")
+        and refs[node.name] == references(node)[node.name]]
+    assert not unreferenced
+
+
+def test_no_unreferenced_public_names():
+    # a name or an attribute in code counts; a string does not, nor
+    # does a reference from inside the definition itself
+    trees = modules()
+    users = [tree for top in USERS
+             for tree in modules(os.path.join(ROOT, top)).values()]
+    refs = sum((references(tree) for tree in [*trees.values(), *users]),
+               Counter())
+    unreferenced = [
+        (name, node.name)
+        for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not node.name.startswith("_")
         and refs[node.name] == references(node)[node.name]]
     assert not unreferenced

@@ -297,7 +297,7 @@ def test_exponentials_inverse():
 def test_delta_conjugation_fixes_theta_star():
     # e^{-delta} theta* e^{delta} = theta*
     a = worked_arena(cap=4)
-    th_star = a.contract("theta", 0)
+    th_star = contract_op(a.space, a.space.gen_pos("theta", 0))
     conj = a.e_minus_delta.compose(th_star).compose(a.e_delta)
     for key in a.test_keys(2):
         assert conj.apply_key(key) == th_star.apply_key(key)

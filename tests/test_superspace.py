@@ -5,12 +5,13 @@ import pytest
 from ainfmf.superspace import (
     LinearOp,
     Space,
-    contract_key,
+    contract_mask,
     contract_op,
     graded_commutator,
+    move_word,
     power_series,
     state_parity,
-    wedge_key,
+    wedge_mask,
     wedge_op,
 )
 
@@ -35,27 +36,36 @@ def small_space():
 def test_wedge_contract_signs():
     sp = small_space()
     t1, t2 = sp.gen_pos("theta", 0), sp.gen_pos("theta", 1)
-    both = (1 << t1 | 1 << t2, 0, (0,))
+    both = 1 << t1 | 1 << t2
     # contract theta1 out of theta1^theta2: position 1, sign +
-    s, k = contract_key(t1, both)
-    assert s == 1 and k == (1 << t2, 0, (0,))
+    assert contract_mask(both, t1) == (1, 1 << t2)
     # contract theta2 out of theta1^theta2: position 2, sign -
-    s, k = contract_key(t2, both)
-    assert s == -1 and k == (1 << t1, 0, (0,))
-    # wedge repeated generator gives zero
-    assert wedge_key(t1, both) is None
-    # wedge theta2 onto theta1 picks up no sign; onto theta2-first ordering it does
-    s, k = wedge_key(t2, (1 << t1, 0, (0,)))
-    assert s == -1 and k == both  # theta1 already present below position t2?
+    assert contract_mask(both, t2) == (-1, 1 << t1)
+    # wedge repeated generator gives zero, and so does contracting an
+    # absent one
+    assert wedge_mask(both, t1) is None
+    assert contract_mask(1 << t1, t2) is None
+    # wedge theta2 onto theta1: theta1 lies below position t2
+    assert wedge_mask(1 << t1, t2) == (-1, both)
+
+def test_move_word_multiplies_the_signs():
+    t1, t2 = 0, 1
+    # theta1 then theta2 wedged onto nothing: theta2 ^ theta1 = -both
+    assert move_word(0, [(wedge_mask, t1), (wedge_mask, t2)]) == (-1, 3)
+    # theta2 theta2* is the number operator: both signs are -1
+    assert move_word(3, [(contract_mask, t2), (wedge_mask, t2)]) == (1, 3)
+    assert move_word(3, [(contract_mask, t1), (contract_mask, t1)]) is None
+    assert move_word(5, []) == (1, 5)
+
 
 def test_wedge_sign_convention():
     sp = small_space()
     t1, t2 = sp.gen_pos("theta", 0), sp.gen_pos("theta", 1)
     # theta2 ^ (theta1) : one generator below position of theta2 -> sign -1
-    s, _ = wedge_key(t2, (1 << t1, 0, (0,)))
+    s, _ = wedge_mask(1 << t1, t2)
     assert s == -1
     # theta1 ^ (theta2) : nothing below position of theta1 -> sign +1
-    s, _ = wedge_key(t1, (1 << t2, 0, (0,)))
+    s, _ = wedge_mask(1 << t2, t1)
     assert s == 1
 
 

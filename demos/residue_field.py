@@ -39,7 +39,7 @@ print("rho_3(xibar, xibar, xibar) =",
 cliff = model.e1_and_clifford((0, 0))
 print()
 print("gamma on the core basis (it acts as -xi*):")
-for key in model.pair(0, 0).core_basis():
+for key in model.pair(0, 0).arena.core_basis():
     img = {space.key_label(k): v
            for k, v in cliff["gamma"][0].get(key, {}).items() if v}
     print("  %-12s -> %s" % (space.key_label(key), img or 0))

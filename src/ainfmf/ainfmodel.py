@@ -35,10 +35,10 @@ from operator import add
 
 from .mfcat import (
     KoszulFactorisation,
-    NuPresentation,
     RhoPresentation,
     check_homotopies,
     default_homotopies,
+    nu_signed,
 )
 from .linalg import Echelon
 from .quotient import CapExceeded, GammaTensor
@@ -47,6 +47,7 @@ from .superspace import (
     add_into,
     contract_mask,
     extend_linearly,
+    merge_sign,
     rational_state,
     reduced,
     scaled_state,
@@ -64,19 +65,6 @@ class SectorMismatch(Exception):
 
 class DecompositionInvalid(Exception):
     pass
-
-
-def _merge_sign(m1, m2):
-    """Sign of reordering the concatenation of two ascending generator
-    lists (masks m1 then m2) into one ascending list."""
-    inv = 0
-    q = m2
-    while q:
-        low = q & -q
-        pos = low.bit_length() - 1
-        inv += (m1 >> (pos + 1)).bit_count()
-        q ^= low
-    return -1 if inv & 1 else 1
 
 
 class ComposeKernel:
@@ -153,7 +141,7 @@ class ComposeKernel:
             # the alpha sign: the exterior generators of ka cross the
             # thetas of kb; then the thetas merge into one ascending list
             neg = alpha & omega
-            if th1 and th2 and _merge_sign(th1, th2) < 0:
+            if th1 and th2 and merge_sign(th1, th2) < 0:
                 neg ^= 1
             th = th1 | th2
             base = tuple(map(add, d1, d2)) if size1 or size2 else None
@@ -221,8 +209,7 @@ class PairData:
         self.theta_all = (1 << self.n) - 1
         # exterior elements (S, T) <-> Hom matrices (row mask, col mask)
         if self.presentation == "nu":
-            nu = NuPresentation(X, Y)
-            self.to_matrix, self.from_matrix = nu.from_ext, nu.to_ext
+            self.to_matrix = self.from_matrix = nu_signed
         else:
             rho = RhoPresentation(X)
             self.to_matrix, self.from_matrix = rho.to_matrix, rho.from_matrix
@@ -241,9 +228,6 @@ class PairData:
         for S in range(1 << self.c1):
             for T in range(1 << self.c2):
                 yield (S, T)
-
-    def core_basis(self):
-        return self.arena.core_basis()
 
 
 class Model:
@@ -466,9 +450,8 @@ class Model:
         table = self._tables.get(key)
         if table is not None:
             return table
-        cores = [
-            self.pair(path[i], path[i + 1]).core_basis() for i in range(k)
-        ]
+        cores = [self.pair(path[i], path[i + 1]).arena.core_basis()
+                 for i in range(k)]
         if k == 1:
             states = {}
             for bkey in cores[0]:
@@ -541,7 +524,7 @@ class Model:
                 paths = [p for p in object_paths if len(p) == n + 1]
             for path in paths:
                 defects, den = self._relation_defects(n, path, forms)
-                cores = [self.pair(*path[i : i + 2]).core_basis()
+                cores = [self.pair(*path[i : i + 2]).arena.core_basis()
                          for i in range(n)]
                 report["checked"] += prod(map(len, cores))
                 ranks = [{key: r for r, key in enumerate(c)} for c in cores]
@@ -753,7 +736,7 @@ class CohomologyData:
 def cohomology(model, pair_key):
     """The cohomology of rho_1 on the core of a pair, its columns read
     from the stored rho_1 table."""
-    basis = model.pair(*pair_key).core_basis()
+    basis = model.pair(*pair_key).arena.core_basis()
     table = model._table(1, pair_key)
     cols = [rational_state((table.get((b,), {}), table.den)) for b in basis]
     return CohomologyData(basis, cols)
@@ -796,7 +779,7 @@ def kstab_minimal(model, idx, decomposition, level=4):
         raise DecompositionInvalid("sum x_i W^i != W")
     pair_key = (idx, idx)
     gammas = model.e1_and_clifford(pair_key)["gamma"]
-    basis = model.pair(*pair_key).core_basis()
+    basis = model.pair(*pair_key).arena.core_basis()
     # the joint kernel of the gamma_i, from their stacked columns
     kernel = Echelon().kernel([
         {(i, k2): c for i, g in enumerate(gammas)

@@ -516,11 +516,12 @@ def cmd_feynman(prob, args):
     path = prob.path_indices(args.get("path", [prob.labels[0]] * (k + 1)))
     if len(path) != k + 1:
         raise InputError("feynman needs a path of k + 1 object labels")
-    check_cap(m, k)
     limit = _int_arg(args, "limit", None, 1)
+    check_cap(m, k)
     table = m.rho_table(k, path)
     backend = FeynmanBackend(m)
-    cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(k)]
+    cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
+             for i in range(k)]
     combos = list(islice(product(*cores), limit))
     trees = enumerate_binary(k)
     signs = {}
@@ -690,8 +691,12 @@ def pin(report, golden_path, create=False):
     data = canonical(report)
     if not os.path.exists(golden_path):
         if create:
-            with open(golden_path, "wb") as fh:
-                fh.write(data)
+            try:
+                with open(golden_path, "wb") as fh:
+                    fh.write(data)
+            except OSError as exc:
+                raise InputError("cannot write %s: %s"
+                                 % (golden_path, exc)) from exc
             return []
         raise InputError("golden file %s does not exist (use --create)"
                          % golden_path)
@@ -791,7 +796,11 @@ def main(argv=None):
     if "error" in report:
         print("error: %s" % report["error"], file=sys.stderr)
         return code
-    _emit(report, ns.out)
+    try:
+        _emit(report, ns.out)
+    except OSError as exc:
+        print("error: cannot write %s: %s" % (ns.out, exc), file=sys.stderr)
+        return EXIT_INPUT
     return code
 
 

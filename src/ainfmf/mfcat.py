@@ -147,24 +147,15 @@ def default_homotopies(X, tseq=None):
     return hom
 
 
-class NuPresentation:
+def nu_signed(entries):
     """Hom_k(X~, Y~) <-> wedge(F_eta) tensor wedge(F_xibar): the
-    elementary map E_{S,T} corresponds to (-1)^{binom(|T|,2)} eta_S xibar_T."""
-
-    def __init__(self, X, Y):
-        self.X = X
-        self.Y = Y
-
-    def to_ext(self, entries):
-        out = {}
-        for (S, T), c in entries.items():
-            sign = -1 if comb(T.bit_count(), 2) & 1 else 1
-            add_into(out, (S, T), c * sign)
-        return out
-
-    def from_ext(self, ext):
-        # the sign is plus-minus one, so the map is its own inverse shape
-        return self.to_ext(ext)
+    elementary map E_{S,T} corresponds to (-1)^{binom(|T|,2)} eta_S
+    xibar_T.  The sign is plus-minus one, so the map is its own inverse
+    and presents both ways."""
+    out = {}
+    for (S, T), c in entries.items():
+        add_into(out, (S, T), -c if comb(T.bit_count(), 2) & 1 else c)
+    return out
 
 
 class RhoPresentation:

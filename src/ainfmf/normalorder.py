@@ -5,10 +5,11 @@ annihilation operators, independently of the sparse-matrix operator
 algebra in sdrcore/ainfmodel.  The ingredients are
 
   * a catalog of interaction vertices per ordered pair of objects: the
-    summands of the Atiyah class (A-type), of the homotopy perturbation
-    delta (C-type) and of the connection nabla (B-type), each a word in
-    fermion operators together with a coefficient table derived from the
-    t-adic expansion of a polynomial;
+    summands of the Atiyah class (A-type) and of the homotopy
+    perturbation delta (C-type), each a word in fermion operators
+    together with a coefficient table derived from the t-adic expansion
+    of a polynomial; the connection nabla has no rules, the edge engine
+    applies it by its own per-key rule;
   * a propagator bookkeeping z_factor_forward / z_factor_sym for the
     scalar factors contributed by the 1/(virtual degree) insertions;
   * an edge engine that sums the vertex words into the leaf, internal
@@ -25,22 +26,24 @@ algebra in sdrcore/ainfmodel.  The ingredients are
 The junction (binary composition) is computed by pairing the fermions of
 the shared middle object directly on exterior masks, not through the
 matrix dictionaries used by the main backend, so that agreement of the
-two backends is a genuine cross-check.  Each exterior table is built
-into one ComposeKernel per pair of pairs, the factored Gamma product of
-the operator backend, which keeps it; mu2 is ComposeKernel.product
-converted to Fraction: every coefficient of this module is a Fraction.
+two backends is a genuine cross-check; only the sign primitives of
+superspace (contract_mask moves and merge_sign) are shared.  Each
+exterior table is built into one ComposeKernel per pair of pairs, the
+factored Gamma product of the operator backend, which keeps it; mu2 is
+ComposeKernel.product converted to Fraction: every coefficient of this
+module is a Fraction.
 """
 
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import permutations, product
+from math import comb, factorial
 
 from .ainfmodel import ComposeKernel
 from .mfcat import HomotopyIdentityFailed, HomotopySet, check_homotopies
 from .quotient import CapExceeded
 from .sdrcore import ZeroVirtualDegree, full_expansion
-from .superspace import (add_into, contract_mask, extend_linearly, move_word,
-                         wedge_mask)
+from .superspace import (add_into, contract_mask, extend_linearly,
+                         merge_sign, move_word, wedge_mask)
 from .treealg import leaves
 
 
@@ -63,15 +66,6 @@ def check_cap(model, k):
         raise CapExceeded(
             "cap %d is below the margin %d = n (k - 1) of a %d-leaf tree"
             % (model.cap, margin, k))
-
-
-def _bits(mask):
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -118,14 +112,15 @@ def z_factor_sym(a, degrees):
 class VertexRule:
     """One family of interaction vertices.
 
-    kind: "A" (from the Atiyah class), "B" (connection) or "C" (from
-    delta).  ops is the ordered list of fermion operations
-    (family, index, "wedge"|"contract") applied to the mask, theta
-    included.  columns maps an incoming coefficient index h to a list of
-    (l, delta, coeff): the t-adic expansion of poly * z_h, with the rule
-    sign folded into coeff.  For A-type rules the vertex monomial t^delta
-    is differentiated at t_k before it multiplies; C-type rules multiply
-    by it.
+    kind: "A" (from the Atiyah class) or "C" (from delta); the
+    connection has no rule (EdgeEngine.nabla_state).  ops is the
+    ordered list of fermion operations (family, index,
+    "wedge"|"contract") applied to the mask, theta included.  columns
+    maps an incoming coefficient index h to a list of (l, delta,
+    coeff): the t-adic expansion of poly * z_h, with the rule sign
+    folded into coeff.  For A-type rules the vertex monomial t^delta is
+    differentiated at t_k before it multiplies; C-type rules multiply by
+    it.
     """
 
     __slots__ = ("name", "kind", "k", "ops", "poly", "columns", "source")
@@ -421,36 +416,31 @@ class EdgeEngine:
 
     # -- series ----------------------------------------------------------
 
-    def sigma_tail(self, state):
-        """sum_m (-1)^m (zeta At)^m applied to the state; each A-type
-        vertex raises the theta count, so the series stops by itself."""
-        total = dict(state)
-        cur = state
-        sign = 1
-        for _ in range(self.n + 1):
-            cur = self.at_state(cur)
-            if not cur:
-                return total
-            cur = zeta(cur, self.space.virtual_degree)
-            sign = -sign
-            for key, c in cur.items():
-                add_into(total, key, c * sign)
-        if self.at_state(cur):
-            raise ValueError("Atiyah series failed to terminate")
-        return total
-
-    def exp_delta(self, state, sgn):
-        """exp(sgn * delta); each C-type vertex removes a theta."""
+    def _series(self, state, step, coeff):
+        """state plus sum_{m >= 1} coeff(m) step^m(state); every step
+        moves the theta count one way, so the series stops by itself."""
         total = dict(state)
         cur = state
         for m in range(1, self.n + 2):
-            cur = self.delta_state(cur)
+            cur = step(cur)
             if not cur:
                 return total
-            coeff = Fraction(sgn ** m, factorial(m))
-            for key, c in cur.items():
-                add_into(total, key, c * coeff)
-        raise ValueError("delta series failed to terminate")
+            c = coeff(m)
+            for key, v in cur.items():
+                add_into(total, key, v * c)
+        raise ValueError("series failed to terminate")
+
+    def sigma_tail(self, state):
+        """sum_m (-1)^m (zeta At)^m applied to the state; each A-type
+        vertex raises the theta count."""
+        vd = self.space.virtual_degree
+        return self._series(state, lambda st: zeta(self.at_state(st), vd),
+                            lambda m: -1 if m & 1 else 1)
+
+    def exp_delta(self, state, sgn):
+        """exp(sgn * delta); each C-type vertex removes a theta."""
+        return self._series(state, self.delta_state,
+                            lambda m: Fraction(sgn ** m, factorial(m)))
 
     # -- tree-location operators ----------------------------------------
 
@@ -489,95 +479,63 @@ class EdgeEngine:
 # junctions: pairing the fermions of the shared middle object
 
 
-def _inv_count(A, B):
-    """Inversions between two ascending index lists placed side by side:
-    pairs a in A, b in B with a > b."""
-    return sum(1 for a in A for b in B if a > b)
-
-
 def _unit_to_words(S, T, r):
     """Expansion of the matrix unit E_{S,T} on r fermions in the basis of
     normal-ordered words (creations ascending, then annihilations
     ascending): E_{S,T} = xi_S |0><0| xibar_T with the vacuum projector
-    written as prod_i (1 - xi_i xibar_i)."""
+    written as prod_i (1 - xi_i xibar_i).  The word xi_V xibar_V of m
+    free fermions V enters with (-1)^(m + binom(m, 2)), and merging V
+    into S and T gives the rest of its sign."""
     out = {}
-    free = [i for i in range(r) if not (S >> i | T >> i) & 1]
-    Sb = _bits(S)
-    Tb = _bits(T)
-    for pick in range(1 << len(free)):
-        V = [free[i] for i in range(len(free)) if pick >> i & 1]
-        m = len(V)
-        exp = m + m * (m - 1) // 2 + _inv_count(Sb, V) + _inv_count(V, Tb)
-        mask = 0
-        for v in V:
-            mask |= 1 << v
-        out[(S | mask, T | mask)] = Fraction(-1 if exp & 1 else 1)
+    for V in _subsets(((1 << r) - 1) & ~(S | T)):
+        m = V.bit_count()
+        sign = merge_sign(S, V) * merge_sign(V, T)
+        out[S | V, T | V] = Fraction(-sign if (m + comb(m, 2)) & 1 else sign)
     return out
 
 
-def _ext_pair_compose(pa, pb, merge_u, merge_b, out_words=False):
+def _ext_pair_compose(pa, pb):
     """Composition table on exterior elements: (ext of pa, later) after
     (ext of pb, earlier), computed by contracting the bar generators of
-    the left factor against the unbar generators of the right factor on a
-    flat four-block word.  Leftover middle-object generators survive only
-    into blocks the output pair actually has (merge_u: the middle unbar
-    family is the output unbar family; merge_b: likewise for bar).  With
-    out_words=True the resulting matrix units are re-expanded in the
-    normal-ordered word basis of an endomorphism pair."""
-    c1L, c2L = pa.c1, pa.c2
-    c1R, c2R = pb.c1, pb.c2
-    if c2L != c1R:
+    the left factor against the unbar generators of the right factor on
+    a flat four-block word S1 T1 S2 T2.  Leftover middle-object
+    generators survive only into blocks the output pair actually has:
+    into its unbar family when pa is an endomorphism pair (rho), into
+    its bar family when pb is.  When neither is but the output pair is,
+    the resulting matrix units are re-expanded in the normal-ordered
+    word basis of that endomorphism pair."""
+    if pa.c2 != pb.c1:
         raise ValueError("middle fermion counts disagree")
-    off2 = c1L
-    off3 = c1L + c2L
-    off4 = off3 + c1R
+    merge_u = pa.presentation == "rho"
+    merge_b = pb.presentation == "rho"
+    out_words = not (merge_u or merge_b) and pb.arena.X is pa.arena.Y
+    off2, off3, off4 = pa.c1, pa.c1 + pa.c2, pa.c1 + 2 * pa.c2
     table = {}
-    for S1 in range(1 << c1L):
-        for T1 in range(1 << c2L):
-            for S2 in range(1 << c1R):
-                for T2 in range(1 << c2R):
-                    acc = {}
-                    inter = T1 & S2
-                    for U in _subsets(inter):
-                        if not merge_u and (S2 & ~U):
-                            continue
-                        if not merge_b and (T1 & ~U):
-                            continue
-                        mask = (S1 | (T1 << off2) | (S2 << off3)
-                                | (T2 << off4))
-                        sign = 1
-                        for i in _bits(U):
-                            for pos in (off2 + i, off3 + i):
-                                if (mask & ((1 << pos) - 1)).bit_count() & 1:
-                                    sign = -sign
-                                mask &= ~(1 << pos)
-                        S1p = mask & ((1 << c1L) - 1)
-                        T1p = (mask >> off2) & ((1 << c2L) - 1)
-                        S2p = (mask >> off3) & ((1 << c1R) - 1)
-                        T2p = mask >> off4
-                        if S1p & S2p or T1p & T2p:
-                            continue
-                        seq = (
-                            [(0, i) for i in _bits(S1p)]
-                            + [(1, i) for i in _bits(T1p)]
-                            + [(0, i) for i in _bits(S2p)]
-                            + [(1, i) for i in _bits(T2p)]
-                        )
-                        inv = 0
-                        for x in range(len(seq)):
-                            for y in range(x + 1, len(seq)):
-                                if seq[x] > seq[y]:
-                                    inv += 1
-                        if inv & 1:
-                            sign = -sign
-                        So, To = S1p | S2p, T1p | T2p
-                        if out_words:
-                            for key, s2 in _unit_to_words(So, To, c1L).items():
-                                add_into(acc, key, Fraction(sign) * s2)
-                        else:
-                            add_into(acc, (So, To), Fraction(sign))
-                    if acc:
-                        table[((S1, T1), (S2, T2))] = acc
+    for S1, T1, S2, T2 in product(range(1 << pa.c1), range(1 << pa.c2),
+                                  range(1 << pb.c1), range(1 << pb.c2)):
+        flat = S1 | T1 << off2 | S2 << off3 | T2 << off4
+        acc = {}
+        for U in _subsets(T1 & S2):
+            T1p, S2p = T1 & ~U, S2 & ~U
+            if ((S2p and not merge_u) or (T1p and not merge_b)
+                    or S1 & S2p or T1p & T2):
+                continue
+            # the contractions, then the reordering of S1 T1p S2p T2
+            # into the two ascending output blocks
+            sign = move_word(flat, [(contract_mask, off + i)
+                                    for i in range(pa.c2) if U >> i & 1
+                                    for off in (off2, off3)])[0]
+            sign *= merge_sign(S1, S2p) * merge_sign(T1p, T2)
+            if T1p.bit_count() * S2p.bit_count() & 1:
+                sign = -sign
+            So, To = S1 | S2p, T1p | T2
+            if out_words:
+                for key, s2 in _unit_to_words(So, To, pa.c1).items():
+                    add_into(acc, key, sign * s2)
+            else:
+                add_into(acc, (So, To), Fraction(sign))
+        if acc:
+            table[(S1, T1), (S2, T2)] = acc
     return table
 
 
@@ -594,7 +552,8 @@ class FeynmanBackend:
     """Tree evaluation by vertex words and middle-object pairing.
 
     Reuses the model only for its pair layouts, quotient data and
-    Gamma products; all operators are rebuilt from the vertex catalog.
+    Gamma products; At and delta are rebuilt from the vertex catalog,
+    and nabla from its per-key rule in EdgeEngine.nabla_state.
     The junction is one ComposeKernel per pair of pairs in _junction,
     over the exterior table of _ext_pair_compose, and mu2 on states is
     its product; the edge engines are kept per pair in _engines.
@@ -635,13 +594,8 @@ class FeynmanBackend:
         kernel = self._junction.get(key)
         if kernel is None:
             pa, pb = self.model.pair(*pair_a), self.model.pair(*pair_b)
-            merge_u = pa.presentation == "rho"
-            merge_b = pb.presentation == "rho"
-            out_words = (not (merge_u or merge_b) and self.model.pair(
-                pair_b[0], pair_a[1]).presentation == "rho")
             kernel = self._junction[key] = ComposeKernel(
-                self.model, pa, pb,
-                _ext_pair_compose(pa, pb, merge_u, merge_b, out_words))
+                self.model, pa, pb, _ext_pair_compose(pa, pb))
         return kernel
 
     def mu2(self, sa, pair_a, sb, pair_b):

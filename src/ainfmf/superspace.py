@@ -8,7 +8,8 @@ fixed generator order; generators are grouped into named families and the
 family order is part of the space descriptor.  The one fermion move is
 wedge_mask or contract_mask on a mask, which every caller makes on the
 masks of its keys (move_word makes a word of them); wedge_op and
-contract_op are the two moves on every basis key.
+contract_op are the two moves on every basis key.  merge_sign is the
+sign of reordering two generator lists into one.
 
 Exact values here are integers over one denominator.  A scaled state is
 a pair (nums, den): a dict key -> integer numerator and one positive
@@ -312,6 +313,18 @@ def move_word(mask, word):
             return None
         sign, mask = sign * hit[0], hit[1]
     return sign, mask
+
+
+def merge_sign(m1, m2):
+    """Sign of reordering the concatenation of two ascending generator
+    lists (masks m1 then m2) into one ascending list."""
+    inv = 0
+    q = m2
+    while q:
+        low = q & -q
+        inv += (m1 >> low.bit_length()).bit_count()
+        q ^= low
+    return -1 if inv & 1 else 1
 
 
 def _fermion_op(space, pos, move):

@@ -172,7 +172,7 @@ def test_criterion_08_dual_backend_coefficients():
     # printed k = 3 sample computation
     m = kstab_model(cap=4)
     backend = FeynmanBackend(m)
-    core = m.pair(0, 0).core_basis()
+    core = m.pair(0, 0).arena.core_basis()
     taus = [k for k in m.pair(0, 0).arena.space.basis() if sum(k[2]) <= 2]
     for k in (2, 3, 4):
         path = (0,) * (k + 1)
@@ -223,7 +223,7 @@ def test_criterion_09_idempotent_and_clifford():
     pd = mk.pair(0, 0)
     cliff = mk.e1_and_clifford((0, 0))
     xi_pos = pd.arena.space.gen_pos("xi", 0)
-    for key in pd.core_basis():
+    for key in pd.arena.core_basis():
         mask, h, delta = key
         expect = {}
         if mask >> xi_pos & 1:

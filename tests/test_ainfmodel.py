@@ -159,7 +159,7 @@ def test_mu2_unit():
     for src, tgt in [(0, 1), (0, 0), (1, 1)]:
         u_t = unit_state(m, tgt)
         u_s = unit_state(m, src)
-        for key in m.pair(src, tgt).core_basis():
+        for key in m.pair(src, tgt).arena.core_basis():
             beta = {key: Fraction(1)}
             left = mu2(m, u_t, (tgt, tgt), beta, (src, tgt))
             right = mu2(m, beta, (src, tgt), u_s, (src, src))
@@ -203,9 +203,9 @@ def test_mu2_associative():
     pc = m.pair(path[0], path[1])
     rng = random.Random(11)
     for _ in range(25):
-        a = {rng.choice(pa.core_basis()): Fraction(1)}
-        b = {rng.choice(pb.core_basis()): Fraction(1)}
-        c = {rng.choice(pc.core_basis()): Fraction(1)}
+        a = {rng.choice(pa.arena.core_basis()): Fraction(1)}
+        b = {rng.choice(pb.arena.core_basis()): Fraction(1)}
+        c = {rng.choice(pc.arena.core_basis()): Fraction(1)}
         ab = mu2(m, a, (path[2], path[3]), b, (path[1], path[2]))
         bc = mu2(m, b, (path[1], path[2]), c, (path[0], path[1]))
         lhs = mu2(m, ab, (path[1], path[3]), c, (path[0], path[1]))
@@ -219,7 +219,7 @@ def test_r2_unit_conventions():
     for src, tgt in [(0, 1), (0, 0)]:
         u_s = unit_state(m, src)
         u_t = unit_state(m, tgt)
-        for key in m.pair(src, tgt).core_basis():
+        for key in m.pair(src, tgt).arena.core_basis():
             x = {key: Fraction(1)}
             left = m.rho_apply(2, (src, src, tgt), [u_s, x])
             assert left == {key: Fraction(-1)}
@@ -233,7 +233,7 @@ def test_rho_table_matches_denotation():
     m = worked_model(cap=2)
     path = (0, 1, 0)
     table = m.rho_table(2, path)
-    cores = [m.pair(0, 1).core_basis(), m.pair(1, 0).core_basis()]
+    cores = [m.pair(0, 1).arena.core_basis(), m.pair(1, 0).arena.core_basis()]
     rng = random.Random(3)
     for _ in range(20):
         combo = (rng.choice(cores[0]), rng.choice(cores[1]))
@@ -242,7 +242,8 @@ def test_rho_table_matches_denotation():
         assert got == {k: v for k, v in ref.items() if v}
     path3 = (0, 1, 1, 0)
     table3 = m.rho_table(3, path3)
-    cores3 = [m.pair(path3[i], path3[i + 1]).core_basis() for i in range(3)]
+    cores3 = [m.pair(path3[i], path3[i + 1]).arena.core_basis()
+              for i in range(3)]
     for _ in range(10):
         combo = tuple(rng.choice(c) for c in cores3)
         got = table3.get(combo, {})
@@ -259,8 +260,8 @@ def test_rho_table_matches_denotation():
 def _span_sums_against_denotation(m, k, path, per_slot):
     # per_slot core keys in each slot, sampled with the slot as seed
     samples = [
-        random.Random(i).sample(m.pair(path[i], path[i + 1]).core_basis(),
-                                per_slot)
+        random.Random(i).sample(
+            m.pair(path[i], path[i + 1]).arena.core_basis(), per_slot)
         for i in range(k)
     ]
     slots = [[(key, {key: Fraction(1)}) for key in keys] for keys in samples]
@@ -291,7 +292,7 @@ def test_rho1_squares_to_zero():
     m = worked_model(cap=3)
     for src in range(2):
         for tgt in range(2):
-            for key in m.pair(src, tgt).core_basis():
+            for key in m.pair(src, tgt).arena.core_basis():
                 once = m.rho1_apply((src, tgt), ({key: 1}, 1))
                 twice = m.rho1_apply((src, tgt), once)
                 assert twice == ({}, 1)
@@ -317,7 +318,8 @@ def test_strict_unitality_higher():
                     inputs.append(unit_state(m, p[0]))
                 else:
                     inputs.append(
-                        {rng.choice(m.pair(*p).core_basis()): Fraction(1)}
+                        {rng.choice(m.pair(*p).arena.core_basis()):
+                         Fraction(1)}
                     )
             out = m.rho_apply(3, tuple(path), inputs)
             assert not {k: v for k, v in out.items() if v}
@@ -400,7 +402,8 @@ def _ref_failures(m, paths):
     failures = []
     for path in sorted(paths, key=len):
         n = len(path) - 1
-        cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(n)]
+        cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
+                 for i in range(n)]
         for combo in product(*cores):
             for form, defect in (("r", _ref_r_defect), ("mu", _ref_mu_defect)):
                 d = defect(m, n, path, combo)
@@ -450,7 +453,8 @@ def _merged(m, *reports):
     reports both forms: by level, path and basis tuple, r before mu."""
     def rank(f):
         n, path = f["level"], f["path"]
-        cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(n)]
+        cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
+                 for i in range(n)]
         return (n, path, [c.index(k) for c, k in zip(cores, f["inputs"])],
                 f["form"] == "mu")
 
@@ -544,12 +548,12 @@ def test_verify_ainf_rejects_bad_arguments(level, forms):
 def test_kstab_rho1_and_gamma():
     m = kstab_model(cap=3)
     pd = m.pair(0, 0)
-    for key in pd.core_basis():
+    for key in pd.arena.core_basis():
         assert m.rho1_apply((0, 0), ({key: 1}, 1)) == ({}, 1)
     cliff = m.e1_and_clifford((0, 0))
     xi_pos = pd.arena.space.gen_pos("xi", 0)
     # gamma = -xi* exactly
-    for key in pd.core_basis():
+    for key in pd.arena.core_basis():
         mask, h, delta = key
         expect = {}
         if mask >> xi_pos & 1:
@@ -558,7 +562,7 @@ def test_kstab_rho1_and_gamma():
             expect = {(mask & ~(1 << xi_pos), h, delta): Fraction(-sign)}
         assert cliff["gamma"][0].get(key, {}) == expect
     # E1 is the projector onto states with no xi
-    for key in pd.core_basis():
+    for key in pd.arena.core_basis():
         mask, h, delta = key
         got = cliff["E1"].get(key, {})
         if mask >> xi_pos & 1:
@@ -567,7 +571,7 @@ def test_kstab_rho1_and_gamma():
             assert got == {key: Fraction(1)}
     # E1 = gamma gamma^dagger on the nose here
     prod = compose_colmaps(cliff["gamma"][0], cliff["dagger"][0])
-    for key in pd.core_basis():
+    for key in pd.arena.core_basis():
         assert prod.get(key, {}) == cliff["E1"].get(key, {})
 
 

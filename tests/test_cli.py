@@ -287,6 +287,15 @@ def test_optional_integer_arguments():
     assert tuples == [256, 3]
 
 
+def test_feynman_reads_limit_before_the_cap():
+    # a malformed limit is an input error even where the cap is too
+    # small for the tree
+    report, code = cli.run(WORKED, commands=[
+        {"command": "feynman", "k": 3, "limit": "x"}], cap=1)
+    assert code == cli.EXIT_INPUT
+    assert "limit" in report["results"][-1]["error"]
+
+
 def test_feynman_limit_draws_only_limit_tuples(monkeypatch):
     # a limit must not build every basis tuple first: on a large core at
     # k = 4 that is millions of tuples to check a few
@@ -389,7 +398,7 @@ def test_feynman_catches_faults_in_top_columns(monkeypatch, fault, one_sided):
     m = cli.Problem(WORKED).need_model()
     backend = FeynmanBackend(m)
     table = m.rho_table(2, (0, 0, 0))
-    core = m.pair(0, 0).core_basis()
+    core = m.pair(0, 0).arena.core_basis()
     sides = {(bool(table.get(combo)),
               bool(backend.tree_state((1, 2), (0, 0, 0), combo)))
              for combo in product(core, core)}
@@ -484,6 +493,27 @@ def test_main_entry(tmp_path):
     assert code == cli.EXIT_OK
     report = json.loads(out_path.read_text())
     assert [r["command"] for r in report["results"]] == ["basis"]
+
+
+def test_report_to_a_missing_directory(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(WORKED, commands=["basis"])))
+    out_path = tmp_path / "missing" / "report.json"
+    code = cli.main(["run", str(spec_path), "--out", str(out_path)])
+    assert code == cli.EXIT_INPUT
+    assert "error: cannot write %s" % out_path in capsys.readouterr().err
+
+
+def test_pin_create_in_a_missing_directory(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(dict(WORKED, commands=["basis"])))
+    report_path = tmp_path / "report.json"
+    assert cli.main(["run", str(spec_path), "--out",
+                     str(report_path)]) == cli.EXIT_OK
+    golden = tmp_path / "missing" / "golden.json"
+    code = cli.main(["pin", str(report_path), str(golden), "--create"])
+    assert code == cli.EXIT_INPUT
+    assert "error: cannot write %s" % golden in capsys.readouterr().err
 
 
 def test_presentation_rho_is_not_a_choice(tmp_path):

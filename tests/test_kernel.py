@@ -35,16 +35,7 @@ from ainfmf.superspace import (
 )
 
 from test_normalorder import compose_keys, quadric_model, worked_model
-from test_superspace import identity
-
-
-def ref_merge_sign(m1, m2):
-    """Sign of sorting the generators of mask m1 followed by those of
-    mask m2 into one ascending list."""
-    gens = [i for i in range(m1.bit_length()) if m1 >> i & 1]
-    gens += [i for i in range(m2.bit_length()) if m2 >> i & 1]
-    inversions = sum(a > b for i, a in enumerate(gens) for b in gens[i + 1:])
-    return -1 if inversions & 1 else 1
+from test_superspace import identity, ref_merge_sign
 
 
 def ref_compose_keys(model, pa, pb, ka, kb, table, cap=None):
@@ -246,7 +237,7 @@ def test_model_has_compose_denominator_five():
     dens = set()
     for src, mid, tgt in PAIRS:
         pa, pb = MODEL.pair(mid, tgt), MODEL.pair(src, mid)
-        for ka, kb in product(pa.core_basis(), pb.core_basis()):
+        for ka, kb in product(pa.arena.core_basis(), pb.arena.core_basis()):
             dens.add(scaled_state(compose_keys(
                 MODEL, pa, pb, ka, kb, MODEL._kernel(pa, pb).table))[1])
     assert 5 in dens

@@ -166,7 +166,7 @@ PAIRS = list(product(range(2), repeat=2))
 
 def differential(model, pair):
     """rho_1 as Fraction columns on the core basis of a pair."""
-    basis = model.pair(*pair).core_basis()
+    basis = model.pair(*pair).arena.core_basis()
     return basis, [rational_state(model.rho1_apply(pair, ({b: 1}, 1)))
                    for b in basis]
 
@@ -295,7 +295,7 @@ def test_kstab_kernel_matches_dense_reference(model, decomposition):
     nvars = model.qb.nvars
     result = kstab_minimal(
         model, 0, [parse_poly(w, nvars) for w in decomposition], level=1)
-    basis = model.pair(0, 0).core_basis()
+    basis = model.pair(0, 0).arena.core_basis()
     gammas = model.e1_and_clifford((0, 0))["gamma"]
     stacked = [sum((vector(basis, g.get(b, {})) for g in gammas), [])
                for b in basis]

@@ -8,9 +8,9 @@ from ainfmf.mfcat import (
     HomotopyIdentityFailed,
     NotAFactorisation,
     default_homotopies,
-    NuPresentation,
     RhoPresentation,
     koszul_mf,
+    nu_signed,
 )
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.superspace import add_into, contract_mask, wedge_mask
@@ -129,27 +129,20 @@ def test_homotopy_identity_failure_on_non_jacobian_t():
 
 
 def test_nu_identity_example():
-    W, X, Y = worked_pair()
-    nu = NuPresentation(X, X)
     ident = {(0, 0): Fraction(1), (1, 1): Fraction(1)}
-    ext = nu.to_ext(ident)
-    assert ext == {(0, 0): Fraction(1), (1, 1): Fraction(1)}
+    assert nu_signed(ident) == {(0, 0): Fraction(1), (1, 1): Fraction(1)}
     # round trip on every elementary matrix
     for S in range(2):
         for T in range(2):
             e = {(S, T): Fraction(1)}
-            assert nu.from_ext(nu.to_ext(e)) == e
+            assert nu_signed(nu_signed(e)) == e
 
 
 def test_nu_sign_two_generators():
-    W2 = parse_poly("x1^2 + x2^2", 2)
-    x, y = parse_poly("x1", 2), parse_poly("x2", 2)
-    K = koszul_mf([(x, x), (y, y)], W2)
-    nu = NuPresentation(K, K)
     # |T| = 2 picks up (-1)^{binom(2,2)} = -1
     e = {(0, 0b11): Fraction(1)}
-    assert nu.to_ext(e) == {(0, 0b11): Fraction(-1)}
-    assert nu.from_ext(nu.to_ext(e)) == e
+    assert nu_signed(e) == {(0, 0b11): Fraction(-1)}
+    assert nu_signed(nu_signed(e)) == e
 
 
 def test_rho_round_trip_and_example():

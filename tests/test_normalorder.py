@@ -177,11 +177,12 @@ def test_constant_coefficient_rules_are_inert():
 
 
 # quadric3 checks the rho presentation's sparse inverse entry by entry
-# on a rank-3 endomorphism pair
+# on a rank-3 endomorphism pair; with two objects it is the one rank-3
+# check of the nu junction and of _unit_to_words on three fermions
 @pytest.mark.parametrize(
     "m", [worked_model(cap=3), twovar_model(cap=3, nobj=2),
-          quadric_model(3, cap=0)],
-    ids=["worked", "twovar", "quadric3"])
+          quadric_model(3, cap=0), quadric_model(3, cap=0, nobj=2)],
+    ids=["worked", "twovar", "quadric3", "quadric3-two"])
 def test_junction_tables_match(m):
     backend = FeynmanBackend(m)
     objs = range(len(m.objects))
@@ -226,7 +227,7 @@ def test_tree_dual_backend_kstab():
     backend = FeynmanBackend(m)
     for k in (2, 3):
         path = (0,) * (k + 1)
-        cores = [m.pair(0, 0).core_basis() for _ in range(k)]
+        cores = [m.pair(0, 0).arena.core_basis() for _ in range(k)]
         for combo in product(*cores):
             inputs = [{key: Fraction(1)} for key in combo]
             in_map = {i + 1: inputs[i] for i in range(k)}
@@ -242,7 +243,8 @@ def test_tree_dual_backend_worked_sample():
     backend = FeynmanBackend(m)
     rng = random.Random(23)
     for path in [(0, 0, 1, 1), (0, 1, 0, 1)]:
-        cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(3)]
+        cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
+                 for i in range(3)]
         for _ in range(25):
             combo = tuple(rng.choice(c) for c in cores)
             inputs = [{key: Fraction(1)} for key in combo]
@@ -277,7 +279,7 @@ def test_shared_subtree_states_match_fresh_backend(maker, k, paths, sample):
     m = maker(cap=3)
     shared = FeynmanBackend(m)
     rng = random.Random(31)
-    cores = [m.pair(0, 0).core_basis()] * k
+    cores = [m.pair(0, 0).arena.core_basis()] * k
     combos = (list(product(*cores)) if sample is None else
               [tuple(rng.choice(c) for c in cores) for _ in range(sample)])
     trees = enumerate_binary(k)
@@ -376,7 +378,8 @@ def test_top_columns_match_per_tuple_reference(case):
     rng = random.Random(case)
     trees = enumerate_binary(k)
     for path in paths:
-        cores = [m.pair(path[i], path[i + 1]).core_basis() for i in range(k)]
+        cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
+                 for i in range(k)]
         if count is None:
             combos = list(product(*cores))
         else:

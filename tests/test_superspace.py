@@ -8,6 +8,7 @@ from ainfmf.superspace import (
     contract_mask,
     contract_op,
     graded_commutator,
+    merge_sign,
     move_word,
     power_series,
     state_parity,
@@ -18,6 +19,15 @@ from ainfmf.superspace import (
 
 def identity(space):
     return LinearOp(space, 0, {key: {key: 1} for key in space.basis()})
+
+
+def ref_merge_sign(m1, m2):
+    """Sign of sorting the generators of mask m1 followed by those of
+    mask m2 into one ascending list."""
+    gens = [i for i in range(m1.bit_length()) if m1 >> i & 1]
+    gens += [i for i in range(m2.bit_length()) if m2 >> i & 1]
+    inversions = sum(a > b for i, a in enumerate(gens) for b in gens[i + 1:])
+    return -1 if inversions & 1 else 1
 
 
 def is_zero(op):
@@ -143,3 +153,8 @@ def test_virtual_degree():
     assert sp.virtual_degree(key) == 3
     assert sp.virtual_degree((0, 1, (0,))) == 0
 
+
+def test_merge_sign_counts_inversions():
+    for m1 in range(1 << 6):
+        for m2 in range(1 << 6):
+            assert merge_sign(m1, m2) == ref_merge_sign(m1, m2), (m1, m2)

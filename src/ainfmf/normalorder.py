@@ -10,8 +10,6 @@ algebra in sdrcore/ainfmodel.  The ingredients are
     together with a coefficient table derived from the t-adic expansion
     of a polynomial; the connection nabla has no rules, the edge engine
     applies it by its own per-key rule;
-  * a propagator bookkeeping z_factor_forward / z_factor_sym for the
-    scalar factors contributed by the 1/(virtual degree) insertions;
   * an edge engine that sums the vertex words into the leaf, internal
     edge and root operators of a tree evaluation, each memoised per
     basis key and extended linearly to states;
@@ -19,9 +17,7 @@ algebra in sdrcore/ainfmodel.  The ingredients are
     feynman command compares against the reported rho_k tables of the
     matrix backend.  Each tree is evaluated on its own, by one
     tree_state call, from states and top-node column maps that the
-    backend shares across tuples and trees;
-  * evaluate_summand, which evaluates a single hand-written operator
-    word (one summand of the expansion) on explicit inputs.
+    backend shares across tuples and trees.
 
 The junction (binary composition) is computed by pairing the fermions of
 the shared middle object directly on exterior masks, not through the
@@ -35,11 +31,11 @@ module is a Fraction.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from math import comb, factorial
 
 from .ainfmodel import ComposeKernel
-from .mfcat import HomotopyIdentityFailed, HomotopySet, check_homotopies
+from .mfcat import HomotopyIdentityFailed, check_homotopies
 from .quotient import CapExceeded
 from .sdrcore import ZeroVirtualDegree, full_expansion
 from .superspace import (add_into, contract_mask, extend_linearly,
@@ -47,7 +43,7 @@ from .superspace import (add_into, contract_mask, extend_linearly,
 from .treealg import leaves
 
 
-# the fermion move of each operation name of a vertex word or an atom
+# the fermion move of each operation name of a vertex word
 _MOVES = {"wedge": wedge_mask, "contract": contract_mask}
 
 
@@ -69,7 +65,7 @@ def check_cap(model, k):
 
 
 # ----------------------------------------------------------------------
-# propagator scalars
+# the propagator
 
 
 def zeta(state, virtual_degree):
@@ -81,28 +77,6 @@ def zeta(state, virtual_degree):
             raise ZeroVirtualDegree(key)
         out[key] = c * Fraction(1, v)
     return out
-
-
-def z_factor_forward(a, degrees):
-    """Product of 1/(a + d_1 + ... + d_j) over j = 1..m for one ordering
-    of the boson emissions."""
-    total = a
-    out = Fraction(1)
-    for d in degrees:
-        total += d
-        if total == 0:
-            raise ZeroVirtualDegree((a, tuple(degrees)))
-        out /= total
-    return out
-
-
-def z_factor_sym(a, degrees):
-    """Sum of z_factor_forward over all orderings of the emissions.
-    For a = 0 this collapses to 1 / (d_1 * ... * d_m)."""
-    acc = Fraction(0)
-    for p in permutations(degrees):
-        acc += z_factor_forward(a, p)
-    return acc
 
 
 # ----------------------------------------------------------------------
@@ -269,74 +243,6 @@ class VertexCatalog:
                 if prof is not None else None,
             })
         return out
-
-
-def catalog_diff(catalog, reference):
-    """Compare a catalog against a reference table of rows
-    {"vertex": name, "coefficient": Fraction, "shifts": {h: (l, emit)}}.
-    Returns {"matches": [...], "flags": [...]} where each flag is a dict
-    with the computed and reference data and, when reconstructible, the
-    coefficient polynomial implied by the reference shifts together with
-    the result of re-checking the homotopy identity with it."""
-    from .poly import Polynomial
-
-    rows = {r["vertex"]: r for r in catalog.rows()}
-    rules = {r.name: r for r in catalog.vertices}
-    matches, flags = [], []
-    for ref in reference:
-        name = ref["vertex"]
-        got = rows.get(name)
-        if got is None:
-            flags.append({"vertex": name, "reason": "rule absent"})
-            continue
-        if (got["coefficient"] == ref["coefficient"]
-                and got["shifts"] == ref["shifts"]):
-            matches.append(name)
-            continue
-        flag = {
-            "vertex": name,
-            "computed": {"coefficient": got["coefficient"],
-                         "shifts": got["shifts"]},
-            "reference": {"coefficient": ref["coefficient"],
-                          "shifts": ref["shifts"]},
-        }
-        rule = rules[name]
-        qb = catalog.qb
-        if qb.nvars == 1 and rule.kind == "C":
-            # the reference shift pattern h -> l with e emissions pins the
-            # degree of the coefficient polynomial in the graded case
-            degs = {l - h + emit * qb.mu for h, (l, emit) in ref["shifts"].items()}
-            if len(degs) == 1:
-                m = degs.pop()
-                if m >= 0:
-                    cand = Polynomial.monomial(1, (m,), ref["coefficient"])
-                    flag["implied_poly"] = str(cand)
-                    flag["implied_poly_identity_ok"] = _identity_with(
-                        catalog, rule, cand
-                    )
-        flags.append(flag)
-    return {"matches": matches, "flags": flags}
-
-
-def _identity_with(catalog, rule, candidate):
-    """Re-check sum_i (F_ki g_i + G_ki f_i) = t_k with the polynomial of
-    one C-type rule replaced by a candidate."""
-    a = catalog.arena
-    kind, k, idx = rule.source[:3]
-    if catalog.presentation == "nu":
-        hom, obj = a.homY, a.Y
-    else:
-        hom, obj = a.homX, a.X
-    F, G = list(hom.F[k]), list(hom.G[k])
-    if kind in ("F", "F2"):
-        F[idx] = candidate
-    elif kind == "G":
-        G[idx] = candidate
-    try:
-        check_homotopies(obj, HomotopySet([F], [G]), [catalog.qb.tseq[k]])
-    except HomotopyIdentityFailed:
-        return False
-    return True
 
 
 # ----------------------------------------------------------------------
@@ -689,135 +595,3 @@ class FeynmanBackend:
             if eng.space.virtual_degree(key):
                 raise DegreeMismatch("input %d carries theta or t content" % (i + 1))
         return self.tree_state(tree, path, keys).get(tau, Fraction(0))
-
-
-# ----------------------------------------------------------------------
-# literal evaluation of a single operator word
-
-
-def _parse_atom(space, atom):
-    """Atom strings: pi, zeta, t[k], dt[k], z{h}, z{h}*, and fermion
-    generators by family name with an optional 1-based index and a
-    trailing * for the annihilator (e.g. theta*, eta2, xibar*).  z
-    indices are 0-based coefficient-basis indices (z0 is the unit)."""
-    if atom == "pi":
-        return ("pi",)
-    if atom == "zeta":
-        return ("zeta",)
-    star = atom.endswith("*")
-    body = atom[:-1] if star else atom
-    head = body.rstrip("0123456789")
-    digits = body[len(head):]
-    if head == "z":
-        if digits == "":
-            raise ValueError("z atom needs an index: %r" % atom)
-        return ("zstar" if star else "zset", int(digits))
-    if head in ("t", "dt"):
-        if star:
-            raise ValueError("no starred t atoms: %r" % atom)
-        k = int(digits) - 1 if digits else 0
-        return ("dt" if head == "dt" else "t", k)
-    i = int(digits) - 1 if digits else 0
-    if (head, i) not in space.positions:
-        raise ValueError("unknown generator %r" % atom)
-    return ("contract" if star else "wedge", head, i)
-
-
-def _apply_atom(arena, parsed, state):
-    space = arena.space
-    kind = parsed[0]
-    out = {}
-    if kind == "pi":
-        for key, c in state.items():
-            if arena.is_core_key(key):
-                out[key] = c
-        return out
-    if kind == "zeta":
-        return zeta(state, space.virtual_degree)
-    if kind in _MOVES:
-        pos = space.gen_pos(parsed[1], parsed[2])
-        for (mask, h, delta), c in state.items():
-            hit = _MOVES[kind](mask, pos)
-            if hit:
-                add_into(out, (hit[1], h, delta), c * hit[0])
-        return out
-    if kind == "zset":
-        l = parsed[1]
-        for (mask, h, delta), c in state.items():
-            if h != 0:
-                raise DegreeMismatch("z creation on an occupied register")
-            add_into(out, (mask, l, delta), c)
-        return out
-    if kind == "zstar":
-        hreq = parsed[1]
-        for (mask, h, delta), c in state.items():
-            if h == hreq:
-                add_into(out, (mask, 0, delta), c)
-        return out
-    if kind == "t":
-        k = parsed[1]
-        for (mask, h, delta), c in state.items():
-            nd = tuple(e + 1 if j == k else e for j, e in enumerate(delta))
-            if sum(nd) > arena.cap:
-                continue
-            add_into(out, (mask, h, nd), c)
-        return out
-    if kind == "dt":
-        k = parsed[1]
-        for (mask, h, delta), c in state.items():
-            if delta[k] == 0:
-                continue
-            nd = tuple(e - 1 if j == k else e for j, e in enumerate(delta))
-            add_into(out, (mask, h, nd), c * delta[k])
-        return out
-    raise ValueError(parsed)
-
-
-def _word_span(word):
-    if word[0] == "leaf":
-        return (word[1], word[1])
-    lo1, hi1 = _word_span(word[2])
-    lo2, hi2 = _word_span(word[3])
-    return (min(lo1, lo2), max(hi1, hi2))
-
-
-def evaluate_summand(model, path, word, inputs, tau, prefactor=Fraction(1)):
-    """Evaluate one hand-written operator word and return the
-    coefficient of tau, times the prefactor.
-
-    word is nested: ("leaf", i, ops) applies the atom list ops to the
-    i-th input (1-based), ("node", ops, later, earlier) composes the two
-    sub-words (first slot is the later morphism, as written) and applies
-    ops to the result.  Atoms are listed in operator order: the
-    rightmost atom acts first.  The ops of a node stand for the
-    operators between that composition and the next one below it."""
-    backend = model if isinstance(model, FeynmanBackend) else FeynmanBackend(model)
-    path = tuple(path)
-
-    def pair_of(span):
-        return (path[span[0] - 1], path[span[1]])
-
-    def ev(w):
-        span = _word_span(w)
-        arena = backend.model.pair(*pair_of(span)).arena
-        if w[0] == "leaf":
-            st = inputs[w[1] - 1]
-            if not isinstance(st, dict):
-                st = {st: Fraction(1)}
-            ops = w[2]
-        else:
-            sa = ev(w[2])
-            sb = ev(w[3])
-            st = backend.mu2(sa, pair_of(_word_span(w[2])),
-                             sb, pair_of(_word_span(w[3])))
-            ops = w[1]
-        for atom in reversed(ops):
-            st = _apply_atom(arena, _parse_atom(arena.space, atom), st)
-            if not st:
-                return {}
-        return st
-
-    out = ev(word)
-    if not isinstance(tau, tuple):
-        raise ValueError("tau must be a basis key")
-    return Fraction(prefactor) * out.get(tau, Fraction(0))

@@ -227,7 +227,11 @@ def parse_poly(text, nvars, varnames=None):
             break
         pos = m.end()
         if m.group("num"):
-            tokens.append(("num", Fraction(m.group("num"))))
+            try:
+                tokens.append(("num", Fraction(m.group("num"))))
+            except ZeroDivisionError:
+                raise ValueError(
+                    f"zero denominator in {m.group('num')!r}") from None
         elif m.group("var"):
             v = m.group("var")
             if v not in index:
@@ -333,10 +337,6 @@ def divide(f, divisors, order="grevlex"):
     )
 
 
-def remainder(f, divisors, order="grevlex"):
-    return divide(f, divisors, order)[1]
-
-
 class GroebnerBasis:
     """Reduced Groebner basis of (t_1, .., t_m) with cofactors.
 
@@ -370,10 +370,13 @@ class GroebnerBasis:
         if not basis:
             raise ValueError("all generators are zero")
 
-        def reduce_full(p, pcof):
-            quots, rem = divide(p, [b for b, _ in basis], order)
+        def reduce_by(p, pcof, divisors):
+            """The remainder of p by the polys of divisors, a list of
+            (poly, cofactors), and its cofactors: pcof minus q times
+            each divisor's cofactors."""
+            quots, rem = divide(p, [b for b, _ in divisors], order)
             cof = list(pcof)
-            for q, (_, bcof) in zip(quots, basis):
+            for q, (_, bcof) in zip(quots, divisors):
                 if q:
                     for j in range(m):
                         cof[j] = cof[j] - q * bcof[j]
@@ -393,7 +396,7 @@ class GroebnerBasis:
             aj = Polynomial.monomial(self.nvars, mono_div(lcm, mj), 1 / lcj)
             s = ai * gi - aj * gj
             scof = [ai * ci[k] - aj * cj[k] for k in range(m)]
-            rem, rcof = reduce_full(s, scof)
+            rem, rcof = reduce_by(s, scof, basis)
             if rem:
                 basis.append((rem, rcof))
                 new = len(basis) - 1
@@ -416,14 +419,7 @@ class GroebnerBasis:
         # reduce each element against the others and make monic
         reduced = []
         for i, (g, cof) in enumerate(basis):
-            others = [b for k, (b, _) in enumerate(basis) if k != i]
-            ocofs = [c for k, (_, c) in enumerate(basis) if k != i]
-            quots, rem = divide(g, others, self.order)
-            rcof = list(cof)
-            for q, bcof in zip(quots, ocofs):
-                if q:
-                    for j in range(m):
-                        rcof[j] = rcof[j] - q * bcof[j]
+            rem, rcof = reduce_by(g, cof, basis[:i] + basis[i + 1:])
             if rem:
                 _, lc = rem.leading(self.order)
                 rem = rem * (1 / lc)
@@ -436,7 +432,7 @@ class GroebnerBasis:
 
     def reduce(self, f):
         """Normal form of f modulo the basis."""
-        return remainder(f, self.basis, self.order)
+        return divide(f, self.basis, self.order)[1]
 
     def reduce_with_quotients(self, f):
         return divide(f, self.basis, self.order)

@@ -4,10 +4,9 @@ variables t_1..t_n.
 Everything here is driven by a Groebner basis of I = (t_1,...,t_n) with
 cofactors, which lets us expand any polynomial r as a finite or truncated
 sum  r = sum_{i,delta} r_{(i,delta)} sigma(z_i) t^delta  where the z_i are
-the standard monomials of R/I.  On top of that expansion sit the structure
-tensor Gamma of the multiplication, the connection components d/dt_i,
-and the rescaled Euler idempotent.  The transported multiplication
-operator r^# acts on the arena's states in sdrcore.
+the standard monomials of R/I.  On top of that expansion sits the
+structure tensor Gamma of the multiplication.  The transported
+multiplication operator r^# acts on the arena's states in sdrcore.
 """
 
 from fractions import Fraction
@@ -121,76 +120,3 @@ class GammaTensor:
         """All (k, delta, coeff) with Gamma^{ij}_{k delta} nonzero."""
         return self._products.get((i, j), ())
 
-
-def dt_operator(i, n):
-    """The formal partial derivative in t_i acting on states
-    {(h, delta): coeff}: basis-wise delta_i * t^(delta - e_i)."""
-
-    def op(state):
-        out = {}
-        for (h, delta), c in state.items():
-            if delta[i] == 0:
-                continue
-            nd = tuple(e - 1 if k == i else e for k, e in enumerate(delta))
-            add_into(out, (h, nd), c * delta[i])
-        return out
-
-    return op
-
-
-def dt_of_polynomial(r, qb, i, cap=None):
-    """d/dt_i of a polynomial r, computed through its expansion, returned
-    as a polynomial (t powers substituted back).  Needs the expansion to
-    terminate within the cap."""
-    if cap is None:
-        cap = r.total_degree() + 1
-    exp = t_adic_expand(r, qb, cap)
-    if not exp.exact_beyond_cap:
-        raise CapExceeded("expansion of r did not terminate within the cap")
-    deriv = dt_operator(i, qb.n)(
-        {key: c for key, c in exp.coefficients.items()}
-    )
-    out = Polynomial.zero(qb.nvars)
-    for (h, delta), c in deriv.items():
-        p = Polynomial.const(qb.nvars, c) * qb.basis_poly(h)
-        for j, e in enumerate(delta):
-            for _ in range(e):
-                p = p * qb.tseq[j]
-        out = out + p
-    return out
-
-
-# The Koszul differential of the sequence t_1..t_n and the connection, on
-# zero- and one-form states.  A zero-form state is {(h, delta): c}; a
-# one-form state is {(h, delta, j): c} for the component along dz_j.
-
-
-def koszul_d(qb, form_state):
-    out = {}
-    for key, c in form_state.items():
-        h, delta, j = key
-        nd = tuple(e + 1 if k == j else e for k, e in enumerate(delta))
-        add_into(out, (h, nd), c)
-    return out
-
-
-def nabla0(qb, state):
-    out = {}
-    for (h, delta), c in state.items():
-        for j, e in enumerate(delta):
-            if e == 0:
-                continue
-            nd = tuple(x - 1 if k == j else x for k, x in enumerate(delta))
-            add_into(out, (h, nd, j), c * e)
-    return out
-
-
-def euler_idempotent(qb, state):
-    """d_K (d_K nabla^1 + nabla^0 d_K)^{-1} nabla^0 applied to a zero-form
-    state: the diagonal operator in the middle scales the dz_j component
-    at t-degree |N| by 1/(1 + |N|)."""
-    one_form = nabla0(qb, state)
-    scaled = {}
-    for (h, delta, j), c in one_form.items():
-        scaled[(h, delta, j)] = c / (1 + sum(delta))
-    return koszul_d(qb, scaled)

@@ -24,7 +24,6 @@ from itertools import product
 from math import factorial, lcm
 from operator import add
 
-from .mfcat import default_homotopies
 from .quotient import t_adic_expand
 from .superspace import (
     LinearOp,
@@ -55,17 +54,13 @@ def full_expansion(r, qb):
 
 
 class Arena:
-    def __init__(self, X, Y, qb, cap, homX=None, homY=None):
+    def __init__(self, X, Y, qb, cap, homX, homY):
         self.X = X
         self.Y = Y
         self.qb = qb
         self.cap = cap
         self.n = qb.n
         self.presentation = "rho" if X is Y else "nu"
-        if homY is None:
-            homY = default_homotopies(Y)
-        if homX is None:
-            homX = homY if X is Y else default_homotopies(X)
         self.homX = homX
         self.homY = homY
         if self.presentation == "nu":
@@ -195,20 +190,21 @@ class Arena:
         self.H_hat = self.e_delta.compose(self.phi_infty).compose(self.e_minus_delta)
 
     def _build_nabla(self):
+        """nabla = sum_k theta_k d/dt_k, integer columns over 1."""
         sp = self.space
-
-        def rule(key):
+        cols = {}
+        for key in sp.basis():
             mask, h, delta = key
-            out = {}
+            col = {}
             for k in range(self.n):
                 hit = delta[k] and wedge_mask(mask, sp.gen_pos("theta", k))
                 if hit:
                     nd = tuple(e - 1 if j == k else e
                                for j, e in enumerate(delta))
-                    out[(hit[1], h, nd)] = hit[0] * delta[k]
-            return out
-
-        return LinearOp.from_rule(sp, 1, rule)
+                    col[hit[1], h, nd] = hit[0] * delta[k]
+            if col:
+                cols[key] = col
+        return LinearOp.from_cols(sp, 1, cols, 1)
 
     def is_core_key(self, key):
         """theta-degree 0 and t-degree 0: the subspace B'."""

@@ -7,9 +7,8 @@ basis index h, and a boson multi-index delta.  All signs derive from the
 fixed generator order; generators are grouped into named families and the
 family order is part of the space descriptor.  The one fermion move is
 wedge_mask or contract_mask on a mask, which every caller makes on the
-masks of its keys (move_word makes a word of them); wedge_op and
-contract_op are the two moves on every basis key.  merge_sign is the
-sign of reordering two generator lists into one.
+masks of its keys (move_word makes a word of them).  merge_sign is
+the sign of reordering two generator lists into one.
 
 Exact values here are integers over one denominator.  A scaled state is
 a pair (nums, den): a dict key -> integer numerator and one positive
@@ -161,11 +160,11 @@ def state_sum(parts):
 class LinearOp:
     """Sparse operator stored column-wise with integer entries over one
     denominator: cols[key_in][key_out] / den is the coefficient of
-    key_out in the image of key_in.  apply, compose, +, scaled and
-    from_rule reduce each result by its gcd once.  degree is the
-    Z2-degree; composition checks are by bookkeeping only (entries are
-    not forced to be homogeneous against the basis, but every
-    constructor in this package produces homogeneous operators)."""
+    key_out in the image of key_in.  apply, compose, + and scaled
+    reduce each result by its gcd once.  degree is the Z2-degree;
+    composition checks are by bookkeeping only (entries are not forced
+    to be homogeneous against the basis, but every constructor in this
+    package produces homogeneous operators)."""
 
     __slots__ = ("space", "degree", "cols", "den")
 
@@ -198,23 +197,6 @@ class LinearOp:
                     col[k2] = c // g
             den //= g
         return cls(space, degree, cols, den)
-
-    @classmethod
-    def from_rule(cls, space, degree, rule, keys=None):
-        """rule(key) -> dict key_out -> rational coeff (int or Fraction),
-        or None.  The columns are brought over the lcm of the
-        denominators."""
-        cols = {}
-        den = 1
-        for key in keys if keys is not None else space.basis():
-            col = rule(key)
-            if col:
-                cols[key] = col = dict(col)
-                den = lcm(den, *(c.denominator for c in col.values()))
-        for col in cols.values():
-            for k2, c in col.items():
-                col[k2] = c.numerator * (den // c.denominator)
-        return cls.from_cols(space, degree, cols, den)
 
     def apply(self, state):
         """The image of a scaled state, as a scaled state."""
@@ -325,23 +307,6 @@ def merge_sign(m1, m2):
         inv += (m1 >> low.bit_length()).bit_count()
         q ^= low
     return -1 if inv & 1 else 1
-
-
-def _fermion_op(space, pos, move):
-    cols = {}
-    for mask, h, delta in space.basis():
-        hit = move(mask, pos)
-        if hit:
-            cols[mask, h, delta] = {(hit[1], h, delta): hit[0]}
-    return LinearOp(space, 1, cols)
-
-
-def wedge_op(space, pos):
-    return _fermion_op(space, pos, wedge_mask)
-
-
-def contract_op(space, pos):
-    return _fermion_op(space, pos, contract_mask)
 
 
 def power_series(op, coeffs, tail=None):

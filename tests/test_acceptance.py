@@ -15,15 +15,15 @@ from ainfmf.ainfmodel import Model, cohomology, induced_map, \
     kstab_minimal
 from ainfmf.linalg import mat_mul
 from ainfmf.mfcat import HomotopySet, koszul_mf
-from ainfmf.normalorder import FeynmanBackend, VertexCatalog, \
-    catalog_diff, evaluate_summand, z_factor_sym
+from ainfmf.normalorder import FeynmanBackend, VertexCatalog
 from ainfmf.poly import Polynomial, parse_poly
-from ainfmf.quotient import GammaTensor, QuotientBasis, \
-    dt_of_polynomial, euler_idempotent
+from ainfmf.quotient import GammaTensor, QuotientBasis
 from ainfmf.treealg import enumerate_binary, mirror_eval, mirror_sign
 
 from test_ainfmodel import ModelDecoration
-from test_normalorder import REF_XX, REF_XY, REF_YY
+from test_normalorder import REF_XX, REF_XY, REF_YY, catalog_diff, \
+    evaluate_summand, z_factor_sym
+from test_quotient import dt_of_polynomial, euler_idempotent
 from test_treealg import ToyDecoration, denote
 
 

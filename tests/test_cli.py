@@ -204,6 +204,21 @@ def test_malformed_spec_exits_2(spec):
     assert "error" in report or "error" in report["results"][-1]
 
 
+# a zero denominator in a coefficient, in the spec and in a command's
+# argument: before the check it escaped cli.run as a ZeroDivisionError
+@pytest.mark.parametrize("spec", [
+    pytest.param({"variables": ["x"], "potential": "1/0*x^2",
+                  "commands": ["basis"]}, id="potential"),
+    pytest.param(dict(WORKED, commands=[
+        {"command": "expand", "polynomial": "3/0"}]), id="expand"),
+])
+def test_zero_denominator_exits_2(spec):
+    report, code = cli.run(spec)
+    assert code == cli.EXIT_INPUT
+    error = report.get("error") or report["results"][-1]["error"]
+    assert "cannot parse" in error
+
+
 # a cap that leaves no key inside the margin: the worked spec at caps 0
 # and 1 (margin 2) and the KSTAB spec (cap 3, margin 4)
 @pytest.mark.parametrize("spec", [

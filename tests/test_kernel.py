@@ -25,7 +25,6 @@ from ainfmf import cli
 from ainfmf.ainfmodel import SectorMismatch
 from ainfmf.normalorder import FeynmanBackend
 from ainfmf.superspace import (
-    LinearOp,
     Space,
     add_into,
     rational_state,
@@ -35,7 +34,7 @@ from ainfmf.superspace import (
 )
 
 from test_normalorder import compose_keys, quadric_model, worked_model
-from test_superspace import identity, ref_merge_sign
+from test_superspace import from_rule, identity, ref_merge_sign
 
 
 def ref_compose_keys(model, pa, pb, ka, kb, table, cap=None):
@@ -160,7 +159,7 @@ def ref_op(cols):
 
 
 def op_of(cols, degree=0):
-    return LinearOp.from_rule(SPACE, degree, cols.get, keys=KEYS)
+    return from_rule(SPACE, degree, cols.get, KEYS)
 
 
 def columns(op):

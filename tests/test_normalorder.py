@@ -2,28 +2,27 @@ import json
 import os
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 from ainfmf import cli
 from ainfmf.ainfmodel import ComposeKernel, Model
-from ainfmf.mfcat import HomotopySet, koszul_mf
+from ainfmf.mfcat import (HomotopyIdentityFailed, HomotopySet,
+                          check_homotopies, default_homotopies, koszul_mf)
 from ainfmf.normalorder import (
+    _MOVES,
     CapExceeded,
     DegreeMismatch,
     EdgeEngine,
     FeynmanBackend,
     VertexCatalog,
-    catalog_diff,
-    evaluate_summand,
-    z_factor_forward,
-    z_factor_sym,
+    zeta,
 )
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
-from ainfmf.sdrcore import Arena
-from ainfmf.superspace import rational_state, scaled_state
+from ainfmf.sdrcore import Arena, ZeroVirtualDegree
+from ainfmf.superspace import add_into, rational_state, scaled_state
 from ainfmf.treealg import enumerate_binary, leaves, mirror_eval
 
 from test_ainfmodel import ModelDecoration
@@ -93,7 +92,30 @@ def apply(op, state):
 
 
 # ----------------------------------------------------------------------
-# propagator scalars
+# propagator scalars: the factors contributed by the 1/(virtual degree)
+# insertions, a reference for the paper's closed form
+
+
+def z_factor_forward(a, degrees):
+    """Product of 1/(a + d_1 + ... + d_j) over j = 1..m for one ordering
+    of the boson emissions."""
+    total = a
+    out = Fraction(1)
+    for d in degrees:
+        total += d
+        if total == 0:
+            raise ZeroVirtualDegree((a, tuple(degrees)))
+        out /= total
+    return out
+
+
+def z_factor_sym(a, degrees):
+    """Sum of z_factor_forward over all orderings of the emissions.
+    For a = 0 this collapses to 1 / (d_1 * ... * d_m)."""
+    acc = Fraction(0)
+    for p in permutations(degrees):
+        acc += z_factor_forward(a, p)
+    return acc
 
 
 def test_z_factor_examples():
@@ -425,7 +447,130 @@ def test_c_tau_margin_boundary():
 
 
 # ----------------------------------------------------------------------
-# a literal operator word
+# a literal operator word: one hand-written summand of the expansion,
+# evaluated atom by atom on explicit inputs
+
+
+def _parse_atom(space, atom):
+    """Atom strings: pi, zeta, t[k], dt[k], z{h}, z{h}*, and fermion
+    generators by family name with an optional 1-based index and a
+    trailing * for the annihilator (e.g. theta*, eta2, xibar*).  z
+    indices are 0-based coefficient-basis indices (z0 is the unit)."""
+    if atom == "pi":
+        return ("pi",)
+    if atom == "zeta":
+        return ("zeta",)
+    star = atom.endswith("*")
+    body = atom[:-1] if star else atom
+    head = body.rstrip("0123456789")
+    digits = body[len(head):]
+    if head == "z":
+        if digits == "":
+            raise ValueError("z atom needs an index: %r" % atom)
+        return ("zstar" if star else "zset", int(digits))
+    if head in ("t", "dt"):
+        if star:
+            raise ValueError("no starred t atoms: %r" % atom)
+        k = int(digits) - 1 if digits else 0
+        return ("dt" if head == "dt" else "t", k)
+    i = int(digits) - 1 if digits else 0
+    if (head, i) not in space.positions:
+        raise ValueError("unknown generator %r" % atom)
+    return ("contract" if star else "wedge", head, i)
+
+
+def _apply_atom(arena, parsed, state):
+    space = arena.space
+    kind = parsed[0]
+    out = {}
+    if kind == "pi":
+        for key, c in state.items():
+            if arena.is_core_key(key):
+                out[key] = c
+        return out
+    if kind == "zeta":
+        return zeta(state, space.virtual_degree)
+    if kind in _MOVES:
+        pos = space.gen_pos(parsed[1], parsed[2])
+        for (mask, h, delta), c in state.items():
+            hit = _MOVES[kind](mask, pos)
+            if hit:
+                add_into(out, (hit[1], h, delta), c * hit[0])
+        return out
+    if kind == "zset":
+        l = parsed[1]
+        for (mask, h, delta), c in state.items():
+            if h != 0:
+                raise DegreeMismatch("z creation on an occupied register")
+            add_into(out, (mask, l, delta), c)
+        return out
+    if kind == "zstar":
+        hreq = parsed[1]
+        for (mask, h, delta), c in state.items():
+            if h == hreq:
+                add_into(out, (mask, 0, delta), c)
+        return out
+    if kind == "t":
+        k = parsed[1]
+        for (mask, h, delta), c in state.items():
+            nd = tuple(e + 1 if j == k else e for j, e in enumerate(delta))
+            if sum(nd) > arena.cap:
+                continue
+            add_into(out, (mask, h, nd), c)
+        return out
+    if kind == "dt":
+        k = parsed[1]
+        for (mask, h, delta), c in state.items():
+            if delta[k] == 0:
+                continue
+            nd = tuple(e - 1 if j == k else e for j, e in enumerate(delta))
+            add_into(out, (mask, h, nd), c * delta[k])
+        return out
+    raise ValueError(parsed)
+
+
+def _word_span(word):
+    if word[0] == "leaf":
+        return (word[1], word[1])
+    lo1, hi1 = _word_span(word[2])
+    lo2, hi2 = _word_span(word[3])
+    return (min(lo1, lo2), max(hi1, hi2))
+
+
+def evaluate_summand(model, path, word, inputs, tau, prefactor=Fraction(1)):
+    """Evaluate one hand-written operator word and return the
+    coefficient of tau, times the prefactor.
+
+    word is nested: ("leaf", i, ops) applies the atom list ops to the
+    i-th input (1-based), ("node", ops, later, earlier) composes the two
+    sub-words (first slot is the later morphism, as written) and applies
+    ops to the result.  Atoms are listed in operator order: the
+    rightmost atom acts first.  The ops of a node stand for the
+    operators between that composition and the next one below it."""
+    backend = FeynmanBackend(model)
+    path = tuple(path)
+
+    def pair_of(span):
+        return (path[span[0] - 1], path[span[1]])
+
+    def ev(w):
+        span = _word_span(w)
+        arena = backend.model.pair(*pair_of(span)).arena
+        if w[0] == "leaf":
+            st, ops = inputs[w[1] - 1], w[2]
+        else:
+            sa = ev(w[2])
+            sb = ev(w[3])
+            st = backend.mu2(sa, pair_of(_word_span(w[2])),
+                             sb, pair_of(_word_span(w[3])))
+            ops = w[1]
+        for atom in reversed(ops):
+            st = _apply_atom(arena, _parse_atom(arena.space, atom), st)
+            if not st:
+                return {}
+        return st
+
+    return Fraction(prefactor) * ev(word).get(tau, Fraction(0))
 
 
 def test_literal_summand_value():
@@ -510,6 +655,72 @@ REF_YY = [
 ]
 
 
+def catalog_diff(catalog, reference):
+    """Compare a catalog against a reference table of rows
+    {"vertex": name, "coefficient": Fraction, "shifts": {h: (l, emit)}}.
+    Returns {"matches": [...], "flags": [...]} where each flag is a dict
+    with the computed and reference data and, when reconstructible, the
+    coefficient polynomial implied by the reference shifts together with
+    the result of re-checking the homotopy identity with it."""
+    rows = {r["vertex"]: r for r in catalog.rows()}
+    rules = {r.name: r for r in catalog.vertices}
+    matches, flags = [], []
+    for ref in reference:
+        name = ref["vertex"]
+        got = rows.get(name)
+        if got is None:
+            flags.append({"vertex": name, "reason": "rule absent"})
+            continue
+        if (got["coefficient"] == ref["coefficient"]
+                and got["shifts"] == ref["shifts"]):
+            matches.append(name)
+            continue
+        flag = {
+            "vertex": name,
+            "computed": {"coefficient": got["coefficient"],
+                         "shifts": got["shifts"]},
+            "reference": {"coefficient": ref["coefficient"],
+                          "shifts": ref["shifts"]},
+        }
+        rule = rules[name]
+        qb = catalog.qb
+        if qb.nvars == 1 and rule.kind == "C":
+            # the reference shift pattern h -> l with e emissions pins the
+            # degree of the coefficient polynomial in the graded case
+            degs = {l - h + emit * qb.mu for h, (l, emit) in ref["shifts"].items()}
+            if len(degs) == 1:
+                m = degs.pop()
+                if m >= 0:
+                    cand = Polynomial.monomial(1, (m,), ref["coefficient"])
+                    flag["implied_poly"] = str(cand)
+                    flag["implied_poly_identity_ok"] = _identity_with(
+                        catalog, rule, cand
+                    )
+        flags.append(flag)
+    return {"matches": matches, "flags": flags}
+
+
+def _identity_with(catalog, rule, candidate):
+    """Re-check sum_i (F_ki g_i + G_ki f_i) = t_k with the polynomial of
+    one C-type rule replaced by a candidate."""
+    a = catalog.arena
+    kind, k, idx = rule.source[:3]
+    if catalog.presentation == "nu":
+        hom, obj = a.homY, a.Y
+    else:
+        hom, obj = a.homX, a.X
+    F, G = list(hom.F[k]), list(hom.G[k])
+    if kind in ("F", "F2"):
+        F[idx] = candidate
+    elif kind == "G":
+        G[idx] = candidate
+    try:
+        check_homotopies(obj, HomotopySet([F], [G]), [catalog.qb.tseq[k]])
+    except HomotopyIdentityFailed:
+        return False
+    return True
+
+
 def test_catalog_against_reference_tables():
     # the reference tables carry a known defect: three rows record the
     # degree-one polynomial 3*x1 where the derivative-built homotopy has
@@ -542,7 +753,8 @@ def test_catalog_notes_on_bad_homotopy():
          (parse_poly("x2", 2), parse_poly("x2", 2))],
         W, "D")
     qb = QuotientBasis([parse_poly("x1", 2), parse_poly("x2", 2)])
-    # a Model rejects these homotopies, so build the arena directly: its
-    # default homotopies sum to the Jacobian (2 x1, 2 x2), not to t
-    cat = VertexCatalog(Arena(X, X, qb, 3))
+    # a Model rejects these homotopies, so build the arena directly: the
+    # x_k-derivatives sum to the Jacobian (2 x1, 2 x2), not to t
+    hom = default_homotopies(X)
+    cat = VertexCatalog(Arena(X, X, qb, 3, hom, hom))
     assert any("fail" in note for note in cat.notes)

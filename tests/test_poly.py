@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfmf.poly import (
@@ -11,7 +12,6 @@ from ainfmf.poly import (
     grlex_key,
     lex_key,
     parse_poly,
-    remainder,
 )
 
 
@@ -23,6 +23,13 @@ def test_parse_format_roundtrip():
     p = P("x1^2 - 2/5*x1*x2 + 3")
     assert format_poly(p) == "x1^2 - 2/5*x1*x2 + 3"
     assert parse_poly(format_poly(p), 2) == p
+
+
+def test_parse_rejects_a_zero_denominator():
+    # Fraction raises ZeroDivisionError, which callers that catch parse
+    # errors as ValueError would let through
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_poly("1/0", 1)
 
 
 def test_arithmetic():
@@ -132,4 +139,4 @@ def test_remainder_is_linear():
     gb = GroebnerBasis([P("x1^2 - x2"), P("x2^3")])
     f, g = P("x1^4 + x2"), P("x1*x2 - 3")
     assert gb.reduce(f + g) == gb.reduce(f) + gb.reduce(g)
-    assert remainder(f, gb.basis) == gb.reduce(f)
+    assert divide(f, gb.basis)[1] == gb.reduce(f)

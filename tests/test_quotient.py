@@ -2,33 +2,100 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ainfmf.mfcat import koszul_mf
+from ainfmf.mfcat import default_homotopies, koszul_mf
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import (
+    CapExceeded,
     GammaTensor,
     QuotientBasis,
-    dt_of_polynomial,
-    dt_operator,
-    euler_idempotent,
-    koszul_d,
-    nabla0,
     t_adic_expand,
 )
 from ainfmf.sdrcore import Arena
 from ainfmf.superspace import add_into
 
 
-def reconstruct(exp, qb):
-    """Substitute the polynomials t_j back into a t-adic expansion.
-    Equals its source exactly when exp.exact_beyond_cap holds."""
+def reconstruct(coefficients, qb):
+    """The polynomial of t-adic coefficients {(h, delta): c}, with the
+    polynomials t_j substituted back.  On the coefficients of an
+    expansion it equals the source exactly when exp.exact_beyond_cap
+    holds."""
     out = Polynomial.zero(qb.nvars)
-    for (i, delta), c in exp.coefficients.items():
+    for (i, delta), c in coefficients.items():
         p = Polynomial.const(qb.nvars, c) * qb.basis_poly(i)
         for j, e in enumerate(delta):
             for _ in range(e):
                 p = p * qb.tseq[j]
         out = out + p
     return out
+
+
+# ----------------------------------------------------------------------
+# reference oracles of the paper: the connection components d/dt_i and
+# the rescaled Euler idempotent, on states {(h, delta): coeff}
+
+
+def dt_operator(i, n):
+    """The formal partial derivative in t_i acting on states
+    {(h, delta): coeff}: basis-wise delta_i * t^(delta - e_i)."""
+
+    def op(state):
+        out = {}
+        for (h, delta), c in state.items():
+            if delta[i] == 0:
+                continue
+            nd = tuple(e - 1 if k == i else e for k, e in enumerate(delta))
+            add_into(out, (h, nd), c * delta[i])
+        return out
+
+    return op
+
+
+def dt_of_polynomial(r, qb, i, cap=None):
+    """d/dt_i of a polynomial r, computed through its expansion, returned
+    as a polynomial (t powers substituted back).  Needs the expansion to
+    terminate within the cap."""
+    if cap is None:
+        cap = r.total_degree() + 1
+    exp = t_adic_expand(r, qb, cap)
+    if not exp.exact_beyond_cap:
+        raise CapExceeded("expansion of r did not terminate within the cap")
+    return reconstruct(dt_operator(i, qb.n)(exp.coefficients), qb)
+
+
+# The Koszul differential of the sequence t_1..t_n and the connection, on
+# zero- and one-form states.  A zero-form state is {(h, delta): c}; a
+# one-form state is {(h, delta, j): c} for the component along dz_j.
+
+
+def koszul_d(qb, form_state):
+    out = {}
+    for key, c in form_state.items():
+        h, delta, j = key
+        nd = tuple(e + 1 if k == j else e for k, e in enumerate(delta))
+        add_into(out, (h, nd), c)
+    return out
+
+
+def nabla0(qb, state):
+    out = {}
+    for (h, delta), c in state.items():
+        for j, e in enumerate(delta):
+            if e == 0:
+                continue
+            nd = tuple(x - 1 if k == j else x for k, x in enumerate(delta))
+            add_into(out, (h, nd, j), c * e)
+    return out
+
+
+def euler_idempotent(qb, state):
+    """d_K (d_K nabla^1 + nabla^0 d_K)^{-1} nabla^0 applied to a zero-form
+    state: the diagonal operator in the middle scales the dz_j component
+    at t-degree |N| by 1/(1 + |N|)."""
+    one_form = nabla0(qb, state)
+    scaled = {}
+    for (h, delta, j), c in one_form.items():
+        scaled[(h, delta, j)] = c / (1 + sum(delta))
+    return koszul_d(qb, scaled)
 
 
 def nabla1(qb, one_form):
@@ -109,7 +176,7 @@ def test_expand_x2_plus_x5():
         (2, (0,)): Fraction(1),  # z_3 = x^2 at t^0
         (1, (1,)): Fraction(1),  # z_2 = x at t^1
     }
-    assert reconstruct(exp, qb) == parse_poly("x1^2 + x1^5", 1)
+    assert reconstruct(exp.coefficients, qb) == parse_poly("x1^2 + x1^5", 1)
 
 
 def test_expand_powers_closed_form():
@@ -147,7 +214,7 @@ def test_expand_reconstruction_random(r):
     qb = qb_x4()
     exp = t_adic_expand(r, qb, 4)
     assert exp.exact_beyond_cap
-    assert reconstruct(exp, qb) == r
+    assert reconstruct(exp.coefficients, qb) == r
 
 
 @settings(max_examples=30, deadline=None)
@@ -196,7 +263,9 @@ def r_sharp(r):
     i -> {(l, delta): coeff}, the expansion of r * sigma(z_i)."""
     W = parse_poly("1/5*x1^5", 1)
     X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W)
-    return Arena(X, X, qb_x4(), 0)._columns(r)
+    qb = qb_x4()
+    hom = default_homotopies(X, qb.tseq)
+    return Arena(X, X, qb, 0, hom, hom)._columns(r)
 
 
 def compose_columns(a, b):

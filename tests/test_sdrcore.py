@@ -2,23 +2,26 @@ from fractions import Fraction
 
 import pytest
 
-from ainfmf.mfcat import HomotopySet, koszul_mf
+from ainfmf.mfcat import HomotopySet, default_homotopies, koszul_mf
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
 from ainfmf.sdrcore import Arena, ZeroVirtualDegree, full_expansion
-from ainfmf.superspace import (
-    LinearOp,
-    contract_op,
-    graded_commutator,
-    rational_state,
-    wedge_op,
-)
-from test_superspace import identity, is_zero
+from ainfmf.superspace import LinearOp, graded_commutator, rational_state
+from test_superspace import (contract_op, from_rule, identity, is_zero,
+                             wedge_op)
 
 
 def image(op, key):
     """The image of a basis key with Fraction coefficients."""
     return rational_state(op.apply_key(key))
+
+
+def derivative_arena(X, Y, qb, cap):
+    """The arena of (X, Y) with the x_k-derivative homotopies, checked
+    against the t-sequence of qb as a Model checks them."""
+    homX = default_homotopies(X, qb.tseq)
+    homY = homX if X is Y else default_homotopies(Y, qb.tseq)
+    return Arena(X, Y, qb, cap, homX, homY)
 
 
 def worked_arena(cap=4, presentation="nu"):
@@ -28,8 +31,8 @@ def worked_arena(cap=4, presentation="nu"):
     qb = QuotientBasis([parse_poly("x1^4", 1)])
     # the presentation follows the pair: rho on Hom(X, X), nu otherwise
     if presentation == "rho":
-        return Arena(X, X, qb, cap)
-    return Arena(X, Y, qb, cap)
+        return derivative_arena(X, X, qb, cap)
+    return derivative_arena(X, Y, qb, cap)
 
 
 def kstab_arena(cap=3):
@@ -51,7 +54,7 @@ def twovar_arena(presentation, cap=2):
     K = koszul_mf([(x1, x1), (x2, x2)], W, "K")
     L = koszul_mf([(x1, x1), (-x2, -x2)], W, "L")
     qb = QuotientBasis([parse_poly("2*x1", 2), parse_poly("2*x2", 2)])
-    return Arena(K, K if presentation == "rho" else L, qb, cap)
+    return derivative_arena(K, K if presentation == "rho" else L, qb, cap)
 
 
 def quadric3_arena(cap=2):
@@ -60,7 +63,7 @@ def quadric3_arena(cap=2):
     xs = [parse_poly("x%d" % i, 3) for i in (1, 2, 3)]
     K = koszul_mf([(x, x) for x in xs], W, "K")
     qb = QuotientBasis([parse_poly("2*x%d" % i, 3) for i in (1, 2, 3)])
-    return Arena(K, K, qb, cap)
+    return derivative_arena(K, K, qb, cap)
 
 
 def composed_differentials(a):
@@ -87,7 +90,7 @@ def composed_differentials(a):
                     out[(mask, l, nd)] = c
             return out
 
-        return LinearOp.from_rule(sp, 0, rule)
+        return from_rule(sp, 0, rule)
 
     def fermion(move, family, i):
         op = wedge_op if move == "wedge" else contract_op
@@ -271,7 +274,7 @@ def test_zeta():
     k1, k3 = (1 << th, 0, (0,)), (1 << th, 0, (2,))
 
     def ident(keys):
-        return LinearOp.from_rule(sp, 0, lambda key: {key: 1}, keys=keys)
+        return from_rule(sp, 0, lambda key: {key: 1}, keys)
 
     z = a.zeta_after(ident([k1, k3]))
     assert image(z, k1) == {k1: Fraction(1)}

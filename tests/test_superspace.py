@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -6,15 +7,51 @@ from ainfmf.superspace import (
     LinearOp,
     Space,
     contract_mask,
-    contract_op,
     graded_commutator,
     merge_sign,
     move_word,
     power_series,
     state_parity,
     wedge_mask,
-    wedge_op,
 )
+
+
+# ----------------------------------------------------------------------
+# whole-basis reference operators, built one column per basis key
+
+
+def from_rule(space, degree, rule, keys=None):
+    """The operator of rule(key) -> dict key_out -> rational coeff (int
+    or Fraction), or None, on keys (default: the whole basis).  The
+    columns are brought over the lcm of the denominators."""
+    cols = {}
+    den = 1
+    for key in keys if keys is not None else space.basis():
+        col = rule(key)
+        if col:
+            cols[key] = col = dict(col)
+            den = lcm(den, *(c.denominator for c in col.values()))
+    for col in cols.values():
+        for k2, c in col.items():
+            col[k2] = c.numerator * (den // c.denominator)
+    return LinearOp.from_cols(space, degree, cols, den)
+
+
+def _fermion_op(space, pos, move):
+    cols = {}
+    for mask, h, delta in space.basis():
+        hit = move(mask, pos)
+        if hit:
+            cols[mask, h, delta] = {(hit[1], h, delta): hit[0]}
+    return LinearOp(space, 1, cols)
+
+
+def wedge_op(space, pos):
+    return _fermion_op(space, pos, wedge_mask)
+
+
+def contract_op(space, pos):
+    return _fermion_op(space, pos, contract_mask)
 
 
 def identity(space):

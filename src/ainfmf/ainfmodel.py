@@ -17,9 +17,12 @@ signed tree sums, built bottom-up as span tables: every span of leaves
 lo..hi maps each token tuple to the sum over all trees on those leaves,
 and each split of a span is one contraction of its two tables, whose
 kernel rows hold the vertex operator after mu2 (H_hat; Phi at the
-root).
+root).  The span tables below a root, on core basis keys, are kept per
+sub-path, so each is built once per model and a rho_k table builds only
+its root.
 verify_ainf checks the defining constraints exactly on every basis
-tuple, summing once for the suspended (r) and unsuspended (mu) signs.
+tuple, summing once for the suspended (r) and unsuspended (mu) signs
+and reading each outer table once per (level, path).
 
 The products, the span sums and the relation contraction work on
 scaled states (integer numerators over one denominator, see superspace)
@@ -258,7 +261,10 @@ class Model:
         self.gamma = GammaTensor(qb, cap)
         self._pairs = {}
         self._term_comp = {}
-        self._tables = {}
+        self._tables = {}  # (k, path) -> RhoTable
+        # sub-path -> span table on core basis keys, below a rho root:
+        # Phi_inv of a pair's keys, H_hat of an inner span's splits
+        self._spans = {}
 
     # ------------------------------------------------------------------
     # plumbing
@@ -312,24 +318,36 @@ class Model:
         of pair_1 = (src, mid) and right in that of pair_2 = (mid, tgt),
         and op a LinearOp on the space of (src, tgt).  Yields (left
         token, right token, (nums, den)) for the products with a non-zero
-        term; the products are not reduced.
+        term, in the order of the left and then the right table; the
+        products are not reduced.
 
         One left entry at a time, stage 1 forms the column map ka ->
         op(mu2(ka, left state)) over every key ka of the right states,
-        and stage 2 applies it to each right state.  Each key pair goes
-        through mu2 and op once: a kernel row holds op(mu2(ka, kb)) over
-        kernel.den * op.den, in a cache dropped at the end."""
+        and stage 2 adds each non-empty column into the right states
+        that hold its key.  Each key pair goes through mu2 and op once:
+        a kernel row holds op(mu2(ka, kb)) over kernel.den * op.den, in
+        a cache dropped at the end."""
         kernel = self._kernel(self.pair(*pair_2), self.pair(*pair_1))
         index = {}  # right key -> its column
+        # per column, the right states holding its key: (position, its
+        # coefficient with the r2 sign after an even and an odd left
+        # state).  r2(s1, s2) is mu2(s2, s1) for s1 odd and s2 even, else
+        # minus it
+        users = []
         rights = []
-        for tr, (nums, den) in right.items():
-            terms = [(index.setdefault(ka, len(index)), c)
-                     for ka, c in nums.items()]
-            rights.append((tr, terms, den, state_parity(nums)))
+        for r, (tr, (nums, den)) in enumerate(right.items()):
+            odd = state_parity(nums)
+            for ka, c in nums.items():
+                i = index.get(ka)
+                if i is None:
+                    i = index[ka] = len(users)
+                    users.append([])
+                users[i].append((r, -c, -c if odd else c))
+            rights.append((tr, den))
         laters = kernel.laters(index)
         rows = {}  # left key -> [(column, op of compose result)], non-zero
         for tl, (nums1, den1) in left.items():
-            cols = [None] * len(laters)
+            cols = {}
             for kb, c in nums1.items():
                 row = rows.get(kb)
                 if row is None:
@@ -338,27 +356,27 @@ class Model:
                         if (image := {ko: v for ko, v in
                                       op.image(comp).items() if v})]
                 for i, comp in row:
-                    col = cols[i]
+                    col = cols.get(i)
                     if col is None:
                         cols[i] = {kc: c * v for kc, v in comp.items()}
                     else:
                         for kc, v in comp.items():
                             col[kc] = col.get(kc, 0) + c * v
-            if not any(cols):
+            if not cols:
                 continue
-            # r2(s1, s2) is mu2(s2, s1) for s1 odd and s2 even, else
-            # minus it
-            signs = (1, -1) if state_parity(nums1) else (-1, -1)
-            den = den1 * kernel.den * op.den
-            for tr, terms, den2, p2 in rights:
-                sign = signs[p2]
-                out = {}
-                for i, c in terms:
-                    col = cols[i]
-                    if col:
-                        c *= sign
+            sign = 2 if state_parity(nums1) else 1
+            outs = [None] * len(rights)
+            for i, col in cols.items():
+                for user in users[i]:
+                    c = user[sign]
+                    out = outs[user[0]]
+                    if out is None:
+                        outs[user[0]] = {kc: c * v for kc, v in col.items()}
+                    else:
                         for kc, v in col.items():
                             out[kc] = out.get(kc, 0) + c * v
+            den = den1 * kernel.den * op.den
+            for (tr, den2), out in zip(rights, outs):
                 if out:
                     yield tl, tr, (out, den * den2)
 
@@ -399,7 +417,7 @@ class Model:
                                    else state_sum([prev, image]))
         return {tokens: st for tokens, st in acc.items() if st[0]}
 
-    def _span_sums(self, k, path, slots):
+    def _span_sums(self, k, path, slots, spans=None):
         """rho_k (k >= 2) on every tuple drawn from slots, one list of
         (token, scaled core state) pairs per slot: {token tuple: scaled
         output state in the core of (path[0], path[k])}, non-zero
@@ -412,18 +430,29 @@ class Model:
         contraction of its two span tables.  Every vertex is an even
         operator applied to its inputs, so the Koszul signs of the
         general tree denotation vanish here; the test suite pins the
-        span sums against that denotation."""
+        span sums against that denotation.
+
+        spans, if given, keeps the span tables below the root by their
+        sub-path path[lo-1:hi+1]: a table found there is not built
+        again.  That is only sound where each slot is the core basis of
+        its pair, as in the model's own span tables (_table)."""
         tables = {}
-        for i, slot in enumerate(slots, 1):
-            phi_inv = self.pair(path[i - 1], path[i]).arena.Phi_inv
-            tables[i, i] = {(tok,): st for tok, state in slot
-                            if (st := phi_inv.apply(state))[0]}
-        for width in range(1, k - 1):
+        for width in range(k - 1):
             for lo in range(1, k - width + 1):
                 hi = lo + width
-                tables[lo, hi] = self._span_table(
-                    path, tables, lo, hi,
-                    self.pair(path[lo - 1], path[hi]).arena.H_hat)
+                sub = path[lo - 1 : hi + 1]
+                table = spans.get(sub) if spans is not None else None
+                if table is None:
+                    arena = self.pair(path[lo - 1], path[hi]).arena
+                    if width:
+                        table = self._span_table(path, tables, lo, hi,
+                                                 arena.H_hat)
+                    else:
+                        table = {(tok,): st for tok, state in slots[lo - 1]
+                                 if (st := arena.Phi_inv.apply(state))[0]}
+                    if spans is not None:
+                        spans[sub] = table
+                tables[lo, hi] = table
         out = self._span_table(path, tables, 1, k,
                                self.pair(path[0], path[k]).arena.Phi)
         if k & 1:
@@ -434,7 +463,8 @@ class Model:
     def rho_span_sums(self, k, path, slots):
         """_span_sums on slots of (token, core state) pairs with Fraction
         coefficients, with Fraction results: rho_k on every tuple of
-        states drawn one per slot, by the span-table contraction."""
+        states drawn one per slot, by the span-table contraction.  Its
+        span tables are its own, built for these slots."""
         slots = [[(tok, scaled_state(st)) for tok, st in slot]
                  for slot in slots]
         return {tok: rational_state(st)
@@ -442,7 +472,8 @@ class Model:
 
     def _table(self, k, path):
         """The stored rho_k table along an object path, a RhoTable over
-        the tuples of core basis keys; built on first use."""
+        the tuples of core basis keys; built on first use, from the
+        model's span tables (_spans), so that only its root is new."""
         path = tuple(path)
         if len(path) != k + 1:
             raise SectorMismatch("path length must be k + 1")
@@ -460,7 +491,7 @@ class Model:
                     states[(bkey,)] = out
         else:
             slots = [[(b, ({b: 1}, 1)) for b in core] for core in cores]
-            states = self._span_sums(k, path, slots)
+            states = self._span_sums(k, path, slots, self._spans)
         table = self._tables[key] = RhoTable(states)
         return table
 
@@ -579,47 +610,91 @@ class Model:
     def _defect_sums(self, n, terms, den, form, both):
         """({basis tuple: integer numerator defect}, ratios): the non-empty
         defects in the signs of form, and their tuples' mu-over-r sign
-        ratios (with both set), or None if a tuple's terms disagree."""
-        # the tildes and conversion parity of each table's tuples, in
-        # its order, once per call: the j = 1 terms share one table
-        tables = {id(t): t for term in terms for t in term[2:]}
-        signs = {key: [(tl, _conversion_parity(tl)) for tl in
-                       [tuple(map(self.tilde, tup)) for tup in table]]
-                 for key, table in tables.items()}
+        ratios (with both set), or None if a tuple's terms disagree.
+
+        Slot-major: each term's inner table is indexed by its output
+        key, on the keys that slot i of its outer table holds, and each
+        outer table is read once for all the terms that share it (at
+        level n, the n terms with j = 1 share rho_n), looking up every
+        slot i of those terms in its index.  A tuple's sign parities are
+        worked out only where the index has a match."""
+        mu = form == "mu"
+        tilde = _Memo(self.tilde)
+        conversions = _Memo(_conversion_parity)
+
+        def outer_parities(i, j):
+            """tildes of an outer tuple -> (its sign parity in form, its
+            share of the sign ratio) in term (i, j).  In mu: its
+            conversion, the degree-j operator crossing the later
+            arguments, the term's sign."""
+            def parities(tl):
+                odd_r = sum(tl[:i]) & 1
+                odd_mu = (conversions[tl] + j * sum(t ^ 1 for t in tl[i + 1 :])
+                          + i * j + i + j + n) & 1
+                return odd_mu if mu else odd_r, odd_r ^ odd_mu if both else 0
+            return _Memo(parities)
+
+        groups = {}  # id of an outer table -> (table, [(i, index, parities)])
+        for i, j, inner, outer in terms:
+            group = groups.setdefault(id(outer), (outer, []))[1]
+            # only the keys slot i of a smaller outer table holds
+            wanted = ({otup[i] for otup in outer} if len(outer) < len(inner)
+                      else None)
+            scale = den // (inner.den * outer.den)
+            # inner tuples by output key: (tuple, its share of the sign
+            # ratio, value times scale with its conversion sign in mu)
+            index = {}
+            for itup, st in inner.items():
+                hit = None
+                for kk, v in st.items():
+                    if wanted is not None and kk not in wanted:
+                        continue
+                    if hit is None:  # the tuple's first key in the index
+                        ratio, sign = 0, scale
+                        if mu or both:
+                            state_parity(st)  # raises on mixed parity
+                            conversion = conversions[
+                                tuple(map(tilde.__getitem__, itup))]
+                            if mu and conversion:
+                                sign = -scale
+                            if both:
+                                ratio = conversion
+                    hit = (itup, ratio, sign * v)
+                    hits = index.get(kk)
+                    if hits is None:
+                        index[kk] = [hit]
+                    else:
+                        hits.append(hit)
+            group.append((i, index, outer_parities(i, j)))
         found = {}  # basis tuple -> (defect, sign ratio of its first term)
         mixed = False
-        for i, j, inner, outer in terms:
-            scale = den // (inner.den * outer.den)
-            # outer tuples by their slot-i key, with the sign parities the
-            # outer tuple fixes; in mu: its conversion, the degree-j
-            # operator crossing the later arguments, the term's sign
-            by_slot = {}
-            for (otup, out), (tl, conversion) in zip(outer.items(),
-                                                     signs[id(outer)]):
-                odd_r = sum(tl[:i]) & 1
-                odd_mu = (conversion + j * sum(t ^ 1 for t in tl[i + 1 :])
-                          + i * j + i + j + n) & 1
-                by_slot.setdefault(otup[i], []).append(
-                    (otup[:i], otup[i + 1 :], odd_mu if form == "mu" else odd_r,
-                     odd_r ^ odd_mu if both else 0, out))
-            for (itup, st), (_, conversion) in zip(inner.items(),
-                                                   signs[id(inner)]):
-                if form == "mu" or both:
-                    state_parity(st)  # raises on mixed parity
-                inner_odd = conversion if form == "mu" else 0
-                inner_ratio = conversion if both else 0
-                for kk, v in st.items():
-                    v *= scale
-                    for pre, post, odd, ratio, out in by_slot.get(kk, ()):
-                        ratio ^= inner_ratio
-                        acc, first = found.setdefault(pre + itup + post,
-                                                      ({}, ratio))
-                        mixed |= first != ratio
-                        sv = -v if odd ^ inner_odd else v
+        for outer, group in groups.values():
+            for otup, out in outer.items():
+                tl = None
+                for i, index, parities in group:
+                    hits = index.get(otup[i])
+                    if hits is None:
+                        continue
+                    if tl is None:
+                        tl = tuple(map(tilde.__getitem__, otup))
+                    odd, outer_ratio = parities[tl]
+                    pre, post = otup[:i], otup[i + 1 :]
+                    for itup, inner_ratio, v in hits:
+                        ratio = outer_ratio ^ inner_ratio
+                        combo = pre + itup + post
+                        if odd:
+                            v = -v
+                        entry = found.get(combo)
+                        if entry is None:
+                            found[combo] = (
+                                {ok: v * w for ok, w in out.items()}, ratio)
+                            continue
+                        mixed |= entry[1] != ratio
+                        acc = entry[0]
                         for ok, w in out.items():
                             # drop what cancels: defects of a passing
                             # check stay empty, not full of zeros
-                            x = acc.get(ok, 0) + sv * w
+                            x = acc.get(ok, 0) + v * w
                             if x:
                                 acc[ok] = x
                             else:
@@ -682,6 +757,19 @@ class Model:
             "At": [column_map(ats, minus_core, contract_mask, p)
                    for p in pos],
         }
+
+
+class _Memo(dict):
+    """fn on keys, each worked out on first use."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class RhoTable(dict):

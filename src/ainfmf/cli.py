@@ -518,11 +518,18 @@ def cmd_feynman(prob, args):
         raise InputError("feynman needs a path of k + 1 object labels")
     limit = _int_arg(args, "limit", None, 1)
     check_cap(m, k)
-    table = m.rho_table(k, path)
-    backend = FeynmanBackend(m)
     cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
              for i in range(k)]
     combos = list(islice(product(*cores), limit))
+    if limit is None:
+        table = m.rho_table(k, path)
+    else:
+        # rho_k on the drawn tuples only, by the span sums on the keys
+        # they use in each slot, not the whole table
+        table = m.rho_span_sums(k, path, [
+            [(key, {key: Fraction(1)}) for key in dict.fromkeys(keys)]
+            for keys in zip(*combos)])
+    backend = FeynmanBackend(m)
     trees = enumerate_binary(k)
     signs = {}
     bad = 0

@@ -69,9 +69,12 @@ def test_criterion_01_single_summand_value():
     word = ("node", ["pi"],
             ("node", edge_ops, ("leaf", 3, []), ("leaf", 2, leaf2_ops)),
             ("leaf", 1, leaf1_ops))
-    got = evaluate_summand(m, path, word, inputs, (4, 2, (0,)),
+    tau = (4, 2, (0,))
+    got = evaluate_summand(m, path, word, inputs, tau,
                            prefactor=Fraction(-12, 25))
     assert got == Fraction(-12, 25)
+    # the bare word contributes exactly one unit of tau
+    assert evaluate_summand(m, path, word, inputs, tau) == 1
     verdict(1, "literal summand evaluates to -12/25")
 
 

@@ -288,6 +288,56 @@ def test_span_sums_match_denotation_k5(path):
     assert sums
 
 
+def _basis_slots(m, path):
+    return [[(key, {key: Fraction(1)})
+             for key in m.pair(path[i], path[i + 1]).arena.core_basis()]
+            for i in range(len(path) - 1)]
+
+
+@pytest.mark.parametrize("path", [(0, 1, 0, 1), (1, 1, 0, 1),
+                                  (0, 1, 1, 0, 1)])
+def test_tables_from_shared_span_tables(path):
+    # other paths fill the span tables kept per sub-path first; the
+    # table built from them is a fresh model's table, and the span sums
+    # on the basis slots, which build their own span tables
+    k = len(path) - 1
+    m = worked_model(cap=2)
+    for other in [(1, 0, 1, 1), (0, 1, 0, 0), (1, 1, 0, 1, 1)]:
+        m._table(len(other) - 1, other)
+    assert path[:3] in m._spans and path[-3:] in m._spans
+    table = m.rho_table(k, path)
+    assert table == worked_model(cap=2).rho_table(k, path)
+    assert table == m.rho_span_sums(k, path, _basis_slots(m, path))
+
+
+def test_span_sums_on_states_ignore_the_span_tables_kept():
+    # rho_span_sums on kernel states gives the same with the model's
+    # span tables filled as on a fresh model
+    m = kstab_model(cap=4)
+    kernel = kstab_minimal(m, 0, [parse_poly("x1^2", 1)], level=2)["kernel"]
+    slot = list(enumerate(kernel))
+    fresh = kstab_model(cap=4)
+    for k in (3, 4):
+        m._table(k, (0,) * (k + 1))
+    assert m._spans
+    sums = {k: m.rho_span_sums(k, (0,) * (k + 1), [slot] * k)
+            for k in (2, 3, 4)}
+    assert sums == {k: fresh.rho_span_sums(k, (0,) * (k + 1), [slot] * k)
+                    for k in (2, 3, 4)}
+    # rho_3 is non-zero on one triple of kernel states
+    assert len(sums[3]) == 1
+
+
+def test_span_tables_are_kept_apart_from_the_rho_tables():
+    # verify_ainf(3) stores 28 rho tables, and one span table per pair
+    # and per sub-path of three objects
+    m = worked_model(cap=2)
+    assert m.verify_ainf(3)["ok"]
+    assert len(m._tables) == 28
+    assert all(isinstance(t, RhoTable) for t in m._tables.values())
+    assert sorted(map(len, m._spans)) == [2] * 4 + [3] * 8
+
+
 def test_rho1_squares_to_zero():
     m = worked_model(cap=3)
     for src in range(2):

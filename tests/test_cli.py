@@ -357,6 +357,39 @@ def test_feynman_catches_faults_in_span_sums(monkeypatch, fault):
     assert report["results"][0]["result"]["mismatches"] > 0
 
 
+@pytest.mark.parametrize("fault", ["drop-split", "skip-H_hat"])
+def test_feynman_limit_catches_faults_in_span_sums(monkeypatch, fault):
+    # with a limit, the rho_k side is the span sums on the drawn tuples'
+    # keys, through the same span tables, so the same faults are caught.
+    # The first keys of slot 0 take nothing from the root split at
+    # mid = 1, so the limit reaches past them
+    monkeypatch.setattr(Model, "_span_table", _faulty_span_table(fault))
+    report, code = cli.run(WORKED, commands=[
+        {"command": "feynman", "k": 3, "limit": 2048}])
+    assert code == cli.EXIT_VERIFY
+    assert report["results"][0]["result"]["mismatches"] > 0
+
+
+def test_feynman_limit_builds_no_rho_table():
+    # a limited run computes its drawn tuples only: on the worked model
+    # at cap 3, k = 4 with limit 1, the whole rho_4 table is most of the
+    # time of the command
+    prob = cli.Problem(dict(WORKED, cap=3))
+    result, ok, _ = cli.cmd_feynman(prob, {
+        "k": 4, "path": ["X", "Y", "X", "Y", "X"], "limit": 1})
+    assert ok and result["tuples"] == 1 and result["mismatches"] == 0
+    assert (4, (0, 1, 0, 1, 0)) not in prob.model._tables
+
+
+def test_feynman_limit_past_every_tuple_reports_as_unlimited():
+    # the span sums on the drawn keys and the stored table agree
+    command = {"command": "feynman", "k": 3, "path": ["X", "Y", "Y", "X"]}
+    reports = [cli.run(WORKED, commands=[dict(command, **limit)])[0]
+               ["results"][0]["result"] for limit in ({}, {"limit": 10**6})]
+    assert reports[0] == reports[1]
+    assert reports[0]["tuples"] == 4096 and reports[0]["mismatches"] == 0
+
+
 def test_verify_ainf_names_its_witness(monkeypatch):
     # a wrong conversion parity on the tildes (1, 0) is a mu failure;
     # first_failure names its inputs and defect in key labels and p/q

@@ -326,13 +326,6 @@ def test_dt_operator():
     assert op({(2, (0, 3)): Fraction(1)}) == {}
 
 
-def test_dt_connection_example():
-    # d/dt (x^2 + x^(d+1)) = x for d = 4
-    qb = qb_x4()
-    got = dt_of_polynomial(parse_poly("x1^2 + x1^5", 1), qb, 0)
-    assert got == parse_poly("x1", 1)
-
-
 def test_middle_operator_diagonal():
     qb = qb_xy()
     for h in range(qb.mu):

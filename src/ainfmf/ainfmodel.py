@@ -217,12 +217,6 @@ class PairData:
             rho = RhoPresentation(X)
             self.to_matrix, self.from_matrix = rho.to_matrix, rho.from_matrix
 
-    def split(self, mask):
-        """mask -> (theta part, ext key (S, T))."""
-        th = mask & self.theta_all
-        f = mask >> self.n
-        return th, (f & ((1 << self.c1) - 1), f >> self.c1)
-
     def ext_mask(self, ext_key):
         S, T = ext_key
         return (S | T << self.c1) << self.n
@@ -311,15 +305,16 @@ class Model:
                 self, pa, pb, self._ext_composition(pa, pb))
         return kernel
 
-    def _contract(self, pair_1, left, pair_2, right, op):
-        """op after r2 of every left state and every right state, that
-        is mu2 of the right state after the left one with the r2 sign:
+    def _contract(self, pair_1, left, pair_2, right, op, sign=1):
+        """sign * op after r2 of every left state and every right state,
+        that is mu2 of the right state after the left one with the r2 sign:
         left and right are {token tuple: scaled state}, left in the space
         of pair_1 = (src, mid) and right in that of pair_2 = (mid, tgt),
-        and op a LinearOp on the space of (src, tgt).  Yields (left
-        token, right token, (nums, den)) for the products with a non-zero
-        term, in the order of the left and then the right table; the
-        products are not reduced.
+        op a LinearOp on the space of (src, tgt), and sign 1 or -1,
+        folded into the right coefficients.  Yields (left token, right
+        token, (nums, den)) for the products with a non-zero term, in the
+        order of the left and then the right table; the products are not
+        reduced.
 
         One left entry at a time, stage 1 forms the column map ka ->
         op(mu2(ka, left state)) over every key ka of the right states,
@@ -342,6 +337,7 @@ class Model:
                 if i is None:
                     i = index[ka] = len(users)
                     users.append([])
+                c *= sign
                 users[i].append((r, -c, -c if odd else c))
             rights.append((tr, den))
         laters = kernel.laters(index)
@@ -364,11 +360,11 @@ class Model:
                             col[kc] = col.get(kc, 0) + c * v
             if not cols:
                 continue
-            sign = 2 if state_parity(nums1) else 1
+            slot = 2 if state_parity(nums1) else 1
             outs = [None] * len(rights)
             for i, col in cols.items():
                 for user in users[i]:
-                    c = user[sign]
+                    c = user[slot]
                     out = outs[user[0]]
                     if out is None:
                         outs[user[0]] = {kc: c * v for kc, v in col.items()}
@@ -403,12 +399,15 @@ class Model:
         """{token tuple: op applied to the sum over the splits lo <= mid
         < hi of r2 on the span tables of lo..mid and mid+1..hi}, non-zero
         entries only.  op is applied in the contraction's kernel rows, and
-        each product is reduced and summed as it is produced."""
+        each product is reduced and summed as it is produced.  The root
+        span (1, k) of a path of k + 1 objects is rho_k's, and its sign
+        (-1)^k goes into the contraction."""
+        sign = -1 if (lo, hi) == (1, len(path) - 1) and hi & 1 else 1
         acc = {}
         for mid in range(hi - 1, lo - 1, -1):
             for tl, tr, part in self._contract(
                     (path[lo - 1], path[mid]), tables[lo, mid],
-                    (path[mid], path[hi]), tables[mid + 1, hi], op):
+                    (path[mid], path[hi]), tables[mid + 1, hi], op, sign):
                 image = reduced(*part)
                 if image[0]:
                     tokens = tl + tr
@@ -453,12 +452,8 @@ class Model:
                     if spans is not None:
                         spans[sub] = table
                 tables[lo, hi] = table
-        out = self._span_table(path, tables, 1, k,
-                               self.pair(path[0], path[k]).arena.Phi)
-        if k & 1:
-            out = {tokens: ({kk: -v for kk, v in nums.items()}, den)
-                   for tokens, (nums, den) in out.items()}
-        return out
+        return self._span_table(path, tables, 1, k,
+                                self.pair(path[0], path[k]).arena.Phi)
 
     def rho_span_sums(self, k, path, slots):
         """_span_sums on slots of (token, core state) pairs with Fraction

@@ -7,8 +7,9 @@ algebra in sdrcore/ainfmodel.  The ingredients are
   * a catalog of interaction vertices per ordered pair of objects: the
     summands of the Atiyah class (A-type) and of the homotopy
     perturbation delta (C-type), each a word in fermion operators
-    together with a coefficient table derived from the t-adic expansion
-    of a polynomial; the connection nabla has no rules, the edge engine
+    together with a coefficient table read from the t-adic columns of a
+    polynomial, which QuotientBasis.columns owns and keeps for both
+    backends; the connection nabla has no rules, the edge engine
     applies it by its own per-key rule;
   * an edge engine that sums the vertex words into the leaf, internal
     edge and root operators of a tree evaluation, each memoised per
@@ -23,7 +24,10 @@ The junction (binary composition) is computed by pairing the fermions of
 the shared middle object directly on exterior masks, not through the
 matrix dictionaries used by the main backend, so that agreement of the
 two backends is a genuine cross-check; only the sign primitives of
-superspace (contract_mask moves and merge_sign) are shared.  Each
+superspace (contract_mask moves and merge_sign) are shared.  Nothing
+here is imported from sdrcore: the arena of a pair supplies only its
+quotient basis, space, cap, presentation, objects, homotopies and core
+keys.  Each
 exterior table is built into one ComposeKernel per pair of pairs, the
 factored Gamma product of the operator backend, which keeps it; mu2 is
 ComposeKernel.product converted to Fraction: every coefficient of this
@@ -37,9 +41,8 @@ from math import comb, factorial
 from .ainfmodel import ComposeKernel
 from .mfcat import HomotopyIdentityFailed, check_homotopies
 from .quotient import CapExceeded
-from .sdrcore import ZeroVirtualDegree, full_expansion
-from .superspace import (add_into, contract_mask, extend_linearly,
-                         merge_sign, move_word, wedge_mask)
+from .superspace import (ZeroVirtualDegree, add_into, contract_mask,
+                         extend_linearly, merge_sign, move_word, wedge_mask)
 from .treealg import leaves
 
 
@@ -141,21 +144,14 @@ class VertexCatalog:
         self.notes = []
         self._build()
 
-    def _columns(self, poly, sign):
-        qb = self.qb
-        cols = {}
-        for h in range(qb.mu):
-            exp = full_expansion(poly * qb.basis_poly(h), qb)
-            entries = [(l, d, c * sign) for (l, d), c in exp.coefficients.items() if c]
-            if entries:
-                cols[h] = entries
-        return cols
-
     def _add(self, name, kind, k, ops, poly, sign, source):
+        """A rule of poly with sign, its columns read from the quotient
+        basis: h -> [(l, delta, sign * coeff)]."""
         if not poly.is_zero():
+            columns = {h: [(l, d, c * sign) for (l, d), c in col.items()]
+                       for h, col in self.qb.columns(poly).items()}
             self.vertices.append(VertexRule(
-                name, kind, k, ops, poly, self._columns(poly, Fraction(sign)),
-                source))
+                name, kind, k, ops, poly, columns, source))
 
     def _build(self):
         a = self.arena
@@ -377,9 +373,6 @@ class EdgeEngine:
             }
         return self._root[key]
 
-    def root(self, state):
-        return extend_linearly(self.root_key, state)
-
 
 # ----------------------------------------------------------------------
 # junctions: pairing the fermions of the shared middle object
@@ -548,12 +541,14 @@ class FeynmanBackend:
         root = self.engine(pair_b[0], pair_a[1]).root_key
         top = self._top
         ends = (pair_b[0], pair_a[0], pair_a[1])
-        laters = kernel.laters([ka])
+        laters = None
         col = {}
         for kb, cb in sb.items():
             tkey = (ends, ka, kb)
             st = top.get(tkey)
             if st is None:
+                if laters is None:
+                    laters = kernel.laters([ka])
                 row = kernel.row(kb, laters)
                 st = top[tkey] = extend_linearly(root, {
                     kc: Fraction(v, den) for kc, v in row[0][1].items()

@@ -430,10 +430,6 @@ class GroebnerBasis:
         self.basis = [g for g, _ in reduced]
         self.cofactors = [c for _, c in reduced]
 
-    def reduce(self, f):
-        """Normal form of f modulo the basis."""
-        return divide(f, self.basis, self.order)[1]
-
     def reduce_with_quotients(self, f):
         return divide(f, self.basis, self.order)
 

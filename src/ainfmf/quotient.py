@@ -5,11 +5,15 @@ Everything here is driven by a Groebner basis of I = (t_1,...,t_n) with
 cofactors, which lets us expand any polynomial r as a finite or truncated
 sum  r = sum_{i,delta} r_{(i,delta)} sigma(z_i) t^delta  where the z_i are
 the standard monomials of R/I.  On top of that expansion sits the
-structure tensor Gamma of the multiplication.  The transported
-multiplication operator r^# acts on the arena's states in sdrcore.
+structure tensor Gamma of the multiplication.
+
+QuotientBasis.columns owns the exact t-adic columns of multiplication by
+a polynomial r, i -> expansion of r z_i, kept per polynomial: the
+transported multiplication r^# of the arena (sdrcore) and the
+coefficient tables of the interaction vertices (normalorder) both read
+them there.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .poly import GroebnerBasis, Polynomial
@@ -43,20 +47,39 @@ class QuotientBasis:
         self.mu = len(self.monomials)
         self.index = {m: i for i, m in enumerate(self.monomials)}
         assert self.monomials[0] == (0,) * self.nvars
-
-    def sigma(self, r):
-        """Normal form of r: the canonical representative supported on
-        standard monomials."""
-        return self.gb.reduce(r)
+        self._columns = {}
 
     def basis_poly(self, i):
         return Polynomial.monomial(self.nvars, self.monomials[i])
 
+    def columns(self, r):
+        """The exact t-adic columns of multiplication by r: {i: {(l,
+        delta): coeff}} over the basis indices i with r z_i non-zero.
+        Each column is expanded with the cap raised until it is exact.
+        Kept per polynomial, so equal polynomials share one dict; callers
+        only read it."""
+        cols = self._columns.get(r)
+        if cols is None:
+            cols = {}
+            for i in range(self.mu):
+                p = r * self.basis_poly(i)
+                cap = max(p.total_degree(), 1)
+                for _ in range(12):
+                    exp = t_adic_expand(p, self, cap)
+                    if exp.exact_beyond_cap:
+                        break
+                    cap *= 2
+                else:
+                    raise ValueError("t-adic expansion did not terminate; "
+                                     "is t quasi-regular?")
+                if exp.coefficients:
+                    cols[i] = exp.coefficients
+            self._columns[r] = cols
+        return cols
+
 
 class TAdicExpansion:
-    def __init__(self, source, cap, coefficients, exact_beyond_cap):
-        self.source = source
-        self.cap = cap
+    def __init__(self, coefficients, exact_beyond_cap):
         # (basis index i, boson multi-index delta) -> Fraction
         self.coefficients = coefficients
         self.exact_beyond_cap = exact_beyond_cap
@@ -87,7 +110,7 @@ def t_adic_expand(r, qb, cap):
                 continue
             ej = tuple(1 if k == j else 0 for k in range(qb.n))
             work.append((_add_delta(delta, ej), aj))
-    return TAdicExpansion(r, cap, coeffs, exact)
+    return TAdicExpansion(coeffs, exact)
 
 
 class GammaTensor:
@@ -112,9 +135,6 @@ class GammaTensor:
         self._products = {}
         for (i, j, k, delta), c in self.entries.items():
             self._products.setdefault((i, j), []).append((k, delta, c))
-
-    def get(self, i, j, k, delta):
-        return self.entries.get((i, j, k, delta), Fraction(0))
 
     def products_of(self, i, j):
         """All (k, delta, coeff) with Gamma^{ij}_{k delta} nonzero."""

@@ -12,7 +12,10 @@ and the homotopy equivalence Phi, Phi^{-1}, H_hat.  d_A and delta come
 from integer mask moves: each summand moves the fermion bits of a mask
 once per (mask, h), then multiplies by a polynomial through its t-adic
 columns over one denominator (the transported multiplication r^#),
-shifted by each boson multi-index and cut at the cap.  e^{+-delta} (one
+shifted by each boson multi-index and cut at the cap.  The columns are
+read from QuotientBasis.columns, which keeps them per polynomial, so
+the arenas of a model and the vertex catalogs of the normal-ordering
+backend expand each polynomial once.  e^{+-delta} (one
 pass over the powers of delta) and sigma_infty, phi_infty (two tails of
 one zeta At) are power series summed column by column; Phi, Phi^{-1}
 and H_hat are compositions.  sdr_verify checks the defining identities
@@ -24,10 +27,10 @@ from itertools import product
 from math import factorial, lcm
 from operator import add
 
-from .quotient import t_adic_expand
 from .superspace import (
     LinearOp,
     Space,
+    ZeroVirtualDegree,
     contract_mask,
     graded_commutator,
     move_word,
@@ -36,21 +39,6 @@ from .superspace import (
     state_sum,
     wedge_mask,
 )
-
-
-class ZeroVirtualDegree(Exception):
-    pass
-
-
-def full_expansion(r, qb):
-    """t-adic expansion with the cap raised until it is exact."""
-    cap = max(r.total_degree(), 1)
-    for _ in range(12):
-        exp = t_adic_expand(r, qb, cap)
-        if exp.exact_beyond_cap:
-            return exp
-        cap *= 2
-    raise ValueError("t-adic expansion did not terminate; is t quasi-regular?")
 
 
 class Arena:
@@ -68,24 +56,7 @@ class Arena:
         else:
             fam = [("theta", self.n), ("xi", X.r), ("xibar", X.r)]
         self.space = Space(fam, qb.mu, self.n, cap)
-        self.table_max_tdeg = 0
         self._build_operators()
-
-    # ------------------------------------------------------------------
-    # coefficient tables
-
-    def _columns(self, r):
-        """The t-adic columns of multiplication by a polynomial:
-        i -> {(l, delta): coeff}."""
-        qb = self.qb
-        cols = {}
-        for i in range(qb.mu):
-            col = dict(full_expansion(r * qb.basis_poly(i), qb).coefficients)
-            if col:
-                cols[i] = col
-            for (_, d) in col:
-                self.table_max_tdeg = max(self.table_max_tdeg, sum(d))
-        return cols
 
     # ------------------------------------------------------------------
     # the main operators
@@ -128,21 +99,22 @@ class Arena:
                                     (1, F, [wedge("xibar", i), tk]),
                                     (1, G, [wedge("xi", i), tk])]
 
-        columns = {}
-        for _, r, _ in d_terms + delta_terms:
-            if r and r not in columns:
-                columns[r] = self._columns(r)
-        return (self._term_sum(1, d_terms, columns),
-                self._term_sum(0, delta_terms, columns))
+        # the largest t-degree in the columns sets sdr_verify's margin
+        self.table_max_tdeg = max(
+            (sum(d) for _, r, _ in d_terms + delta_terms if r
+             for col in self.qb.columns(r).values() for _, d in col),
+            default=0)
+        return (self._term_sum(1, d_terms), self._term_sum(0, delta_terms))
 
-    def _term_sum(self, degree, terms, columns):
+    def _term_sum(self, degree, terms):
         """The operator sum of sign * r after word over the terms with a
-        non-zero polynomial r; columns maps each r to its columns.  The
-        columns are brought over one denominator as integers; the moves
-        of every term are made once per (mask, h), and their outputs are
-        then shifted by each boson multi-index and cut at the cap."""
-        sp, cap = self.space, self.cap
-        terms = [(sign, word[::-1], columns[r]) for sign, r, word in terms
+        non-zero polynomial r, through the columns of r in the quotient
+        basis.  The columns are brought over one denominator as integers;
+        the moves of every term are made once per (mask, h), and their
+        outputs are then shifted by each boson multi-index and cut at the
+        cap."""
+        sp, cap, qb = self.space, self.cap, self.qb
+        terms = [(sign, word[::-1], qb.columns(r)) for sign, r, word in terms
                  if r]
         den = lcm(*(c.denominator for _, _, cols in terms
                     for col in cols.values() for c in col.values()))

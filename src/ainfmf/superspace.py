@@ -8,7 +8,9 @@ fixed generator order; generators are grouped into named families and the
 family order is part of the space descriptor.  The one fermion move is
 wedge_mask or contract_mask on a mask, which every caller makes on the
 masks of its keys (move_word makes a word of them).  merge_sign is
-the sign of reordering two generator lists into one.
+the sign of reordering two generator lists into one.  Both backends
+divide by Space.virtual_degree in the propagator zeta, and both raise
+ZeroVirtualDegree on a key where it is zero.
 
 Exact values here are integers over one denominator.  A scaled state is
 a pair (nums, den): a dict key -> integer numerator and one positive
@@ -31,6 +33,10 @@ def _deltas(n, cap):
     for d in product(range(cap + 1), repeat=n):
         if sum(d) <= cap:
             yield d
+
+
+class ZeroVirtualDegree(Exception):
+    """The propagator zeta met a key of virtual degree zero."""
 
 
 class Space:

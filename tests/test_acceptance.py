@@ -23,7 +23,7 @@ from ainfmf.treealg import enumerate_binary, mirror_eval, mirror_sign
 from test_ainfmodel import ModelDecoration
 from test_normalorder import REF_XX, REF_XY, REF_YY, catalog_diff, \
     evaluate_summand, z_factor_sym
-from test_quotient import dt_of_polynomial, euler_idempotent
+from test_quotient import dt_of_polynomial, euler_idempotent, gamma
 from test_treealg import ToyDecoration, denote
 
 
@@ -92,7 +92,7 @@ def test_criterion_02_gamma_closed_form():
                         expected = Fraction(1)
                     if m + h > 3 and l == m + h - 4 and beta == (1,):
                         expected = Fraction(1)
-                    assert g.get(m, h, l, beta) == expected, (m, h, l, beta)
+                    assert gamma(g, m, h, l, beta) == expected, (m, h, l, beta)
     verdict(2, "gamma tensor matches its closed form on all entries")
 
 

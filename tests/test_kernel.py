@@ -33,7 +33,7 @@ from ainfmf.superspace import (
     state_parity,
 )
 
-from test_normalorder import compose_keys, quadric_model, worked_model
+from test_normalorder import compose_keys, quadric_model, split, worked_model
 from test_superspace import from_rule, identity, ref_merge_sign
 
 
@@ -46,8 +46,8 @@ def ref_compose_keys(model, pa, pb, ka, kb, table, cap=None):
     pc = model.pair(pb.src, pa.tgt)
     m1, h1, d1 = ka
     m2, h2, d2 = kb
-    th1, ea = pa.split(m1)
-    th2, eb = pb.split(m2)
+    th1, ea = split(pa, m1)
+    th2, eb = split(pb, m2)
     out = {}
     if not th1 & th2:
         alpha_par = (m1 >> pa.n).bit_count() & 1
@@ -287,7 +287,7 @@ def test_factored_compose_matches_per_pair_reference(name):
                    for kc, v in comp.items()}
             assert got == want, (src, mid, tgt, ka, kb)
             assert compose_keys(m, pa, pb, ka, kb, kernel.table) == want
-            th1, th2 = pa.split(ka[0])[0], pb.split(kb[0])[0]
+            th1, th2 = split(pa, ka[0])[0], split(pb, kb[0])[0]
             seen["overlap"] += bool(th1 & th2)
             seen["merge sign"] += bool(want) and ref_merge_sign(th1, th2) < 0
             seen["beyond cap"] += ref_compose_keys(

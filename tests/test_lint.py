@@ -3,7 +3,14 @@ function or method that nothing else in the package refers to, and no
 public function, method or class that nothing in the package, the
 demos or the benchmark refers to.  A reference from the tests alone
 does not keep a public name: code that only the tests run belongs in
-the tests."""
+the tests.  Also, the normal-ordering backend imports nothing from the
+operator backend's module sdrcore.
+
+The references are matched by name only, with no resolution of what an
+attribute belongs to.  So a test-only public method stays unflagged
+while an unrelated name of the package, the demos or the benchmark has
+the same spelling: a method split is kept by any str.split, a get by
+any dict.get.  Such names are caught by review, not here."""
 
 import ast
 import os
@@ -124,3 +131,19 @@ def test_public_name_rule_ignores_the_tests():
     assert unreferenced_public_names(package, {"tests": [test]}) == [
         ("mod.py", "scratch_only")]
     assert unreferenced_public_names(package, {"benchmark": [bench]}) == []
+
+
+def test_normalorder_imports_nothing_from_sdrcore():
+    # the normal-ordering backend is the cross-check of the operator
+    # backend, so it takes nothing from that backend's module
+    sources = []
+    for node in ast.walk(modules()["normalorder.py"]):
+        if isinstance(node, ast.ImportFrom):
+            # "from . import sdrcore" names the module among the names
+            sources.append(node.module or "")
+            if not node.module:
+                sources += [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            sources += [a.name for a in node.names]
+    assert sources
+    assert not [s for s in sources if "sdrcore" in s.split(".")]

@@ -6,7 +6,7 @@ from itertools import permutations, product
 
 import pytest
 
-from ainfmf import cli
+from ainfmf import cli, quotient
 from ainfmf.ainfmodel import ComposeKernel, Model
 from ainfmf.mfcat import (HomotopyIdentityFailed, HomotopySet,
                           check_homotopies, default_homotopies, koszul_mf)
@@ -21,8 +21,9 @@ from ainfmf.normalorder import (
 )
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
-from ainfmf.sdrcore import Arena, ZeroVirtualDegree
-from ainfmf.superspace import add_into, rational_state, scaled_state
+from ainfmf.sdrcore import Arena
+from ainfmf.superspace import (ZeroVirtualDegree, add_into, extend_linearly,
+                               rational_state, scaled_state)
 from ainfmf.treealg import enumerate_binary, leaves, mirror_eval
 
 from test_ainfmodel import ModelDecoration
@@ -61,12 +62,24 @@ def twovar_model(cap=3, nobj=1):
     return quadric_model(2, cap, nobj)
 
 
+def split(pair, mask):
+    """A mask of the pair's space -> (theta part, ext key (S, T))."""
+    th = mask & pair.theta_all
+    f = mask >> pair.n
+    return th, (f & ((1 << pair.c1) - 1), f >> pair.c1)
+
+
+def root(eng, state):
+    """The edge engine's root operator on a state, key by key."""
+    return extend_linearly(eng.root_key, state)
+
+
 def compose_keys(model, pa, pb, ka, kb, table):
     """mu2 on a pair of basis keys as a state of Fraction coefficients:
     the ComposeKernel of the one entry of the exterior table of pa after
     pb that the pair reads.  With the model's exterior tables this is
     the matrix backend's composition, one key pair at a time."""
-    ext_key = (pa.split(ka[0])[1], pb.split(kb[0])[1])
+    ext_key = (split(pa, ka[0])[1], split(pb, kb[0])[1])
     ext = table.get(ext_key)
     kernel = ComposeKernel(model, pa, pb, {ext_key: ext} if ext else {})
     for _, comp in kernel.row(kb, kernel.laters([ka])):
@@ -161,7 +174,7 @@ def test_series_match_sdr_operators(maker):
                 if arena.space.virtual_degree(key) == 0:
                     assert clean(eng.leaf(key)) == apply(arena.Phi_inv, st)
                 assert clean(eng.edge_key(key)) == apply(arena.H_hat, st)
-                assert clean(eng.root(st)) == apply(arena.Phi, st)
+                assert clean(root(eng, st)) == apply(arena.Phi, st)
 
 
 def test_constant_coefficient_rules_are_inert():
@@ -308,7 +321,7 @@ def test_shared_subtree_states_match_fresh_backend(maker, k, paths, sample):
 
 def whole_state_root(eng, state):
     """The root operator as exp(-delta) on the whole state, then its core
-    part: the reference for the key-linear EdgeEngine.root."""
+    part: the reference for root_key extended linearly."""
     st = eng.exp_delta(state, -1)
     return {key: c for key, c in st.items()
             if eng.arena.is_core_key(key) and c}
@@ -327,7 +340,7 @@ def test_root_is_key_linear(maker):
                 state = {key: Fraction(rng.choice((-3, -1, 2, 5)),
                                        rng.randint(1, 4))
                          for key in rng.sample(keys, 4)}
-                assert eng.root(state) == whole_state_root(eng, state), (s, t)
+                assert root(eng, state) == whole_state_root(eng, state), (s, t)
 
 
 def per_tuple_tree_state(backend, tree, path, keys):
@@ -700,3 +713,26 @@ def test_catalog_notes_on_bad_homotopy():
     hom = default_homotopies(X)
     cat = VertexCatalog(Arena(X, X, qb, 3, hom, hom))
     assert any("fail" in note for note in cat.notes)
+
+
+def test_second_arena_and_catalog_expand_nothing(monkeypatch):
+    # the t-adic columns are kept by the quotient basis: once one arena
+    # has read them, a second arena on the same objects and a vertex
+    # catalog after it expand no polynomial again
+    calls = []
+    original = quotient.t_adic_expand
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(quotient, "t_adic_expand", counted)
+    m = worked_model(cap=3)
+    X, Y = m.objects
+    hom = m.homotopies
+    Arena(X, Y, m.qb, 3, hom[0], hom[1])
+    assert calls
+    calls.clear()
+    arena = Arena(X, Y, m.qb, 3, hom[0], hom[1])
+    VertexCatalog(arena)
+    assert not calls

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from ainfmf.mfcat import default_homotopies, koszul_mf
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import (
     CapExceeded,
@@ -10,8 +9,14 @@ from ainfmf.quotient import (
     QuotientBasis,
     t_adic_expand,
 )
-from ainfmf.sdrcore import Arena
 from ainfmf.superspace import add_into
+
+from test_poly import normal_form
+
+
+def gamma(g, i, j, k, delta):
+    """The entry Gamma^{ij}_{k delta} of a GammaTensor, zero if absent."""
+    return g.entries.get((i, j, k, delta), Fraction(0))
 
 
 def reconstruct(coefficients, qb):
@@ -162,10 +167,10 @@ def test_standard_basis():
 
 def test_sigma():
     qb = qb_x4()
-    assert qb.sigma(parse_poly("x1^3", 1)) == parse_poly("x1^3", 1)
-    assert qb.sigma(parse_poly("x1^5", 1)).is_zero()
+    assert normal_form(qb.gb, parse_poly("x1^3", 1)) == parse_poly("x1^3", 1)
+    assert normal_form(qb.gb, parse_poly("x1^5", 1)).is_zero()
     p = parse_poly("x1^2 + x1^5", 1)
-    assert qb.sigma(p) == parse_poly("x1^2", 1)
+    assert normal_form(qb.gb, p) == parse_poly("x1^2", 1)
 
 
 def test_expand_x2_plus_x5():
@@ -243,29 +248,25 @@ def test_gamma_closed_form():
                         expected = Fraction(1)
                     if m + h > 3 and l == m + h - 4 and beta == (1,):
                         expected = Fraction(1)
-                    assert g.get(m, h, l, beta) == expected
+                    assert gamma(g, m, h, l, beta) == expected
 
 
 def test_gamma_symmetry_and_unit():
     qb = qb_xy()
     g = GammaTensor(qb, 2)
     for (i, j, k, d), c in g.entries.items():
-        assert g.get(j, i, k, d) == c
+        assert gamma(g, j, i, k, d) == c
         if i == 0:
             assert c == (1 if (k == j and sum(d) == 0) else 0)
     # x * x = 1 * t_1
     ix = qb.index[(1, 0)]
-    assert g.get(ix, ix, 0, (1, 0)) == 1
+    assert gamma(g, ix, ix, 0, (1, 0)) == 1
 
 
 def r_sharp(r):
-    """The columns of r^# over t = x^4, as the arena computes them:
+    """The columns of r^# over t = x^4, as the arena reads them:
     i -> {(l, delta): coeff}, the expansion of r * sigma(z_i)."""
-    W = parse_poly("1/5*x1^5", 1)
-    X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W)
-    qb = qb_x4()
-    hom = default_homotopies(X, qb.tseq)
-    return Arena(X, X, qb, 0, hom, hom)._columns(r)
+    return qb_x4().columns(r)
 
 
 def compose_columns(a, b):
@@ -318,6 +319,17 @@ def test_r_sharp_ring_action():
     x = Polynomial.var(1, 0)
     r, s = x + 1, x ** 2
     assert r_sharp(r * s) == compose_columns(r_sharp(r), r_sharp(s))
+
+
+def test_columns_kept_per_polynomial():
+    # two separately parsed equal polynomials read one dict
+    qb = qb_x4()
+    cols = qb.columns(parse_poly("x1^2 + x1^5", 1))
+    assert qb.columns(parse_poly("x1^5 + x1^2", 1)) is cols
+    assert cols == {0: {(2, (0,)): 1, (1, (1,)): 1},
+                    1: {(3, (0,)): 1, (2, (1,)): 1},
+                    2: {(0, (1,)): 1, (3, (1,)): 1},
+                    3: {(1, (1,)): 1, (0, (2,)): 1}}
 
 
 def test_dt_operator():

@@ -408,19 +408,28 @@ def cmd_sdr_verify(prob, args):
     out = []
     ok = cap_ok = True
     for s, t in _pair_list(prob, args):
-        rep = m.pair(s, t).arena.sdr_verify(margin=margin)
-        pair_ok = all(v.get("ok") for v in rep["identities"].values())
-        ok = ok and pair_ok
+        arena = m.pair(s, t).arena
+        rep = arena.sdr_verify(margin=margin)
+        identities = sorted(rep["identities"].items())
         # the cap leaves no key inside the margin: nothing was checked
         cap_ok = cap_ok and rep["checked"] > 0
-        out.append({
+        entry = {
             "source": prob.labels[s],
             "target": prob.labels[t],
             "margin": rep["margin"],
             "checked": rep["checked"],
-            "identities": {name: bool(v.get("ok"))
-                           for name, v in sorted(rep["identities"].items())},
-        })
+            "identities": {name: v["ok"] for name, v in identities},
+        }
+        label = arena.space.key_label
+        failures = {
+            name: {"witness": label(v["witness"]),
+                   "diff": {label(kk): frac(c) for kk, c in
+                            sorted(v["diff"].items(), key=str)}}
+            for name, v in identities if not v["ok"]}
+        if failures:
+            ok = False
+            entry["failures"] = failures
+        out.append(entry)
     return {"pairs": out}, ok, cap_ok
 
 

@@ -15,11 +15,17 @@ columns over one denominator (the transported multiplication r^#),
 shifted by each boson multi-index and cut at the cap.  The columns are
 read from QuotientBasis.columns, which keeps them per polynomial, so
 the arenas of a model and the vertex catalogs of the normal-ordering
-backend expand each polynomial once.  e^{+-delta} (one
+backend expand each polynomial once.  Every output key of d_A, delta
+and nabla is the space's own key object (Space.own_key), so all the
+operators share one tuple per basis key.  e^{+-delta} (one
 pass over the powers of delta) and sigma_infty, phi_infty (two tails of
-one zeta At) are power series summed column by column; Phi, Phi^{-1}
-and H_hat are compositions.  sdr_verify checks the defining identities
-exactly on a margin-restricted basis.
+one zeta At) are power series summed column by column; Phi and
+Phi^{-1} are compositions.  H_hat = e^delta phi_infty e^{-delta} is
+built one column at a time, each dropped of its cancelled entries
+before the next, so no whole-basis intermediate is held.  The core
+basis and the test keys of each margin are built once per arena.
+sdr_verify checks the defining identities exactly on a margin-restricted
+basis.
 """
 
 from fractions import Fraction
@@ -56,6 +62,8 @@ class Arena:
         else:
             fam = [("theta", self.n), ("xi", X.r), ("xibar", X.r)]
         self.space = Space(fam, qb.mu, self.n, cap)
+        self._core = tuple(k for k in self.space.basis() if self.is_core_key(k))
+        self._test_keys = {}
         self._build_operators()
 
     # ------------------------------------------------------------------
@@ -113,7 +121,7 @@ class Arena:
         the moves of every term are made once per (mask, h), and their
         outputs are then shifted by each boson multi-index and cut at the
         cap."""
-        sp, cap, qb = self.space, self.cap, self.qb
+        sp, cap, qb, own = self.space, self.cap, self.qb, self.space.own_key
         terms = [(sign, word[::-1], qb.columns(r)) for sign, r, word in terms
                  if r]
         den = lcm(*(c.denominator for _, _, cols in terms
@@ -133,7 +141,7 @@ class Arena:
             out = {}
             for mask, l, d2, t, c in moves[key[:2]]:
                 if t <= room:
-                    k2 = (mask, l, tuple(map(add, delta, d2)))
+                    k2 = own[mask, l, tuple(map(add, delta, d2))]
                     out[k2] = out.get(k2, 0) + c
             if out:
                 cols[key] = out
@@ -159,11 +167,27 @@ class Arena:
                                        self.zeta_after(self.nabla))
         self.Phi = self.pi.compose(self.e_minus_delta)
         self.Phi_inv = self.e_delta.compose(self.sigma_infty)
-        self.H_hat = self.e_delta.compose(self.phi_infty).compose(self.e_minus_delta)
+        self.H_hat = self._build_h_hat()
+
+    def _build_h_hat(self):
+        """H_hat = e^delta phi_infty e^{-delta}, one column at a time:
+        each column of e^{-delta} goes through phi_infty and then
+        e^delta, and its cancelled entries are dropped before the next
+        column, so no whole-basis intermediate is held."""
+        outer, mid, inner = self.e_delta, self.phi_infty, self.e_minus_delta
+        cols = {}
+        for key, col in inner.cols.items():
+            out = {k: c for k, c in outer.image(mid.image(col)).items() if c}
+            if out:
+                cols[key] = out
+        return LinearOp.from_cols(self.space,
+                                  outer.degree ^ mid.degree ^ inner.degree,
+                                  cols, outer.den * mid.den * inner.den)
 
     def _build_nabla(self):
         """nabla = sum_k theta_k d/dt_k, integer columns over 1."""
         sp = self.space
+        own = sp.own_key
         cols = {}
         for key in sp.basis():
             mask, h, delta = key
@@ -173,7 +197,7 @@ class Arena:
                 if hit:
                     nd = tuple(e - 1 if j == k else e
                                for j, e in enumerate(delta))
-                    col[hit[1], h, nd] = hit[0] * delta[k]
+                    col[own[hit[1], h, nd]] = hit[0] * delta[k]
             if col:
                 cols[key] = col
         return LinearOp.from_cols(sp, 1, cols, 1)
@@ -183,10 +207,11 @@ class Arena:
         return not key[0] & self.space.theta_mask and not sum(key[2])
 
     def core_basis(self):
-        return [k for k in self.space.basis() if self.is_core_key(k)]
+        """The keys of B', in basis order; built once per arena."""
+        return self._core
 
     def _build_sigma(self):
-        cols = {key: {key: 1} for key in self.core_basis()}
+        cols = {key: {key: 1} for key in self._core}
         return LinearOp(self.space, 0, cols)
 
     def zeta_after(self, op):
@@ -208,8 +233,14 @@ class Arena:
     # ------------------------------------------------------------------
 
     def test_keys(self, margin):
-        limit = self.cap - margin
-        return [k for k in self.space.basis() if sum(k[2]) <= limit]
+        """The keys of t-degree <= cap - margin, in basis order; built
+        once per arena and margin."""
+        keys = self._test_keys.get(margin)
+        if keys is None:
+            limit = self.cap - margin
+            keys = self._test_keys[margin] = tuple(
+                k for k in self.space.basis() if sum(k[2]) <= limit)
+        return keys
 
     def sdr_verify(self, margin=None):
         """Check the homotopy-equivalence identities exactly on all basis

@@ -3,7 +3,11 @@
 A state lives in (wedge of a finite set of odd generators) tensor R/I
 tensor Q[t] truncated at a t-degree cap.  Basis keys are triples
 (mask, h, delta): a bitmask over the ordered generator list, a quotient
-basis index h, and a boson multi-index delta.  All signs derive from the
+basis index h, and a boson multi-index delta.  A Space builds its basis
+once, as a tuple, and own_key maps each key to the space's own object:
+operators built on a space look their output keys up there, and every
+other operation reuses the keys it is given, so the operators of a
+space share one tuple per basis key.  All signs derive from the
 fixed generator order; generators are grouped into named families and the
 family order is part of the space descriptor.  The one fermion move is
 wedge_mask or contract_mask on a mask, which every caller makes on the
@@ -61,15 +65,21 @@ class Space:
         self.pos_name = {v: k for k, v in self.positions.items()}
         self.theta_mask = sum(1 << p for (name, _), p in self.positions.items()
                               if name == "theta")
+        self._basis = tuple((mask, h, delta)
+                            for delta in _deltas(nboson, cap)
+                            for h in range(mu)
+                            for mask in range(1 << self.ngen))
+        # each key to itself: a key built elsewhere is swapped for the
+        # space's own object, so operators share one tuple per key
+        self.own_key = {key: key for key in self._basis}
 
     def gen_pos(self, family, i=0):
         return self.positions[(family, i)]
 
     def basis(self):
-        for delta in _deltas(self.nboson, self.cap):
-            for h in range(self.mu):
-                for mask in range(1 << self.ngen):
-                    yield (mask, h, delta)
+        """The basis keys, delta-major, then h, then mask: the same
+        tuple of the space's own key objects on every call."""
+        return self._basis
 
     def virtual_degree(self, key):
         """Number of theta generators present plus the boson degree."""

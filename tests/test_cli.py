@@ -8,6 +8,7 @@ import pytest
 from ainfmf import ainfmodel, cli
 from ainfmf.ainfmodel import Model
 from ainfmf.normalorder import FeynmanBackend
+from ainfmf.sdrcore import Arena
 
 from test_superspace import identity
 
@@ -410,6 +411,40 @@ def test_verify_ainf_names_its_witness(monkeypatch):
     assert first["defect"] == {space.key_label(k): cli.frac(v)
                                for k, v in want["defect"].items()}
     assert all(re.fullmatch(r"-?\d+/\d+", v) for v in first["defect"].values())
+
+
+def test_sdr_verify_names_its_witness(monkeypatch):
+    # a sign fault in one entry of H_hat fails sdr-verify (exit 1), and
+    # each failing identity names its witness key and its diff in key
+    # labels and p/q
+    original = Arena._build_h_hat
+
+    def faulty(self):
+        op = original(self)
+        col = next(iter(op.cols.values()))
+        k2 = next(iter(col))
+        col[k2] = -col[k2]
+        return op
+
+    monkeypatch.setattr(Arena, "_build_h_hat", faulty)
+    command = {"command": "sdr-verify", "source": "X", "target": "X",
+               "margin": 2}
+    report, code = cli.run(WORKED, commands=[command], cap=4)
+    assert code == cli.EXIT_VERIFY
+    pair, = report["results"][0]["result"]["pairs"]
+    arena = cli.Problem(WORKED, cap_override=4).model.pair(0, 0).arena
+    want = arena.sdr_verify(margin=2)["identities"]
+    label = arena.space.key_label
+    failed = {name for name, v in want.items() if not v["ok"]}
+    assert failed and set(pair["failures"]) == failed
+    assert {name for name, ok in pair["identities"].items() if not ok} == failed
+    for name in failed:
+        got = pair["failures"][name]
+        assert got["witness"] == label(want[name]["witness"])
+        assert got["diff"] == {label(k): cli.frac(v)
+                               for k, v in want[name]["diff"].items()}
+        assert got["diff"] and all(re.fullmatch(r"-?\d+/\d+", v)
+                                   for v in got["diff"].values())
 
 
 def _faulty_column(fault):

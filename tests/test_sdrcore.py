@@ -241,6 +241,46 @@ def test_operators_match_composed_reference(make):
     assert not is_zero(delta_top) and not is_zero(sigma_top)
 
 
+ARENA_OPERATORS = ("d_A", "delta", "nabla", "At", "sigma", "pi", "e_delta",
+                   "e_minus_delta", "sigma_infty", "phi_infty", "Phi",
+                   "Phi_inv", "H_hat")
+
+
+@pytest.mark.parametrize("make", FIXTURES + [lambda: quadric3_arena(cap=2)],
+                         ids=FIXTURE_IDS + ["quadric3"])
+def test_operators_share_the_space_keys(make):
+    # one tuple per basis key: every column key and entry key of every
+    # operator, the core basis and the test keys are the space's own
+    a = make()
+    basis = a.space.basis()
+    assert isinstance(basis, tuple) and a.space.basis() is basis
+    own = a.space.own_key
+    assert len(own) == len(basis) and all(own[k] is k for k in basis)
+    for name in ARENA_OPERATORS:
+        for key, col in getattr(a, name).cols.items():
+            assert own[key] is key, name
+            assert all(own[k2] is k2 for k2 in col), name
+    assert a.core_basis() is a.core_basis() and a.test_keys(2) is a.test_keys(2)
+    assert all(own[k] is k for k in a.core_basis() + a.test_keys(2))
+
+
+def test_h_hat_is_built_by_columns(monkeypatch):
+    # an arena makes four compositions, the two of At, Phi and Phi_inv:
+    # H_hat is none, and none of its columns holds a zero
+    calls = []
+    original = LinearOp.compose
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(LinearOp, "compose", counted)
+    a = quadric3_arena(cap=2)
+    assert len(calls) == 4
+    assert a.H_hat.cols
+    assert all(all(col.values()) for col in a.H_hat.cols.values())
+
+
 def test_d_a_squares_to_zero_worked():
     a = worked_arena(cap=4)
     sq = a.d_A.compose(a.d_A)

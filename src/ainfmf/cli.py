@@ -542,6 +542,7 @@ def cmd_feynman(prob, args):
     trees = enumerate_binary(k)
     signs = {}
     bad = 0
+    first = None
     for combo in combos:
         # rho_k = (-1)^k sum_T of the Koszul-signed denotation of T, which
         # is mirror_sign times the signless tree_state; the sign depends
@@ -554,15 +555,31 @@ def cmd_feynman(prob, args):
         for T, sign in zip(trees, signs[parity]):
             for kk, v in backend.tree_state(T, path, combo).items():
                 add_into(got, kk, sign * v)
-        if got != table.get(combo, {}):
+        want = table.get(combo, {})
+        if got != want:
             bad += 1
-    return {
+            if first is None:
+                # the witness: the Feynman side minus the table
+                for kk, v in want.items():
+                    add_into(got, kk, -v)
+                first = combo, got
+    result = {
         "k": k,
         "path": [prob.labels[p] for p in path],
         "trees": len(trees),
         "tuples": len(combos),
         "mismatches": bad,
-    }, bad == 0, True
+    }
+    if first:
+        combo, diff = first
+        space = m.pair(path[0], path[-1]).arena.space
+        result["first_mismatch"] = {
+            "inputs": [m.pair(*path[i : i + 2]).arena.space.key_label(key)
+                       for i, key in enumerate(combo)],
+            "diff": {space.key_label(kk): frac(v) for kk, v in
+                     sorted(diff.items(), key=str)},
+        }
+    return result, bad == 0, True
 
 
 DISPATCH = {

@@ -132,9 +132,17 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        out = Polynomial.const(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
+        """self^k for an integer k >= 0, by repeated squaring: at most
+        2 k.bit_length() products."""
+        if k < 0:
+            raise ValueError("negative exponent")
+        out, base = Polynomial.const(self.nvars, 1), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def leading(self, order="grevlex"):

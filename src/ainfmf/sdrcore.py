@@ -9,27 +9,30 @@ propagator zeta, the critical Atiyah class At = [d_A, nabla], delta and
 its exponentials, the inclusion/projection sigma/pi of the theta- and
 t-degree-zero sector, the perturbation series sigma_infty and phi_infty,
 and the homotopy equivalence Phi, Phi^{-1}, H_hat.  d_A and delta come
-from integer mask moves: each summand moves the fermion bits of a mask
-once per (mask, h), then multiplies by a polynomial through its t-adic
-columns over one denominator (the transported multiplication r^#),
-shifted by each boson multi-index and cut at the cap.  The columns are
+from integer mask moves: each summand moves the fermion bits of a mask,
+then multiplies by a polynomial through its t-adic columns over one
+denominator (the transported multiplication r^#).  The columns are
 read from QuotientBasis.columns, which keeps them per polynomial, so
 the arenas of a model and the vertex catalogs of the normal-ordering
-backend expand each polynomial once.  Every output key of d_A, delta
-and nabla is the space's own key object (Space.own_key), so all the
-operators share one tuple per basis key.  e^{+-delta} (one
-pass over the powers of delta) and sigma_infty, phi_infty (two tails of
-one zeta At) are power series summed column by column; Phi and
-Phi^{-1} are compositions.  H_hat = e^delta phi_infty e^{-delta} is
-built one column at a time, each dropped of its cancelled entries
-before the next, so no whole-basis intermediate is held.  The core
-basis and the test keys of each margin are built once per arena.
-sdr_verify checks the defining identities exactly on a margin-restricted
-basis.
+backend expand each polynomial once.  d_A, delta and e^{+-delta}
+commute with the t-shifts and never lower the t-degree, so each is
+built on the keys of t-degree zero only, at the full cap, and
+Arena._shifted carries those columns to every other key, finding the
+output keys by basis position and cutting at the cap.  Every output key
+of an operator is the space's own key object (Space.own_key), so all
+the operators share one tuple per basis key.  e^{+-delta} (one pass
+over the powers of delta) and sigma_infty, phi_infty (two tails of one
+zeta At) are power series summed column by column; Phi and Phi^{-1}
+are compositions.  H_hat = e^delta phi_infty e^{-delta} is built one
+column at a time, each dropped of its cancelled entries before the
+next, so no whole-basis intermediate is held.  The core basis and the
+test keys of each margin are built once per arena.  sdr_verify checks
+the defining identities exactly on a margin-restricted basis, in one
+pass over the test keys, in integers over one denominator per
+identity.
 """
 
 from fractions import Fraction
-from itertools import product
 from math import factorial, lcm
 from operator import add
 
@@ -41,8 +44,6 @@ from .superspace import (
     graded_commutator,
     move_word,
     power_series,
-    rational_state,
-    state_sum,
     wedge_mask,
 )
 
@@ -63,6 +64,8 @@ class Arena:
             fam = [("theta", self.n), ("xi", X.r), ("xibar", X.r)]
         self.space = Space(fam, qb.mu, self.n, cap)
         self._core = tuple(k for k in self.space.basis() if self.is_core_key(k))
+        # the keys of t-degree zero: the first block of the basis
+        self._t0 = self.space.basis()[:self.space.mu << self.space.ngen]
         self._test_keys = {}
         self._build_operators()
 
@@ -118,34 +121,60 @@ class Arena:
         """The operator sum of sign * r after word over the terms with a
         non-zero polynomial r, through the columns of r in the quotient
         basis.  The columns are brought over one denominator as integers;
-        the moves of every term are made once per (mask, h), and their
-        outputs are then shifted by each boson multi-index and cut at the
-        cap."""
+        the moves of every term are made on the keys of t-degree zero,
+        and _shifted carries their columns to the other keys."""
         sp, cap, qb, own = self.space, self.cap, self.qb, self.space.own_key
         terms = [(sign, word[::-1], qb.columns(r)) for sign, r, word in terms
                  if r]
         den = lcm(*(c.denominator for _, _, cols in terms
                     for col in cols.values() for c in col.values()))
-        moves = {}
-        for mask0, h in product(range(1 << sp.ngen), range(sp.mu)):
-            outs = moves[mask0, h] = []
-            for sign, word, cols in terms:
+        cols = {}
+        for key in self._t0:
+            mask0, h, _ = key
+            out = {}
+            for sign, word, tcols in terms:
                 hit = move_word(mask0, word)
                 if hit:
-                    outs += [(hit[1], l, d2, sum(d2), sign * hit[0]
-                              * c.numerator * (den // c.denominator))
-                             for (l, d2), c in cols.get(h, {}).items()]
-        cols = {}
-        for key in sp.basis():
-            delta, room = key[2], cap - sum(key[2])
-            out = {}
-            for mask, l, d2, t, c in moves[key[:2]]:
-                if t <= room:
-                    k2 = own[mask, l, tuple(map(add, delta, d2))]
-                    out[k2] = out.get(k2, 0) + c
+                    for (l, d2), c in tcols.get(h, {}).items():
+                        if sum(d2) <= cap:
+                            k2 = own[hit[1], l, d2]
+                            out[k2] = (out.get(k2, 0) + sign * hit[0]
+                                       * c.numerator * (den // c.denominator))
             if out:
                 cols[key] = out
-        return LinearOp.from_cols(sp, degree, cols, den)
+        return self._shifted(LinearOp.from_cols(sp, degree, cols, den))
+
+    def _shifted(self, op):
+        """The operator whose column on each key (mask, h, delta) is op's
+        column on (mask, h, 0) with every entry's boson multi-index raised
+        by delta, and the entries beyond the cap dropped.  op holds
+        columns on keys of t-degree zero only, at the full cap, in lowest
+        terms; so the result is in lowest terms over op.den too.  Exact
+        for an operator that commutes with the t-shifts and never lowers
+        the t-degree.  Output keys are found by their basis position,
+        block(delta) + (h << ngen | mask), as the basis is delta-major."""
+        sp = self.space
+        basis, deltas, ngen = sp.basis(), sp.deltas, sp.ngen
+        stride = sp.mu << ngen
+        index = {d: b for b, d in enumerate(deltas)}
+        block = {d: b * stride for d, b in index.items()}
+        # offsets[b0][b2]: the block of deltas[b0] + deltas[b2], or None
+        # beyond the cap
+        offsets = [[block.get(tuple(map(add, d0, d2))) for d2 in deltas]
+                   for d0 in deltas]
+        t0 = [(key[1] << ngen | key[0],
+               [(index[k2[2]], k2[1] << ngen | k2[0], c)
+                for k2, c in col.items()])
+              for key, col in op.cols.items()]
+        cols = {}
+        for b0, offs in enumerate(offsets):
+            start = b0 * stride
+            for low0, entries in t0:
+                out = {basis[o + low]: c for b2, low, c in entries
+                       if (o := offs[b2]) is not None}
+                if out:
+                    cols[basis[start + low0]] = out
+        return LinearOp(sp, op.degree, cols, op.den)
 
     def _build_operators(self):
         n = self.n
@@ -154,10 +183,14 @@ class Arena:
         self.At = graded_commutator(self.d_A, self.nabla)
         self.sigma = self._build_sigma()
         self.pi = self.sigma
-        # e^{+-delta}: delta lowers the theta-degree, so delta^(n+1) = 0
+        # e^{+-delta}: delta lowers the theta-degree, so delta^(n+1) = 0;
+        # it commutes with the t-shifts and never lowers the t-degree, so
+        # the series is summed on the keys of t-degree zero and shifted
         exp = [Fraction(1, factorial(m)) for m in range(n + 1)]
-        self.e_delta, self.e_minus_delta = power_series(
-            self.delta, [exp, [(-1) ** m * c for m, c in enumerate(exp)]])
+        one = LinearOp(self.space, 0, {key: {key: 1} for key in self._t0})
+        self.e_delta, self.e_minus_delta = map(self._shifted, power_series(
+            self.delta, [exp, [(-1) ** m * c for m, c in enumerate(exp)]],
+            one))
         # the perturbation series sum_m (-1)^m (zeta At)^m tail, which
         # stops at m = n, for the tails sigma and zeta nabla
         zeta_at = self.zeta_after(self.At)
@@ -244,42 +277,55 @@ class Arena:
 
     def sdr_verify(self, margin=None):
         """Check the homotopy-equivalence identities exactly on all basis
-        states of t-degree <= cap - margin.  Returns a report dict."""
+        states of t-degree <= cap - margin, in one pass over those keys
+        that reads each key's H_hat, Phi, d_A and Phi_inv columns once.
+        Each identity is an unreduced integer image over one denominator,
+        tested for a non-zero entry; only the first failing key of an
+        identity is reduced to its rational diff.  Returns a report
+        dict."""
         if margin is None:
             margin = 2 * self.table_max_tdeg
         keys = self.test_keys(margin)
-        core = [k for k in keys if self.is_core_key(k)]
-        report = {"margin": margin, "checked": len(keys), "identities": {}}
+        Phi, Phi_inv, H, d = self.Phi, self.Phi_inv, self.H_hat, self.d_A
+        # Phi_inv Phi + d H + H d - 1 over the lcm of its two denominators
+        den_pp, den_dh = Phi_inv.den * Phi.den, d.den * H.den
+        den_retract = lcm(den_pp, den_dh)
+        m_pp, m_dh = den_retract // den_pp, den_retract // den_dh
+        first = {}
 
-        def check(name, fn, domain):
-            for key in domain:
-                got = rational_state(fn(key))
-                if got:
-                    report["identities"][name] = {
-                        "ok": False,
-                        "witness": key,
-                        "diff": got,
-                    }
-                    return
-            report["identities"][name] = {"ok": True}
+        def test(name, key, nums, den):
+            if name not in first and any(nums.values()):
+                first[name] = key, {k: Fraction(v, den)
+                                    for k, v in nums.items() if v}
 
-        Phi, Phi_inv, H = self.Phi, self.Phi_inv, self.H_hat
-        d = self.d_A
+        def times(col, m):
+            return col if m == 1 else {k: c * m for k, c in col.items()}
 
-        def section_defect(key):
-            return state_sum([Phi.apply(Phi_inv.apply_key(key)),
-                              ({key: -1}, 1)])
-
-        check("Phi Phi_inv = 1", section_defect, core)
-
-        def retract_defect(key):
-            return state_sum([Phi_inv.apply(Phi.apply_key(key)),
-                              d.apply(H.apply_key(key)),
-                              H.apply(d.apply_key(key)),
-                              ({key: -1}, 1)])
-
-        check("Phi_inv Phi = 1 - [d, H]", retract_defect, keys)
-        check("H H = 0", lambda key: H.apply(H.apply_key(key)), keys)
-        check("H Phi_inv = 0", lambda key: H.apply(Phi_inv.apply_key(key)), core)
-        check("Phi H = 0", lambda key: Phi.apply(H.apply_key(key)), keys)
-        return report
+        empty = {}
+        for key in keys:
+            h_col = H.cols.get(key, empty)
+            if self.is_core_key(key):
+                inv_col = Phi_inv.cols.get(key, empty)
+                out = Phi.image(inv_col)
+                out[key] = out.get(key, 0) - den_pp
+                test("Phi Phi_inv = 1", key, out, den_pp)
+                test("H Phi_inv = 0", key, H.image(inv_col),
+                     H.den * Phi_inv.den)
+            out = d.image(times(h_col, m_dh))
+            H.image(times(d.cols.get(key, empty), m_dh), out)
+            Phi_inv.image(times(Phi.cols.get(key, empty), m_pp), out)
+            out[key] = out.get(key, 0) - den_retract
+            test("Phi_inv Phi = 1 - [d, H]", key, out, den_retract)
+            test("H H = 0", key, H.image(h_col), H.den * H.den)
+            test("Phi H = 0", key, Phi.image(h_col), Phi.den * H.den)
+        identities = {}
+        for name in ("Phi Phi_inv = 1", "Phi_inv Phi = 1 - [d, H]",
+                     "H H = 0", "H Phi_inv = 0", "Phi H = 0"):
+            if name in first:
+                witness, diff = first[name]
+                identities[name] = {"ok": False, "witness": witness,
+                                    "diff": diff}
+            else:
+                identities[name] = {"ok": True}
+        return {"margin": margin, "checked": len(keys),
+                "identities": identities}

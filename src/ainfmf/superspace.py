@@ -5,11 +5,12 @@ tensor Q[t] truncated at a t-degree cap.  Basis keys are triples
 (mask, h, delta): a bitmask over the ordered generator list, a quotient
 basis index h, and a boson multi-index delta.  A Space builds its basis
 once, as a tuple, and own_key maps each key to the space's own object:
-operators built on a space look their output keys up there, and every
-other operation reuses the keys it is given, so the operators of a
-space share one tuple per basis key.  All signs derive from the
-fixed generator order; generators are grouped into named families and the
-family order is part of the space descriptor.  The one fermion move is
+operators built on a space look their output keys up there or read
+them from the basis by position, and every other operation reuses the
+keys it is given, so the operators of a space share one tuple per
+basis key.  All signs derive from the fixed generator order;
+generators are grouped into named families and the family order is
+part of the space descriptor.  The one fermion move is
 wedge_mask or contract_mask on a mask, which every caller makes on the
 masks of its keys (move_word makes a word of them).  merge_sign is
 the sign of reordering two generator lists into one.  Both backends
@@ -65,8 +66,10 @@ class Space:
         self.pos_name = {v: k for k, v in self.positions.items()}
         self.theta_mask = sum(1 << p for (name, _), p in self.positions.items()
                               if name == "theta")
+        # the boson multi-indices in basis order, (0, .., 0) first
+        self.deltas = tuple(_deltas(nboson, cap))
         self._basis = tuple((mask, h, delta)
-                            for delta in _deltas(nboson, cap)
+                            for delta in self.deltas
                             for h in range(mu)
                             for mask in range(1 << self.ngen))
         # each key to itself: a key built elsewhere is swapped for the
@@ -219,11 +222,13 @@ class LinearOp:
         nums, den = state
         return reduced(self.image(nums), den * self.den)
 
-    def image(self, nums):
+    def image(self, nums, out=None):
         """The image of integer numerators, over their denominator times
-        den: not reduced, and zero entries may remain."""
+        den: not reduced, and zero entries may remain.  Added into the
+        dict out when one is given."""
         cols = self.cols
-        out = {}
+        if out is None:
+            out = {}
         for key, c in nums.items():
             col = cols.get(key)
             if col:
@@ -325,14 +330,12 @@ def merge_sign(m1, m2):
     return -1 if inv & 1 else 1
 
 
-def power_series(op, coeffs, tail=None):
+def power_series(op, coeffs, tail):
     """The operators sum_m c[m] op^m tail, one for each coefficient list
     c in coeffs (every list of one length N + 1), built column by column
-    on powers shared by the lists; tail None is the identity.  op is
-    even.  Raises ValueError unless op^(N + 1) tail vanishes."""
+    on powers shared by the lists, on the columns of tail.  op is even.
+    Raises ValueError unless op^(N + 1) tail vanishes."""
     top, mine = len(coeffs[0]) - 1, op.cols
-    if tail is None:
-        tail = LinearOp(op.space, 0, {k: {k: 1} for k in op.space.basis()})
     coeffs = [[Fraction(c) for c in cs] for cs in coeffs]
     q = lcm(*(c.denominator for cs in coeffs for c in cs))
     # c[m] op^m tail over the one denominator q op.den^N tail.den

@@ -9,6 +9,7 @@ from ainfmf import ainfmodel, cli
 from ainfmf.ainfmodel import Model
 from ainfmf.normalorder import FeynmanBackend
 from ainfmf.sdrcore import Arena
+from ainfmf.treealg import mirror_sign
 
 from test_superspace import identity
 
@@ -447,6 +448,21 @@ def test_sdr_verify_names_its_witness(monkeypatch):
                                    for v in got["diff"].values())
 
 
+def test_sdr_verify_below_its_margin_names_its_witness():
+    # at cap 2 with margin 1 the cap cuts the retract identity on
+    # Hom(X, X); pinned as measured by the per-identity check
+    command = {"command": "sdr-verify", "source": "X", "target": "X",
+               "margin": 1}
+    report, code = cli.run(WORKED, commands=[command])
+    assert code == cli.EXIT_VERIFY
+    pair, = report["results"][0]["result"]["pairs"]
+    assert pair["checked"] == 64
+    assert pair["failures"] == {"Phi_inv Phi = 1 - [d, H]": {
+        "witness": "theta1*xibar1*z4*t1",
+        "diff": {"z2*t1^2": "-6/25", "theta1*xi1*z1*t1^2": "-3/25",
+                 "xi1*xibar1*z2*t1^2": "6/25"}}}
+
+
 def _faulty_column(fault):
     """FeynmanBackend._column with one fault in the stage-1 columns of the
     top: "flip" negates the first non-empty column a backend builds,
@@ -486,6 +502,39 @@ def test_feynman_catches_faults_in_top_columns(monkeypatch, fault, one_sided):
               bool(backend.tree_state((1, 2), (0, 0, 0), combo)))
              for combo in product(core, core)}
     assert ((True, False) if one_sided == "table" else (False, True)) in sides
+
+
+def test_feynman_names_its_first_mismatch(monkeypatch):
+    # a passing report has no first_mismatch; with a sign fault in the
+    # backend's top columns the first mismatched tuple is named in key
+    # labels, with the Feynman side minus the table in p/q
+    report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 2}])
+    assert code == cli.EXIT_OK
+    assert "first_mismatch" not in report["results"][0]["result"]
+    monkeypatch.setattr(FeynmanBackend, "_column", _faulty_column("flip"))
+    report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 2}])
+    assert code == cli.EXIT_VERIFY
+    first = report["results"][0]["result"]["first_mismatch"]
+    # k = 2 has the one tree (1, 2), of sign (-1)^2 mirror_sign
+    m = cli.Problem(WORKED).need_model()
+    backend = FeynmanBackend(m)
+    table = m.rho_table(2, (0, 0, 0))
+    core = m.pair(0, 0).arena.core_basis()
+    label = m.pair(0, 0).arena.space.key_label
+    for combo in product(core, core):
+        tilde = dict(enumerate((m.tilde(key) for key in combo), 1))
+        sign = mirror_sign((1, 2), tilde)
+        diff = {kk: sign * v for kk, v in
+                backend.tree_state((1, 2), (0, 0, 0), combo).items()}
+        for kk, v in table.get(combo, {}).items():
+            diff[kk] = diff.get(kk, 0) - v
+        diff = {kk: v for kk, v in diff.items() if v}
+        if diff:
+            break
+    assert first == {"inputs": [label(key) for key in combo],
+                     "diff": {label(kk): cli.frac(v)
+                              for kk, v in sorted(diff.items(), key=str)}}
+    assert all(re.fullmatch(r"-?\d+/\d+", v) for v in first["diff"].values())
 
 
 def test_timing_per_command():

@@ -46,6 +46,36 @@ def test_arithmetic():
     assert p.diff(0) == parse_poly("x1^4", 1)
 
 
+def test_power_equals_repeated_multiplication():
+    x = P("x1 + 1", 1)
+    want = Polynomial.const(1, 1)
+    for k in range(10):
+        assert x ** k == want
+        want = want * x
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+def test_power_squares_repeatedly(monkeypatch):
+    # x^1000000 from the parser takes about 40 products, not a million
+    calls = []
+    original = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    x = P("x1 - 2", 1)
+    for k in (0, 1, 2, 3, 5, 8, 13, 255, 256):
+        calls.clear()
+        x ** k
+        assert len(calls) <= 2 * k.bit_length(), k
+    calls.clear()
+    assert P("x1^1000000", 1) == Polynomial.monomial(1, (1000000,), 1)
+    assert len(calls) <= 2 * (1000000).bit_length()
+
+
 def test_orders():
     # x1 > x2 in all three orders; degree dominates in graded orders
     a, b, c = (1, 0), (0, 1), (0, 2)

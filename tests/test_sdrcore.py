@@ -7,7 +7,7 @@ from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis, t_adic_expand
 from ainfmf.sdrcore import Arena
 from ainfmf.superspace import (LinearOp, ZeroVirtualDegree, graded_commutator,
-                               rational_state)
+                               rational_state, state_sum)
 from test_superspace import (contract_op, from_rule, identity, is_zero,
                              wedge_op)
 
@@ -371,6 +371,88 @@ def test_sdr_verify_worked_example_rho():
     a = worked_arena(cap=4, presentation="rho")
     report = a.sdr_verify(margin=2)
     assert all(v["ok"] for v in report["identities"].values())
+
+
+def reference_sdr_report(a, margin):
+    """Reference sdr_verify: each identity checked on its own, key by
+    key, as a reduced scaled state made by apply, apply_key and
+    state_sum."""
+    keys = a.test_keys(margin)
+    core = [k for k in keys if a.is_core_key(k)]
+    Phi, Phi_inv, H, d = a.Phi, a.Phi_inv, a.H_hat, a.d_A
+    identities = {}
+
+    def check(name, fn, domain):
+        for key in domain:
+            got = rational_state(fn(key))
+            if got:
+                identities[name] = {"ok": False, "witness": key, "diff": got}
+                return
+        identities[name] = {"ok": True}
+
+    check("Phi Phi_inv = 1", lambda key: state_sum(
+        [Phi.apply(Phi_inv.apply_key(key)), ({key: -1}, 1)]), core)
+    check("Phi_inv Phi = 1 - [d, H]", lambda key: state_sum(
+        [Phi_inv.apply(Phi.apply_key(key)), d.apply(H.apply_key(key)),
+         H.apply(d.apply_key(key)), ({key: -1}, 1)]), keys)
+    check("H H = 0", lambda key: H.apply(H.apply_key(key)), keys)
+    check("H Phi_inv = 0", lambda key: H.apply(Phi_inv.apply_key(key)), core)
+    check("Phi H = 0", lambda key: Phi.apply(H.apply_key(key)), keys)
+    return {"margin": margin, "checked": len(keys), "identities": identities}
+
+
+def with_sign_fault(op, keys):
+    """A copy of op with the first entry of its first column on keys
+    negated."""
+    key = next(k for k in keys if k in op.cols)
+    col = dict(op.cols[key])
+    k2 = next(iter(col))
+    col[k2] = -col[k2]
+    return LinearOp(op.space, op.degree, {**op.cols, key: col}, op.den)
+
+
+def fault_sites(a, keys):
+    """Per operator that sdr_verify reads, keys whose columns it reads,
+    the most telling first: H_hat on the image of Phi_inv, which H Phi_inv
+    and H H read on the worked model, and d_A on the image of H_hat."""
+    core = [k for k in keys if a.is_core_key(k)]
+    inv_image = [k2 for k in core for k2 in a.Phi_inv.cols.get(k, ())]
+    h_image = [k2 for k in keys for k2 in a.H_hat.cols.get(k, ())]
+    return {"H_hat": inv_image + list(keys), "Phi": keys, "Phi_inv": keys,
+            "d_A": h_image + list(keys)}
+
+
+# each fixture with the smallest margin at which its clean check passes,
+# and whether each of the five identities fails under some fault: only
+# the worked model has an H_hat column on the image of Phi_inv
+SDR_CASES = list(zip(FIXTURES + [lambda: quadric3_arena(cap=2)],
+                     [2, 2, 2, 1, 1, 1],
+                     [True, True, False, False, False, False]))
+
+
+@pytest.mark.parametrize("make, margin, all_five", SDR_CASES,
+                         ids=FIXTURE_IDS + ["quadric3"])
+def test_sdr_verify_matches_reference(make, margin, all_five, monkeypatch):
+    # the one-pass report equals the per-identity reference at the
+    # default margin, at margin 0 (where the cap cuts), and at the
+    # smallest passing margin clean and with a sign fault in one entry
+    # of each operator it reads; every fault fails some identity
+    a = make()
+    assert a.sdr_verify() == reference_sdr_report(a, 2 * a.table_max_tdeg)
+    assert a.sdr_verify(0) == reference_sdr_report(a, 0)
+    report = a.sdr_verify(margin)
+    assert report == reference_sdr_report(a, margin)
+    assert all(v["ok"] for v in report["identities"].values())
+    failed = set()
+    for name, keys in fault_sites(a, a.test_keys(margin)).items():
+        monkeypatch.setattr(a, name, with_sign_fault(getattr(a, name), keys))
+        report = a.sdr_verify(margin)
+        assert report == reference_sdr_report(a, margin), name
+        names = {n for n, v in report["identities"].items() if not v["ok"]}
+        assert names, name
+        failed |= names
+        monkeypatch.undo()
+    assert failed == set(report["identities"]) or not all_five
 
 
 def test_kstab_arena_structure():

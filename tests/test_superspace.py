@@ -159,7 +159,7 @@ def test_power_series():
     w1, w2 = wedge_op(sp, 0), wedge_op(sp, 1)
     n = w1.compose(w2)
     # e^{+-N} = 1 +- N since N^2 = 0, both from one pass over the powers
-    e, e_minus = power_series(n, [[1, 1], [1, -1]])
+    e, e_minus = power_series(n, [[1, 1], [1, -1]], identity(sp))
     assert equals(e, identity(sp) + n)
     assert equals(e_minus, identity(sp) - n)
     assert equals(e.compose(e_minus), identity(sp))
@@ -175,12 +175,12 @@ def test_power_series_must_truncate():
     n = wedge_op(sp, 0).compose(wedge_op(sp, 1))
     # N^1 does not vanish, so a series that stops at m = 0 raises
     with pytest.raises(ValueError):
-        power_series(n, [[1]])
+        power_series(n, [[1]], identity(sp))
     # theta1 theta1* is idempotent, so no power of it vanishes
     number = wedge_op(sp, 0).compose(contract_op(sp, 0))
     for top in range(4):
         with pytest.raises(ValueError):
-            power_series(number, [[1] * (top + 1)])
+            power_series(number, [[1] * (top + 1)], identity(sp))
 
 
 def test_virtual_degree():

@@ -25,11 +25,12 @@ file).  Exit codes: 0 all verifications pass, 1 verification failure,
 exact rational rendered "p/q".
 
 Unknown keys in the spec, in an object or in a command entry are input
-errors.  feynman checks the rho_k tables that rho and verify-ainf
-report against the normal-ordering backend's signed tree sums, and
-counts the basis tuples where they disagree as mismatches; a cap below
-the margin n (k - 1) is cap insufficiency.  So is cap 0 for e1,
-clifford and kstab, where no key has the t-degree that At needs.
+errors; a null field or argument is an absent one.  feynman checks the
+rho_k tables that rho and verify-ainf report against the normal-ordering
+backend's signed tree sums, and counts the basis tuples where they
+disagree as mismatches; a cap below the margin n (k - 1) is cap
+insufficiency.  So is cap 0 for e1, clifford and kstab, where no key
+has the t-degree that At needs.
 """
 
 import argparse
@@ -90,7 +91,8 @@ def frac(x):
 
 
 _REQUIRED = object()
-_KINDS = {list: "list", dict: "JSON object", str: "string"}
+_KINDS = {list: "a list", dict: "a JSON object", str: "a string",
+          int: "an integer"}
 
 
 def _known_keys(desc, keys, where):
@@ -112,7 +114,7 @@ def _field(desc, name, kind, where, default=_REQUIRED):
             raise InputError("%s needs a %r field" % (where, name))
         return default
     if isinstance(value, bool) or not isinstance(value, kind):
-        raise InputError("%s: %r must be a %s" % (where, name, _KINDS[kind]))
+        raise InputError("%s: %r must be %s" % (where, name, _KINDS[kind]))
     return value
 
 
@@ -145,7 +147,8 @@ class Problem:
         self.order = _field(raw, "order", str, "spec", "grevlex")
         if self.order not in ORDERS:
             raise InputError("order must be one of %s" % ", ".join(ORDERS))
-        self.cap = cap_override if cap_override is not None else raw.get("cap", 3)
+        self.cap = cap_override if cap_override is not None else \
+            _field(raw, "cap", int, "spec", 3)
         if isinstance(self.cap, bool) or not isinstance(self.cap, int) or self.cap < 0:
             raise InputError("cap must be a non-negative integer")
         try:
@@ -233,26 +236,64 @@ class Problem:
             raise InputError("unknown object label %r" % label)
         return self.labels.index(label)
 
-    def path_indices(self, path):
-        if not isinstance(path, list):
-            raise InputError("path must be a list of object labels")
-        return tuple(self.obj_index(p) for p in path)
-
 
 # ----------------------------------------------------------------------
-# command implementations; each returns (result_dict, ok, cap_ok)
+# command implementations; each returns (result_dict, ok, cap_ok), and a
+# per-pair one gives _per_pair a check(m, s, t) -> (fields, ok, cap_ok)
 
 
 def _int_arg(args, name, default, minimum):
     """The integer argument args[name] (default when absent), checked to
-    be an int, not a bool, and >= minimum.  A default of None stays
-    None when the argument is absent or null."""
-    value = args.get(name, default)
-    if value is None and default is None:
-        return None
+    be an int, not a bool, and >= minimum."""
+    if name not in args:
+        return default
+    value = args[name]
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise InputError("%s must be an integer >= %d" % (name, minimum))
     return value
+
+
+def _labelled(space, state):
+    """A state of space as {key label: "p/q"}, in key order."""
+    return {space.key_label(key): frac(c)
+            for key, c in sorted(state.items(), key=str)}
+
+
+def _input_labels(m, path, combo):
+    """The key labels of a tuple of inputs along path, one per slot."""
+    return [m.pair(*path[i : i + 2]).arena.space.key_label(key)
+            for i, key in enumerate(combo)]
+
+
+def _path_arg(prob, args, k, command):
+    """The "path" argument: k + 1 object indices, default the first."""
+    path = args.get("path", prob.labels[:1] * (k + 1))
+    if not isinstance(path, list):
+        raise InputError("path must be a list of object labels")
+    if len(path) != k + 1:
+        raise InputError("%s needs a path of k + 1 object labels" % command)
+    return tuple(prob.obj_index(p) for p in path)
+
+
+def _per_pair(prob, args, check):
+    """check on the pair "source", "target" (each defaulting to the first
+    object), or on every pair when neither is given."""
+    m = prob.need_model()
+    if "source" in args or "target" in args:
+        pairs = [(prob.obj_index(args.get("source", prob.labels[0])),
+                  prob.obj_index(args.get("target", prob.labels[0])))]
+    else:
+        n = len(prob.labels)
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+    out = []
+    ok = cap_ok = True
+    for s, t in pairs:
+        fields, pair_ok, pair_cap_ok = check(m, s, t)
+        out.append({"source": prob.labels[s], "target": prob.labels[t],
+                    **fields})
+        ok = ok and pair_ok
+        cap_ok = cap_ok and pair_cap_ok
+    return {"pairs": out}, ok, cap_ok
 
 
 def cmd_groebner(prob, args):
@@ -311,62 +352,34 @@ def cmd_expand(prob, args):
     }, True, exp.exact_beyond_cap
 
 
-def _pair_list(prob, args):
-    m = prob.need_model()
-    if "source" in args or "target" in args:
-        s = prob.obj_index(args.get("source", prob.labels[0]))
-        t = prob.obj_index(args.get("target", prob.labels[0]))
-        return [(s, t)]
-    k = len(m.objects)
-    return [(s, t) for s in range(k) for t in range(k)]
-
-
 def cmd_vertices(prob, args):
-    m = prob.need_model()
-    out = []
-    ok = True
-    for s, t in _pair_list(prob, args):
+    def check(m, s, t):
         cat = VertexCatalog(m.pair(s, t).arena)
-        rows = []
-        for row in cat.rows():
-            rows.append({
-                "vertex": row["vertex"],
-                "kind": row["kind"],
-                "k": row["k"],
-                "ops": [list(op) for op in row["ops"]],
-                "poly": row["poly"],
-                "coefficient": frac(row["coefficient"])
-                if row["coefficient"] is not None else None,
-                "shifts": {str(h): list(v) for h, v in (row["shifts"] or {}).items()},
-            })
-        if cat.notes:
-            ok = False
-        out.append({
-            "source": prob.labels[s],
-            "target": prob.labels[t],
-            "presentation": m.pair(s, t).presentation,
-            "rows": rows,
-            "notes": list(cat.notes),
-        })
-    return {"pairs": out}, ok, True
+        rows = [{
+            "vertex": row["vertex"],
+            "kind": row["kind"],
+            "k": row["k"],
+            "ops": [list(op) for op in row["ops"]],
+            "poly": row["poly"],
+            "coefficient": frac(row["coefficient"])
+            if row["coefficient"] is not None else None,
+            "shifts": {str(h): list(v) for h, v in (row["shifts"] or {}).items()},
+        } for row in cat.rows()]
+        return {"presentation": m.pair(s, t).presentation, "rows": rows,
+                "notes": list(cat.notes)}, not cat.notes, True
+
+    return _per_pair(prob, args, check)
 
 
 def cmd_rho(prob, args):
     m = prob.need_model()
     k = _int_arg(args, "k", 2, 1)
-    path = prob.path_indices(args.get("path", prob.labels[:1] * (k + 1)))
-    if len(path) != k + 1:
-        raise InputError("rho needs a path of k + 1 object labels")
+    path = _path_arg(prob, args, k, "rho")
     table = m.rho_table(k, path)
     space = m.pair(path[0], path[-1]).arena.space
-    spaces = [m.pair(path[i], path[i + 1]).arena.space for i in range(k)]
-    entries = []
-    for combo in sorted(table, key=str):
-        entries.append({
-            "inputs": [spaces[i].key_label(combo[i]) for i in range(k)],
-            "output": {space.key_label(kk): frac(v)
-                       for kk, v in sorted(table[combo].items(), key=str)},
-        })
+    entries = [{"inputs": _input_labels(m, path, combo),
+                "output": _labelled(space, table[combo])}
+               for combo in sorted(table, key=str)]
     return {"k": k, "path": [prob.labels[p] for p in path],
             "entries": entries}, True, True
 
@@ -390,47 +403,35 @@ def cmd_verify_ainf(prob, args):
     if report["failures"]:
         first = report["failures"][0]
         path = first["path"]
-        space = m.pair(path[0], path[-1]).arena.space
         result["first_failure"] = {
             "form": first["form"], "level": first["level"],
             "path": [prob.labels[p] for p in path],
-            "inputs": [m.pair(*path[i : i + 2]).arena.space.key_label(key)
-                       for i, key in enumerate(first["inputs"])],
-            "defect": {space.key_label(kk): frac(v) for kk, v in
-                       sorted(first["defect"].items(), key=str)},
+            "inputs": _input_labels(m, path, first["inputs"]),
+            "defect": _labelled(m.pair(path[0], path[-1]).arena.space,
+                                first["defect"]),
         }
     return result, report["ok"], True
 
 
 def cmd_sdr_verify(prob, args):
-    m = prob.need_model()
     margin = _int_arg(args, "margin", None, 0)
-    out = []
-    ok = cap_ok = True
-    for s, t in _pair_list(prob, args):
-        arena = m.pair(s, t).arena
-        rep = arena.sdr_verify(margin=margin)
+
+    def check(m, s, t):
+        space = m.pair(s, t).arena.space
+        rep = m.pair(s, t).arena.sdr_verify(margin=margin)
         identities = sorted(rep["identities"].items())
-        # the cap leaves no key inside the margin: nothing was checked
-        cap_ok = cap_ok and rep["checked"] > 0
-        entry = {
-            "source": prob.labels[s],
-            "target": prob.labels[t],
-            "margin": rep["margin"],
-            "checked": rep["checked"],
-            "identities": {name: v["ok"] for name, v in identities},
-        }
-        label = arena.space.key_label
+        fields = {"margin": rep["margin"], "checked": rep["checked"],
+                  "identities": {name: v["ok"] for name, v in identities}}
         failures = {
-            name: {"witness": label(v["witness"]),
-                   "diff": {label(kk): frac(c) for kk, c in
-                            sorted(v["diff"].items(), key=str)}}
+            name: {"witness": space.key_label(v["witness"]),
+                   "diff": _labelled(space, v["diff"])}
             for name, v in identities if not v["ok"]}
         if failures:
-            ok = False
-            entry["failures"] = failures
-        out.append(entry)
-    return {"pairs": out}, ok, cap_ok
+            fields["failures"] = failures
+        # cap insufficient when the cap leaves no key inside the margin
+        return fields, not failures, rep["checked"] > 0
+
+    return _per_pair(prob, args, check)
 
 
 def _on_cohomology(m, pair):
@@ -445,10 +446,7 @@ def _on_cohomology(m, pair):
 
 
 def cmd_e1(prob, args):
-    m = prob.need_model()
-    out = []
-    ok = True
-    for s, t in _pair_list(prob, args):
+    def check(m, s, t):
         coh, induced = _on_cohomology(m, (s, t))
         e1 = induced["E1"]
         idem = mat_mul(e1, e1) == e1
@@ -456,24 +454,16 @@ def cmd_e1(prob, args):
             1 for j in range(coh.dim)
             if any(e1[i][j] for i in range(coh.dim))
         )
-        ok = ok and idem
-        out.append({
-            "source": prob.labels[s],
-            "target": prob.labels[t],
-            "cohomology_dim": coh.dim,
-            "idempotent": idem,
-            "nonzero_columns": rank,
-        })
-    return {"pairs": out}, ok, True
+        return {"cohomology_dim": coh.dim, "idempotent": idem,
+                "nonzero_columns": rank}, idem, True
+
+    return _per_pair(prob, args, check)
 
 
 def cmd_clifford(prob, args):
     # the Clifford operators induced on cohomology: gamma_i equals the
     # transported class At_i, and E1 factorises as gamma...gamma^dagger
-    m = prob.need_model()
-    out = []
-    ok = True
-    for s, t in _pair_list(prob, args):
+    def check(m, s, t):
         _, induced = _on_cohomology(m, (s, t))
         gammas = induced["gamma"]
         gamma_is_at = gammas == induced["At"]
@@ -483,15 +473,11 @@ def cmd_clifford(prob, args):
         for d in induced["dagger"]:
             prod = mat_mul(prod, d)
         factorised = prod == induced["E1"]
-        pair_ok = gamma_is_at and factorised
-        ok = ok and pair_ok
-        out.append({
-            "source": prob.labels[s],
-            "target": prob.labels[t],
-            "gamma_equals_At": gamma_is_at,
-            "E1_equals_gamma_product": factorised,
-        })
-    return {"pairs": out}, ok, True
+        return {"gamma_equals_At": gamma_is_at,
+                "E1_equals_gamma_product": factorised}, \
+            gamma_is_at and factorised, True
+
+    return _per_pair(prob, args, check)
 
 
 def cmd_kstab(prob, args):
@@ -506,25 +492,19 @@ def cmd_kstab(prob, args):
         raise InputError("invalid decomposition: %s" % exc) from exc
     ok = bool(result["rho1_zero"] and result["closed"])
     space = m.pair(idx, idx).arena.space
-    kernel = [
-        {space.key_label(kk): frac(v) for kk, v in sorted(st.items(), key=str)}
-        for st in result["kernel"]
-    ]
     return {
         "object": prob.labels[idx],
         "level": level,
         "rho1_zero": bool(result["rho1_zero"]),
         "closed": bool(result["closed"]),
-        "kernel": kernel,
+        "kernel": [_labelled(space, st) for st in result["kernel"]],
     }, ok, True
 
 
 def cmd_feynman(prob, args):
     m = prob.need_model()
     k = _int_arg(args, "k", 2, 2)
-    path = prob.path_indices(args.get("path", [prob.labels[0]] * (k + 1)))
-    if len(path) != k + 1:
-        raise InputError("feynman needs a path of k + 1 object labels")
+    path = _path_arg(prob, args, k, "feynman")
     limit = _int_arg(args, "limit", None, 1)
     check_cap(m, k)
     cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
@@ -572,12 +552,9 @@ def cmd_feynman(prob, args):
     }
     if first:
         combo, diff = first
-        space = m.pair(path[0], path[-1]).arena.space
         result["first_mismatch"] = {
-            "inputs": [m.pair(*path[i : i + 2]).arena.space.key_label(key)
-                       for i, key in enumerate(combo)],
-            "diff": {space.key_label(kk): frac(v) for kk, v in
-                     sorted(diff.items(), key=str)},
+            "inputs": _input_labels(m, path, combo),
+            "diff": _labelled(m.pair(path[0], path[-1]).arena.space, diff),
         }
     return result, bad == 0, True
 
@@ -608,7 +585,8 @@ def _parse_commands(entries):
         if isinstance(entry, str):
             out.append((entry, {}))
         elif isinstance(entry, dict) and isinstance(entry.get("command"), str):
-            args = dict(entry)
+            # a null argument is an absent one
+            args = {key: v for key, v in entry.items() if v is not None}
             name = args.pop("command")
             if name in COMMANDS:
                 _known_keys(args, COMMANDS[name], "command %r" % name)
@@ -626,7 +604,7 @@ def run(raw_spec, commands=None, cap=None):
     try:
         prob = Problem(raw_spec, cap_override=cap)
         if commands is None:
-            commands = raw_spec.get("commands", [])
+            commands = _field(raw_spec, "commands", list, "spec", [])
         commands = _parse_commands(commands)
     except InputError as exc:
         return {"error": str(exc), "ok": False}, EXIT_INPUT
@@ -818,8 +796,8 @@ def main(argv=None):
     commands = None
     if ns.mode != "run":
         try:
-            listed = _parse_commands(
-                raw.get("commands", []) if isinstance(raw, dict) else [])
+            listed = _parse_commands(_field(raw, "commands", list, "spec", [])
+                                     if isinstance(raw, dict) else [])
         except InputError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_INPUT

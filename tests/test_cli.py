@@ -291,6 +291,35 @@ def test_verify_ainf_rejects_bad_arguments(args):
     assert "error" in report["results"][-1]
 
 
+# each command argument with the spec it runs on and the exit code of
+# the command without it; a null argument must give the same report
+NULL_ARGS = [
+    (WORKED, {"command": "gamma"}, "cap", cli.EXIT_OK),
+    (WORKED, {"command": "expand", "polynomial": "x^2"}, "cap", cli.EXIT_OK),
+    (WORKED, {"command": "vertices", "target": "Y"}, "source", cli.EXIT_OK),
+    (WORKED, {"command": "vertices", "source": "Y"}, "target", cli.EXIT_OK),
+    (WORKED, {"command": "rho", "path": ["X", "Y", "X"]}, "k", cli.EXIT_OK),
+    (WORKED, {"command": "rho"}, "path", cli.EXIT_OK),
+    (WORKED, {"command": "verify-ainf"}, "level", cli.EXIT_OK),
+    (WORKED, {"command": "verify-ainf", "level": 1}, "forms", cli.EXIT_OK),
+    (WORKED, {"command": "sdr-verify", "source": "X"}, "margin",
+     cli.EXIT_OK),
+    (WORKED, {"command": "e1"}, "source", cli.EXIT_OK),
+    (WORKED, {"command": "clifford"}, "target", cli.EXIT_OK),
+    (KSTAB, {"command": "kstab", "decomposition": ["x^2"]}, "object",
+     cli.EXIT_OK),
+    (KSTAB, {"command": "kstab", "decomposition": ["x^2"]}, "level",
+     cli.EXIT_OK),
+    # an absent decomposition is the empty one, which x^3 does not take
+    (KSTAB, {"command": "kstab"}, "decomposition", cli.EXIT_INPUT),
+    (WORKED, {"command": "feynman", "path": ["X", "Y", "X"]}, "k",
+     cli.EXIT_OK),
+    (WORKED, {"command": "feynman", "k": 2}, "path", cli.EXIT_OK),
+    (WORKED, {"command": "feynman", "k": 2}, "limit", cli.EXIT_OK),
+    (WORKED, {"command": "expand"}, "polynomial", cli.EXIT_INPUT),
+]
+
+
 def test_optional_integer_arguments():
     # limit and margin may be absent or null; a numeric limit cuts tuples
     report, code = cli.run(WORKED, commands=[
@@ -302,6 +331,19 @@ def test_optional_integer_arguments():
     assert code == cli.EXIT_OK
     tuples = [r["result"]["tuples"] for r in report["results"][:2]]
     assert tuples == [256, 3]
+    # every argument and the spec's cap and commands: null is absent
+    for spec, command, name, want in NULL_ARGS:
+        absent, code = cli.run(spec, commands=[command])
+        null, null_code = cli.run(spec, commands=[dict(command,
+                                                       **{name: None})])
+        assert (null_code, code) == (want, want), (command, name)
+        assert cli.canonical(null) == cli.canonical(absent), (command, name)
+    for name in ("cap", "commands"):
+        spec = dict(WORKED, commands=["basis"])
+        absent, code = cli.run({k: v for k, v in spec.items() if k != name})
+        null, null_code = cli.run(dict(spec, **{name: None}))
+        assert null_code == code == cli.EXIT_OK, name
+        assert cli.canonical(null) == cli.canonical(absent), name
 
 
 def test_feynman_reads_limit_before_the_cap():

@@ -484,7 +484,7 @@ def cmd_kstab(prob, args):
     m = prob.need_model()
     idx = prob.obj_index(args.get("object", prob.labels[0]))
     decomposition = [prob._poly(p) for p in
-                     _field(args, "decomposition", list, "kstab", [])]
+                     _field(args, "decomposition", list, "kstab")]
     level = _int_arg(args, "level", 3, 1)
     try:
         result = kstab_minimal(m, idx, decomposition, level=level)
@@ -519,30 +519,39 @@ def cmd_feynman(prob, args):
             [(key, {key: Fraction(1)}) for key in dict.fromkeys(keys)]
             for keys in zip(*combos)])
     backend = FeynmanBackend(m)
+    # rho_k = (-1)^k sum_T of the Koszul-signed denotation of T, which is
+    # mirror_sign times the signless tree_state; the sign depends on the
+    # tree and the inputs' parities only.  Each tree is evaluated once
+    # over all tuples and added into one sum per tuple
+    got = {}
     trees = enumerate_binary(k)
-    signs = {}
+    for T in trees:
+        negate = {}
+        for combo, state in backend.tree_state(T, path, combos).items():
+            parity = tuple(m.tilde(key) for key in combo)
+            if parity not in negate:
+                tilde = dict(enumerate(parity, 1))
+                negate[parity] = (-1) ** k * mirror_sign(T, tilde) < 0
+            if negate[parity]:
+                state = {kk: -v for kk, v in state.items()}
+            acc = got.get(combo)
+            if acc is None:
+                got[combo] = state
+            else:
+                for kk, v in state.items():
+                    add_into(acc, kk, v)
     bad = 0
     first = None
     for combo in combos:
-        # rho_k = (-1)^k sum_T of the Koszul-signed denotation of T, which
-        # is mirror_sign times the signless tree_state; the sign depends
-        # on the tree and the inputs' parities only
-        parity = tuple(m.tilde(key) for key in combo)
-        if parity not in signs:
-            tilde = dict(enumerate(parity, 1))
-            signs[parity] = [(-1) ** k * mirror_sign(T, tilde) for T in trees]
-        got = {}
-        for T, sign in zip(trees, signs[parity]):
-            for kk, v in backend.tree_state(T, path, combo).items():
-                add_into(got, kk, sign * v)
+        have = got.get(combo, {})
         want = table.get(combo, {})
-        if got != want:
+        if have != want:
             bad += 1
             if first is None:
                 # the witness: the Feynman side minus the table
                 for kk, v in want.items():
-                    add_into(got, kk, -v)
-                first = combo, got
+                    add_into(have, kk, -v)
+                first = combo, have
     result = {
         "k": k,
         "path": [prob.labels[p] for p in path],

@@ -17,8 +17,9 @@ algebra in sdrcore/ainfmodel.  The ingredients are
   * a tree walker (FeynmanBackend) whose signed sums over trees the
     feynman command compares against the reported rho_k tables of the
     matrix backend.  Each tree is evaluated on its own, by one
-    tree_state call, from states and top-node column maps that the
-    backend shares across tuples and trees.
+    tree_state call over all tuples grouped by the keys left of its top
+    split, from states and top-node column maps that the backend
+    shares across tuples and trees.
 
 The junction (binary composition) is computed by pairing the fermions of
 the shared middle object directly on exterior masks, not through the
@@ -468,7 +469,10 @@ class FeynmanBackend:
         column map ka -> sum over kb of c_b top(ka, kb).
     The top operator is linear in the key pairs of its two states, so a
     tree's output is the sum over the keys ka of its right state of c_a
-    times the column of ka."""
+    times the column of ka.  tree_state evaluates one tree over many
+    tuples: those that share the keys left of the top split share one
+    left state and one column map, and when that left state is empty
+    no column is built and none of them has an output."""
 
     def __init__(self, model):
         self.model = model
@@ -557,31 +561,44 @@ class FeynmanBackend:
                 col[kc] = col.get(kc, 0) + cb * c
         return {kc: c for kc, c in col.items() if c}
 
-    def tree_state(self, tree, path, keys):
-        """The full output state of one tree on a tuple of core basis
-        keys; equals the signless mirror evaluation of the matrix
-        backend: the right state below the top summed against the
-        column map of the left state."""
+    def tree_state(self, tree, path, combos):
+        """The output states of one tree on a list of tuples of core basis
+        keys, {combo: state} for the non-empty states only; each equals
+        the signless mirror evaluation of the matrix backend: the right
+        state below the top summed against the column map of the left
+        state.  The tuples are grouped by the keys left of the top split,
+        combo[:mid], so each left state is built once per group, and a
+        group whose left state is empty is skipped."""
         path = tuple(path)
-        keys = tuple(keys)
         _, mid, hi = self._span(tree)
         pair_a, pair_b = (path[mid], path[hi]), (path[0], path[mid])
-        cols = self._columns.setdefault((path, tree[0], keys[:mid]), {})
-        sb = None
+        groups = {}
+        for combo in combos:
+            groups.setdefault(combo[:mid], []).append(combo)
         out = {}
-        for ka, ca in self._eval(tree[1], path, keys).items():
-            col = cols.get(ka)
-            if col is None:
-                if sb is None:
-                    sb = self._eval(tree[0], path, keys)
-                col = cols[ka] = self._column(pair_a, pair_b, ka, sb)
-            for kc, c in col.items():
-                out[kc] = out.get(kc, 0) + ca * c
-        return {kc: c for kc, c in out.items() if c}
+        for left, group in groups.items():
+            sb = self._eval(tree[0], path, group[0])
+            if not sb:
+                continue
+            cols = self._columns.setdefault((path, tree[0], left), {})
+            for combo in group:
+                acc = {}
+                for ka, ca in self._eval(tree[1], path, combo).items():
+                    col = cols.get(ka)
+                    if col is None:
+                        col = cols[ka] = self._column(pair_a, pair_b, ka, sb)
+                    for kc, c in col.items():
+                        v = ca * c
+                        acc[kc] = acc[kc] + v if kc in acc else v
+                state = {kc: c for kc, c in acc.items() if c}
+                if state:
+                    out[combo] = state
+        return out
 
     def c_tau(self, tree, path, keys, tau):
         k = len(leaves(tree))
         path = tuple(path)
+        keys = tuple(keys)
         if len(path) != k + 1:
             raise ValueError("path length must be k + 1")
         check_cap(self.model, k)
@@ -589,4 +606,5 @@ class FeynmanBackend:
             eng = self.engine(path[i], path[i + 1])
             if eng.space.virtual_degree(key):
                 raise DegreeMismatch("input %d carries theta or t content" % (i + 1))
-        return self.tree_state(tree, path, keys).get(tau, Fraction(0))
+        state = self.tree_state(tree, path, [keys]).get(keys, {})
+        return state.get(tau, Fraction(0))

@@ -9,7 +9,7 @@ from ainfmf import ainfmodel, cli
 from ainfmf.ainfmodel import Model
 from ainfmf.normalorder import FeynmanBackend
 from ainfmf.sdrcore import Arena
-from ainfmf.treealg import mirror_sign
+from ainfmf.treealg import enumerate_binary, mirror_sign
 
 from test_superspace import identity
 
@@ -310,7 +310,8 @@ NULL_ARGS = [
      cli.EXIT_OK),
     (KSTAB, {"command": "kstab", "decomposition": ["x^2"]}, "level",
      cli.EXIT_OK),
-    # an absent decomposition is the empty one, which x^3 does not take
+    # kstab has no default decomposition: an absent one is an input error
+    # that names the field
     (KSTAB, {"command": "kstab"}, "decomposition", cli.EXIT_INPUT),
     (WORKED, {"command": "feynman", "path": ["X", "Y", "X"]}, "k",
      cli.EXIT_OK),
@@ -338,6 +339,8 @@ def test_optional_integer_arguments():
                                                        **{name: None})])
         assert (null_code, code) == (want, want), (command, name)
         assert cli.canonical(null) == cli.canonical(absent), (command, name)
+    error = cli.run(KSTAB, commands=["kstab"])[0]["results"][0]["error"]
+    assert error == "kstab needs a 'decomposition' field"
     for name in ("cap", "commands"):
         spec = dict(WORKED, commands=["basis"])
         absent, code = cli.run({k: v for k, v in spec.items() if k != name})
@@ -539,11 +542,47 @@ def test_feynman_catches_faults_in_top_columns(monkeypatch, fault, one_sided):
     m = cli.Problem(WORKED).need_model()
     backend = FeynmanBackend(m)
     table = m.rho_table(2, (0, 0, 0))
-    core = m.pair(0, 0).arena.core_basis()
-    sides = {(bool(table.get(combo)),
-              bool(backend.tree_state((1, 2), (0, 0, 0), combo)))
-             for combo in product(core, core)}
+    combos = list(product(*[m.pair(0, 0).arena.core_basis()] * 2))
+    states = backend.tree_state((1, 2), (0, 0, 0), combos)
+    sides = {(bool(table.get(combo)), combo in states) for combo in combos}
     assert ((True, False) if one_sided == "table" else (False, True)) in sides
+
+
+@pytest.mark.parametrize("fault", ["flip", "spurious"])
+def test_feynman_first_mismatch_at_k3_is_first_in_product_order(
+        monkeypatch, fault):
+    # at k = 3 two trees add into each tuple's Feynman side, and each is
+    # evaluated over all tuples at once; mismatches and first_mismatch
+    # must be those of a scan of the tuples in product order.  The scan
+    # reads the per-tree states of a backend with the same fault, built
+    # tree by tree as the command builds them, so the same column is
+    # faulted
+    monkeypatch.setattr(FeynmanBackend, "_column", _faulty_column(fault))
+    report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 3}])
+    assert code == cli.EXIT_VERIFY
+    result = report["results"][0]["result"]
+    m = cli.Problem(WORKED).need_model()
+    path = (0,) * 4
+    table = m.rho_table(3, path)
+    combos = list(product(*[m.pair(0, 0).arena.core_basis()] * 3))
+    trees = enumerate_binary(3)
+    backend = FeynmanBackend(m)
+    states = [backend.tree_state(T, path, combos) for T in trees]
+    bad = []
+    for combo in combos:
+        tilde = dict(enumerate((m.tilde(key) for key in combo), 1))
+        diff = {}
+        for T, st in zip(trees, states):
+            # (-1)^3 mirror_sign
+            for kk, v in st.get(combo, {}).items():
+                diff[kk] = diff.get(kk, 0) - mirror_sign(T, tilde) * v
+        for kk, v in table.get(combo, {}).items():
+            diff[kk] = diff.get(kk, 0) - v
+        if any(diff.values()):
+            bad.append(combo)
+    label = m.pair(0, 0).arena.space.key_label
+    assert result["mismatches"] == len(bad)
+    assert result["first_mismatch"]["inputs"] == [label(key) for key in bad[0]]
 
 
 def test_feynman_names_its_first_mismatch(monkeypatch):
@@ -561,13 +600,13 @@ def test_feynman_names_its_first_mismatch(monkeypatch):
     m = cli.Problem(WORKED).need_model()
     backend = FeynmanBackend(m)
     table = m.rho_table(2, (0, 0, 0))
-    core = m.pair(0, 0).arena.core_basis()
+    combos = list(product(*[m.pair(0, 0).arena.core_basis()] * 2))
+    states = backend.tree_state((1, 2), (0, 0, 0), combos)
     label = m.pair(0, 0).arena.space.key_label
-    for combo in product(core, core):
+    for combo in combos:
         tilde = dict(enumerate((m.tilde(key) for key in combo), 1))
         sign = mirror_sign((1, 2), tilde)
-        diff = {kk: sign * v for kk, v in
-                backend.tree_state((1, 2), (0, 0, 0), combo).items()}
+        diff = {kk: sign * v for kk, v in states.get(combo, {}).items()}
         for kk, v in table.get(combo, {}).items():
             diff[kk] = diff.get(kk, 0) - v
         diff = {kk: v for kk, v in diff.items() if v}

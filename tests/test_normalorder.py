@@ -251,12 +251,15 @@ def test_tree_dual_backend_kstab():
     for k in (2, 3):
         path = (0,) * (k + 1)
         cores = [m.pair(0, 0).arena.core_basis() for _ in range(k)]
-        for combo in product(*cores):
+        combos = list(product(*cores))
+        states = {T: backend.tree_state(T, path, combos)
+                  for T in enumerate_binary(k)}
+        for combo in combos:
             inputs = [{key: Fraction(1)} for key in combo]
             in_map = {i + 1: inputs[i] for i in range(k)}
             dec = ModelDecoration(m, path, inputs)
             for T in enumerate_binary(k):
-                got = clean(backend.tree_state(T, path, combo))
+                got = states[T].get(combo, {})
                 want = clean(mirror_eval(T, dec, in_map))
                 assert got == want, (T, combo)
 
@@ -268,13 +271,15 @@ def test_tree_dual_backend_worked_sample():
     for path in [(0, 0, 1, 1), (0, 1, 0, 1)]:
         cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
                  for i in range(3)]
-        for _ in range(25):
-            combo = tuple(rng.choice(c) for c in cores)
+        combos = [tuple(rng.choice(c) for c in cores) for _ in range(25)]
+        states = {T: backend.tree_state(T, path, combos)
+                  for T in enumerate_binary(3)}
+        for combo in combos:
             inputs = [{key: Fraction(1)} for key in combo]
             in_map = {i + 1: inputs[i] for i in range(3)}
             dec = ModelDecoration(m, path, inputs)
             for T in enumerate_binary(3):
-                got = clean(backend.tree_state(T, path, combo))
+                got = states[T].get(combo, {})
                 want = clean(mirror_eval(T, dec, in_map))
                 assert got == want, (path, T, combo)
 
@@ -308,12 +313,13 @@ def test_shared_subtree_states_match_fresh_backend(maker, k, paths, sample):
     trees = enumerate_binary(k)
     for path in paths:
         non_empty = 0
-        for combo in combos:
-            for T in trees:
-                state = shared.tree_state(T, path, combo)
-                assert state == FeynmanBackend(m).tree_state(T, path, combo), (
+        for T in trees:
+            states = shared.tree_state(T, path, combos)
+            for combo in combos:
+                fresh = FeynmanBackend(m).tree_state(T, path, [combo])
+                assert states.get(combo) == fresh.get(combo), (
                     path, T, combo)
-                non_empty += bool(state)
+                non_empty += combo in states
         # a case of empty states only would compare nothing
         assert non_empty, path
     assert shared._states
@@ -343,13 +349,22 @@ def test_root_is_key_linear(maker):
                 assert root(eng, state) == whole_state_root(eng, state), (s, t)
 
 
-def per_tuple_tree_state(backend, tree, path, keys):
+def per_tuple_tree_state(backend, tree, path, keys, products=None):
     """The reference for tree_state, one tuple at a time and with no
-    memo but the edge engine's: mu2 over every key pair of two states,
+    memo but the edge engine's and, when given, the dict products of
+    compose_keys per key pair: mu2 over every key pair of two states,
     one compose_keys call per pair on the backend's exterior tables,
     then the edge operator below the top and the root operator on the
     whole product at the top."""
     m = backend.model
+
+    def compose(pa, pb, ka, kb, table):
+        if products is None:
+            return compose_keys(m, pa, pb, ka, kb, table)
+        pkey = (pa, pb, ka, kb)
+        if pkey not in products:
+            products[pkey] = compose_keys(m, pa, pb, ka, kb, table)
+        return products[pkey]
 
     def mu2(sa, pair_a, sb, pair_b):
         pa, pb = m.pair(*pair_a), m.pair(*pair_b)
@@ -357,7 +372,7 @@ def per_tuple_tree_state(backend, tree, path, keys):
         out = {}
         for ka, c1 in sa.items():
             for kb, c2 in sb.items():
-                for kc, c3 in compose_keys(m, pa, pb, ka, kb, table).items():
+                for kc, c3 in compose(pa, pb, ka, kb, table).items():
                     out[kc] = out.get(kc, 0) + c1 * c2 * c3
         return clean(out)
 
@@ -400,6 +415,7 @@ def test_top_columns_match_per_tuple_reference(case):
     backend = FeynmanBackend(m)
     rng = random.Random(case)
     trees = enumerate_binary(k)
+    live = set()
     for path in paths:
         cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
                  for i in range(k)]
@@ -410,18 +426,75 @@ def test_top_columns_match_per_tuple_reference(case):
             combos = [tuple(rng.choice(p) for p in pools)
                       for _ in range(count)]
         nonzero = 0
-        for combo in combos:
-            for T in trees:
-                got = backend.tree_state(T, path, combo)
+        for T in trees:
+            states = backend.tree_state(T, path, combos)
+            mid = leaves(T[0])[-1]
+            for combo in combos:
                 want = per_tuple_tree_state(backend, T, path, combo)
-                assert got == want, (path, T, combo)
+                assert states.get(combo, {}) == want, (path, T, combo)
                 nonzero += bool(want)
+                if backend._eval(T[0], path, combo):
+                    live.add((path, T[0], combo[:mid]))
         assert nonzero or case == "kstab", path
-    assert backend._top and backend._columns
-    # the column maps are keyed by left node, not by split alone
-    if k == 4:
+    assert backend._top
+    # one column map per left node and keys of a non-empty left state:
+    # keyed by left node, not by split alone, and none for a skipped
+    # group.  Both left nodes of three leaves are empty on every kstab
+    # tuple, and on worked-k4 their states differ
+    assert set(backend._columns) == live
+    if case == "worked-k4":
         assert {ckey[1] for ckey in backend._columns} >= {((1, 2), 3),
                                                           (1, (2, 3))}
+
+
+# (model, paths) checked on every tuple at k = 3: the worked model on the
+# four benchmark paths and the residue field of demos/residue_field.json
+GROUPED_CASES = {
+    "worked": (lambda: worked_model(cap=3), WORKED_PATHS),
+    "residue-field": (lambda: kstab_model(cap=4), [(0,) * 4]),
+}
+
+
+@pytest.mark.parametrize("case", list(GROUPED_CASES))
+def test_grouped_tree_state_matches_per_tuple_reference(monkeypatch, case):
+    # tree_state groups the tuples by the keys left of the top split and
+    # skips a group whose left state is empty: on every tuple it must
+    # equal the per-tuple reference, no column may be built against an
+    # empty left state, and some group must have been skipped.  A fresh
+    # backend on a prefix that ends inside a left group gives the same
+    # states on that prefix
+    maker, paths = GROUPED_CASES[case]
+    m = maker()
+    column = FeynmanBackend._column
+    built = []
+
+    def spy(self, pair_a, pair_b, ka, sb):
+        built.append(bool(sb))
+        return column(self, pair_a, pair_b, ka, sb)
+
+    monkeypatch.setattr(FeynmanBackend, "_column", spy)
+    backend = FeynmanBackend(m)
+    products = {}
+    skipped = 0
+    for path in paths:
+        cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
+                 for i in range(3)]
+        combos = list(product(*cores))
+        cut = len(combos) // 2 + 1
+        for T in enumerate_binary(3):
+            states = backend.tree_state(T, path, combos)
+            for combo in combos:
+                want = per_tuple_tree_state(backend, T, path, combo, products)
+                assert states.get(combo, {}) == want, (path, T, combo)
+            mid = leaves(T[0])[-1]
+            skipped += sum(not backend._eval(T[0], path, left)
+                           for left in dict.fromkeys(c[:mid] for c in combos))
+            assert combos[cut - 1][:mid] == combos[cut][:mid]
+            head = set(combos[:cut])
+            assert FeynmanBackend(m).tree_state(T, path, combos[:cut]) == {
+                c: st for c, st in states.items() if c in head}, (path, T)
+    assert built and all(built)
+    assert skipped
 
 
 def test_c_tau_guards():

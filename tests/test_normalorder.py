@@ -475,7 +475,7 @@ def test_grouped_tree_state_matches_per_tuple_reference(monkeypatch, case):
     monkeypatch.setattr(FeynmanBackend, "_column", spy)
     backend = FeynmanBackend(m)
     products = {}
-    skipped = 0
+    skipped = compared = 0
     for path in paths:
         cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
                  for i in range(3)]
@@ -486,6 +486,7 @@ def test_grouped_tree_state_matches_per_tuple_reference(monkeypatch, case):
             for combo in combos:
                 want = per_tuple_tree_state(backend, T, path, combo, products)
                 assert states.get(combo, {}) == want, (path, T, combo)
+                compared += bool(want)
             mid = leaves(T[0])[-1]
             skipped += sum(not backend._eval(T[0], path, left)
                            for left in dict.fromkeys(c[:mid] for c in combos))
@@ -494,7 +495,7 @@ def test_grouped_tree_state_matches_per_tuple_reference(monkeypatch, case):
             assert FeynmanBackend(m).tree_state(T, path, combos[:cut]) == {
                 c: st for c, st in states.items() if c in head}, (path, T)
     assert built and all(built)
-    assert skipped
+    assert skipped and compared
 
 
 def test_c_tau_guards():

@@ -47,7 +47,7 @@ from .ainfmodel import (
     induced_map,
     kstab_minimal,
 )
-from .linalg import mat_mul
+from .linalg import mat_mul, rank
 from .mfcat import HomotopyIdentityFailed, HomotopySet, koszul_mf
 from .normalorder import FeynmanBackend, VertexCatalog, check_cap
 from .poly import ORDERS, is_variable_name, parse_poly
@@ -450,12 +450,9 @@ def cmd_e1(prob, args):
         coh, induced = _on_cohomology(m, (s, t))
         e1 = induced["E1"]
         idem = mat_mul(e1, e1) == e1
-        rank = sum(
-            1 for j in range(coh.dim)
-            if any(e1[i][j] for i in range(coh.dim))
-        )
+        # the rank of E1 is dim H*(Hom(X, Y))
         return {"cohomology_dim": coh.dim, "idempotent": idem,
-                "nonzero_columns": rank}, idem, True
+                "rank": rank(e1)}, idem, True
 
     return _per_pair(prob, args, check)
 

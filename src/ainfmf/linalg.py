@@ -6,8 +6,8 @@ independent vectors, each with a tag, and reduces any vector to a
 remainder (empty exactly on the span) and its coordinates on the tags.
 Every answer is fixed by the order in which the vectors are added: the
 independent ones are the greedy subset, and the coordinates on them are
-unique.  mat_mul multiplies the small dense matrices that maps induce on
-cohomology classes.
+unique.  mat_mul multiplies, and rank takes the rank of, the small
+dense matrices that maps induce on cohomology classes.
 """
 
 from fractions import Fraction
@@ -64,6 +64,16 @@ class Echelon:
                 vec[j] = Fraction(1)
                 out.append(vec)
         return out
+
+
+def rank(matrix):
+    """The rank of a dense matrix: the number of its columns that
+    extend the span of the columns before them."""
+    echelon = Echelon()
+    return sum(
+        1 for j in range(len(matrix[0]) if matrix else 0)
+        if echelon.add({i: row[j] for i, row in enumerate(matrix) if row[j]},
+                       j) is None)
 
 
 def mat_mul(a, b):

@@ -4,13 +4,16 @@ For each ordered pair (X, Y) we build the truncated state space
 wedge(F_theta (+) fermions of the pair's presentation) tensor R/I tensor
 Q[t]_{<= cap}, with the rho presentation (fermions xi, xibar) when X is Y
 and the nu presentation (eta, xibar) otherwise, together with the cached
-operators: the transported differential d_A, the connection nabla, the
-propagator zeta, the critical Atiyah class At = [d_A, nabla], delta and
-its exponentials, the inclusion/projection sigma/pi of the theta- and
-t-degree-zero sector, the perturbation series sigma_infty and phi_infty,
-and the homotopy equivalence Phi, Phi^{-1}, H_hat.  d_A and delta come
-from integer mask moves: each summand moves the fermion bits of a mask,
-then multiplies by a polynomial through its t-adic columns over one
+operators: the transported differential d_A, delta, the connection
+nabla, the critical Atiyah class At = [d_A, nabla], the inclusion sigma
+of the theta- and t-degree-zero sector (which is also the projection
+pi onto it), the perturbation series sigma_infty and phi_infty, and the
+homotopy equivalence Phi, Phi^{-1}, H_hat.  The propagator zeta, zeta
+At and the exponentials e^{+-delta} are built on the way and not kept:
+zeta At is dropped once both series are summed, and e^{+-delta} once
+Phi, Phi^{-1} and H_hat are built.  d_A and delta come from integer
+mask moves: each summand moves the fermion bits of a mask, then
+multiplies by a polynomial through its t-adic columns over one
 denominator (the transported multiplication r^#).  The columns are
 read from QuotientBasis.columns, which keeps them per polynomial, so
 the arenas of a model and the vertex catalogs of the normal-ordering
@@ -23,17 +26,20 @@ of an operator is the space's own key object (Space.own_key), so all
 the operators share one tuple per basis key.  e^{+-delta} (one pass
 over the powers of delta) and sigma_infty, phi_infty (two tails of one
 zeta At) are power series summed column by column; Phi and Phi^{-1}
-are compositions.  H_hat = e^delta phi_infty e^{-delta} is built one
-column at a time, each dropped of its cancelled entries before the
-next, so no whole-basis intermediate is held.  The core basis and the
-test keys of each margin are built once per arena.  sdr_verify checks
-the defining identities exactly on a margin-restricted basis, in one
-pass over the test keys, in integers over one denominator per
-identity.
+are compositions; At is built column by column by graded_commutator.
+H_hat = e^delta phi_infty e^{-delta} is built one column at a time,
+each dropped of its cancelled entries before the next, so no
+whole-basis intermediate is held.  H_hat has few distinct coefficients
+on many entries, so it holds one shared int object per distinct value,
+and is brought to lowest terms through a map of those values.  The
+core basis and the test keys of each margin are built once per arena.
+sdr_verify checks the defining identities exactly on a
+margin-restricted basis, in one pass over the test keys, in integers
+over one denominator per identity.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add
 
 from .superspace import (
@@ -182,40 +188,60 @@ class Arena:
         self.nabla = self._build_nabla()
         self.At = graded_commutator(self.d_A, self.nabla)
         self.sigma = self._build_sigma()
-        self.pi = self.sigma
-        # e^{+-delta}: delta lowers the theta-degree, so delta^(n+1) = 0;
-        # it commutes with the t-shifts and never lowers the t-degree, so
-        # the series is summed on the keys of t-degree zero and shifted
-        exp = [Fraction(1, factorial(m)) for m in range(n + 1)]
-        one = LinearOp(self.space, 0, {key: {key: 1} for key in self._t0})
-        self.e_delta, self.e_minus_delta = map(self._shifted, power_series(
-            self.delta, [exp, [(-1) ** m * c for m, c in enumerate(exp)]],
-            one))
         # the perturbation series sum_m (-1)^m (zeta At)^m tail, which
-        # stops at m = n, for the tails sigma and zeta nabla
+        # stops at m = n, for the tails sigma and zeta nabla; zeta At is
+        # dropped once both are summed
         zeta_at = self.zeta_after(self.At)
         alternating = [[(-1) ** m for m in range(n + 1)]]
         self.sigma_infty, = power_series(zeta_at, alternating, self.sigma)
         self.phi_infty, = power_series(zeta_at, alternating,
                                        self.zeta_after(self.nabla))
-        self.Phi = self.pi.compose(self.e_minus_delta)
-        self.Phi_inv = self.e_delta.compose(self.sigma_infty)
-        self.H_hat = self._build_h_hat()
+        del zeta_at
+        # e^{+-delta} go into Phi, Phi_inv and H_hat, and are not kept;
+        # sigma is also the projection pi onto the core
+        e_delta, e_minus_delta = self._exponentials()
+        self.Phi = self.sigma.compose(e_minus_delta)
+        self.Phi_inv = e_delta.compose(self.sigma_infty)
+        self.H_hat = self._build_h_hat(e_delta, e_minus_delta)
 
-    def _build_h_hat(self):
+    def _exponentials(self):
+        """(e^delta, e^{-delta}).  delta lowers the theta-degree, so
+        delta^(n+1) = 0; it commutes with the t-shifts and never lowers
+        the t-degree, so each series is summed on the keys of t-degree
+        zero, in one pass over the powers of delta, and shifted."""
+        exp = [Fraction(1, factorial(m)) for m in range(self.n + 1)]
+        one = LinearOp(self.space, 0, {key: {key: 1} for key in self._t0})
+        return tuple(map(self._shifted, power_series(
+            self.delta, [exp, [(-1) ** m * c for m, c in enumerate(exp)]],
+            one)))
+
+    def _build_h_hat(self, e_delta, e_minus_delta):
         """H_hat = e^delta phi_infty e^{-delta}, one column at a time:
         each column of e^{-delta} goes through phi_infty and then
         e^delta, and its cancelled entries are dropped before the next
-        column, so no whole-basis intermediate is held."""
-        outer, mid, inner = self.e_delta, self.phi_infty, self.e_minus_delta
+        column, so no whole-basis intermediate is held.  Every entry is
+        swapped for one shared int object per distinct value, and the
+        columns are brought to lowest terms through a map of the
+        distinct values only: H_hat has few distinct coefficients on
+        many entries."""
+        mid = self.phi_infty
+        shared = {}
         cols = {}
-        for key, col in inner.cols.items():
-            out = {k: c for k, c in outer.image(mid.image(col)).items() if c}
+        for key, col in e_minus_delta.cols.items():
+            out = {k: shared.setdefault(c, c)
+                   for k, c in e_delta.image(mid.image(col)).items() if c}
             if out:
                 cols[key] = out
-        return LinearOp.from_cols(self.space,
-                                  outer.degree ^ mid.degree ^ inner.degree,
-                                  cols, outer.den * mid.den * inner.den)
+        den = e_delta.den * mid.den * e_minus_delta.den
+        g = gcd(den, *shared)
+        if g > 1:
+            lowest = {c: c // g for c in shared}
+            for col in cols.values():
+                for k, c in col.items():
+                    col[k] = lowest[c]
+            den //= g
+        # e^{+-delta} are even: H_hat has the degree of phi_infty
+        return LinearOp(self.space, mid.degree, cols, den)
 
     def _build_nabla(self):
         """nabla = sum_k theta_k d/dt_k, integer columns over 1."""

@@ -27,7 +27,7 @@ dicts of Fraction coefficients at the edges of the operator backend.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 
 
@@ -285,8 +285,22 @@ class LinearOp:
 
 
 def graded_commutator(a, b):
-    sign = -1 if (a.degree and b.degree) else 1
-    return a.compose(b) - b.compose(a).scaled(sign)
+    """[a, b] = a b - (-1)^(|a||b|) b a, one column at a time over
+    a.den b.den: each column is a's image of b's column plus the signed
+    b image of a's column.  The columns come in the order of b's keys,
+    then a's."""
+    sign = 1 if (a.degree and b.degree) else -1
+    empty = {}
+    cols = {}
+    for key in dict.fromkeys(chain(b.cols, a.cols)):
+        out = a.image(b.cols.get(key, empty))
+        col = a.cols.get(key)
+        if col:
+            b.image({k: sign * c for k, c in col.items()}, out)
+        if out:
+            cols[key] = out
+    return LinearOp.from_cols(a.space, a.degree ^ b.degree, cols,
+                              a.den * b.den)
 
 
 def wedge_mask(mask, i):

@@ -465,8 +465,8 @@ def test_sdr_verify_names_its_witness(monkeypatch):
     # labels and p/q
     original = Arena._build_h_hat
 
-    def faulty(self):
-        op = original(self)
+    def faulty(self, e_delta, e_minus_delta):
+        op = original(self, e_delta, e_minus_delta)
         col = next(iter(op.cols.values()))
         k2 = next(iter(col))
         col[k2] = -col[k2]

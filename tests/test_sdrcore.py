@@ -215,10 +215,23 @@ def reference_operators(a):
         "phi_infty": ref_perturbation_series(a, zeta_at,
                                              a.zeta_after(a.nabla)),
     }
-    ops["Phi"] = a.pi.compose(ops["e_minus_delta"])
+    ops["Phi"] = a.sigma.compose(ops["e_minus_delta"])
     ops["Phi_inv"] = ops["e_delta"].compose(ops["sigma_infty"])
     ops["H_hat"] = ops["e_delta"].compose(ops["phi_infty"]).compose(
         ops["e_minus_delta"])
+    return ops
+
+
+ARENA_OPERATORS = ("d_A", "delta", "nabla", "At", "sigma", "sigma_infty",
+                   "phi_infty", "Phi", "Phi_inv", "H_hat")
+
+
+def arena_operators(a):
+    """The operators the arena keeps, by name, and e^{+-delta}, which it
+    builds for Phi, Phi_inv and H_hat and does not keep, rebuilt by its
+    own method."""
+    ops = {name: getattr(a, name) for name in ARENA_OPERATORS}
+    ops["e_delta"], ops["e_minus_delta"] = a._exponentials()
     return ops
 
 
@@ -226,8 +239,9 @@ def reference_operators(a):
                          ids=FIXTURE_IDS + ["quadric3"])
 def test_operators_match_composed_reference(make):
     a = make()
+    ours = arena_operators(a)
     for name, ref in reference_operators(a).items():
-        op = getattr(a, name)
+        op = ours[name]
         assert (op.cols, op.den, op.degree) == (ref.cols, ref.den,
                                                 ref.degree), name
     # the top power m = n of the series is there: delta^n and
@@ -241,11 +255,6 @@ def test_operators_match_composed_reference(make):
     assert not is_zero(delta_top) and not is_zero(sigma_top)
 
 
-ARENA_OPERATORS = ("d_A", "delta", "nabla", "At", "sigma", "pi", "e_delta",
-                   "e_minus_delta", "sigma_infty", "phi_infty", "Phi",
-                   "Phi_inv", "H_hat")
-
-
 @pytest.mark.parametrize("make", FIXTURES + [lambda: quadric3_arena(cap=2)],
                          ids=FIXTURE_IDS + ["quadric3"])
 def test_operators_share_the_space_keys(make):
@@ -256,8 +265,8 @@ def test_operators_share_the_space_keys(make):
     assert isinstance(basis, tuple) and a.space.basis() is basis
     own = a.space.own_key
     assert len(own) == len(basis) and all(own[k] is k for k in basis)
-    for name in ARENA_OPERATORS:
-        for key, col in getattr(a, name).cols.items():
+    for name, op in arena_operators(a).items():
+        for key, col in op.cols.items():
             assert own[key] is key, name
             assert all(own[k2] is k2 for k2 in col), name
     assert a.core_basis() is a.core_basis() and a.test_keys(2) is a.test_keys(2)
@@ -265,8 +274,8 @@ def test_operators_share_the_space_keys(make):
 
 
 def test_h_hat_is_built_by_columns(monkeypatch):
-    # an arena makes four compositions, the two of At, Phi and Phi_inv:
-    # H_hat is none, and none of its columns holds a zero
+    # an arena makes two compositions, Phi and Phi_inv: At and H_hat are
+    # built by columns, and none of H_hat's columns holds a zero
     calls = []
     original = LinearOp.compose
 
@@ -276,9 +285,22 @@ def test_h_hat_is_built_by_columns(monkeypatch):
 
     monkeypatch.setattr(LinearOp, "compose", counted)
     a = quadric3_arena(cap=2)
-    assert len(calls) == 4
+    assert len(calls) == 2
     assert a.H_hat.cols
     assert all(all(col.values()) for col in a.H_hat.cols.values())
+
+
+@pytest.mark.parametrize("make", [lambda: quadric3_arena(cap=3),
+                                  lambda: worked_arena(cap=4)],
+                         ids=["quadric3-cap3", "worked"])
+def test_arena_keeps_one_int_per_h_hat_value(make):
+    # H_hat shares one int object per distinct coefficient, and the
+    # arena keeps neither e^{+-delta} nor a pi beside sigma
+    a = make()
+    entries = [c for col in a.H_hat.cols.values() for c in col.values()]
+    assert len({id(c) for c in entries}) == len(set(entries)) < len(entries)
+    assert not any(hasattr(a, name)
+                   for name in ("e_delta", "e_minus_delta", "pi"))
 
 
 def test_d_a_squares_to_zero_worked():
@@ -340,13 +362,15 @@ def test_zeta():
 def test_pi_sigma_infty_is_identity_on_core():
     a = worked_arena(cap=4)
     for key in a.core_basis():
-        out = a.pi.apply(a.sigma_infty.apply_key(key))
+        # pi, the projection onto the core, is sigma
+        out = a.sigma.apply(a.sigma_infty.apply_key(key))
         assert rational_state(out) == {key: Fraction(1)}
 
 
 def test_exponentials_inverse():
     a = worked_arena(cap=4)
-    comp = a.e_delta.compose(a.e_minus_delta)
+    e_delta, e_minus_delta = a._exponentials()
+    comp = e_delta.compose(e_minus_delta)
     for key in a.test_keys(2):
         assert image(comp, key) == {key: Fraction(1)}
 
@@ -355,7 +379,8 @@ def test_delta_conjugation_fixes_theta_star():
     # e^{-delta} theta* e^{delta} = theta*
     a = worked_arena(cap=4)
     th_star = contract_op(a.space, a.space.gen_pos("theta", 0))
-    conj = a.e_minus_delta.compose(th_star).compose(a.e_delta)
+    e_delta, e_minus_delta = a._exponentials()
+    conj = e_minus_delta.compose(th_star).compose(e_delta)
     for key in a.test_keys(2):
         assert conj.apply_key(key) == th_star.apply_key(key)
 

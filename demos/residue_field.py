@@ -11,12 +11,13 @@ Run from the repository root:  python3 demos/residue_field.py
 from fractions import Fraction
 
 from ainfmf.ainfmodel import Model, kstab_minimal
-from ainfmf.mfcat import HomotopySet, koszul_mf
+from ainfmf.mfcat import HomotopySet, KoszulFactorisation
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis
 
 W = parse_poly("x1^3", 1)
-X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
+X = KoszulFactorisation(
+    [(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
 qb = QuotientBasis([parse_poly("x1", 1)])
 one = Polynomial.const(1, 1)
 hom = HomotopySet(F=[[Polynomial.zero(1)]], G=[[one]])

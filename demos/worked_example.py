@@ -10,15 +10,17 @@ Run from the repository root:  python3 demos/worked_example.py
 from fractions import Fraction
 
 from ainfmf.ainfmodel import Model
-from ainfmf.mfcat import koszul_mf
+from ainfmf.mfcat import KoszulFactorisation
 from ainfmf.normalorder import FeynmanBackend, VertexCatalog
 from ainfmf.poly import parse_poly
 from ainfmf.quotient import QuotientBasis, t_adic_expand
 from ainfmf.superspace import rational_state, scaled_state
 
 W = parse_poly("1/5*x1^5", 1)
-X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
-Y = koszul_mf([(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
+X = KoszulFactorisation(
+    [(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
+Y = KoszulFactorisation(
+    [(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
 qb = QuotientBasis([parse_poly("x1^4", 1)])
 model = Model([X, Y], qb, cap=2)
 

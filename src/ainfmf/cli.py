@@ -48,7 +48,7 @@ from .ainfmodel import (
     kstab_minimal,
 )
 from .linalg import mat_mul, rank
-from .mfcat import HomotopyIdentityFailed, HomotopySet, koszul_mf
+from .mfcat import HomotopyIdentityFailed, HomotopySet, KoszulFactorisation
 from .normalorder import FeynmanBackend, VertexCatalog, check_cap
 from .poly import ORDERS, is_variable_name, parse_poly
 from .quotient import CapExceeded, GammaTensor, QuotientBasis, t_adic_expand
@@ -170,7 +170,7 @@ class Problem:
                     raise InputError("object %r: each pair must be [f, g]" % label)
                 pairs.append((self._poly(pair[0]), self._poly(pair[1])))
             try:
-                objects.append(koszul_mf(pairs, self.W, label))
+                objects.append(KoszulFactorisation(pairs, self.W, label))
             except Exception as exc:
                 raise InputError("object %r: %s" % (label, exc)) from exc
             self.labels.append(label)
@@ -365,8 +365,8 @@ def cmd_vertices(prob, args):
             if row["coefficient"] is not None else None,
             "shifts": {str(h): list(v) for h, v in (row["shifts"] or {}).items()},
         } for row in cat.rows()]
-        return {"presentation": m.pair(s, t).presentation, "rows": rows,
-                "notes": list(cat.notes)}, not cat.notes, True
+        return {"presentation": m.pair(s, t).presentation,
+                "rows": rows}, True, True
 
     return _per_pair(prob, args, check)
 

@@ -8,9 +8,11 @@ wedge(F_xibar), which identifies composition with Clifford
 multiplication.  The rho presentation is inverted on one sparse
 echelon of its columns: each matrix unit reduces to its coordinates on
 them, one exterior element per matrix unit, so converting a matrix back
-costs time in its non-zero entries.  check_homotopies is the one check
-of the homotopy identity sum_i (F_ki g_i + G_ki f_i) = t_k; the model,
-the command line and the vertex catalog all call it.
+costs time in its non-zero entries.  Each object is checked once,
+when it is built: KoszulFactorisation checks sum f_i g_i = W, which is
+d^2 = W for a Koszul d.  check_homotopies is the one check of the
+homotopy identity sum_i (F_ki g_i + G_ki f_i) = t_k; default_homotopies
+and the model call it, once per object.
 
 Hom elements over Q are dicts (row_mask, col_mask) -> Fraction; over R
 the values are Polynomial.  Exterior elements are dicts
@@ -35,24 +37,11 @@ class HomotopyIdentityFailed(Exception):
     pass
 
 
-def _matmul_poly(a, b, nvars):
-    """Compose matrices of polynomials: (a b)[r, c] = sum a[r, m] b[m, c]."""
-    out = {}
-    for (r, m), p in a.items():
-        for (m2, c), q in b.items():
-            if m != m2:
-                continue
-            key = (r, c)
-            acc = out.get(key, Polynomial.zero(nvars)) + p * q
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return out
-
-
 class KoszulFactorisation:
-    """d = sum f_i xi_i* + sum g_i xi_i on wedge(F_xi) tensor R."""
+    """The Koszul factorisation d = sum f_i xi_i* + sum g_i xi_i on
+    wedge(F_xi) tensor R of the pairs (f_i, g_i).  d^2 = (sum f_i g_i) 1
+    holds for every Koszul d, so the check sum f_i g_i = W is the check
+    d^2 = W; the arena builds the matrices of d from the pairs."""
 
     def __init__(self, pairs, W, label="X"):
         if not pairs:
@@ -67,41 +56,6 @@ class KoszulFactorisation:
             total = total + f * g
         if total != W:
             raise NotAFactorisation("sum f_i g_i != W")
-        self.dim = 1 << self.r
-        self.d = {}
-        for col in range(self.dim):
-            for i, (f, g) in enumerate(self.pairs):
-                hit = contract_mask(col, i)
-                if hit and not f.is_zero():
-                    s, row = hit
-                    self._add(row, col, f * Fraction(s))
-                hit = wedge_mask(col, i)
-                if hit and not g.is_zero():
-                    s, row = hit
-                    self._add(row, col, g * Fraction(s))
-
-    def _add(self, row, col, p):
-        key = (row, col)
-        acc = self.d.get(key, Polynomial.zero(self.nvars)) + p
-        if acc.is_zero():
-            self.d.pop(key, None)
-        else:
-            self.d[key] = acc
-
-
-def koszul_mf(pairs, W, label="X"):
-    """The Koszul factorisation of the pairs, with d^2 = W checked
-    exactly on the matrix of d."""
-    K = KoszulFactorisation(pairs, W, label)
-    zero = Polynomial.zero(K.nvars)
-    sq = _matmul_poly(K.d, K.d, K.nvars)
-    for r in range(K.dim):
-        if sq.pop((r, r), zero) != W:
-            raise NotAFactorisation("d^2 != W on basis index %d" % r)
-    if sq:
-        raise NotAFactorisation(
-            "d^2 has an off-diagonal entry at %r" % (min(sq),))
-    return K
 
 
 class HomotopySet:

@@ -10,7 +10,9 @@ algebra in sdrcore/ainfmodel.  The ingredients are
     together with a coefficient table read from the t-adic columns of a
     polynomial, which QuotientBasis.columns owns and keeps for both
     backends; the connection nabla has no rules, the edge engine
-    applies it by its own per-key rule;
+    applies it by its own per-key rule.  The catalog checks nothing:
+    the Model checked the objects and homotopies it reads when it was
+    built;
   * an edge engine that sums the vertex words into the leaf, internal
     edge and root operators of a tree evaluation, each memoised per
     basis key and extended linearly to states;
@@ -40,7 +42,6 @@ from itertools import product
 from math import comb, factorial
 
 from .ainfmodel import ComposeKernel
-from .mfcat import HomotopyIdentityFailed, check_homotopies
 from .quotient import CapExceeded
 from .superspace import (ZeroVirtualDegree, add_into, contract_mask,
                          extend_linearly, merge_sign, move_word, wedge_mask)
@@ -142,7 +143,6 @@ class VertexCatalog:
         self.qb = arena.qb
         self.presentation = arena.presentation
         self.vertices = []
-        self.notes = []
         self._build()
 
     def _add(self, name, kind, k, ops, poly, sign, source):
@@ -202,21 +202,6 @@ class VertexCatalog:
                     self._add("C.3", "C", k,
                               [("theta", k, "contract"), ("xibar", i, "wedge")],
                               a.homX.F[k][i], 1, ("F2", k, i))
-        self._check_homotopy_identity()
-
-    def _check_homotopy_identity(self):
-        """sum_i (F_ki g_i + G_ki f_i) = t_k for the homotopies feeding
-        the C-type rules."""
-        a = self.arena
-        jobs = [("target", a.homY, a.Y)]
-        if a.homX is not a.homY:
-            jobs.append(("source", a.homX, a.X))
-        for role, hom, obj in jobs:
-            try:
-                check_homotopies(obj, hom, self.qb.tseq)
-            except HomotopyIdentityFailed as exc:
-                self.notes.append(
-                    "%s homotopy coefficients fail: %s" % (role, exc))
 
     def rows(self):
         """Summary rows for display and comparison: one per rule, with

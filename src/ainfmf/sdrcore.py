@@ -35,7 +35,9 @@ and is brought to lowest terms through a map of those values.  The
 core basis and the test keys of each margin are built once per arena.
 sdr_verify checks the defining identities exactly on a
 margin-restricted basis, in one pass over the test keys, in integers
-over one denominator per identity.
+over one denominator per identity; its default margin is n plus the
+t-degree that the identities' terms reach from the keys of t-degree
+zero.
 """
 
 from fractions import Fraction
@@ -116,11 +118,6 @@ class Arena:
                                     (1, F, [wedge("xibar", i), tk]),
                                     (1, G, [wedge("xi", i), tk])]
 
-        # the largest t-degree in the columns sets sdr_verify's margin
-        self.table_max_tdeg = max(
-            (sum(d) for _, r, _ in d_terms + delta_terms if r
-             for col in self.qb.columns(r).values() for _, d in col),
-            default=0)
         return (self._term_sum(1, d_terms), self._term_sum(0, delta_terms))
 
     def _term_sum(self, degree, terms):
@@ -301,6 +298,19 @@ class Arena:
                 k for k in self.space.basis() if sum(k[2]) <= limit)
         return keys
 
+    def identity_reach(self):
+        """R, the largest t-degree that the terms d H, H d, Phi_inv Phi
+        and Phi Phi_inv of the identities reach from a key of t-degree
+        zero (Phi_inv has columns on the core only)."""
+        Phi, Phi_inv, H, d = self.Phi, self.Phi_inv, self.H_hat, self.d_A
+        empty = {}
+        return max((sum(k[2]) for key in self._t0
+                    for out in (d.image(H.cols.get(key, empty)),
+                                H.image(d.cols.get(key, empty)),
+                                Phi_inv.image(Phi.cols.get(key, empty)),
+                                Phi.image(Phi_inv.cols.get(key, empty)))
+                    for k, c in out.items() if c), default=0)
+
     def sdr_verify(self, margin=None):
         """Check the homotopy-equivalence identities exactly on all basis
         states of t-degree <= cap - margin, in one pass over those keys
@@ -308,9 +318,12 @@ class Arena:
         Each identity is an unreduced integer image over one denominator,
         tested for a non-zero entry; only the first failing key of an
         identity is reduced to its rational diff.  Returns a report
-        dict."""
+        dict.  The default margin is n + identity_reach(): only nabla
+        lowers the t-degree, a term applies at most n nablas, so the cap
+        changes no output of t-degree <= cap - n, where the terms on the
+        keys inside the margin stay (README, "Truncation model")."""
         if margin is None:
-            margin = 2 * self.table_max_tdeg
+            margin = self.n + self.identity_reach()
         keys = self.test_keys(margin)
         Phi, Phi_inv, H, d = self.Phi, self.Phi_inv, self.H_hat, self.d_A
         # Phi_inv Phi + d H + H d - 1 over the lcm of its two denominators

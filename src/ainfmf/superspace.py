@@ -179,8 +179,8 @@ def state_sum(parts):
 class LinearOp:
     """Sparse operator stored column-wise with integer entries over one
     denominator: cols[key_in][key_out] / den is the coefficient of
-    key_out in the image of key_in.  apply, compose, + and scaled
-    reduce each result by its gcd once.  degree is the Z2-degree;
+    key_out in the image of key_in.  apply, compose and + reduce
+    each result by its gcd once.  degree is the Z2-degree;
     composition checks are by bookkeeping only (entries are not forced
     to be homogeneous against the basis, but every constructor in this
     package produces homogeneous operators)."""
@@ -252,20 +252,6 @@ class LinearOp:
             for k2, c in col.items():
                 dst[k2] = dst.get(k2, 0) + c * mb
         return self.from_cols(self.space, self.degree, cols, den)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, c):
-        c = Fraction(c)
-        p = c.numerator
-        return self.from_cols(
-            self.space,
-            self.degree,
-            {k: {k2: c2 * p for k2, c2 in col.items()}
-             for k, col in self.cols.items()},
-            self.den * c.denominator,
-        )
 
     def compose(self, other):
         """self after other."""

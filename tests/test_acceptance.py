@@ -14,7 +14,7 @@ from math import comb
 from ainfmf.ainfmodel import Model, cohomology, induced_map, \
     kstab_minimal
 from ainfmf.linalg import mat_mul
-from ainfmf.mfcat import HomotopySet, koszul_mf
+from ainfmf.mfcat import HomotopySet, KoszulFactorisation
 from ainfmf.normalorder import FeynmanBackend, VertexCatalog
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import GammaTensor, QuotientBasis
@@ -29,15 +29,18 @@ from test_treealg import ToyDecoration, denote
 
 def worked_model(cap=3):
     W = parse_poly("1/5*x1^5", 1)
-    X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
-    Y = koszul_mf([(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
+    X = KoszulFactorisation(
+        [(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
+    Y = KoszulFactorisation(
+        [(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
     qb = QuotientBasis([parse_poly("x1^4", 1)])
     return Model([X, Y], qb, cap)
 
 
 def kstab_model(cap=3):
     W = parse_poly("x1^3", 1)
-    X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
+    X = KoszulFactorisation(
+        [(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
     qb = QuotientBasis([parse_poly("x1", 1)])
     one = Polynomial.const(1, 1)
     hom = HomotopySet(F=[[Polynomial.zero(1)]], G=[[one]])

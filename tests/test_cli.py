@@ -140,6 +140,10 @@ def test_bad_variable_names_are_named(variables, message):
     assert message in report["error"]
 
 
+# an object of the worked model whose pairs multiply to x^4, not W
+OFF_W = {"label": "Z", "pairs": [["x^2", "x^2"]]}
+
+
 def _malformed(name, spec, edit):
     spec = json.loads(json.dumps(spec))
     edit(spec)
@@ -183,6 +187,10 @@ def _malformed(name, spec, edit):
         homotopies={"k": {"F": [["0"]], "G": [["7"]]}},
         commands=["sdr-verify", {"command": "verify-ainf", "level": 3},
                   "vertices"])),
+    # pairs that do not multiply to W: the one factorisation check,
+    # made when the object is read, before vertices runs
+    _malformed("pairs-off-w", WORKED, lambda s: s.update(
+        objects=s["objects"] + [OFF_W], commands=["vertices"])),
     _malformed("decomposition-int", KSTAB, lambda s: s.update(
         commands=[{"command": "kstab", "decomposition": 5}])),
     # t-sequences whose quotient is not finite dimensional and non-zero:
@@ -206,6 +214,14 @@ def test_malformed_spec_exits_2(spec):
     assert "error" in report or "error" in report["results"][-1]
 
 
+def test_pairs_off_w_name_their_object():
+    spec = dict(WORKED, objects=WORKED["objects"] + [OFF_W],
+                commands=["vertices"])
+    report, code = cli.run(spec)
+    assert code == cli.EXIT_INPUT
+    assert report["error"] == "object 'Z': sum f_i g_i != W"
+
+
 # a zero denominator in a coefficient, in the spec and in a command's
 # argument: before the check it escaped cli.run as a ZeroDivisionError
 @pytest.mark.parametrize("spec", [
@@ -221,12 +237,12 @@ def test_zero_denominator_exits_2(spec):
     assert "cannot parse" in error
 
 
-# a cap that leaves no key inside the margin: the worked spec at caps 0
-# and 1 (margin 2) and the KSTAB spec (cap 3, margin 4)
+# a cap that leaves no key inside the default margin n + R: the worked
+# spec at caps 0 and 1 (margin 2) and the KSTAB spec at cap 0
 @pytest.mark.parametrize("spec", [
     pytest.param(dict(WORKED, cap=0), id="worked-cap0"),
     pytest.param(dict(WORKED, cap=1), id="worked-cap1"),
-    pytest.param(KSTAB, id="kstab"),
+    pytest.param(dict(KSTAB, cap=0), id="kstab"),
 ])
 def test_empty_sdr_verify_exits_3(spec):
     report, code = cli.run(spec, commands=["sdr-verify"])

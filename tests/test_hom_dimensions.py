@@ -19,6 +19,7 @@ import os
 from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ainfmf import cli
 
@@ -35,6 +36,12 @@ def fermat(variables, potential, objects):
     return {"variables": variables, "potential": potential, "cap": 2,
             "objects": [{"label": label, "pairs": pairs}
                         for label, pairs in objects.items()]}
+
+
+def closed_form(exponents, a, b):
+    """P for objects of exponents a and b."""
+    return prod(2 * min(a[i], b[i], ni - a[i], ni - b[i])
+                for i, ni in enumerate(exponents))
 
 
 # each model with its exponents n_i, each object's exponents a_i, and
@@ -78,12 +85,76 @@ def test_hom_dimensions_match_the_closed_form(spec, exponents, objects,
     n = len(exponents)
     got = {}
     for (source, target), want in measured.items():
-        a, b = objects[source], objects[target]
-        closed = prod(2 * min(a[i], b[i], ni - a[i], ni - b[i])
-                      for i, ni in enumerate(exponents))
+        closed = closed_form(exponents, objects[source], objects[target])
         assert want == (2 ** n * closed, closed), (source, target)
     for result in report["results"]:
         pair, = result["result"]["pairs"]
         got[pair["source"], pair["target"]] = (pair["cohomology_dim"],
                                                pair["rank"])
     assert got == measured
+
+
+# the (exponents, object exponents) of the fixtures above
+FIXTURE_SHAPES = [(p.values[1], list(p.values[2].values())) for p in MODELS]
+RANDOM = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@st.composite
+def fermat_models(draw):
+    """W = sum_i x_i^{n_i} in one or two variables (n_i in 2..6, or
+    2..4 with two), with two objects A and B of pairs
+    (x_i^{a_i}, x_i^{n_i - a_i}); never one of the fixtures."""
+    names = ["x", "y"][:draw(st.integers(1, 2))]
+    top = 6 if len(names) == 1 else 4
+    exponents = [draw(st.integers(2, top)) for _ in names]
+    objects = {label: [draw(st.integers(1, ni - 1)) for ni in exponents]
+               for label in "AB"}
+    assume((exponents, list(objects.values())) not in FIXTURE_SHAPES)
+    spec = fermat(names, " + ".join("%s^%d" % (v, ni)
+                                    for v, ni in zip(names, exponents)),
+                  {label: [["%s^%d" % (v, ai), "%s^%d" % (v, ni - ai)]
+                           for v, ai, ni in zip(names, a, exponents)]
+                   for label, a in objects.items()})
+    return spec, exponents, objects
+
+
+@RANDOM
+@given(fermat_models())
+def test_random_fermat_models(model):
+    # e1's cohomology_dim and rank match the closed form on every pair,
+    # and sdr-verify at its default margin fails no identity on any
+    # pair (a cap below the margin is cap insufficiency, exit 3)
+    spec, exponents, objects = model
+    report, code = cli.run(spec, commands=["e1", "sdr-verify"])
+    assert code in (cli.EXIT_OK, cli.EXIT_CAP)
+    e1, sdr = report["results"]
+    assert e1["ok"] and sdr["ok"]
+    n = len(exponents)
+    for pair in e1["result"]["pairs"]:
+        closed = closed_form(exponents, objects[pair["source"]],
+                             objects[pair["target"]])
+        assert (pair["cohomology_dim"], pair["rank"]) == (2 ** n * closed,
+                                                          closed)
+
+
+# sdr-verify at its default margin n + R on two-variable models with R =
+# 2: no identity fails on any pair of x^4+y^3, nor on cubic2 at caps 2
+# to 4; the margin 4 leaves no key below cap 4 (exit 3), and at cap 4
+# the keys of t-degree zero
+@pytest.mark.parametrize("spec, cap, code", [
+    pytest.param(MODELS[4].values[0], 2, cli.EXIT_CAP, id="x^4+y^3"),
+    pytest.param(demo("cubic2_relations.json"), 2, cli.EXIT_CAP,
+                 id="cubic2-cap2"),
+    pytest.param(demo("cubic2_relations.json"), 3, cli.EXIT_CAP,
+                 id="cubic2-cap3"),
+    pytest.param(demo("cubic2_relations.json"), 4, cli.EXIT_OK,
+                 id="cubic2-cap4"),
+])
+def test_sdr_verify_default_margin_fails_nothing(spec, cap, code):
+    report, got = cli.run(spec, commands=["sdr-verify"], cap=cap)
+    assert got == code
+    result, = report["results"]
+    assert result["ok"]
+    for pair in result["result"]["pairs"]:
+        assert pair["margin"] == 4
+        assert (pair["checked"] > 0) == (cap == 4)

@@ -34,7 +34,8 @@ from ainfmf.superspace import (
 )
 
 from test_normalorder import compose_keys, quadric_model, split, worked_model
-from test_superspace import from_rule, identity, ref_merge_sign
+from test_superspace import (from_rule, identity, minus, ref_merge_sign,
+                             scaled)
 
 
 def ref_compose_keys(model, pa, pb, ka, kb, table, cap=None):
@@ -208,9 +209,10 @@ def test_compose_add_scaled_match_fractions(a, b, c):
         for k2, v in col.items():
             dst[k2] = dst.get(k2, 0) + v
     assert columns(opa + opb) == ref_op(summed)
-    assert columns(opa - opa) == {}
-    scaled = {k: {k2: v * c for k2, v in col.items()} for k, col in a.items()}
-    assert columns(opa.scaled(c)) == ref_op(scaled)
+    assert columns(minus(opa, opa)) == {}
+    multiple = {k: {k2: v * c for k2, v in col.items()}
+                for k, col in a.items()}
+    assert columns(scaled(opa, c)) == ref_op(multiple)
 
 
 @st.composite

@@ -9,7 +9,7 @@ from ainfmf.mfcat import (
     NotAFactorisation,
     default_homotopies,
     RhoPresentation,
-    koszul_mf,
+    KoszulFactorisation,
     nu_signed,
 )
 from ainfmf.poly import Polynomial, parse_poly
@@ -69,33 +69,37 @@ def clifford_mult(e1, e2):
 def worked_pair():
     # W = x^5/5, X from (x^2, x^3/5), Y from (x^3, x^2/5)
     W = parse_poly("1/5*x1^5", 1)
-    X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
-    Y = koszul_mf([(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
+    X = KoszulFactorisation(
+        [(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
+    Y = KoszulFactorisation(
+        [(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
     return W, X, Y
 
 
-def test_koszul_mf_d_squared():
+def test_koszul_factorisation_keeps_its_pairs():
     W, X, Y = worked_pair()
-    # constructor verifies d^2 = W; also check the matrix entries directly
-    assert X.d[(0, 1)] == parse_poly("x1^2", 1)  # f * contraction
-    assert X.d[(1, 0)] == parse_poly("1/5*x1^3", 1)  # g * wedge
-    # rank-4 two-pair example
+    assert X.pairs == [(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))]
+    assert (X.r, X.nvars, X.label, X.W) == (1, 1, "X", W)
+    # a rank-two object: d^2 = (x1^2 + x2^2) 1 needs no matrix check
     W2 = parse_poly("x1^2 + x2^2", 2)
     x, y = parse_poly("x1", 2), parse_poly("x2", 2)
-    K = koszul_mf([(x, x), (y, y)], W2)
-    assert K.dim == 4
+    K = KoszulFactorisation([(x, x), (y, y)], W2)
+    assert (K.r, K.nvars) == (2, 2)
 
 
 def test_not_a_factorisation():
     W = parse_poly("1/5*x1^5", 1)
     with pytest.raises(NotAFactorisation):
-        koszul_mf([(parse_poly("x1", 1), parse_poly("x1", 1))], W)
+        KoszulFactorisation([(parse_poly("x1", 1), parse_poly("x1", 1))], W)
+    with pytest.raises(NotAFactorisation):
+        KoszulFactorisation([], W)
 
 
 def test_degenerate_w_zero():
     W = Polynomial.zero(1)
-    K = koszul_mf([(parse_poly("x1", 1), Polynomial.zero(1))], W)
-    assert (0, 1) in K.d and (1, 0) not in K.d
+    # W = 0 is factorised by (x, 0): the pair is kept, zero included
+    K = KoszulFactorisation([(parse_poly("x1", 1), Polynomial.zero(1))], W)
+    assert K.pairs == [(parse_poly("x1", 1), Polynomial.zero(1))]
 
 
 def test_default_homotopies_worked_example():
@@ -116,7 +120,7 @@ def test_default_homotopies_worked_example():
 
 def test_default_homotopies_rank1():
     W = parse_poly("x1^2", 1)
-    X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1", 1))], W)
+    X = KoszulFactorisation([(parse_poly("x1", 1), parse_poly("x1", 1))], W)
     h = default_homotopies(X)
     assert h.F == [[Polynomial.const(1, 1)]]
     assert h.G == [[Polynomial.const(1, 1)]]
@@ -161,7 +165,7 @@ def quadric_object(n):
     # the rank-n Koszul object (x_i, x_i) of W = x1^2 + ... + xn^2
     xs = [parse_poly("x%d" % (i + 1), n) for i in range(n)]
     W = parse_poly("+".join("x%d^2" % (i + 1) for i in range(n)), n)
-    return koszul_mf([(x, x) for x in xs], W)
+    return KoszulFactorisation([(x, x) for x in xs], W)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

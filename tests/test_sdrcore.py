@@ -2,14 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from ainfmf.mfcat import HomotopySet, default_homotopies, koszul_mf
+from ainfmf.mfcat import (HomotopySet, KoszulFactorisation,
+                          default_homotopies)
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis, t_adic_expand
 from ainfmf.sdrcore import Arena
 from ainfmf.superspace import (LinearOp, ZeroVirtualDegree, graded_commutator,
                                rational_state, state_sum)
 from test_superspace import (contract_op, from_rule, identity, is_zero,
-                             wedge_op)
+                             minus, scaled, wedge_op)
 
 
 def image(op, key):
@@ -27,8 +28,10 @@ def derivative_arena(X, Y, qb, cap):
 
 def worked_arena(cap=4, presentation="nu"):
     W = parse_poly("1/5*x1^5", 1)
-    X = koszul_mf([(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
-    Y = koszul_mf([(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
+    X = KoszulFactorisation(
+        [(parse_poly("x1^2", 1), parse_poly("1/5*x1^3", 1))], W, "X")
+    Y = KoszulFactorisation(
+        [(parse_poly("x1^3", 1), parse_poly("1/5*x1^2", 1))], W, "Y")
     qb = QuotientBasis([parse_poly("x1^4", 1)])
     # the presentation follows the pair: rho on Hom(X, X), nu otherwise
     if presentation == "rho":
@@ -40,7 +43,8 @@ def kstab_arena(cap=3):
     # W = x^3 with the non-Jacobian sequence t = (x): pairs (x, x^2),
     # homotopy lambda = xi (F = 0, G = 1)
     W = parse_poly("x1^3", 1)
-    X = koszul_mf([(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
+    X = KoszulFactorisation(
+        [(parse_poly("x1", 1), parse_poly("x1^2", 1))], W, "kstab")
     qb = QuotientBasis([parse_poly("x1", 1)])
     one = Polynomial.const(1, 1)
     hom = HomotopySet(F=[[Polynomial.zero(1)]], G=[[one]])
@@ -52,8 +56,8 @@ def twovar_arena(presentation, cap=2):
     # of W = x1^2 + x2^2: delta carries two thetas
     W = parse_poly("x1^2 + x2^2", 2)
     x1, x2 = parse_poly("x1", 2), parse_poly("x2", 2)
-    K = koszul_mf([(x1, x1), (x2, x2)], W, "K")
-    L = koszul_mf([(x1, x1), (-x2, -x2)], W, "L")
+    K = KoszulFactorisation([(x1, x1), (x2, x2)], W, "K")
+    L = KoszulFactorisation([(x1, x1), (-x2, -x2)], W, "L")
     qb = QuotientBasis([parse_poly("2*x1", 2), parse_poly("2*x2", 2)])
     return derivative_arena(K, K if presentation == "rho" else L, qb, cap)
 
@@ -62,7 +66,7 @@ def quadric3_arena(cap=2):
     # x1^2 + x2^2 + x3^2 with K = (x_i, x_i): delta^3 carries three thetas
     W = parse_poly("x1^2 + x2^2 + x3^2", 3)
     xs = [parse_poly("x%d" % i, 3) for i in (1, 2, 3)]
-    K = koszul_mf([(x, x) for x in xs], W, "K")
+    K = KoszulFactorisation([(x, x) for x in xs], W, "K")
     qb = QuotientBasis([parse_poly("2*x%d" % i, 3) for i in (1, 2, 3)])
     return derivative_arena(K, K, qb, cap)
 
@@ -83,17 +87,12 @@ def exact_expansion(r, qb):
 def composed_differentials(a):
     """Reference (d_A, delta): sums of the whole-basis operator r^# (the
     t-adic columns of r, cut at the cap) after whole-basis fermion
-    operators, composed as LinearOps.  Returns the two operators and
-    the largest t-degree in the columns of r."""
+    operators, composed as LinearOps."""
     sp, n = a.space, a.n
-    tmax = [0]
 
     def mult_op(r):
         cols = [exact_expansion(r * a.qb.basis_poly(h), a.qb)
                 for h in range(a.qb.mu)]
-        for col in cols:
-            for (_, d) in col:
-                tmax[0] = max(tmax[0], sum(d))
 
         def rule(key):
             mask, h, delta = key
@@ -117,7 +116,7 @@ def composed_differentials(a):
                 term = mult_op(r)
                 for f in word:
                     term = term.compose(fermion(*f))
-                acc = acc + term if sign > 0 else acc - term
+                acc = acc + term if sign > 0 else minus(acc, term)
         return acc
 
     d_terms, delta_terms = [], []
@@ -145,7 +144,7 @@ def composed_differentials(a):
                 delta_terms += [(1, F, [("contract", "xi", i), tk]),
                                 (1, F, [("wedge", "xibar", i), tk]),
                                 (1, G, [("wedge", "xi", i), tk])]
-    return total(1, d_terms), total(0, delta_terms), tmax[0]
+    return total(1, d_terms), total(0, delta_terms)
 
 
 FIXTURES = [
@@ -161,12 +160,10 @@ FIXTURE_IDS = ["worked-nu", "worked-rho", "kstab", "twovar-rho", "twovar-nu"]
 @pytest.mark.parametrize("make", FIXTURES, ids=FIXTURE_IDS)
 def test_differentials_match_composed_reference(make):
     a = make()
-    tdeg = a.table_max_tdeg
-    d_A, delta, tmax = composed_differentials(a)
+    d_A, delta = composed_differentials(a)
     assert (a.d_A.cols, a.d_A.den) == (d_A.cols, d_A.den)
     assert (a.delta.cols, a.delta.den) == (delta.cols, delta.den)
     assert a.d_A.degree == 1 and a.delta.degree == 0
-    assert tdeg == tmax
     assert a.delta.cols and a.d_A.cols
 
 
@@ -179,7 +176,7 @@ def ref_exp_nilpotent(op, max_power):
         if is_zero(power):
             return total
         total = total + power
-        power = op.compose(power).scaled(Fraction(1, m))
+        power = scaled(op.compose(power), Fraction(1, m))
     raise ValueError("operator is not nilpotent within the bound")
 
 
@@ -194,7 +191,7 @@ def ref_perturbation_series(a, zeta_at, tail):
         term = zeta_at.compose(term)
         sign = -sign
         if m <= a.n:
-            total = total + term.scaled(sign)
+            total = total + scaled(term, sign)
         else:
             if not is_zero(term):
                 raise ValueError("perturbation series failed to truncate")
@@ -204,13 +201,13 @@ def ref_perturbation_series(a, zeta_at, tail):
 def reference_operators(a):
     """The arena's operators rebuilt from the composed reference d_A and
     delta by whole-operator series and compositions."""
-    d_A, delta, _ = composed_differentials(a)
+    d_A, delta = composed_differentials(a)
     at = graded_commutator(d_A, a.nabla)
     zeta_at = a.zeta_after(at)
     ops = {
         "At": at,
         "e_delta": ref_exp_nilpotent(delta, a.n + 1),
-        "e_minus_delta": ref_exp_nilpotent(delta.scaled(-1), a.n + 1),
+        "e_minus_delta": ref_exp_nilpotent(scaled(delta, -1), a.n + 1),
         "sigma_infty": ref_perturbation_series(a, zeta_at, a.sigma),
         "phi_infty": ref_perturbation_series(a, zeta_at,
                                              a.zeta_after(a.nabla)),
@@ -426,6 +423,24 @@ def reference_sdr_report(a, margin):
     return {"margin": margin, "checked": len(keys), "identities": identities}
 
 
+def reference_reach(a):
+    """Reference identity_reach: the largest t-degree of the terms d H,
+    H d, Phi_inv Phi and, on the core, Phi Phi_inv on the keys of
+    t-degree zero, each a reduced scaled state made by apply and
+    apply_key."""
+    Phi, Phi_inv, H, d = a.Phi, a.Phi_inv, a.H_hat, a.d_A
+    reach = 0
+    for key in a.space.basis():
+        if sum(key[2]):
+            continue
+        terms = [d.apply(H.apply_key(key)), H.apply(d.apply_key(key)),
+                 Phi_inv.apply(Phi.apply_key(key))]
+        if a.is_core_key(key):
+            terms.append(Phi.apply(Phi_inv.apply_key(key)))
+        reach = max([reach] + [sum(k[2]) for nums, _ in terms for k in nums])
+    return reach
+
+
 def with_sign_fault(op, keys):
     """A copy of op with the first entry of its first column on keys
     negated."""
@@ -447,23 +462,28 @@ def fault_sites(a, keys):
             "d_A": h_image + list(keys)}
 
 
-# each fixture with the smallest margin at which its clean check passes,
-# and whether each of the five identities fails under some fault: only
-# the worked model has an H_hat column on the image of Phi_inv
+# each fixture with its default margin n + R, the smallest margin at
+# which its clean check passes, and whether each of the five identities
+# fails under some fault: only the worked model has an H_hat column on
+# the image of Phi_inv.  quadric3 at cap 2 has no key inside its
+# default margin 3
 SDR_CASES = list(zip(FIXTURES + [lambda: quadric3_arena(cap=2)],
+                     [2, 2, 2, 2, 2, 3],
                      [2, 2, 2, 1, 1, 1],
                      [True, True, False, False, False, False]))
 
 
-@pytest.mark.parametrize("make, margin, all_five", SDR_CASES,
+@pytest.mark.parametrize("make, default, margin, all_five", SDR_CASES,
                          ids=FIXTURE_IDS + ["quadric3"])
-def test_sdr_verify_matches_reference(make, margin, all_five, monkeypatch):
+def test_sdr_verify_matches_reference(make, default, margin, all_five,
+                                      monkeypatch):
     # the one-pass report equals the per-identity reference at the
     # default margin, at margin 0 (where the cap cuts), and at the
     # smallest passing margin clean and with a sign fault in one entry
     # of each operator it reads; every fault fails some identity
     a = make()
-    assert a.sdr_verify() == reference_sdr_report(a, 2 * a.table_max_tdeg)
+    assert a.n + reference_reach(a) == default
+    assert a.sdr_verify() == reference_sdr_report(a, default)
     assert a.sdr_verify(0) == reference_sdr_report(a, 0)
     report = a.sdr_verify(margin)
     assert report == reference_sdr_report(a, margin)

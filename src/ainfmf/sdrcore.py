@@ -8,12 +8,12 @@ operators: the transported differential d_A, delta, the connection
 nabla, the critical Atiyah class At = [d_A, nabla], the inclusion sigma
 of the theta- and t-degree-zero sector (which is also the projection
 pi onto it), the perturbation series sigma_infty and phi_infty, and the
-homotopy equivalence Phi, Phi^{-1}, H_hat.  The propagator zeta, zeta
-At and the exponentials e^{+-delta} are built on the way and not kept:
-zeta At is dropped once both series are summed, and e^{+-delta} once
-Phi, Phi^{-1} and H_hat are built.  d_A and delta come from integer
-mask moves: each summand moves the fermion bits of a mask, then
-multiplies by a polynomial through its t-adic columns over one
+homotopy equivalence Phi, Phi^{-1}, H_hat.  The propagator zeta and
+zeta At are built on the way and not kept: zeta At is dropped once both
+series are summed.  The exponentials e^{+-delta} go into Phi and
+Phi^{-1}, and only H_hat's column store keeps them.  d_A and delta come
+from integer mask moves: each summand moves the fermion bits of a mask,
+then multiplies by a polynomial through its t-adic columns over one
 denominator (the transported multiplication r^#).  The columns are
 read from QuotientBasis.columns, which keeps them per polynomial, so
 the arenas of a model and the vertex catalogs of the normal-ordering
@@ -27,21 +27,22 @@ the operators share one tuple per basis key.  e^{+-delta} (one pass
 over the powers of delta) and sigma_infty, phi_infty (two tails of one
 zeta At) are power series summed column by column; Phi and Phi^{-1}
 are compositions; At is built column by column by graded_commutator.
-H_hat = e^delta phi_infty e^{-delta} is built one column at a time,
-each dropped of its cancelled entries before the next, so no
-whole-basis intermediate is held.  H_hat has few distinct coefficients
-on many entries, so it holds one shared int object per distinct value,
-and is brought to lowest terms through a map of those values.  The
-core basis and the test keys of each margin are built once per arena.
-sdr_verify checks the defining identities exactly on a
-margin-restricted basis, in one pass over the test keys, in integers
-over one denominator per identity; its default margin is n plus the
-t-degree that the identities' terms reach from the keys of t-degree
-zero.
+H_hat = e^delta phi_infty e^{-delta} is a ComposedColumns store: the
+first read of a column takes it through the three operators, drops its
+cancelled entries and keeps it, so building an arena fills no H_hat
+column and each command fills only the columns it reads.  The columns
+share one int object per distinct value, over the product of the three
+denominators, not in lowest terms.  The core basis and the test keys
+of each margin are built once per arena.  sdr_verify checks the
+defining identities exactly on a margin-restricted basis, in one pass
+over the test keys, in integers over one denominator per identity; its
+default margin is n plus the t-degree R that the identities' terms
+reach from the keys of t-degree zero, which come first in the basis:
+the same pass reads R from the term images it tests on them.
 """
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 from operator import add
 
 from .superspace import (
@@ -54,6 +55,32 @@ from .superspace import (
     power_series,
     wedge_mask,
 )
+
+
+class ComposedColumns(dict):
+    """The columns of outer after mid after inner, each built on its
+    first read and kept: a read of key's column takes inner's column
+    through mid and then outer, drops the cancelled entries and swaps
+    every entry for one int object per distinct value, shared by all
+    the columns built.  The entries are integers over outer.den mid.den
+    inner.den, not brought to lowest terms.  Every key has a column,
+    possibly empty; get returns default for an empty one.  The dict
+    holds the columns read so far, and iterating it gives only those."""
+
+    def __init__(self, outer, mid, inner):
+        super().__init__()
+        self._ops = outer, mid, inner
+        self._shared = {}
+
+    def __missing__(self, key):
+        outer, mid, inner = self._ops
+        share = self._shared.setdefault
+        image = outer.image(mid.image(inner.cols.get(key, {})))
+        out = self[key] = {k: share(c, c) for k, c in image.items() if c}
+        return out
+
+    def get(self, key, default=None):
+        return self[key] or default
 
 
 class Arena:
@@ -194,12 +221,16 @@ class Arena:
         self.phi_infty, = power_series(zeta_at, alternating,
                                        self.zeta_after(self.nabla))
         del zeta_at
-        # e^{+-delta} go into Phi, Phi_inv and H_hat, and are not kept;
-        # sigma is also the projection pi onto the core
+        # e^{+-delta} go into Phi and Phi_inv, and only H_hat's column
+        # store keeps them; sigma is also the projection pi onto the core
         e_delta, e_minus_delta = self._exponentials()
         self.Phi = self.sigma.compose(e_minus_delta)
         self.Phi_inv = e_delta.compose(self.sigma_infty)
-        self.H_hat = self._build_h_hat(e_delta, e_minus_delta)
+        # e^{+-delta} are even: H_hat has the degree of phi_infty
+        self.H_hat = LinearOp(
+            self.space, self.phi_infty.degree,
+            ComposedColumns(e_delta, self.phi_infty, e_minus_delta),
+            e_delta.den * self.phi_infty.den * e_minus_delta.den)
 
     def _exponentials(self):
         """(e^delta, e^{-delta}).  delta lowers the theta-degree, so
@@ -211,34 +242,6 @@ class Arena:
         return tuple(map(self._shifted, power_series(
             self.delta, [exp, [(-1) ** m * c for m, c in enumerate(exp)]],
             one)))
-
-    def _build_h_hat(self, e_delta, e_minus_delta):
-        """H_hat = e^delta phi_infty e^{-delta}, one column at a time:
-        each column of e^{-delta} goes through phi_infty and then
-        e^delta, and its cancelled entries are dropped before the next
-        column, so no whole-basis intermediate is held.  Every entry is
-        swapped for one shared int object per distinct value, and the
-        columns are brought to lowest terms through a map of the
-        distinct values only: H_hat has few distinct coefficients on
-        many entries."""
-        mid = self.phi_infty
-        shared = {}
-        cols = {}
-        for key, col in e_minus_delta.cols.items():
-            out = {k: shared.setdefault(c, c)
-                   for k, c in e_delta.image(mid.image(col)).items() if c}
-            if out:
-                cols[key] = out
-        den = e_delta.den * mid.den * e_minus_delta.den
-        g = gcd(den, *shared)
-        if g > 1:
-            lowest = {c: c // g for c in shared}
-            for col in cols.values():
-                for k, c in col.items():
-                    col[k] = lowest[c]
-            den //= g
-        # e^{+-delta} are even: H_hat has the degree of phi_infty
-        return LinearOp(self.space, mid.degree, cols, den)
 
     def _build_nabla(self):
         """nabla = sum_k theta_k d/dt_k, integer columns over 1."""
@@ -298,19 +301,6 @@ class Arena:
                 k for k in self.space.basis() if sum(k[2]) <= limit)
         return keys
 
-    def identity_reach(self):
-        """R, the largest t-degree that the terms d H, H d, Phi_inv Phi
-        and Phi Phi_inv of the identities reach from a key of t-degree
-        zero (Phi_inv has columns on the core only)."""
-        Phi, Phi_inv, H, d = self.Phi, self.Phi_inv, self.H_hat, self.d_A
-        empty = {}
-        return max((sum(k[2]) for key in self._t0
-                    for out in (d.image(H.cols.get(key, empty)),
-                                H.image(d.cols.get(key, empty)),
-                                Phi_inv.image(Phi.cols.get(key, empty)),
-                                Phi.image(Phi_inv.cols.get(key, empty)))
-                    for k, c in out.items() if c), default=0)
-
     def sdr_verify(self, margin=None):
         """Check the homotopy-equivalence identities exactly on all basis
         states of t-degree <= cap - margin, in one pass over those keys
@@ -318,13 +308,14 @@ class Arena:
         Each identity is an unreduced integer image over one denominator,
         tested for a non-zero entry; only the first failing key of an
         identity is reduced to its rational diff.  Returns a report
-        dict.  The default margin is n + identity_reach(): only nabla
-        lowers the t-degree, a term applies at most n nablas, so the cap
-        changes no output of t-degree <= cap - n, where the terms on the
-        keys inside the margin stay (README, "Truncation model")."""
-        if margin is None:
-            margin = self.n + self.identity_reach()
-        keys = self.test_keys(margin)
+        dict.  The default margin is n + R, R the largest t-degree that
+        the terms d H, H d, Phi_inv Phi and Phi Phi_inv reach from a key
+        of t-degree zero (Phi_inv has columns on the core only): only
+        nabla lowers the t-degree, a term applies at most n nablas, so
+        the cap changes no output of t-degree <= cap - n, where the terms
+        on the keys inside the margin stay (README, "Truncation model").
+        The keys of t-degree zero come first in the basis, so the same
+        pass reads R from the term images it tests on them."""
         Phi, Phi_inv, H, d = self.Phi, self.Phi_inv, self.H_hat, self.d_A
         # Phi_inv Phi + d H + H d - 1 over the lcm of its two denominators
         den_pp, den_dh = Phi_inv.den * Phi.den, d.den * H.den
@@ -340,23 +331,51 @@ class Arena:
         def times(col, m):
             return col if m == 1 else {k: c * m for k, c in col.items()}
 
+        def top(*images):
+            return max((sum(k[2]) for image in images
+                        for k, c in image.items() if c), default=0)
+
         empty = {}
-        for key in keys:
+
+        def check(key, reach):
+            """Test the identities on key.  With reach, return the
+            largest t-degree that their terms reach from key, else 0."""
+            tdeg = 0
             h_col = H.cols.get(key, empty)
             if self.is_core_key(key):
                 inv_col = Phi_inv.cols.get(key, empty)
                 out = Phi.image(inv_col)
+                if reach:
+                    tdeg = top(out)
                 out[key] = out.get(key, 0) - den_pp
                 test("Phi Phi_inv = 1", key, out, den_pp)
                 test("H Phi_inv = 0", key, H.image(inv_col),
                      H.den * Phi_inv.den)
             out = d.image(times(h_col, m_dh))
-            H.image(times(d.cols.get(key, empty), m_dh), out)
-            Phi_inv.image(times(Phi.cols.get(key, empty), m_pp), out)
+            terms = (H.image(times(d.cols.get(key, empty), m_dh)),
+                     Phi_inv.image(times(Phi.cols.get(key, empty), m_pp)))
+            if reach:
+                tdeg = max(tdeg, top(out, *terms))
+            for term in terms:
+                for k, c in term.items():
+                    out[k] = out.get(k, 0) + c
             out[key] = out.get(key, 0) - den_retract
             test("Phi_inv Phi = 1 - [d, H]", key, out, den_retract)
             test("H H = 0", key, H.image(h_col), H.den * H.den)
             test("Phi H = 0", key, Phi.image(h_col), Phi.den * H.den)
+            return tdeg
+
+        done = 0
+        if margin is None:
+            # the keys of t-degree zero give R; they are test keys unless
+            # the margin n + R leaves none
+            margin = self.n + max(check(key, True) for key in self._t0)
+            if margin > self.cap:
+                first.clear()
+            done = len(self._t0)
+        keys = self.test_keys(margin)
+        for key in keys[done:]:
+            check(key, False)
         identities = {}
         for name in ("Phi Phi_inv = 1", "Phi_inv Phi = 1 - [d, H]",
                      "H H = 0", "H Phi_inv = 0", "Phi H = 0"):

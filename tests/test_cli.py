@@ -476,19 +476,20 @@ def test_verify_ainf_names_its_witness(monkeypatch):
 
 
 def test_sdr_verify_names_its_witness(monkeypatch):
-    # a sign fault in one entry of H_hat fails sdr-verify (exit 1), and
-    # each failing identity names its witness key and its diff in key
-    # labels and p/q
-    original = Arena._build_h_hat
+    # a sign fault in one entry of H_hat, in its first non-empty column
+    # in basis order, filled as the arena is built, fails sdr-verify
+    # (exit 1), and each failing identity names its witness key and its
+    # diff in key labels and p/q
+    original = Arena.__init__
 
-    def faulty(self, e_delta, e_minus_delta):
-        op = original(self, e_delta, e_minus_delta)
-        col = next(iter(op.cols.values()))
+    def faulty(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        cols = self.H_hat.cols
+        col = next(c for key in self.space.basis() if (c := cols.get(key)))
         k2 = next(iter(col))
         col[k2] = -col[k2]
-        return op
 
-    monkeypatch.setattr(Arena, "_build_h_hat", faulty)
+    monkeypatch.setattr(Arena, "__init__", faulty)
     command = {"command": "sdr-verify", "source": "X", "target": "X",
                "margin": 2}
     report, code = cli.run(WORKED, commands=[command], cap=4)

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ainfmf import cli
+from test_sdrcore import reference_reach
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -123,13 +124,22 @@ def fermat_models(draw):
 def test_random_fermat_models(model):
     # e1's cohomology_dim and rank match the closed form on every pair,
     # and sdr-verify at its default margin fails no identity on any
-    # pair (a cap below the margin is cap insufficiency, exit 3)
+    # pair (a cap below the margin is cap insufficiency, exit 3); that
+    # margin, read in sdr-verify's one pass, is n + R with R by the
+    # per-key reference
     spec, exponents, objects = model
-    report, code = cli.run(spec, commands=["e1", "sdr-verify"])
+    prob = cli.Problem(spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "Problem", lambda raw, cap_override=None: prob)
+        report, code = cli.run(spec, commands=["e1", "sdr-verify"])
     assert code in (cli.EXIT_OK, cli.EXIT_CAP)
     e1, sdr = report["results"]
     assert e1["ok"] and sdr["ok"]
     n = len(exponents)
+    for pair in sdr["result"]["pairs"]:
+        arena = prob.model.pair(prob.obj_index(pair["source"]),
+                                prob.obj_index(pair["target"])).arena
+        assert pair["margin"] == n + reference_reach(arena)
     for pair in e1["result"]["pairs"]:
         closed = closed_form(exponents, objects[pair["source"]],
                              objects[pair["target"]])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ainfmf import cli
 from ainfmf.mfcat import (HomotopySet, KoszulFactorisation,
                           default_homotopies)
 from ainfmf.poly import Polynomial, parse_poly
@@ -224,10 +225,13 @@ ARENA_OPERATORS = ("d_A", "delta", "nabla", "At", "sigma", "sigma_infty",
 
 
 def arena_operators(a):
-    """The operators the arena keeps, by name, and e^{+-delta}, which it
-    builds for Phi, Phi_inv and H_hat and does not keep, rebuilt by its
+    """The operators the arena keeps, by name, with every H_hat column
+    read through its store, and e^{+-delta}, which it builds for Phi,
+    Phi_inv and H_hat and keeps only in H_hat's store, rebuilt by its
     own method."""
     ops = {name: getattr(a, name) for name in ARENA_OPERATORS}
+    for key in a.space.basis():
+        a.H_hat.cols.get(key)
     ops["e_delta"], ops["e_minus_delta"] = a._exponentials()
     return ops
 
@@ -237,10 +241,22 @@ def arena_operators(a):
 def test_operators_match_composed_reference(make):
     a = make()
     ours = arena_operators(a)
-    for name, ref in reference_operators(a).items():
+    refs = reference_operators(a)
+    for name, ref in refs.items():
         op = ours[name]
+        if name == "H_hat":
+            continue
         assert (op.cols, op.den, op.degree) == (ref.cols, ref.den,
                                                 ref.degree), name
+    # H_hat's columns, read through its store, are the reference's as
+    # rationals, over the product of the three denominators: no gcd pass
+    # brings them to lowest terms
+    ref = refs["H_hat"]
+    assert a.H_hat.degree == ref.degree
+    assert a.H_hat.den == (ours["e_delta"].den * a.phi_infty.den
+                           * ours["e_minus_delta"].den)
+    for key in a.space.basis():
+        assert image(a.H_hat, key) == image(ref, key), key
     # the top power m = n of the series is there: delta^n and
     # (zeta At)^n sigma do not vanish
     delta, zeta_at, sigma_top = a.delta, a.zeta_after(a.At), a.sigma
@@ -271,8 +287,9 @@ def test_operators_share_the_space_keys(make):
 
 
 def test_h_hat_is_built_by_columns(monkeypatch):
-    # an arena makes two compositions, Phi and Phi_inv: At and H_hat are
-    # built by columns, and none of H_hat's columns holds a zero
+    # an arena makes two compositions, Phi and Phi_inv, and fills no
+    # H_hat column: At is built by columns, and each H_hat column on its
+    # first read, with no zero entry and no further composition
     calls = []
     original = LinearOp.compose
 
@@ -283,7 +300,12 @@ def test_h_hat_is_built_by_columns(monkeypatch):
     monkeypatch.setattr(LinearOp, "compose", counted)
     a = quadric3_arena(cap=2)
     assert len(calls) == 2
-    assert a.H_hat.cols
+    assert not a.H_hat.cols
+    basis = a.space.basis()
+    for key in basis:
+        a.H_hat.cols.get(key)
+    assert len(calls) == 2 and len(a.H_hat.cols) == len(basis)
+    assert any(a.H_hat.cols.values())
     assert all(all(col.values()) for col in a.H_hat.cols.values())
 
 
@@ -291,13 +313,40 @@ def test_h_hat_is_built_by_columns(monkeypatch):
                                   lambda: worked_arena(cap=4)],
                          ids=["quadric3-cap3", "worked"])
 def test_arena_keeps_one_int_per_h_hat_value(make):
-    # H_hat shares one int object per distinct coefficient, and the
-    # arena keeps neither e^{+-delta} nor a pi beside sigma
+    # H_hat shares one int object per distinct coefficient over all its
+    # columns once each is read, and the arena keeps neither e^{+-delta}
+    # nor a pi beside sigma
     a = make()
+    for key in a.space.basis():
+        a.H_hat.cols.get(key)
     entries = [c for col in a.H_hat.cols.values() for c in col.values()]
     assert len({id(c) for c in entries}) == len(set(entries)) < len(entries)
     assert not any(hasattr(a, name)
                    for name in ("e_delta", "e_minus_delta", "pi"))
+
+
+# the spec of the arena-quadric3 benchmark workload, unscaled
+QUADRIC3 = {"variables": ["x1", "x2", "x3"],
+            "potential": "x1^2 + x2^2 + x3^2", "cap": 3,
+            "objects": [{"label": "K", "pairs": [["x1", "x1"], ["x2", "x2"],
+                                                 ["x3", "x3"]]}]}
+
+
+def test_commands_fill_few_h_hat_columns(monkeypatch):
+    # the 10,240-key arena fills no H_hat column when it is built, e1
+    # and clifford fill none, and sdr-verify then verify-ainf level 2
+    # fill fewer than 2,000 (measured: 1,664, of which 1,152 non-empty)
+    prob = cli.Problem(QUADRIC3)
+    monkeypatch.setattr(cli, "Problem", lambda raw, cap_override=None: prob)
+    a = prob.model.pair(0, 0).arena
+    filled = a.H_hat.cols
+    assert len(a.space.basis()) == 10240 and not filled
+    assert cli.run(QUADRIC3, commands=["e1", "clifford"])[1] == cli.EXIT_OK
+    assert not filled
+    report, code = cli.run(QUADRIC3, commands=[
+        "sdr-verify", {"command": "verify-ainf", "level": 2}])
+    assert code == cli.EXIT_OK
+    assert 0 < sum(1 for col in filled.values() if col) < len(filled) < 2000
 
 
 def test_d_a_squares_to_zero_worked():
@@ -424,10 +473,10 @@ def reference_sdr_report(a, margin):
 
 
 def reference_reach(a):
-    """Reference identity_reach: the largest t-degree of the terms d H,
-    H d, Phi_inv Phi and, on the core, Phi Phi_inv on the keys of
-    t-degree zero, each a reduced scaled state made by apply and
-    apply_key."""
+    """Reference R of sdr_verify's default margin n + R: the largest
+    t-degree of the terms d H, H d, Phi_inv Phi and, on the core, Phi
+    Phi_inv on the keys of t-degree zero, each a reduced scaled state
+    made by apply and apply_key."""
     Phi, Phi_inv, H, d = a.Phi, a.Phi_inv, a.H_hat, a.d_A
     reach = 0
     for key in a.space.basis():
@@ -441,14 +490,15 @@ def reference_reach(a):
     return reach
 
 
-def with_sign_fault(op, keys):
-    """A copy of op with the first entry of its first column on keys
-    negated."""
-    key = next(k for k in keys if k in op.cols)
+def with_sign_fault(monkeypatch, op, keys):
+    """Negate the first entry of op's first non-empty column on keys,
+    read through H_hat's column store, in a copy of that column that
+    stands in op's columns until monkeypatch is undone."""
+    key = next(k for k in keys if op.cols.get(k))
     col = dict(op.cols[key])
     k2 = next(iter(col))
     col[k2] = -col[k2]
-    return LinearOp(op.space, op.degree, {**op.cols, key: col}, op.den)
+    monkeypatch.setitem(op.cols, key, col)
 
 
 def fault_sites(a, keys):
@@ -490,7 +540,7 @@ def test_sdr_verify_matches_reference(make, default, margin, all_five,
     assert all(v["ok"] for v in report["identities"].values())
     failed = set()
     for name, keys in fault_sites(a, a.test_keys(margin)).items():
-        monkeypatch.setattr(a, name, with_sign_fault(getattr(a, name), keys))
+        with_sign_fault(monkeypatch, getattr(a, name), keys)
         report = a.sdr_verify(margin)
         assert report == reference_sdr_report(a, margin), name
         names = {n for n, v in report["identities"].items() if not v["ok"]}

@@ -3,84 +3,60 @@
 For each ordered pair (X, Y) we build the truncated state space
 wedge(F_theta (+) fermions of the pair's presentation) tensor R/I tensor
 Q[t]_{<= cap}, with the rho presentation (fermions xi, xibar) when X is Y
-and the nu presentation (eta, xibar) otherwise, together with the cached
+and the nu presentation (eta, xibar) otherwise, together with its
 operators: the transported differential d_A, delta, the connection
-nabla, the critical Atiyah class At = [d_A, nabla], the inclusion sigma
-of the theta- and t-degree-zero sector (which is also the projection
-pi onto it), the perturbation series sigma_infty and phi_infty, and the
-homotopy equivalence Phi, Phi^{-1}, H_hat.  The propagator zeta and
-zeta At are built on the way and not kept: zeta At is dropped once both
-series are summed.  The exponentials e^{+-delta} go into Phi and
-Phi^{-1}, and only H_hat's column store keeps them.  d_A and delta come
-from integer mask moves: each summand moves the fermion bits of a mask,
-then multiplies by a polynomial through its t-adic columns over one
-denominator (the transported multiplication r^#).  The columns are
-read from QuotientBasis.columns, which keeps them per polynomial, so
-the arenas of a model and the vertex catalogs of the normal-ordering
-backend expand each polynomial once.  d_A, delta and e^{+-delta}
-commute with the t-shifts and never lower the t-degree, so each is
-built on the keys of t-degree zero only, at the full cap, and
-Arena._shifted carries those columns to every other key, finding the
-output keys by basis position and cutting at the cap.  Every output key
-of an operator is the space's own key object (Space.own_key), so all
-the operators share one tuple per basis key.  e^{+-delta} (one pass
-over the powers of delta) and sigma_infty, phi_infty (two tails of one
-zeta At) are power series summed column by column; Phi and Phi^{-1}
-are compositions; At is built column by column by graded_commutator.
-H_hat = e^delta phi_infty e^{-delta} is a ComposedColumns store: the
-first read of a column takes it through the three operators, drops its
-cancelled entries and keeps it, so building an arena fills no H_hat
-column and each command fills only the columns it reads.  The columns
-share one int object per distinct value, over the product of the three
-denominators, not in lowest terms.  The core basis and the test keys
-of each margin are built once per arena.  sdr_verify checks the
-defining identities exactly on a margin-restricted basis, in one pass
-over the test keys, in integers over one denominator per identity; its
-default margin is n plus the t-degree R that the identities' terms
-reach from the keys of t-degree zero, which come first in the basis:
-the same pass reads R from the term images it tests on them.
+nabla, the critical Atiyah class At = [d_A, nabla], the perturbation
+series sigma_infty and phi_infty, and the homotopy equivalence Phi,
+Phi^{-1}, H_hat.  Each is a LinearOp over a ColumnStore, whose first
+read of a column builds it from the columns of the operators it is made
+of and keeps it; building an arena fills no column.  Each denominator
+is fixed when the arena is built, not in lowest terms.  d_A and delta
+come from integer mask moves: each summand moves the fermion bits of a
+mask, then multiplies by a polynomial through its t-adic columns (the
+transported multiplication r^#), read from QuotientBasis.columns, so
+the arenas and vertex catalogs of a model expand each polynomial once.
+d_A, delta and e^{+-delta} commute with the t-shifts and never lower
+the t-degree, so _shifted builds their column on (mask, h, delta) from
+the one on (mask, h, 0).  At = d_A nabla + nabla d_A; the propagator
+zeta divides by the virtual degree.  sigma_infty and phi_infty are the
+series sum_m (-1)^m (zeta At)^m on the column of sigma (the inclusion
+of the core) and of zeta nabla, e^delta the series over delta, each
+summed one column at a time by series_column; e^{-delta} = P e^delta P
+with P = (-1)^(theta-degree).  Phi = pi e^{-delta} is the core part of
+the e^{-delta} column, Phi^{-1} = e^delta sigma_infty, and H_hat =
+e^delta phi_infty e^{-delta}, whose columns share one int object per
+distinct value.  Every output key of an operator is the space's own key
+object (Space.own_key), so the operators share one tuple per basis key.
+The core basis and the test keys of each margin are built once per
+arena.  sdr_verify checks the defining identities exactly on a
+margin-restricted basis, in one pass over the test keys, in integers
+over one denominator per identity; its default margin is n plus the
+t-degree R that the identities' terms reach from the keys of t-degree
+zero, which come first in the basis: the same pass reads R from the
+term images it tests on them.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import combinations
+from math import factorial, lcm, prod
 from operator import add
 
 from .superspace import (
+    ColumnStore,
     LinearOp,
     Space,
     ZeroVirtualDegree,
     contract_mask,
-    graded_commutator,
     move_word,
-    power_series,
+    series_column,
     wedge_mask,
 )
 
 
-class ComposedColumns(dict):
-    """The columns of outer after mid after inner, each built on its
-    first read and kept: a read of key's column takes inner's column
-    through mid and then outer, drops the cancelled entries and swaps
-    every entry for one int object per distinct value, shared by all
-    the columns built.  The entries are integers over outer.den mid.den
-    inner.den, not brought to lowest terms.  Every key has a column,
-    possibly empty; get returns default for an empty one.  The dict
-    holds the columns read so far, and iterating it gives only those."""
-
-    def __init__(self, outer, mid, inner):
-        super().__init__()
-        self._ops = outer, mid, inner
-        self._shared = {}
-
-    def __missing__(self, key):
-        outer, mid, inner = self._ops
-        share = self._shared.setdefault
-        image = outer.image(mid.image(inner.cols.get(key, {})))
-        out = self[key] = {k: share(c, c) for k, c in image.items() if c}
-        return out
-
-    def get(self, key, default=None):
-        return self[key] or default
+def _divided(nums, g):
+    """Integer numerators over a denominator d, over d / g: g divides
+    each numerator."""
+    return {k: v // g for k, v in nums.items()}
 
 
 class Arena:
@@ -101,16 +77,76 @@ class Arena:
         self._core = tuple(k for k in self.space.basis() if self.is_core_key(k))
         # the keys of t-degree zero: the first block of the basis
         self._t0 = self.space.basis()[:self.space.mu << self.space.ngen]
+        # raised[delta][d2]: delta + d2, for each d2 it leaves within cap
+        deltas = self.space.deltas
+        self._raised = {d0: {d2: nd for d2 in deltas
+                             if sum(nd := tuple(map(add, d0, d2))) <= cap}
+                        for d0 in deltas}
+        # zeta divides by a virtual degree, at most n + cap
+        self._zeta_den = lcm(*range(1, self.n + cap + 1))
         self._test_keys = {}
         self._build_operators()
 
     # ------------------------------------------------------------------
     # the main operators
 
+    def _build_operators(self):
+        n, sp, own = self.n, self.space, self.space.own_key
+        core = self.is_core_key
+
+        def op(degree, den, rule):
+            return LinearOp(sp, degree, ColumnStore(rule), den)
+
+        self.d_A, self.delta, self._theta_dens = self._differentials()
+        d = self.d_A
+        self.nabla = nabla = op(1, 1, self._nabla_column)
+        # [d_A, nabla] of two odd operators
+        self.At = at = op(0, d.den, lambda key: nabla.image(
+            d.cols[key], d.image(nabla.cols[key])))
+        # sum_m (-1)^m (zeta At)^m, which stops at m = n, on the columns
+        # of sigma and zeta nabla.  nabla and zeta At raise the
+        # theta-degree by one, and zeta divides by a theta-degree q plus
+        # a t-degree <= cap, a divisor of lcm(q..q+cap).  A term passes
+        # each q in 1..n once at most, so its sum, made over a power of
+        # zeta_at.den, divides down to At.den^n, or ^(n-1), times lam
+        zeta, zeta_den = self._zeta, self._zeta_den
+        zeta_at = op(0, at.den * zeta_den, lambda key: zeta(at.cols[key]))
+        lam = prod(lcm(*range(q, q + self.cap + 1)) for q in range(1, n + 1))
+        sigma_den, phi_den = at.den ** n * lam, at.den ** max(n - 1, 0) * lam
+        alternating = [(-1) ** m for m in range(n + 1)]
+        top = zeta_at.den ** n
+
+        def perturbed(tail, g):
+            return _divided(series_column(zeta_at.image, zeta_at.den,
+                                          alternating, tail), g)
+
+        self.sigma_infty = op(0, sigma_den, lambda key: perturbed(
+            {own[key]: 1}, top // sigma_den) if core(key) else {})
+        self.phi_infty = phi = op(1, phi_den, lambda key: perturbed(
+            zeta(nabla.cols[key]), top * zeta_den // phi_den))
+        # only the rules of Phi, Phi_inv and H_hat keep e^{+-delta}
+        e_delta, e_minus_delta = self._exp_delta()
+        # pi, the projection onto the core, after e^{-delta}
+        self.Phi = op(0, e_minus_delta.den, lambda key: {
+            k: c for k, c in e_minus_delta.cols[key].items() if core(k)})
+        self.Phi_inv = op(0, e_delta.den * self.sigma_infty.den, lambda key:
+                          e_delta.image(self.sigma_infty.cols[key]))
+        share = {}.setdefault
+
+        def h_column(key):
+            image = e_delta.image(phi.image(e_minus_delta.cols[key]))
+            return {k: share(c, c) for k, c in image.items() if c}
+
+        # e^{+-delta} are even: H_hat has the degree of phi_infty
+        self.H_hat = op(phi.degree, e_delta.den * phi.den * e_minus_delta.den,
+                        h_column)
+
     def _differentials(self):
-        """(d_A, delta), each a sum of (sign, r, word) terms: the fermion
-        moves of word act on the mask, last to first, and then the
-        t-adic columns of r, cut at the cap, act on (h, delta)."""
+        """(d_A, delta, dens), d_A and delta each a sum of (sign, r, word)
+        terms: the fermion moves of word act on the mask, last to first,
+        and then the t-adic columns of r, cut at the cap, act on (h,
+        delta).  dens[k] is the denominator of delta's terms that
+        contract theta_k."""
         pos = self.space.gen_pos
 
         def wedge(family, i):
@@ -119,7 +155,7 @@ class Arena:
         def contract(family, i):
             return contract_mask, pos(family, i)
 
-        d_terms, delta_terms = [], []
+        d_terms, delta_terms = [], [[] for _ in range(self.n)]
         if self.presentation == "nu":
             for j, (u, v) in enumerate(self.Y.pairs):
                 d_terms += [(1, u, [contract("eta", j)]),
@@ -130,7 +166,7 @@ class Arena:
             for k in range(self.n):
                 tk = contract("theta", k)
                 for j in range(self.Y.r):
-                    delta_terms += [
+                    delta_terms[k] += [
                         (1, self.homY.F[k][j], [contract("eta", j), tk]),
                         (1, self.homY.G[k][j], [wedge("eta", j), tk])]
         else:
@@ -141,125 +177,111 @@ class Arena:
                 tk = contract("theta", k)
                 for i in range(self.X.r):
                     F, G = self.homX.F[k][i], self.homX.G[k][i]
-                    delta_terms += [(1, F, [contract("xi", i), tk]),
+                    delta_terms[k] += [(1, F, [contract("xi", i), tk]),
                                     (1, F, [wedge("xibar", i), tk]),
                                     (1, G, [wedge("xi", i), tk])]
 
-        return (self._term_sum(1, d_terms), self._term_sum(0, delta_terms))
+        return (self._term_sum(1, d_terms),
+                self._term_sum(0, [t for terms in delta_terms for t in terms]),
+                [self._den(terms) for terms in delta_terms])
+
+    def _den(self, terms):
+        """The lcm of the denominators of the terms' t-adic columns."""
+        return lcm(*(c.denominator for _, r, _ in terms if r
+                     for col in self.qb.columns(r).values()
+                     for c in col.values()))
 
     def _term_sum(self, degree, terms):
         """The operator sum of sign * r after word over the terms with a
         non-zero polynomial r, through the columns of r in the quotient
-        basis.  The columns are brought over one denominator as integers;
-        the moves of every term are made on the keys of t-degree zero,
-        and _shifted carries their columns to the other keys."""
-        sp, cap, qb, own = self.space, self.cap, self.qb, self.space.own_key
-        terms = [(sign, word[::-1], qb.columns(r)) for sign, r, word in terms
-                 if r]
-        den = lcm(*(c.denominator for _, _, cols in terms
-                    for col in cols.values() for c in col.values()))
-        cols = {}
-        for key in self._t0:
+        basis, cut at the cap, in integers over _den(terms).  Its columns
+        are made on the keys of t-degree zero and shifted."""
+        own, cap, den = self.space.own_key, self.cap, self._den(terms)
+        # per term, its moves last to first and h -> [(l, delta, signed
+        # integer entry)]
+        terms = [(word[::-1], {h: [(l, d2, sign * c.numerator
+                                    * (den // c.denominator))
+                                   for (l, d2), c in col.items()
+                                   if sum(d2) <= cap]
+                               for h, col in self.qb.columns(r).items()})
+                 for sign, r, word in terms if r]
+
+        def column(key):
             mask0, h, _ = key
             out = {}
-            for sign, word, tcols in terms:
+            for word, tcols in terms:
                 hit = move_word(mask0, word)
                 if hit:
-                    for (l, d2), c in tcols.get(h, {}).items():
-                        if sum(d2) <= cap:
-                            k2 = own[hit[1], l, d2]
-                            out[k2] = (out.get(k2, 0) + sign * hit[0]
-                                       * c.numerator * (den // c.denominator))
-            if out:
-                cols[key] = out
-        return self._shifted(LinearOp.from_cols(sp, degree, cols, den))
+                    for l, d2, c in tcols.get(h, ()):
+                        k2 = own[hit[1], l, d2]
+                        out[k2] = out.get(k2, 0) + hit[0] * c
+            return out
 
-    def _shifted(self, op):
-        """The operator whose column on each key (mask, h, delta) is op's
-        column on (mask, h, 0) with every entry's boson multi-index raised
-        by delta, and the entries beyond the cap dropped.  op holds
-        columns on keys of t-degree zero only, at the full cap, in lowest
-        terms; so the result is in lowest terms over op.den too.  Exact
-        for an operator that commutes with the t-shifts and never lowers
-        the t-degree.  Output keys are found by their basis position,
-        block(delta) + (h << ngen | mask), as the basis is delta-major."""
-        sp = self.space
-        basis, deltas, ngen = sp.basis(), sp.deltas, sp.ngen
-        stride = sp.mu << ngen
-        index = {d: b for b, d in enumerate(deltas)}
-        block = {d: b * stride for d, b in index.items()}
-        # offsets[b0][b2]: the block of deltas[b0] + deltas[b2], or None
-        # beyond the cap
-        offsets = [[block.get(tuple(map(add, d0, d2))) for d2 in deltas]
-                   for d0 in deltas]
-        t0 = [(key[1] << ngen | key[0],
-               [(index[k2[2]], k2[1] << ngen | k2[0], c)
-                for k2, c in col.items()])
-              for key, col in op.cols.items()]
-        cols = {}
-        for b0, offs in enumerate(offsets):
-            start = b0 * stride
-            for low0, entries in t0:
-                out = {basis[o + low]: c for b2, low, c in entries
-                       if (o := offs[b2]) is not None}
-                if out:
-                    cols[basis[start + low0]] = out
-        return LinearOp(sp, op.degree, cols, op.den)
+        return LinearOp(self.space, degree, self._shifted(column), den)
 
-    def _build_operators(self):
-        n = self.n
-        self.d_A, self.delta = self._differentials()
-        self.nabla = self._build_nabla()
-        self.At = graded_commutator(self.d_A, self.nabla)
-        self.sigma = self._build_sigma()
-        # the perturbation series sum_m (-1)^m (zeta At)^m tail, which
-        # stops at m = n, for the tails sigma and zeta nabla; zeta At is
-        # dropped once both are summed
-        zeta_at = self.zeta_after(self.At)
-        alternating = [[(-1) ** m for m in range(n + 1)]]
-        self.sigma_infty, = power_series(zeta_at, alternating, self.sigma)
-        self.phi_infty, = power_series(zeta_at, alternating,
-                                       self.zeta_after(self.nabla))
-        del zeta_at
-        # e^{+-delta} go into Phi and Phi_inv, and only H_hat's column
-        # store keeps them; sigma is also the projection pi onto the core
-        e_delta, e_minus_delta = self._exponentials()
-        self.Phi = self.sigma.compose(e_minus_delta)
-        self.Phi_inv = e_delta.compose(self.sigma_infty)
-        # e^{+-delta} are even: H_hat has the degree of phi_infty
-        self.H_hat = LinearOp(
-            self.space, self.phi_infty.degree,
-            ComposedColumns(e_delta, self.phi_infty, e_minus_delta),
-            e_delta.den * self.phi_infty.den * e_minus_delta.den)
+    def _shifted(self, column):
+        """The column store of an operator that commutes with the
+        t-shifts and never lowers the t-degree, from column, its rule on
+        the keys of t-degree zero at the full cap: its column on (mask, h,
+        delta) is the store's column on (mask, h, 0) with every entry's
+        boson multi-index raised by delta and the entries beyond the cap
+        dropped."""
+        own, raised = self.space.own_key, self._raised
+        zero = self.space.deltas[0]
 
-    def _exponentials(self):
-        """(e^delta, e^{-delta}).  delta lowers the theta-degree, so
-        delta^(n+1) = 0; it commutes with the t-shifts and never lowers
-        the t-degree, so each series is summed on the keys of t-degree
-        zero, in one pass over the powers of delta, and shifted."""
-        exp = [Fraction(1, factorial(m)) for m in range(self.n + 1)]
-        one = LinearOp(self.space, 0, {key: {key: 1} for key in self._t0})
-        return tuple(map(self._shifted, power_series(
-            self.delta, [exp, [(-1) ** m * c for m, c in enumerate(exp)]],
-            one)))
-
-    def _build_nabla(self):
-        """nabla = sum_k theta_k d/dt_k, integer columns over 1."""
-        sp = self.space
-        own = sp.own_key
-        cols = {}
-        for key in sp.basis():
+        def rule(key):
             mask, h, delta = key
-            col = {}
-            for k in range(self.n):
-                hit = delta[k] and wedge_mask(mask, sp.gen_pos("theta", k))
-                if hit:
-                    nd = tuple(e - 1 if j == k else e
-                               for j, e in enumerate(delta))
-                    col[own[hit[1], h, nd]] = hit[0] * delta[k]
-            if col:
-                cols[key] = col
-        return LinearOp.from_cols(sp, 1, cols, 1)
+            if delta == zero:
+                return column(key)
+            up = raised[delta]
+            return {own[m, l, nd]: c
+                    for (m, l, d2), c in cols[own[mask, h, zero]].items()
+                    if (nd := up.get(d2)) is not None}
+
+        cols = ColumnStore(rule)  # the rule reads its own store
+        return cols
+
+    def _exp_delta(self):
+        """(e^delta, e^{-delta}), shifted from the keys of t-degree zero.
+        delta lowers the theta-degree by one, so delta^(n+1) = 0 and
+        e^{-delta} = P e^delta P, P = (-1)^(theta-degree).  delta^m
+        contracts m distinct thetas, so it lies over the lcm of products
+        of m of _theta_dens, and e^delta over the lcm of m! times those,
+        a divisor of n! delta.den^n, the denominator of the sum."""
+        sp, delta, own, n = self.space, self.delta, self.space.own_key, self.n
+        coeffs = [factorial(n) // factorial(m) for m in range(n + 1)]
+        den = lcm(*(factorial(m) * lcm(*map(prod, combinations(
+            self._theta_dens, m))) for m in range(n + 1)))
+        g = factorial(n) * delta.den ** n // den
+        e_delta = LinearOp(sp, 0, self._shifted(
+            lambda key: _divided(series_column(
+                delta.image, delta.den, coeffs, {own[key]: 1}), g)), den)
+        tm = sp.theta_mask
+        return e_delta, LinearOp(sp, 0, self._shifted(lambda key: {
+            k: -c if ((k[0] ^ key[0]) & tm).bit_count() & 1 else c
+            for k, c in e_delta.cols[key].items()}), den)
+
+    def _nabla_column(self, key):
+        """nabla = sum_k theta_k d/dt_k on one key, in integers."""
+        mask, h, delta = key
+        col = {}
+        for k in range(self.n):
+            hit = delta[k] and wedge_mask(mask, self.space.gen_pos("theta", k))
+            if hit:
+                nd = tuple(e - 1 if j == k else e for j, e in enumerate(delta))
+                col[self.space.own_key[hit[1], h, nd]] = hit[0] * delta[k]
+        return col
+
+    def _zeta(self, nums):
+        """zeta, the division by the virtual degree, on integer
+        numerators, over the further denominator _zeta_den.  Raises
+        ZeroVirtualDegree on a key where it is zero."""
+        vdeg, m, out = self.space.virtual_degree, self._zeta_den, {}
+        for key, c in nums.items():
+            if not (v := vdeg(key)):
+                raise ZeroVirtualDegree(key)
+            out[key] = c * (m // v)
+        return out
 
     def is_core_key(self, key):
         """theta-degree 0 and t-degree 0: the subspace B'."""
@@ -268,26 +290,6 @@ class Arena:
     def core_basis(self):
         """The keys of B', in basis order; built once per arena."""
         return self._core
-
-    def _build_sigma(self):
-        cols = {key: {key: 1} for key in self._core}
-        return LinearOp(self.space, 0, cols)
-
-    def zeta_after(self, op):
-        """zeta, the division by the virtual degree, composed after an
-        operator whose image avoids virtual degree zero."""
-        vdeg = {}
-        for col in op.cols.values():
-            for key in col:
-                if key not in vdeg:
-                    v = self.space.virtual_degree(key)
-                    if v == 0:
-                        raise ZeroVirtualDegree(key)
-                    vdeg[key] = v
-        m = lcm(*set(vdeg.values()))
-        cols = {key: {k2: c * (m // vdeg[k2]) for k2, c in col.items()}
-                for key, col in op.cols.items()}
-        return LinearOp.from_cols(self.space, op.degree, cols, op.den * m)
 
     # ------------------------------------------------------------------
 

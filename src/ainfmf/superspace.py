@@ -20,14 +20,18 @@ ZeroVirtualDegree on a key where it is zero.
 Exact values here are integers over one denominator.  A scaled state is
 a pair (nums, den): a dict key -> integer numerator and one positive
 integer denominator, in lowest terms with no zero entries.  A LinearOp
-holds integer columns over one denominator in the same way.  Each
-operation multiplies or aligns the denominators and divides by the gcd
-once per result.  scaled_state and rational_state convert to and from
-dicts of Fraction coefficients at the edges of the operator backend.
+holds integer columns over one denominator, a plain dict of its
+non-empty columns or a ColumnStore that builds each column on its
+first read; a store's denominator is fixed when it is made, so its
+columns are not brought to lowest terms.  apply, compose and + divide
+by the gcd once per result.  scaled_state and rational_state convert
+to and from dicts of Fraction coefficients at the edges of the
+operator backend.  series_column sums a truncated power series of an
+operator on one column.
 """
 
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm
 
 
@@ -176,6 +180,30 @@ def state_sum(parts):
     return reduced(out, den)
 
 
+class ColumnStore(dict):
+    """Operator columns, each built on its first read and kept: the
+    first read of key's column, by [] or get, computes rule(key), drops
+    its zero entries and keeps it, an empty column too.  get returns
+    default for an empty column.  The dict holds the columns read so
+    far, and iterating it gives only those."""
+
+    __slots__ = ("_rule",)
+
+    def __init__(self, rule):
+        super().__init__()
+        self._rule = rule
+
+    def __missing__(self, key):
+        col = self._rule(key)
+        if not all(col.values()):
+            col = {k: c for k, c in col.items() if c}
+        self[key] = col
+        return col
+
+    def get(self, key, default=None):
+        return self[key] or default
+
+
 class LinearOp:
     """Sparse operator stored column-wise with integer entries over one
     denominator: cols[key_in][key_out] / den is the coefficient of
@@ -227,10 +255,14 @@ class LinearOp:
         den: not reduced, and zero entries may remain.  Added into the
         dict out when one is given."""
         cols = self.cols
+        # a store builds a missing column in [], and reads the columns it
+        # holds at C speed; a plain dict holds no empty column
+        store = isinstance(cols, ColumnStore)
+        column = cols.__getitem__ if store else cols.get
         if out is None:
             out = {}
         for key, c in nums.items():
-            col = cols.get(key)
+            col = column(key)
             if col:
                 for k2, c2 in col.items():
                     out[k2] = out.get(k2, 0) + c * c2
@@ -268,25 +300,6 @@ class LinearOp:
                 cols[key] = acc
         return self.from_cols(self.space, self.degree ^ other.degree, cols,
                              self.den * other.den)
-
-
-def graded_commutator(a, b):
-    """[a, b] = a b - (-1)^(|a||b|) b a, one column at a time over
-    a.den b.den: each column is a's image of b's column plus the signed
-    b image of a's column.  The columns come in the order of b's keys,
-    then a's."""
-    sign = 1 if (a.degree and b.degree) else -1
-    empty = {}
-    cols = {}
-    for key in dict.fromkeys(chain(b.cols, a.cols)):
-        out = a.image(b.cols.get(key, empty))
-        col = a.cols.get(key)
-        if col:
-            b.image({k: sign * c for k, c in col.items()}, out)
-        if out:
-            cols[key] = out
-    return LinearOp.from_cols(a.space, a.degree ^ b.degree, cols,
-                              a.den * b.den)
 
 
 def wedge_mask(mask, i):
@@ -330,34 +343,17 @@ def merge_sign(m1, m2):
     return -1 if inv & 1 else 1
 
 
-def power_series(op, coeffs, tail):
-    """The operators sum_m c[m] op^m tail, one for each coefficient list
-    c in coeffs (every list of one length N + 1), built column by column
-    on powers shared by the lists, on the columns of tail.  op is even.
-    Raises ValueError unless op^(N + 1) tail vanishes."""
-    top, mine = len(coeffs[0]) - 1, op.cols
-    coeffs = [[Fraction(c) for c in cs] for cs in coeffs]
-    q = lcm(*(c.denominator for cs in coeffs for c in cs))
-    # c[m] op^m tail over the one denominator q op.den^N tail.den
-    factors = [[c.numerator * (q // c.denominator) * op.den ** (top - m)
-                for m, c in enumerate(cs)] for cs in coeffs]
-    outs = [{} for _ in coeffs]
-    for key, power in tail.cols.items():
-        accs = [out.setdefault(key, {}) for out in outs]
-        for m in range(top + 1):
-            for acc, fs in zip(accs, factors):
-                for k2, c in power.items():
-                    acc[k2] = acc.get(k2, 0) + c * fs[m]
-            nxt = {}
-            for kmid, c in power.items():
-                col = mine.get(kmid)
-                if col:
-                    for kout, c2 in col.items():
-                        nxt[kout] = nxt.get(kout, 0) + c * c2
-            power = {k2: c for k2, c in nxt.items() if c}
-            if not power:
-                break
-        else:
-            raise ValueError("power series does not truncate")
-    return [LinearOp.from_cols(op.space, tail.degree, out,
-                               q * op.den ** top * tail.den) for out in outs]
+def series_column(image, den, coeffs, col):
+    """sum_m c[m] A^m col, m = 0..N, for integers c[m] and the operator A
+    whose image of integer numerators is image(nums) over den: integer
+    numerators over den^N, zero entries kept.  Raises ValueError unless
+    A^(N + 1) col vanishes."""
+    top, out, power = len(coeffs) - 1, {}, col
+    for m, c in enumerate(coeffs):
+        f = c * den ** (top - m)
+        for k, v in power.items():
+            out[k] = out.get(k, 0) + v * f
+        power = {k: v for k, v in image(power).items() if v}
+        if not power:
+            return out
+    raise ValueError("power series does not truncate")

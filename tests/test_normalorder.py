@@ -150,8 +150,8 @@ def margin_keys(arena):
     """The keys below the cap by at least the largest t-degree that d_A
     and delta reach from a key of t-degree zero."""
     lim = arena.cap - max(sum(k2[2]) for op in (arena.d_A, arena.delta)
-                          for key, col in op.cols.items() if not sum(key[2])
-                          for k2 in col)
+                          for key in arena.space.basis() if not sum(key[2])
+                          for k2 in op.cols.get(key, ()))
     return [k for k in arena.space.basis() if sum(k[2]) <= lim]
 
 

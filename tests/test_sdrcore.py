@@ -8,10 +8,10 @@ from ainfmf.mfcat import (HomotopySet, KoszulFactorisation,
 from ainfmf.poly import Polynomial, parse_poly
 from ainfmf.quotient import QuotientBasis, t_adic_expand
 from ainfmf.sdrcore import Arena
-from ainfmf.superspace import (LinearOp, ZeroVirtualDegree, graded_commutator,
-                               rational_state, state_sum)
-from test_superspace import (contract_op, from_rule, identity, is_zero,
-                             minus, scaled, wedge_op)
+from ainfmf.superspace import (LinearOp, ZeroVirtualDegree, rational_state,
+                               state_sum)
+from test_superspace import (contract_op, from_rule, graded_commutator,
+                             identity, is_zero, minus, scaled, wedge_op, whole)
 
 
 def image(op, key):
@@ -158,14 +158,27 @@ FIXTURES = [
 FIXTURE_IDS = ["worked-nu", "worked-rho", "kstab", "twovar-rho", "twovar-nu"]
 
 
+def assert_same_operator(op, ref, name=None):
+    """op and the reference ref have one degree and, on every basis key,
+    the same column as rationals: op's column read through its store,
+    entry by entry over op.den, with no zero entry."""
+    assert op.degree == ref.degree, name
+    for key in op.space.basis():
+        col = op.cols.get(key, {})
+        assert all(col.values()), (name, key)
+        assert {k: Fraction(c, op.den) for k, c in col.items()} == {
+            k: Fraction(c, ref.den)
+            for k, c in ref.cols.get(key, {}).items()}, (name, key)
+
+
 @pytest.mark.parametrize("make", FIXTURES, ids=FIXTURE_IDS)
 def test_differentials_match_composed_reference(make):
     a = make()
     d_A, delta = composed_differentials(a)
-    assert (a.d_A.cols, a.d_A.den) == (d_A.cols, d_A.den)
-    assert (a.delta.cols, a.delta.den) == (delta.cols, delta.den)
+    assert_same_operator(a.d_A, d_A)
+    assert_same_operator(a.delta, delta)
     assert a.d_A.degree == 1 and a.delta.degree == 0
-    assert a.delta.cols and a.d_A.cols
+    assert any(a.delta.cols.values()) and any(a.d_A.cols.values())
 
 
 def ref_exp_nilpotent(op, max_power):
@@ -199,67 +212,80 @@ def ref_perturbation_series(a, zeta_at, tail):
     return total
 
 
+def zeta_after(op):
+    """Reference: zeta, the division by the virtual degree, after op, on
+    every basis column of op."""
+    vdeg = op.space.virtual_degree
+    return from_rule(op.space, op.degree, lambda key: {
+        k2: Fraction(c, op.den * vdeg(k2))
+        for k2, c in op.cols.get(key, {}).items()})
+
+
+def sigma(a):
+    """The inclusion of the core, which is also the projection pi onto
+    it."""
+    return from_rule(a.space, 0, lambda key: {key: 1}, a.core_basis())
+
+
 def reference_operators(a):
     """The arena's operators rebuilt from the composed reference d_A and
     delta by whole-operator series and compositions."""
     d_A, delta = composed_differentials(a)
     at = graded_commutator(d_A, a.nabla)
-    zeta_at = a.zeta_after(at)
+    zeta_at = zeta_after(at)
     ops = {
         "At": at,
         "e_delta": ref_exp_nilpotent(delta, a.n + 1),
         "e_minus_delta": ref_exp_nilpotent(scaled(delta, -1), a.n + 1),
-        "sigma_infty": ref_perturbation_series(a, zeta_at, a.sigma),
-        "phi_infty": ref_perturbation_series(a, zeta_at,
-                                             a.zeta_after(a.nabla)),
+        "sigma_infty": ref_perturbation_series(a, zeta_at, sigma(a)),
+        "phi_infty": ref_perturbation_series(a, zeta_at, zeta_after(a.nabla)),
     }
-    ops["Phi"] = a.sigma.compose(ops["e_minus_delta"])
+    ops["Phi"] = sigma(a).compose(ops["e_minus_delta"])
     ops["Phi_inv"] = ops["e_delta"].compose(ops["sigma_infty"])
     ops["H_hat"] = ops["e_delta"].compose(ops["phi_infty"]).compose(
         ops["e_minus_delta"])
     return ops
 
 
-ARENA_OPERATORS = ("d_A", "delta", "nabla", "At", "sigma", "sigma_infty",
+ARENA_OPERATORS = ("d_A", "delta", "nabla", "At", "sigma_infty",
                    "phi_infty", "Phi", "Phi_inv", "H_hat")
 
 
+def exponentials(a):
+    """(e^delta, e^{-delta}), which the arena builds for Phi, Phi_inv and
+    H_hat and keeps only in their column rules, rebuilt by its own
+    method."""
+    return a._exp_delta()
+
+
 def arena_operators(a):
-    """The operators the arena keeps, by name, with every H_hat column
-    read through its store, and e^{+-delta}, which it builds for Phi,
-    Phi_inv and H_hat and keeps only in H_hat's store, rebuilt by its
-    own method."""
+    """The operators the arena keeps, by name, and e^{+-delta}, each
+    with every basis column read through its store."""
     ops = {name: getattr(a, name) for name in ARENA_OPERATORS}
-    for key in a.space.basis():
-        a.H_hat.cols.get(key)
-    ops["e_delta"], ops["e_minus_delta"] = a._exponentials()
+    ops["e_delta"], ops["e_minus_delta"] = exponentials(a)
+    for op in ops.values():
+        for key in a.space.basis():
+            op.cols.get(key)
     return ops
 
 
 @pytest.mark.parametrize("make", FIXTURES + [lambda: quadric3_arena(cap=2)],
                          ids=FIXTURE_IDS + ["quadric3"])
 def test_operators_match_composed_reference(make):
+    # every column, read through its store, is the reference's as
+    # rationals, with no zero entry; the denominators are fixed when the
+    # arena is built, as products with no gcd pass, so H_hat's is the
+    # product of the three
     a = make()
     ours = arena_operators(a)
     refs = reference_operators(a)
     for name, ref in refs.items():
-        op = ours[name]
-        if name == "H_hat":
-            continue
-        assert (op.cols, op.den, op.degree) == (ref.cols, ref.den,
-                                                ref.degree), name
-    # H_hat's columns, read through its store, are the reference's as
-    # rationals, over the product of the three denominators: no gcd pass
-    # brings them to lowest terms
-    ref = refs["H_hat"]
-    assert a.H_hat.degree == ref.degree
+        assert_same_operator(ours[name], ref, name)
     assert a.H_hat.den == (ours["e_delta"].den * a.phi_infty.den
                            * ours["e_minus_delta"].den)
-    for key in a.space.basis():
-        assert image(a.H_hat, key) == image(ref, key), key
     # the top power m = n of the series is there: delta^n and
     # (zeta At)^n sigma do not vanish
-    delta, zeta_at, sigma_top = a.delta, a.zeta_after(a.At), a.sigma
+    delta, zeta_at, sigma_top = whole(a.delta), zeta_after(a.At), sigma(a)
     delta_top = delta
     for _ in range(a.n):
         sigma_top = zeta_at.compose(sigma_top)
@@ -287,9 +313,9 @@ def test_operators_share_the_space_keys(make):
 
 
 def test_h_hat_is_built_by_columns(monkeypatch):
-    # an arena makes two compositions, Phi and Phi_inv, and fills no
-    # H_hat column: At is built by columns, and each H_hat column on its
-    # first read, with no zero entry and no further composition
+    # an arena makes no composition and fills no column of any operator:
+    # each H_hat column, and each column it is made of, is built on its
+    # first read, with no zero entry and no composition
     calls = []
     original = LinearOp.compose
 
@@ -299,12 +325,12 @@ def test_h_hat_is_built_by_columns(monkeypatch):
 
     monkeypatch.setattr(LinearOp, "compose", counted)
     a = quadric3_arena(cap=2)
-    assert len(calls) == 2
-    assert not a.H_hat.cols
+    assert not calls
+    assert not any(getattr(a, name).cols for name in ARENA_OPERATORS)
     basis = a.space.basis()
     for key in basis:
         a.H_hat.cols.get(key)
-    assert len(calls) == 2 and len(a.H_hat.cols) == len(basis)
+    assert not calls and len(a.H_hat.cols) == len(basis)
     assert any(a.H_hat.cols.values())
     assert all(all(col.values()) for col in a.H_hat.cols.values())
 
@@ -322,7 +348,7 @@ def test_arena_keeps_one_int_per_h_hat_value(make):
     entries = [c for col in a.H_hat.cols.values() for c in col.values()]
     assert len({id(c) for c in entries}) == len(set(entries)) < len(entries)
     assert not any(hasattr(a, name)
-                   for name in ("e_delta", "e_minus_delta", "pi"))
+                   for name in ("e_delta", "e_minus_delta", "pi", "sigma"))
 
 
 # the spec of the arena-quadric3 benchmark workload, unscaled
@@ -333,25 +359,31 @@ QUADRIC3 = {"variables": ["x1", "x2", "x3"],
 
 
 def test_commands_fill_few_h_hat_columns(monkeypatch):
-    # the 10,240-key arena fills no H_hat column when it is built, e1
-    # and clifford fill none, and sdr-verify then verify-ainf level 2
-    # fill fewer than 2,000 (measured: 1,664, of which 1,152 non-empty)
+    # the 10,240-key arena fills no column of any operator when it is
+    # built, e1 and clifford fill no H_hat or phi_infty column, and
+    # sdr-verify then verify-ainf level 2 fill at most 2,000 columns of
+    # each operator (measured: at most 1,856, of phi_infty; H_hat 1,664,
+    # of which 1,152 non-empty)
     prob = cli.Problem(QUADRIC3)
     monkeypatch.setattr(cli, "Problem", lambda raw, cap_override=None: prob)
     a = prob.model.pair(0, 0).arena
-    filled = a.H_hat.cols
-    assert len(a.space.basis()) == 10240 and not filled
+    filled = {name: getattr(a, name).cols for name in ARENA_OPERATORS}
+    assert len(a.space.basis()) == 10240
+    assert not any(filled.values())
     assert cli.run(QUADRIC3, commands=["e1", "clifford"])[1] == cli.EXIT_OK
-    assert not filled
+    assert not filled["H_hat"] and not filled["phi_infty"]
     report, code = cli.run(QUADRIC3, commands=[
         "sdr-verify", {"command": "verify-ainf", "level": 2}])
     assert code == cli.EXIT_OK
-    assert 0 < sum(1 for col in filled.values() if col) < len(filled) < 2000
+    assert all(len(cols) <= 2000 for cols in filled.values()), {
+        name: len(cols) for name, cols in filled.items()}
+    h_hat = filled["H_hat"]
+    assert 0 < sum(1 for col in h_hat.values() if col) < len(h_hat)
 
 
 def test_d_a_squares_to_zero_worked():
     a = worked_arena(cap=4)
-    sq = a.d_A.compose(a.d_A)
+    sq = whole(a.d_A).compose(whole(a.d_A))
     for key in a.test_keys(2):
         assert not image(sq, key)
 
@@ -375,7 +407,9 @@ def test_d_a_nu_term_structure():
 def test_atiyah_raises_theta_degree():
     a = worked_arena(cap=4)
     sp = a.space
-    for key, col in a.At.cols.items():
+    at = whole(a.At)
+    assert at.cols
+    for key, col in at.cols.items():
         tin = sp.virtual_degree(key) - sum(key[2])
         for k2 in col:
             tout = sp.virtual_degree(k2) - sum(k2[2])
@@ -390,45 +424,71 @@ def test_atiyah_is_closed():
 
 
 def test_zeta():
+    # zeta divides each entry by the virtual degree of its key, over
+    # lcm(1..n + cap), and a column built through it raises
+    # ZeroVirtualDegree where it meets virtual degree zero
     a = worked_arena(cap=4)
     sp = a.space
     th = sp.gen_pos("theta", 0)
     k1, k3 = (1 << th, 0, (0,)), (1 << th, 0, (2,))
-
-    def ident(keys):
-        return from_rule(sp, 0, lambda key: {key: 1}, keys)
-
-    z = a.zeta_after(ident([k1, k3]))
-    assert image(z, k1) == {k1: Fraction(1)}
-    assert image(z, k3) == {k3: Fraction(1, 3)}
+    assert a._zeta_den == 60
+    z = a._zeta({k1: 1, k3: 2})
+    assert {k: Fraction(c, a._zeta_den) for k, c in z.items()} == {
+        k1: Fraction(1), k3: Fraction(2, 3)}
+    zero = sp.own_key[0, 0, (0,)]
     with pytest.raises(ZeroVirtualDegree):
-        a.zeta_after(ident([(0, 0, (0,))]))
+        a._zeta({zero: 1})
+    # the tail zeta nabla of phi_infty, and the power zeta At of
+    # sigma_infty, each on a column faulted to reach that key
+    key = sp.own_key[0, 0, (1,)]
+    a.nabla.cols[key] = {zero: 1}
+    with pytest.raises(ZeroVirtualDegree):
+        a.phi_infty.cols.get(key)
+    a.At.cols[zero] = {zero: 1}
+    with pytest.raises(ZeroVirtualDegree):
+        a.sigma_infty.cols.get(zero)
+
+
+def test_series_columns_must_truncate():
+    # a column whose series does not stop at m = n raises: phi_infty on
+    # a column whose tail At fixes, and e^{-delta}, read through Phi, on
+    # a key that delta fixes
+    a = worked_arena(cap=4)
+    key = next(k for k in a.space.basis() if a.nabla.cols.get(k))
+    for k2 in a.nabla.cols[key]:
+        a.At.cols[k2] = {k2: 1}
+    with pytest.raises(ValueError, match="does not truncate"):
+        a.phi_infty.cols.get(key)
+    core = a.core_basis()[0]
+    a.delta.cols[core] = {core: 1}
+    with pytest.raises(ValueError, match="does not truncate"):
+        a.Phi.cols.get(core)
 
 
 def test_pi_sigma_infty_is_identity_on_core():
     a = worked_arena(cap=4)
     for key in a.core_basis():
         # pi, the projection onto the core, is sigma
-        out = a.sigma.apply(a.sigma_infty.apply_key(key))
+        out = sigma(a).apply(a.sigma_infty.apply_key(key))
         assert rational_state(out) == {key: Fraction(1)}
 
 
 def test_exponentials_inverse():
     a = worked_arena(cap=4)
-    e_delta, e_minus_delta = a._exponentials()
-    comp = e_delta.compose(e_minus_delta)
+    e_delta, e_minus_delta = exponentials(a)
     for key in a.test_keys(2):
-        assert image(comp, key) == {key: Fraction(1)}
+        comp = e_delta.apply(e_minus_delta.apply_key(key))
+        assert rational_state(comp) == {key: Fraction(1)}
 
 
 def test_delta_conjugation_fixes_theta_star():
     # e^{-delta} theta* e^{delta} = theta*
     a = worked_arena(cap=4)
     th_star = contract_op(a.space, a.space.gen_pos("theta", 0))
-    e_delta, e_minus_delta = a._exponentials()
-    conj = e_minus_delta.compose(th_star).compose(e_delta)
+    e_delta, e_minus_delta = exponentials(a)
     for key in a.test_keys(2):
-        assert conj.apply_key(key) == th_star.apply_key(key)
+        conj = e_minus_delta.apply(th_star.apply(e_delta.apply_key(key)))
+        assert conj == th_star.apply_key(key)
 
 
 def test_sdr_verify_worked_example():
@@ -556,7 +616,9 @@ def test_kstab_arena_structure():
     xi = sp.gen_pos("xi", 0)
     xibar = sp.gen_pos("xibar", 0)
     # d_A^rho = x xi* + x^2 xibar*, so every entry has t-degree >= 1
-    for key, col in a.d_A.cols.items():
+    d_A = whole(a.d_A)
+    assert d_A.cols
+    for key, col in d_A.cols.items():
         for k2, c in col.items():
             assert sum(k2[2]) >= sum(key[2]) + 1
     # the xi* term: applied to xi at t^0 gives z tensor t

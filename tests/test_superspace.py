@@ -7,10 +7,9 @@ from ainfmf.superspace import (
     LinearOp,
     Space,
     contract_mask,
-    graded_commutator,
     merge_sign,
     move_word,
-    power_series,
+    series_column,
     state_parity,
     wedge_mask,
 )
@@ -65,6 +64,21 @@ def ref_merge_sign(m1, m2):
     gens += [i for i in range(m2.bit_length()) if m2 >> i & 1]
     inversions = sum(a > b for i, a in enumerate(gens) for b in gens[i + 1:])
     return -1 if inversions & 1 else 1
+
+
+def whole(op):
+    """op with every basis column read: a copy over a plain dict of its
+    non-empty columns, so that compose and + see them all."""
+    return LinearOp(op.space, op.degree,
+                    {key: col for key in op.space.basis()
+                     if (col := op.cols.get(key))}, op.den)
+
+
+def graded_commutator(a, b):
+    """[a, b] = a b - (-1)^(|a||b|) b a, by whole-basis compositions."""
+    a, b = whole(a), whole(b)
+    ba = b.compose(a)
+    return a.compose(b) + (ba if a.degree and b.degree else scaled(ba, -1))
 
 
 def is_zero(op):
@@ -167,34 +181,57 @@ def test_state_parity_and_format():
         state_parity({(0, 0, (0,)): Fraction(1), (1 << t1, 0, (0,)): Fraction(1)})
 
 
+def series_op(op, coeffs, tail):
+    """The operator sum_m c[m] op^m tail for integers c[m], m = 0..N,
+    summed by series_column on each column of tail."""
+    cols = {key: series_column(op.image, op.den, coeffs, col)
+            for key, col in tail.cols.items()}
+    return LinearOp.from_cols(op.space, tail.degree, cols,
+                              op.den ** (len(coeffs) - 1) * tail.den)
+
+
 def test_power_series():
     sp = Space([("theta", 2)], mu=1, nboson=0, cap=0)
     # even nilpotent: N = theta1 theta2 wedge (degree 0 composite)
     w1, w2 = wedge_op(sp, 0), wedge_op(sp, 1)
     n = w1.compose(w2)
-    # e^{+-N} = 1 +- N since N^2 = 0, both from one pass over the powers
-    e, e_minus = power_series(n, [[1, 1], [1, -1]], identity(sp))
+    # e^{+-N} = 1 +- N since N^2 = 0
+    e, e_minus = (series_op(n, cs, identity(sp)) for cs in ([1, 1], [1, -1]))
     assert equals(e, identity(sp) + n)
     assert equals(e_minus, minus(identity(sp), n))
     assert equals(e.compose(e_minus), identity(sp))
-    # a tail of odd degree: (1 + N/2) theta2*
+    # a tail of odd degree: (1 + N/2) theta2*, the coefficients over 2
     c2 = contract_op(sp, 1)
-    got, = power_series(n, [[1, Fraction(1, 2)]], c2)
+    got = series_op(n, [2, 1], c2)
     assert got.degree == 1
-    assert equals(got, c2 + scaled(n.compose(c2), Fraction(1, 2)))
+    assert equals(scaled(got, Fraction(1, 2)),
+                  c2 + scaled(n.compose(c2), Fraction(1, 2)))
+    # an operator over a denominator: e^{N/3} = 1 + N/3, the power m
+    # weighted by den^(N - m)
+    third = scaled(n, Fraction(1, 3))
+    assert third.den == 3
+    assert equals(series_op(third, [1, 1], identity(sp)),
+                  identity(sp) + third)
+    # a column that the powers kill at once is summed with no power
+    assert series_column(n.image, n.den, [1, 1], {(3, 0, ()): 5}) == {
+        (3, 0, ()): 5}
 
 
 def test_power_series_must_truncate():
     sp = Space([("theta", 2)], mu=1, nboson=0, cap=0)
     n = wedge_op(sp, 0).compose(wedge_op(sp, 1))
-    # N^1 does not vanish, so a series that stops at m = 0 raises
-    with pytest.raises(ValueError):
-        power_series(n, [[1]], identity(sp))
+    # N^1 does not vanish on the empty mask, so a series that stops at
+    # m = 0 raises there and on no other column
+    with pytest.raises(ValueError, match="does not truncate"):
+        series_column(n.image, n.den, [1], {(0, 0, ()): 1})
+    assert series_column(n.image, n.den, [1], {(1, 0, ()): 1}) == {
+        (1, 0, ()): 1}
     # theta1 theta1* is idempotent, so no power of it vanishes
     number = wedge_op(sp, 0).compose(contract_op(sp, 0))
     for top in range(4):
-        with pytest.raises(ValueError):
-            power_series(number, [[1] * (top + 1)], identity(sp))
+        with pytest.raises(ValueError, match="does not truncate"):
+            series_column(number.image, number.den, [1] * (top + 1),
+                          {(1, 0, ()): 1})
 
 
 def test_virtual_degree():

@@ -49,10 +49,9 @@ from .ainfmodel import (
 )
 from .linalg import mat_mul, rank
 from .mfcat import HomotopyIdentityFailed, HomotopySet, KoszulFactorisation
-from .normalorder import FeynmanBackend, VertexCatalog, check_cap
+from .normalorder import FeynmanBackend, VertexCatalog, check_cap, combine
 from .poly import ORDERS, is_variable_name, parse_poly
 from .quotient import CapExceeded, GammaTensor, QuotientBasis, t_adic_expand
-from .superspace import add_into
 from .treealg import enumerate_binary, mirror_sign
 
 EXIT_OK = 0
@@ -508,47 +507,47 @@ def cmd_feynman(prob, args):
              for i in range(k)]
     combos = list(islice(product(*cores), limit))
     if limit is None:
-        table = m.rho_table(k, path)
+        # the stored table: integer numerators over table.den
+        table = m._table(k, path)
+        den = table.den
     else:
         # rho_k on the drawn tuples only, by the span sums on the keys
-        # they use in each slot, not the whole table
+        # they use in each slot, not the whole table; its states have
+        # Fraction coefficients, so they are read over the denominator 1
         table = m.rho_span_sums(k, path, [
             [(key, {key: Fraction(1)}) for key in dict.fromkeys(keys)]
             for keys in zip(*combos)])
+        den = 1
     backend = FeynmanBackend(m)
     # rho_k = (-1)^k sum_T of the Koszul-signed denotation of T, which is
     # mirror_sign times the signless tree_state; the sign depends on the
     # tree and the inputs' parities only.  Each tree is evaluated once
-    # over all tuples and added into one sum per tuple
+    # over all tuples; a tuple's signed integer states are added into one
     got = {}
     trees = enumerate_binary(k)
     for T in trees:
-        negate = {}
+        signs = {}
         for combo, state in backend.tree_state(T, path, combos).items():
             parity = tuple(m.tilde(key) for key in combo)
-            if parity not in negate:
+            if parity not in signs:
                 tilde = dict(enumerate(parity, 1))
-                negate[parity] = (-1) ** k * mirror_sign(T, tilde) < 0
-            if negate[parity]:
-                state = {kk: -v for kk, v in state.items()}
-            acc = got.get(combo)
-            if acc is None:
-                got[combo] = state
-            else:
-                for kk, v in state.items():
-                    add_into(acc, kk, v)
+                signs[parity] = (-1) ** k * mirror_sign(T, tilde)
+            got.setdefault(combo, []).append((signs[parity], state))
     bad = 0
     first = None
     for combo in combos:
-        have = got.get(combo, {})
+        have, d = combine(got.get(combo, []))
         want = table.get(combo, {})
-        if have != want:
+        # have / d against want / den, by cross-multiplying
+        if have.keys() != want.keys() or any(
+                v * den != want[kk] * d for kk, v in have.items()):
             bad += 1
             if first is None:
                 # the witness: the Feynman side minus the table
-                for kk, v in want.items():
-                    add_into(have, kk, -v)
-                first = combo, have
+                diff = {kk: Fraction(have.get(kk, 0), d)
+                        - Fraction(want.get(kk, 0), den)
+                        for kk in have.keys() | want.keys()}
+                first = combo, {kk: v for kk, v in diff.items() if v}
     result = {
         "k": k,
         "path": [prob.labels[p] for p in path],

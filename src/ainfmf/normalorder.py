@@ -32,19 +32,27 @@ here is imported from sdrcore: the arena of a pair supplies only its
 quotient basis, space, cap, presentation, objects, homotopies and core
 keys.  Each
 exterior table is built into one ComposeKernel per pair of pairs, the
-factored Gamma product of the operator backend, which keeps it; mu2 is
-ComposeKernel.product converted to Fraction: every coefficient of this
-module is a Fraction.
+factored Gamma product of the operator backend, which keeps it.
+
+The vertex catalog and the series of the edge engine compute with
+Fraction coefficients, each once per basis key.  Every state of tree
+evaluation is a pair (numerators, denominator) of ints: the leaf, edge
+and root states of a key are converted once, mu2 is
+ComposeKernel.product's integers over the kernel's den, and the sums of
+the tree walker join denominators by their lcm (combine).  This
+integer bookkeeping is the module's own: it takes none of superspace's
+scaled-state helpers, so a fault in those moves only the operator
+backend's side of the comparison.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 from .ainfmodel import ComposeKernel
 from .quotient import CapExceeded
 from .superspace import (ZeroVirtualDegree, add_into, contract_mask,
-                         extend_linearly, merge_sign, move_word, wedge_mask)
+                         merge_sign, move_word, wedge_mask)
 from .treealg import leaves
 
 
@@ -67,6 +75,46 @@ def check_cap(model, k):
         raise CapExceeded(
             "cap %d is below the margin %d = n (k - 1) of a %d-leaf tree"
             % (model.cap, margin, k))
+
+
+# ----------------------------------------------------------------------
+# integer states: (numerators, denominator)
+
+
+# the empty integer state, shared: states are never changed in place
+_EMPTY = ({}, 1)
+
+
+def combine(terms, den=1):
+    """The sum of c * state over terms, a list of (int c, state) where a
+    state is ({key: int numerator}, denominator), divided by den: one
+    state over den times the lcm of the terms' denominators, in lowest
+    terms, zero entries dropped; the shared _EMPTY when no entry is
+    left."""
+    if not terms:
+        return _EMPTY
+    common = lcm(*{d for _, (_, d) in terms})
+    out = {}
+    get = out.get
+    for c, (nums, d) in terms:
+        if d != common:
+            c *= common // d
+        for key, v in nums.items():
+            out[key] = get(key, 0) + c * v
+    den *= common
+    g = gcd(den, *out.values())
+    out = {key: v // g for key, v in out.items() if v} if g > 1 else {
+        key: v for key, v in out.items() if v}
+    return (out, den // g) if out else _EMPTY
+
+
+def _integer(state):
+    """A state of Fraction coefficients as ({key: int numerator}, the
+    lcm of its denominators), or _EMPTY."""
+    den = lcm(*{c.denominator for c in state.values()})
+    nums = {key: c.numerator * (den // c.denominator)
+            for key, c in state.items() if c}
+    return (nums, den) if nums else _EMPTY
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +281,9 @@ class VertexCatalog:
 
 class EdgeEngine:
     """Evaluates the leaf, internal-edge and root operators of a tree on
-    one ordered pair of objects, from the vertex catalog alone."""
+    one ordered pair of objects, from the vertex catalog alone.  The
+    series run on Fraction states; each operator's image of a key is
+    kept as an integer state (numerators, denominator)."""
 
     def __init__(self, arena):
         self.arena = arena
@@ -333,31 +383,37 @@ class EdgeEngine:
     # -- tree-location operators ----------------------------------------
 
     def leaf(self, key):
-        if key not in self._leaf:
+        out = self._leaf.get(key)
+        if out is None:
             if self.space.virtual_degree(key):
                 raise DegreeMismatch("leaf input carries theta or t content")
-            self._leaf[key] = self.exp_delta(self.sigma_tail({key: Fraction(1)}), 1)
-        return self._leaf[key]
+            out = self._leaf[key] = _integer(
+                self.exp_delta(self.sigma_tail({key: Fraction(1)}), 1))
+        return out
 
     def edge_key(self, key):
-        if key not in self._edge:
+        out = self._edge.get(key)
+        if out is None:
             st = self.exp_delta({key: Fraction(1)}, -1)
             st = self.nabla_state(st)
             st = zeta(st, self.space.virtual_degree) if st else st
             st = self.sigma_tail(st) if st else st
-            self._edge[key] = self.exp_delta(st, 1) if st else {}
-        return self._edge[key]
+            out = self._edge[key] = _integer(
+                self.exp_delta(st, 1) if st else {})
+        return out
 
     def edge(self, state):
-        return extend_linearly(self.edge_key, state)
+        nums, den = state
+        return combine([(c, self.edge_key(key)) for key, c in nums.items()],
+                       den)
 
     def root_key(self, key):
-        if key not in self._root:
+        out = self._root.get(key)
+        if out is None:
             st = self.exp_delta({key: Fraction(1)}, -1)
-            self._root[key] = {
-                k2: c for k2, c in st.items() if self.arena.is_core_key(k2)
-            }
-        return self._root[key]
+            out = self._root[key] = _integer(
+                {k2: c for k2, c in st.items() if self.arena.is_core_key(k2)})
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -443,11 +499,13 @@ class FeynmanBackend:
     over the exterior table of _ext_pair_compose, and mu2 on states is
     its product; the edge engines are kept per pair in _engines.
 
+    Every state below is an integer state (numerators, denominator).
     Three memos of tree evaluation live as long as the backend:
       * _states: the state below every internal node but the top, keyed
         by path, node and the keys of the node's leaves;
       * _top: the top operator on a key pair, top(ka, kb) =
-        root(mu2(ka, kb)), core outputs only;
+        root(mu2(ka, kb)), core outputs only, kept per key ka and the
+        three objects of the top node as {kb: top(ka, kb)};
       * _columns: per left sub-tree state of a top node, keyed by path,
         left node and the keys of its leaves (not by the split alone:
         the left nodes ((1, 2), 3) and (1, (2, 3)) share one), the
@@ -487,12 +545,11 @@ class FeynmanBackend:
         return kernel
 
     def mu2(self, sa, pair_a, sb, pair_b):
-        """Binary composition of states: sa (later, in pair_a = (mid,
-        tgt)) after sb (earlier, in pair_b = (src, mid))."""
+        """Binary composition of integer states: sa (later, in pair_a =
+        (mid, tgt)) after sb (earlier, in pair_b = (src, mid)), the
+        kernel's integers over the product of the denominators."""
         kernel = self._kernel(pair_a, pair_b)
-        den = kernel.den
-        return {kc: Fraction(v, den)
-                for kc, v in kernel.product(sa, sb).items()}
+        return kernel.product(sa[0], sb[0]), kernel.den * sa[1] * sb[1]
 
     # -- tree walking ----------------------------------------------------
 
@@ -526,34 +583,35 @@ class FeynmanBackend:
         """sum over the keys kb of the left state sb of c_b top(ka, kb),
         where top(ka, kb) = root(mu2(ka, kb)) is kept per key pair."""
         kernel = self._kernel(pair_a, pair_b)
-        den = kernel.den
         root = self.engine(pair_b[0], pair_a[1]).root_key
-        top = self._top
-        ends = (pair_b[0], pair_a[0], pair_a[1])
+        tops = self._top.setdefault((pair_b[0], pair_a[0], pair_a[1], ka), {})
         laters = None
-        col = {}
-        for kb, cb in sb.items():
-            tkey = (ends, ka, kb)
-            st = top.get(tkey)
+        terms = []
+        nums, den = sb
+        for kb, cb in nums.items():
+            st = tops.get(kb)
             if st is None:
                 if laters is None:
                     laters = kernel.laters([ka])
-                row = kernel.row(kb, laters)
-                st = top[tkey] = extend_linearly(root, {
-                    kc: Fraction(v, den) for kc, v in row[0][1].items()
-                }) if row else {}
-            for kc, c in st.items():
-                col[kc] = col.get(kc, 0) + cb * c
-        return {kc: c for kc, c in col.items() if c}
+                parts = []
+                for _, comp in kernel.row(kb, laters):
+                    for kc, v in comp.items():
+                        image = root(kc)
+                        if image[0]:
+                            parts.append((v, image))
+                st = tops[kb] = combine(parts, kernel.den)
+            if st[0]:
+                terms.append((cb, st))
+        return combine(terms, den)
 
     def tree_state(self, tree, path, combos):
         """The output states of one tree on a list of tuples of core basis
-        keys, {combo: state} for the non-empty states only; each equals
-        the signless mirror evaluation of the matrix backend: the right
-        state below the top summed against the column map of the left
-        state.  The tuples are grouped by the keys left of the top split,
-        combo[:mid], so each left state is built once per group, and a
-        group whose left state is empty is skipped."""
+        keys, {combo: integer state} for the non-empty states only; each
+        equals the signless mirror evaluation of the matrix backend: the
+        right state below the top summed against the column map of the
+        left state.  The tuples are grouped by the keys left of the top
+        split, combo[:mid], so each left state is built once per group,
+        and a group whose left state is empty is skipped."""
         path = tuple(path)
         _, mid, hi = self._span(tree)
         pair_a, pair_b = (path[mid], path[hi]), (path[0], path[mid])
@@ -563,21 +621,22 @@ class FeynmanBackend:
         out = {}
         for left, group in groups.items():
             sb = self._eval(tree[0], path, group[0])
-            if not sb:
+            if not sb[0]:
                 continue
             cols = self._columns.setdefault((path, tree[0], left), {})
             for combo in group:
-                acc = {}
-                for ka, ca in self._eval(tree[1], path, combo).items():
+                nums, den = self._eval(tree[1], path, combo)
+                terms = []
+                for ka, ca in nums.items():
                     col = cols.get(ka)
                     if col is None:
                         col = cols[ka] = self._column(pair_a, pair_b, ka, sb)
-                    for kc, c in col.items():
-                        v = ca * c
-                        acc[kc] = acc[kc] + v if kc in acc else v
-                state = {kc: c for kc, c in acc.items() if c}
-                if state:
-                    out[combo] = state
+                    if col[0]:
+                        terms.append((ca, col))
+                if terms:
+                    state = combine(terms, den)
+                    if state[0]:
+                        out[combo] = state
         return out
 
     def c_tau(self, tree, path, keys, tau):
@@ -591,5 +650,5 @@ class FeynmanBackend:
             eng = self.engine(path[i], path[i + 1])
             if eng.space.virtual_degree(key):
                 raise DegreeMismatch("input %d carries theta or t content" % (i + 1))
-        state = self.tree_state(tree, path, [keys]).get(keys, {})
-        return state.get(tau, Fraction(0))
+        nums, den = self.tree_state(tree, path, [keys]).get(keys, _EMPTY)
+        return Fraction(nums.get(tau, 0), den)

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -11,6 +13,7 @@ from ainfmf.normalorder import FeynmanBackend
 from ainfmf.sdrcore import Arena
 from ainfmf.treealg import enumerate_binary, mirror_sign
 
+from test_normalorder import rational
 from test_superspace import identity
 
 
@@ -527,30 +530,37 @@ def test_sdr_verify_below_its_margin_names_its_witness():
 
 def _faulty_column(fault):
     """FeynmanBackend._column with one fault in the stage-1 columns of the
-    top: "flip" negates the first non-empty column a backend builds,
-    "drop" empties it, "spurious" puts the key ka into every empty
-    column."""
+    top, each an integer state (numerators, denominator): "flip" negates
+    the first non-empty column a backend builds, "drop" empties it,
+    "den" doubles its denominator and keeps its numerators, "spurious"
+    puts the key ka into every empty column."""
     original = FeynmanBackend._column
 
     def column(self, pair_a, pair_b, ka, sb):
-        col = original(self, pair_a, pair_b, ka, sb)
+        nums, den = col = original(self, pair_a, pair_b, ka, sb)
         if fault == "spurious":
-            return col or {ka: Fraction(1)}
-        if col and not getattr(self, "faulted", False):
+            return col if nums else ({ka: 1}, 1)
+        if nums and not getattr(self, "faulted", False):
             self.faulted = True
-            return {kc: -c for kc, c in col.items()} if fault == "flip" else {}
+            if fault == "flip":
+                return {kc: -c for kc, c in nums.items()}, den
+            return (nums, 2 * den) if fault == "den" else ({}, 1)
         return col
 
     return column
 
 
 @pytest.mark.parametrize("fault, one_sided", [
-    ("flip", None), ("drop", "table"), ("spurious", "feynman")])
+    ("flip", None), ("drop", "table"), ("spurious", "feynman"),
+    ("den", None)])
 def test_feynman_catches_faults_in_top_columns(monkeypatch, fault, one_sided):
+    # "den" is a fault of the denominator alone, which only a backend
+    # whose states carry their own denominator can have
     monkeypatch.setattr(FeynmanBackend, "_column", _faulty_column(fault))
     report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 2}])
     assert code == cli.EXIT_VERIFY
     assert report["results"][0]["result"]["mismatches"] > 0
+    assert report["results"][0]["result"]["first_mismatch"]
     if one_sided is None:
         return
     # k = 2 has one tree, so a tuple's feynman side is empty exactly when
@@ -565,7 +575,7 @@ def test_feynman_catches_faults_in_top_columns(monkeypatch, fault, one_sided):
     assert ((True, False) if one_sided == "table" else (False, True)) in sides
 
 
-@pytest.mark.parametrize("fault", ["flip", "spurious"])
+@pytest.mark.parametrize("fault", ["flip", "spurious", "drop", "den"])
 def test_feynman_first_mismatch_at_k3_is_first_in_product_order(
         monkeypatch, fault):
     # at k = 3 two trees add into each tuple's Feynman side, and each is
@@ -591,14 +601,14 @@ def test_feynman_first_mismatch_at_k3_is_first_in_product_order(
         diff = {}
         for T, st in zip(trees, states):
             # (-1)^3 mirror_sign
-            for kk, v in st.get(combo, {}).items():
+            for kk, v in rational(st.get(combo)).items():
                 diff[kk] = diff.get(kk, 0) - mirror_sign(T, tilde) * v
         for kk, v in table.get(combo, {}).items():
             diff[kk] = diff.get(kk, 0) - v
         if any(diff.values()):
             bad.append(combo)
     label = m.pair(0, 0).arena.space.key_label
-    assert result["mismatches"] == len(bad)
+    assert result["mismatches"] == len(bad) > 0
     assert result["first_mismatch"]["inputs"] == [label(key) for key in bad[0]]
 
 
@@ -623,7 +633,8 @@ def test_feynman_names_its_first_mismatch(monkeypatch):
     for combo in combos:
         tilde = dict(enumerate((m.tilde(key) for key in combo), 1))
         sign = mirror_sign((1, 2), tilde)
-        diff = {kk: sign * v for kk, v in states.get(combo, {}).items()}
+        diff = {kk: sign * v
+                for kk, v in rational(states.get(combo)).items()}
         for kk, v in table.get(combo, {}).items():
             diff[kk] = diff.get(kk, 0) - v
         diff = {kk: v for kk, v in diff.items() if v}
@@ -633,6 +644,62 @@ def test_feynman_names_its_first_mismatch(monkeypatch):
                      "diff": {label(kk): cli.frac(v)
                               for kk, v in sorted(diff.items(), key=str)}}
     assert all(re.fullmatch(r"-?\d+/\d+", v) for v in first["diff"].values())
+
+
+def _rescaled(spec, seed):
+    """spec with W -> c W and every pair (f, g) -> (a f, (c / a) g), for
+    c and a per pair drawn as +-p/q with p, q <= 5: each object still
+    factorises the new W, and every count is unchanged."""
+    rng = random.Random("rescaled:%d" % seed)
+
+    def factor():
+        x = Fraction(rng.randint(1, 5), rng.randint(1, 5))
+        return x if rng.random() < 0.5 else -x
+
+    c = factor()
+    scales = [c]
+    objects = []
+    for obj in spec["objects"]:
+        pairs = []
+        for f, g in obj["pairs"]:
+            a = factor()
+            scales.append(a)
+            pairs.append(["%s*(%s)" % (a, f), "%s*(%s)" % (c / a, g)])
+        objects.append({"label": obj["label"], "pairs": pairs})
+    return dict(spec, potential="%s*(%s)" % (c, spec["potential"]),
+                objects=objects), scales
+
+
+def _two_variable():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "demos",
+                           "two_variable.json")) as fh:
+        return json.load(fh)
+
+
+# (spec, cap, k=2 path, k=3 path); two variables need cap n (k - 1) = 4
+RESCALED_MODELS = {
+    "worked": (lambda: WORKED, 2, ["X", "Y", "X"], ["X", "Y", "X", "Y"]),
+    "two_variable": (_two_variable, 4, ["K", "L", "K"], ["K", "L", "K", "L"]),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("model", list(RESCALED_MODELS))
+def test_feynman_agrees_under_rescaled_coefficients(model, seed):
+    # rescaled coefficients give the vertices, the homotopies and both
+    # backends' states non-unit denominators, which the Feynman side's
+    # integer states must carry through to the comparison
+    spec, cap, path2, path3 = RESCALED_MODELS[model]
+    spec, scales = _rescaled(dict(spec(), cap=cap), seed)
+    assert any(x.denominator > 1 for x in scales)
+    report, code = cli.run(spec, commands=[
+        {"command": "feynman", "k": 2, "path": path2},
+        {"command": "feynman", "k": 3, "path": path3}])
+    assert code == cli.EXIT_OK
+    for k, entry in zip((2, 3), report["results"]):
+        result = entry["result"]
+        assert result["k"] == k and result["tuples"] > 0
+        assert result["mismatches"] == 0
 
 
 def test_timing_per_command():

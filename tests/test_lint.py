@@ -4,7 +4,8 @@ public function, method or class that nothing in the package, the
 demos or the benchmark refers to.  A reference from the tests alone
 does not keep a public name: code that only the tests run belongs in
 the tests.  Also, the normal-ordering backend imports nothing from the
-operator backend's module sdrcore.
+operator backend's module sdrcore and none of superspace's scaled-state
+helpers.
 
 The references are matched by name only, with no resolution of what an
 attribute belongs to.  So a test-only public method stays unflagged
@@ -147,3 +148,33 @@ def test_normalorder_imports_nothing_from_sdrcore():
             sources += [a.name for a in node.names]
     assert sources
     assert not [s for s in sources if "sdrcore" in s.split(".")]
+
+
+# superspace's scaled-state arithmetic, which the operator backend uses;
+# the normal-ordering backend keeps its integer states by its own
+# helpers, so a fault in these moves one side of the feynman comparison
+SCALED_STATE_HELPERS = {"reduced", "scaled_state", "state_sum",
+                        "rational_state", "ZERO_STATE"}
+
+
+def test_normalorder_takes_no_scaled_state_helper():
+    # the two backends share no arithmetic helper: neither an import of
+    # one of these names nor an attribute read of one (as in
+    # superspace.reduced) may appear in normalorder
+    package = modules()
+    defined = set()
+    for node in package["superspace.py"].body:
+        if isinstance(node, ast.FunctionDef):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(t.id for t in node.targets
+                           if isinstance(t, ast.Name))
+    assert SCALED_STATE_HELPERS <= defined
+    used = set()
+    for node in ast.walk(package["normalorder.py"]):
+        if isinstance(node, ast.ImportFrom):
+            used.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert "add_into" in used  # the walk sees the superspace imports
+    assert not used & SCALED_STATE_HELPERS

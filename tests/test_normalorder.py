@@ -73,9 +73,28 @@ def split(pair, mask):
     return th, (f & ((1 << pair.c1) - 1), f >> pair.c1)
 
 
+def rational(state):
+    """An integer state (numerators, denominator) of the Feynman backend,
+    or None for an absent one, as a state of Fraction coefficients."""
+    if state is None:
+        return {}
+    nums, den = state
+    return {key: Fraction(v, den) for key, v in nums.items() if v}
+
+
+def integer(state):
+    """A state of Fraction coefficients as an integer state over the
+    product of its denominators."""
+    den = 1
+    for c in state.values():
+        den *= Fraction(c).denominator
+    return {key: int(c * den) for key, c in state.items()}, den
+
+
 def root(eng, state):
-    """The edge engine's root operator on a state, key by key."""
-    return extend_linearly(eng.root_key, state)
+    """The edge engine's root operator on a state of Fraction
+    coefficients, key by key."""
+    return extend_linearly(lambda key: rational(eng.root_key(key)), state)
 
 
 def compose_keys(model, pa, pb, ka, kb, table):
@@ -179,8 +198,8 @@ def test_series_match_sdr_operators(maker):
             for key in margin_keys(arena):
                 st = {key: Fraction(1)}
                 if arena.space.virtual_degree(key) == 0:
-                    assert clean(eng.leaf(key)) == apply(arena.Phi_inv, st)
-                assert clean(eng.edge_key(key)) == apply(arena.H_hat, st)
+                    assert rational(eng.leaf(key)) == apply(arena.Phi_inv, st)
+                assert rational(eng.edge_key(key)) == apply(arena.H_hat, st)
                 assert clean(root(eng, st)) == apply(arena.Phi, st)
 
 
@@ -242,8 +261,8 @@ def test_compose_keys_match_matrix_backend():
         for _ in range(60):
             ka = rng.choice(keys_a)
             kb = rng.choice(keys_b)
-            got = backend.mu2({ka: Fraction(1)}, (mid, t),
-                              {kb: Fraction(1)}, (s, mid))
+            got = rational(backend.mu2(({ka: 1}, 1), (mid, t),
+                                       ({kb: 1}, 1), (s, mid)))
             want = compose_keys(m, pa, pb, ka, kb, m._kernel(pa, pb).table)
             assert got == want, (s, mid, t, ka, kb)
 
@@ -266,7 +285,7 @@ def test_tree_dual_backend_kstab():
             in_map = {i + 1: inputs[i] for i in range(k)}
             dec = ModelDecoration(m, path, inputs)
             for T in enumerate_binary(k):
-                got = states[T].get(combo, {})
+                got = rational(states[T].get(combo))
                 want = clean(mirror_eval(T, dec, in_map))
                 assert got == want, (T, combo)
 
@@ -286,7 +305,7 @@ def test_tree_dual_backend_worked_sample():
             in_map = {i + 1: inputs[i] for i in range(3)}
             dec = ModelDecoration(m, path, inputs)
             for T in enumerate_binary(3):
-                got = states[T].get(combo, {})
+                got = rational(states[T].get(combo))
                 want = clean(mirror_eval(T, dec, in_map))
                 assert got == want, (path, T, combo)
 
@@ -324,8 +343,9 @@ def test_shared_subtree_states_match_fresh_backend(maker, k, paths, sample):
             states = shared.tree_state(T, path, combos)
             for combo in combos:
                 fresh = FeynmanBackend(m).tree_state(T, path, [combo])
-                assert states.get(combo) == fresh.get(combo), (
-                    path, T, combo)
+                assert (combo in states) == (combo in fresh)
+                assert rational(states.get(combo)) == rational(
+                    fresh.get(combo)), (path, T, combo)
                 non_empty += combo in states
         # a case of empty states only would compare nothing
         assert non_empty, path
@@ -385,13 +405,15 @@ def per_tuple_tree_state(backend, tree, path, keys, products=None):
 
     def ev(node):
         if isinstance(node, int):
-            return backend.engine(path[node - 1], path[node]).leaf(
-                keys[node - 1])
+            return rational(backend.engine(path[node - 1], path[node]).leaf(
+                keys[node - 1]))
         lo, mid, hi = leaves(node)[0], leaves(node[0])[-1], leaves(node)[-1]
         st = mu2(ev(node[1]), (path[mid], path[hi]),
                  ev(node[0]), (path[lo - 1], path[mid]))
         eng = backend.engine(path[lo - 1], path[hi])
-        return whole_state_root(eng, st) if node == tree else eng.edge(st)
+        if node == tree:
+            return whole_state_root(eng, st)
+        return extend_linearly(lambda key: rational(eng.edge_key(key)), st)
 
     return ev(tree)
 
@@ -438,12 +460,20 @@ def test_top_columns_match_per_tuple_reference(case):
             mid = leaves(T[0])[-1]
             for combo in combos:
                 want = per_tuple_tree_state(backend, T, path, combo)
-                assert states.get(combo, {}) == want, (path, T, combo)
+                assert rational(states.get(combo)) == want, (path, T, combo)
                 nonzero += bool(want)
-                if backend._eval(T[0], path, combo):
+                if backend._eval(T[0], path, combo)[0]:
                     live.add((path, T[0], combo[:mid]))
         assert nonzero or case == "kstab", path
     assert backend._top
+    # every kept state is ints: numerators over a positive denominator
+    kept = [*backend._states.values(),
+            *(st for tops in backend._top.values() for st in tops.values()),
+            *(col for cols in backend._columns.values()
+              for col in cols.values())]
+    assert all(type(den) is int and den > 0
+               and all(type(v) is int for v in nums.values())
+               for nums, den in kept)
     # one column map per left node and keys of a non-empty left state:
     # keyed by left node, not by split alone, and none for a skipped
     # group.  Both left nodes of three leaves are empty on every kstab
@@ -476,7 +506,7 @@ def test_grouped_tree_state_matches_per_tuple_reference(monkeypatch, case):
     built = []
 
     def spy(self, pair_a, pair_b, ka, sb):
-        built.append(bool(sb))
+        built.append(bool(sb[0]))
         return column(self, pair_a, pair_b, ka, sb)
 
     monkeypatch.setattr(FeynmanBackend, "_column", spy)
@@ -492,15 +522,17 @@ def test_grouped_tree_state_matches_per_tuple_reference(monkeypatch, case):
             states = backend.tree_state(T, path, combos)
             for combo in combos:
                 want = per_tuple_tree_state(backend, T, path, combo, products)
-                assert states.get(combo, {}) == want, (path, T, combo)
+                assert rational(states.get(combo)) == want, (path, T, combo)
                 compared += bool(want)
             mid = leaves(T[0])[-1]
-            skipped += sum(not backend._eval(T[0], path, left)
+            skipped += sum(not backend._eval(T[0], path, left)[0]
                            for left in dict.fromkeys(c[:mid] for c in combos))
             assert combos[cut - 1][:mid] == combos[cut][:mid]
             head = set(combos[:cut])
-            assert FeynmanBackend(m).tree_state(T, path, combos[:cut]) == {
-                c: st for c, st in states.items() if c in head}, (path, T)
+            fresh = FeynmanBackend(m).tree_state(T, path, combos[:cut])
+            assert {c: rational(st) for c, st in fresh.items()} == {
+                c: rational(st) for c, st in states.items() if c in head}, (
+                    path, T)
     assert built and all(built)
     assert skipped and compared
 
@@ -643,8 +675,8 @@ def evaluate_summand(model, path, word, inputs, tau, prefactor=Fraction(1)):
         else:
             sa = ev(w[2])
             sb = ev(w[3])
-            st = backend.mu2(sa, pair_of(_word_span(w[2])),
-                             sb, pair_of(_word_span(w[3])))
+            st = rational(backend.mu2(integer(sa), pair_of(_word_span(w[2])),
+                                      integer(sb), pair_of(_word_span(w[3]))))
             ops = w[1]
         for atom in reversed(ops):
             st = _apply_atom(arena, _parse_atom(arena.space, atom), st)

@@ -25,10 +25,12 @@ tuple, summing once for the suspended (r) and unsuspended (mu) signs
 and reading each outer table once per (level, path).
 
 The products, the span sums and the relation contraction work on
-scaled states (integer numerators over one denominator, see superspace)
-and the rho tables are stored as integers over one denominator per
-table.  rho_table, rho_apply, rho_span_sums, the failure defects of
-verify_ainf and the maps of e1_and_clifford are the Fraction edge.
+scaled states (integer numerators over one denominator, see superspace).
+A RhoTable holds integers over one denominator per table: the stored
+rho tables, and the span sums on drawn tuples that feynman compares
+with its limit.  rho_table, rho_apply, rho_span_sums (for
+kstab_minimal), the failure defects of verify_ainf and the maps of
+e1_and_clifford are the Fraction edge.
 """
 
 from fractions import Fraction
@@ -44,6 +46,7 @@ from .mfcat import (
     nu_signed,
 )
 from .linalg import Echelon
+from .poly import Polynomial
 from .quotient import CapExceeded, GammaTensor
 from .sdrcore import Arena
 from .superspace import (
@@ -203,7 +206,6 @@ class PairData:
             homX=model.homotopies[src],
             homY=model.homotopies[tgt],
         )
-        self.presentation = self.arena.presentation
         sp = self.arena.space
         self.n = model.qb.n
         fam1, fam2 = sp.families[1], sp.families[2]
@@ -211,7 +213,7 @@ class PairData:
         self.c2 = fam2[1]
         self.theta_all = (1 << self.n) - 1
         # exterior elements (S, T) <-> Hom matrices (row mask, col mask)
-        if self.presentation == "nu":
+        if self.arena.presentation == "nu":
             self.to_matrix = self.from_matrix = nu_signed
         else:
             rho = RhoPresentation(X)
@@ -840,24 +842,22 @@ def induced_map(coh, colmap):
     return [list(r) for r in zip(*rows)] if rows else []
 
 
-def kstab_minimal(model, idx, decomposition, level=4):
+def kstab_minimal(model, idx, decomposition, level):
     """Minimal model data for a stabilised-generator object: the joint
     kernel of the gamma_i inside the core, closure of that subspace
     under the products up to the requested level, and the restricted
     tables.
 
-    decomposition: polynomials W^i with W = sum x_i W^i.
+    decomposition: polynomials W^i with W = sum x_i W^i, one per
+    variable.
     """
-    from .poly import Polynomial
-
-    X = model.objects[idx]
-    nvars = X.nvars
+    nvars = model.objects[idx].nvars
+    if len(decomposition) != nvars:
+        raise DecompositionInvalid("expected one entry per variable (%d), "
+                                   "got %d" % (nvars, len(decomposition)))
     total = Polynomial.zero(nvars)
     for i, wi in enumerate(decomposition):
-        xi = Polynomial.monomial(
-            nvars, tuple(1 if j == i else 0 for j in range(nvars))
-        )
-        total = total + xi * wi
+        total = total + Polynomial.var(nvars, i) * wi
     if total != model.W:
         raise DecompositionInvalid("sum x_i W^i != W")
     pair_key = (idx, idx)

@@ -43,6 +43,7 @@ from itertools import islice, product
 from .ainfmodel import (
     DecompositionInvalid,
     Model,
+    RhoTable,
     cohomology,
     induced_map,
     kstab_minimal,
@@ -364,7 +365,7 @@ def cmd_vertices(prob, args):
             if row["coefficient"] is not None else None,
             "shifts": {str(h): list(v) for h, v in (row["shifts"] or {}).items()},
         } for row in cat.rows()]
-        return {"presentation": m.pair(s, t).presentation,
+        return {"presentation": cat.arena.presentation,
                 "rows": rows}, True, True
 
     return _per_pair(prob, args, check)
@@ -506,18 +507,16 @@ def cmd_feynman(prob, args):
     cores = [m.pair(path[i], path[i + 1]).arena.core_basis()
              for i in range(k)]
     combos = list(islice(product(*cores), limit))
+    # a table of integer numerators over table.den: the stored one, or
+    # with a limit rho_k on the drawn tuples only, by the span sums on
+    # the keys they use in each slot
     if limit is None:
-        # the stored table: integer numerators over table.den
         table = m._table(k, path)
-        den = table.den
     else:
-        # rho_k on the drawn tuples only, by the span sums on the keys
-        # they use in each slot, not the whole table; its states have
-        # Fraction coefficients, so they are read over the denominator 1
-        table = m.rho_span_sums(k, path, [
-            [(key, {key: Fraction(1)}) for key in dict.fromkeys(keys)]
-            for keys in zip(*combos)])
-        den = 1
+        table = RhoTable(m._span_sums(k, path, [
+            [(key, ({key: 1}, 1)) for key in dict.fromkeys(keys)]
+            for keys in zip(*combos)]))
+    den = table.den
     backend = FeynmanBackend(m)
     # rho_k = (-1)^k sum_T of the Koszul-signed denotation of T, which is
     # mirror_sign times the signless tree_state; the sign depends on the

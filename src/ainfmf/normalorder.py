@@ -23,16 +23,16 @@ algebra in sdrcore/ainfmodel.  The ingredients are
     split, from states and top-node column maps that the backend
     shares across tuples and trees.
 
-The junction (binary composition) is computed by pairing the fermions of
-the shared middle object directly on exterior masks, not through the
-matrix dictionaries used by the main backend, so that agreement of the
-two backends is a genuine cross-check; only the sign primitives of
-superspace (contract_mask moves and merge_sign) are shared.  Nothing
-here is imported from sdrcore: the arena of a pair supplies only its
-quotient basis, space, cap, presentation, objects, homotopies and core
-keys.  Each
-exterior table is built into one ComposeKernel per pair of pairs, the
-factored Gamma product of the operator backend, which keeps it.
+The junction (binary composition) is the operator backend's
+ainfmodel.ComposeKernel, one per pair of pairs: the two backends share
+its Gamma times exterior-table combine, its alpha and merge signs, its
+t-shift and its cap filter.  Only the kernel's exterior table is this
+module's own (_ext_pair_compose): it pairs the fermions of the shared
+middle object directly on exterior masks, not through the Hom matrices
+of the main backend, so the comparison cross-checks that table and not
+the rest of the kernel.  Nothing here is imported from sdrcore: the
+arena of a pair supplies only its quotient basis, space, cap,
+presentation, objects, homotopies and core keys.
 
 The vertex catalog and the series of the edge engine compute with
 Fraction coefficients, each once per basis key.  Every state of tree
@@ -150,16 +150,15 @@ class VertexRule:
     it.
     """
 
-    __slots__ = ("name", "kind", "k", "ops", "poly", "columns", "source")
+    __slots__ = ("name", "kind", "k", "ops", "poly", "columns")
 
-    def __init__(self, name, kind, k, ops, poly, columns, source):
+    def __init__(self, name, kind, k, ops, poly, columns):
         self.name = name
         self.kind = kind
         self.k = k
         self.ops = ops
         self.poly = poly
         self.columns = columns
-        self.source = source
 
     def profile(self):
         """Per incoming h: (coeff, outgoing l, number of emitted t's),
@@ -189,67 +188,66 @@ class VertexCatalog:
     def __init__(self, arena):
         self.arena = arena
         self.qb = arena.qb
-        self.presentation = arena.presentation
         self.vertices = []
         self._build()
 
-    def _add(self, name, kind, k, ops, poly, sign, source):
+    def _add(self, name, kind, k, ops, poly, sign):
         """A rule of poly with sign, its columns read from the quotient
         basis: h -> [(l, delta, sign * coeff)]."""
-        if not poly.is_zero():
+        if poly:
             columns = {h: [(l, d, c * sign) for (l, d), c in col.items()]
                        for h, col in self.qb.columns(poly).items()}
             self.vertices.append(VertexRule(
-                name, kind, k, ops, poly, columns, source))
+                name, kind, k, ops, poly, columns))
 
     def _build(self):
         a = self.arena
         n = a.n
-        if self.presentation == "nu":
+        if a.presentation == "nu":
             for j, (u, v) in enumerate(a.Y.pairs):
                 for k in range(n):
                     self._add("A.1", "A", k,
                               [("eta", j, "contract"), ("theta", k, "wedge")],
-                              u, 1, ("u", j))
+                              u, 1)
                     self._add("A.2", "A", k,
                               [("eta", j, "wedge"), ("theta", k, "wedge")],
-                              v, 1, ("v", j))
+                              v, 1)
             for i, (f, g) in enumerate(a.X.pairs):
                 for k in range(n):
                     self._add("A.3", "A", k,
                               [("xibar", i, "wedge"), ("theta", k, "wedge")],
-                              f, -1, ("f", i))
+                              f, -1)
                     self._add("A.4", "A", k,
                               [("xibar", i, "contract"), ("theta", k, "wedge")],
-                              g, 1, ("g", i))
+                              g, 1)
             for k in range(n):
                 for j in range(a.Y.r):
                     self._add("C.1", "C", k,
                               [("theta", k, "contract"), ("eta", j, "contract")],
-                              a.homY.F[k][j], 1, ("F", k, j))
+                              a.homY.F[k][j], 1)
                     self._add("C.2", "C", k,
                               [("theta", k, "contract"), ("eta", j, "wedge")],
-                              a.homY.G[k][j], 1, ("G", k, j))
+                              a.homY.G[k][j], 1)
         else:
             for i, (f, g) in enumerate(a.X.pairs):
                 for k in range(n):
                     self._add("A.1", "A", k,
                               [("xi", i, "contract"), ("theta", k, "wedge")],
-                              f, 1, ("f", i))
+                              f, 1)
                     self._add("A.4", "A", k,
                               [("xibar", i, "contract"), ("theta", k, "wedge")],
-                              g, 1, ("g", i))
+                              g, 1)
             for k in range(n):
                 for i in range(a.X.r):
                     self._add("C.1", "C", k,
                               [("theta", k, "contract"), ("xi", i, "contract")],
-                              a.homX.F[k][i], 1, ("F", k, i))
+                              a.homX.F[k][i], 1)
                     self._add("C.2", "C", k,
                               [("theta", k, "contract"), ("xi", i, "wedge")],
-                              a.homX.G[k][i], 1, ("G", k, i))
+                              a.homX.G[k][i], 1)
                     self._add("C.3", "C", k,
                               [("theta", k, "contract"), ("xibar", i, "wedge")],
-                              a.homX.F[k][i], 1, ("F2", k, i))
+                              a.homX.F[k][i], 1)
 
     def rows(self):
         """Summary rows for display and comparison: one per rule, with
@@ -447,8 +445,8 @@ def _ext_pair_compose(pa, pb):
     word basis of that endomorphism pair."""
     if pa.c2 != pb.c1:
         raise ValueError("middle fermion counts disagree")
-    merge_u = pa.presentation == "rho"
-    merge_b = pb.presentation == "rho"
+    merge_u = pa.arena.presentation == "rho"
+    merge_b = pb.arena.presentation == "rho"
     out_words = not (merge_u or merge_b) and pb.arena.X is pa.arena.Y
     off2, off3, off4 = pa.c1, pa.c1 + pa.c2, pa.c1 + 2 * pa.c2
     table = {}
@@ -492,12 +490,13 @@ def _subsets(mask):
 class FeynmanBackend:
     """Tree evaluation by vertex words and middle-object pairing.
 
-    Reuses the model only for its pair layouts, quotient data and
-    Gamma products; At and delta are rebuilt from the vertex catalog,
-    and nabla from its per-key rule in EdgeEngine.nabla_state.
-    The junction is one ComposeKernel per pair of pairs in _junction,
-    over the exterior table of _ext_pair_compose, and mu2 on states is
-    its product; the edge engines are kept per pair in _engines.
+    Reuses the model for its pair layouts, quotient data and junction;
+    At and delta are rebuilt from the vertex catalog, and nabla from
+    its per-key rule in EdgeEngine.nabla_state.  The junction is one
+    ainfmodel.ComposeKernel per pair of pairs in _junction, the
+    operator backend's Gamma combine, signs, t-shift and cap filter over
+    this module's exterior table (_ext_pair_compose), and mu2 on states
+    is its product; the edge engines are kept per pair in _engines.
 
     Every state below is an integer state (numerators, denominator).
     Three memos of tree evaluation live as long as the backend:

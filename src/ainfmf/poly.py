@@ -72,17 +72,14 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
-    def var(cls, nvars, i, power=1):
+    def var(cls, nvars, i):
         e = [0] * nvars
-        e[i] = power
+        e[i] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
 
     @classmethod
     def monomial(cls, nvars, expts, c=1):
         return cls(nvars, {tuple(expts): Fraction(c)})
-
-    def is_zero(self):
-        return not self.terms
 
     def __bool__(self):
         return bool(self.terms)
@@ -165,31 +162,26 @@ class Polynomial:
                 out[tuple(e)] = out.get(tuple(e), Fraction(0)) + c * m[i]
         return Polynomial(self.nvars, out)
 
-    def sorted_terms(self, order="grevlex"):
-        key = ORDERS[order]
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     def __str__(self):
         return format_poly(self)
 
     __repr__ = __str__
 
 
-def format_poly(p, varnames=None):
+def format_poly(p):
     """Canonical text form: descending grevlex, coefficients as p/q,
     variables x1..xn (e.g. "1/5*x1^3 - 2*x1*x2")."""
     if not p.terms:
         return "0"
-    if varnames is None:
-        varnames = [f"x{i + 1}" for i in range(p.nvars)]
     parts = []
-    for m, c in p.sorted_terms():
+    for m, c in sorted(p.terms.items(), key=lambda t: grevlex_key(t[0]),
+                       reverse=True):
         factors = []
-        for i, e in enumerate(m):
+        for i, e in enumerate(m, 1):
             if e == 1:
-                factors.append(varnames[i])
+                factors.append(f"x{i}")
             elif e > 1:
-                factors.append(f"{varnames[i]}^{e}")
+                factors.append(f"x{i}^{e}")
         if not factors:
             body = str(abs(c))
         elif abs(c) == 1:
@@ -437,9 +429,6 @@ class GroebnerBasis:
         reduced.sort(key=lambda t: key(t[0].leading(self.order)[0]))
         self.basis = [g for g, _ in reduced]
         self.cofactors = [c for _, c in reduced]
-
-    def reduce_with_quotients(self, f):
-        return divide(f, self.basis, self.order)
 
     def leading_monomials(self):
         return [g.leading(self.order)[0] for g in self.basis]

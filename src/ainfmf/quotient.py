@@ -16,16 +16,12 @@ them there.
 
 from math import lcm
 
-from .poly import GroebnerBasis, Polynomial
+from .poly import GroebnerBasis, Polynomial, divide, mono_mul
 from .superspace import add_into
 
 
 class CapExceeded(Exception):
     pass
-
-
-def _add_delta(a, b):
-    return tuple(x + y for x, y in zip(a, b))
 
 
 class QuotientBasis:
@@ -95,7 +91,7 @@ def t_adic_expand(r, qb, cap):
     work = [(zero_delta, r)]
     while work:
         delta, p = work.pop()
-        quots, rem = qb.gb.reduce_with_quotients(p)
+        quots, rem = divide(p, qb.gb.basis, qb.gb.order)
         for m, c in rem.terms.items():
             add_into(coeffs, (qb.index[m], delta), c)
         for j in range(qb.n):
@@ -103,13 +99,13 @@ def t_adic_expand(r, qb, cap):
             for q, cof in zip(quots, qb.gb.cofactors):
                 if q:
                     aj = aj + q * cof[j]
-            if aj.is_zero():
+            if not aj:
                 continue
             if sum(delta) >= cap:
                 exact = False
                 continue
             ej = tuple(1 if k == j else 0 for k in range(qb.n))
-            work.append((_add_delta(delta, ej), aj))
+            work.append((mono_mul(delta, ej), aj))
     return TAdicExpansion(coeffs, exact)
 
 

@@ -84,7 +84,6 @@ class Arena:
                         for d0 in deltas}
         # zeta divides by a virtual degree, at most n + cap
         self._zeta_den = lcm(*range(1, self.n + cap + 1))
-        self._test_keys = {}
         self._build_operators()
 
     # ------------------------------------------------------------------
@@ -294,14 +293,9 @@ class Arena:
     # ------------------------------------------------------------------
 
     def test_keys(self, margin):
-        """The keys of t-degree <= cap - margin, in basis order; built
-        once per arena and margin."""
-        keys = self._test_keys.get(margin)
-        if keys is None:
-            limit = self.cap - margin
-            keys = self._test_keys[margin] = tuple(
-                k for k in self.space.basis() if sum(k[2]) <= limit)
-        return keys
+        """The keys of t-degree <= cap - margin, in basis order."""
+        limit = self.cap - margin
+        return tuple(k for k in self.space.basis() if sum(k[2]) <= limit)
 
     def sdr_verify(self, margin=None):
         """Check the homotopy-equivalence identities exactly on all basis

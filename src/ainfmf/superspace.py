@@ -58,7 +58,6 @@ class Space:
     def __init__(self, families, mu, nboson, cap):
         self.families = list(families)
         self.mu = mu
-        self.nboson = nboson
         self.cap = cap
         self.positions = {}
         pos = 0
@@ -215,10 +214,10 @@ class LinearOp:
 
     __slots__ = ("space", "degree", "cols", "den")
 
-    def __init__(self, space, degree, cols=None, den=1):
+    def __init__(self, space, degree, cols, den):
         self.space = space
         self.degree = degree & 1
-        self.cols = cols if cols is not None else {}
+        self.cols = cols
         self.den = den
 
     @classmethod

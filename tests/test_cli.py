@@ -368,6 +368,18 @@ def test_optional_integer_arguments():
         assert cli.canonical(null) == cli.canonical(absent), name
 
 
+@pytest.mark.parametrize("decomposition", [["x^2", "0"], ["x^2", "x"], []])
+def test_kstab_needs_one_decomposition_entry_per_variable(decomposition):
+    # W = x^3 = x * x^2 in one variable: an extra entry, even a zero
+    # one, or a missing entry is an input error
+    report, code = cli.run(KSTAB, commands=[
+        {"command": "kstab", "decomposition": decomposition}])
+    assert code == cli.EXIT_INPUT
+    assert report["results"][-1]["error"] == (
+        "invalid decomposition: expected one entry per variable (1), got %d"
+        % len(decomposition))
+
+
 def test_feynman_reads_limit_before_the_cap():
     # a malformed limit is an input error even where the cap is too
     # small for the tree
@@ -550,14 +562,21 @@ def _faulty_column(fault):
     return column
 
 
-@pytest.mark.parametrize("fault, one_sided", [
-    ("flip", None), ("drop", "table"), ("spurious", "feynman"),
-    ("den", None)])
-def test_feynman_catches_faults_in_top_columns(monkeypatch, fault, one_sided):
+@pytest.mark.parametrize("fault, one_sided, limit", [
+    pytest.param(fault, one_sided, limit,
+                 id=f"{fault}-{one_sided}" + ("-limit" if limit else ""))
+    for limit in (None, 10**6)
+    for fault, one_sided in [("flip", None), ("drop", "table"),
+                             ("spurious", "feynman"), ("den", None)]])
+def test_feynman_catches_faults_in_top_columns(monkeypatch, fault, one_sided,
+                                               limit):
     # "den" is a fault of the denominator alone, which only a backend
-    # whose states carry their own denominator can have
+    # whose states carry their own denominator can have.  A limit past
+    # every tuple compares with the span sums on the drawn keys instead
+    # of the stored table, by the same comparison
     monkeypatch.setattr(FeynmanBackend, "_column", _faulty_column(fault))
-    report, code = cli.run(WORKED, commands=[{"command": "feynman", "k": 2}])
+    report, code = cli.run(WORKED, commands=[
+        {"command": "feynman", "k": 2, "limit": limit}])
     assert code == cli.EXIT_VERIFY
     assert report["results"][0]["result"]["mismatches"] > 0
     assert report["results"][0]["result"]["first_mismatch"]

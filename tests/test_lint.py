@@ -1,11 +1,12 @@
 """Static checks on the package source: no unused import, no private
-function or method that nothing else in the package refers to, and no
+function or method that nothing else in the package refers to, no
 public function, method or class that nothing in the package, the
-demos or the benchmark refers to.  A reference from the tests alone
-does not keep a public name: code that only the tests run belongs in
-the tests.  Also, the normal-ordering backend imports nothing from the
-operator backend's module sdrcore and none of superspace's scaled-state
-helpers.
+demos or the benchmark refers to, and no field assigned on self that
+nothing there reads.  A reference from the tests alone keeps neither a
+public name nor a field: code that only the tests run belongs in the
+tests.  Also, the normal-ordering backend imports nothing from the
+operator backend's module sdrcore and none of superspace's
+scaled-state helpers.
 
 The references are matched by name only, with no resolution of what an
 attribute belongs to.  So a test-only public method stays unflagged
@@ -132,6 +133,51 @@ def test_public_name_rule_ignores_the_tests():
     assert unreferenced_public_names(package, {"tests": [test]}) == [
         ("mod.py", "scratch_only")]
     assert unreferenced_public_names(package, {"benchmark": [bench]}) == []
+
+
+def unread_fields(package, users):
+    """(module, name) for each attribute that the package trees {module:
+    tree} assign on self and nothing reads: a read is an attribute
+    access of that name, not an assignment, in the package or in the
+    code of CODE_USERS, or an identifier part of a string constant of
+    STRING_USERS (the tracer reads the arena operators by name).  users
+    is as for unreferenced_public_names."""
+    trees = list(package.values()) + [
+        tree for top, trees in users.items() if top in CODE_USERS
+        for tree in trees]
+    read = {sub.attr for tree in trees for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute)
+            and not isinstance(sub.ctx, ast.Store)}
+    for top, trees in users.items():
+        if top in STRING_USERS:
+            for tree in trees:
+                read.update(string_references(tree))
+    return sorted({
+        (name, sub.attr)
+        for name, tree in package.items() for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+        and sub.attr not in read})
+
+
+def test_no_unread_fields():
+    users = {top: list(modules(os.path.join(ROOT, top)).values())
+             for top in CODE_USERS}
+    assert not unread_fields(modules(), users)
+
+
+def test_unread_field_rule():
+    # a field that only the tests read is flagged; one that the package
+    # reads, or that a benchmark string names, is kept
+    package = {"mod.py": ast.parse(
+        "class A:\n    def __init__(self):\n"
+        "        self.kept = self.named = self.unread = 1\n"
+        "    def get(self):\n        return self.kept\n")}
+    test = ast.parse("import mod\n\ndef test_it():\n"
+                     "    assert mod.A().unread == 1\n")
+    bench = ast.parse("OPERATORS = ('named',)\n")
+    assert unread_fields(package, {"tests": [test], "benchmark": [bench]}) \
+        == [("mod.py", "unread")]
 
 
 def test_normalorder_imports_nothing_from_sdrcore():

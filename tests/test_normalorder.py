@@ -214,7 +214,7 @@ def test_constant_coefficient_rules_are_inert():
     arena = m.pair(0, 0).arena
     eng = EdgeEngine(arena)
     inert = [r for r in eng.catalog.vertices
-             if r.kind == "A" and r.source == ("f", 0)]
+             if r.kind == "A" and r.poly == one]
     assert inert and all(r.profile() == {} for r in inert)
     for key in margin_keys(arena):
         st = {key: Fraction(1)}
@@ -795,16 +795,18 @@ def _identity_with(catalog, rule, candidate):
     """Re-check sum_i (F_ki g_i + G_ki f_i) = t_k with the polynomial of
     one C-type rule replaced by a candidate."""
     a = catalog.arena
-    kind, k, idx = rule.source[:3]
-    if catalog.presentation == "nu":
+    # the coefficient of C.1 and C.3 is an entry of F, of C.2 one of G,
+    # at the index of the rule's fermion
+    k, idx = rule.k, rule.ops[1][1]
+    if a.presentation == "nu":
         hom, obj = a.homY, a.Y
     else:
         hom, obj = a.homX, a.X
     F, G = list(hom.F[k]), list(hom.G[k])
-    if kind in ("F", "F2"):
-        F[idx] = candidate
-    elif kind == "G":
+    if rule.name == "C.2":
         G[idx] = candidate
+    else:
+        F[idx] = candidate
     try:
         check_homotopies(obj, HomotopySet([F], [G]), [catalog.qb.tseq[k]])
     except HomotopyIdentityFailed:

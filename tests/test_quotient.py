@@ -168,7 +168,7 @@ def test_standard_basis():
 def test_sigma():
     qb = qb_x4()
     assert normal_form(qb.gb, parse_poly("x1^3", 1)) == parse_poly("x1^3", 1)
-    assert normal_form(qb.gb, parse_poly("x1^5", 1)).is_zero()
+    assert not normal_form(qb.gb, parse_poly("x1^5", 1))
     p = parse_poly("x1^2 + x1^5", 1)
     assert normal_form(qb.gb, p) == parse_poly("x1^2", 1)
 

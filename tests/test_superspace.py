@@ -42,7 +42,7 @@ def _fermion_op(space, pos, move):
         hit = move(mask, pos)
         if hit:
             cols[mask, h, delta] = {(hit[1], h, delta): hit[0]}
-    return LinearOp(space, 1, cols)
+    return LinearOp(space, 1, cols, 1)
 
 
 def wedge_op(space, pos):
@@ -54,7 +54,7 @@ def contract_op(space, pos):
 
 
 def identity(space):
-    return LinearOp(space, 0, {key: {key: 1} for key in space.basis()})
+    return LinearOp(space, 0, {key: {key: 1} for key in space.basis()}, 1)
 
 
 def ref_merge_sign(m1, m2):
@@ -167,7 +167,7 @@ def test_operator_degree_bookkeeping():
     assert w.degree == 1
     assert w.compose(w).degree == 0
     with pytest.raises(ValueError):
-        w + LinearOp(sp, 0)
+        w + LinearOp(sp, 0, {}, 1)
 
 
 def test_state_parity_and_format():
